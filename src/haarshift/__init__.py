@@ -8,12 +8,10 @@ operator applied to concrete test functions (`operators`).
 """
 
 from .dyadic import (
-    GridSample,
+    Estimate,
     LevelRange,
     accumulate_samples,
     cutoff_for_tolerance,
-    sample_grid,
-    shift_kernel_sum,
     tail_bound_value,
 )
 from .kernels import (
@@ -26,13 +24,10 @@ from .kernels import (
     validate_kernel,
 )
 from .operators import (
-    AveragedValue,
     OperatorError,
     TestFunction,
     apply_averaged,
-    apply_shift,
     direct_pv,
-    haar_pairing,
     indicator_function,
     triangle_function,
 )
@@ -51,7 +46,6 @@ from .piecewise import (
 )
 from .reconstruct import (
     CompareReport,
-    MCEstimate,
     compare_report,
     kernel_profile,
     mc_estimate,
@@ -72,15 +66,13 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AveragedValue",
     "CoefficientTable",
     "CompareReport",
     "DiracComb",
-    "GridSample",
+    "Estimate",
     "Interval",
     "KernelSpec",
     "LevelRange",
-    "MCEstimate",
     "OperatorError",
     "PiecewiseLinear",
     "SolverError",
@@ -90,7 +82,6 @@ __all__ = [
     "a_of_omega",
     "accumulate_samples",
     "apply_averaged",
-    "apply_shift",
     "builtin_names",
     "compare_report",
     "convolve_steps",
@@ -98,7 +89,6 @@ __all__ = [
     "direct_pv",
     "gamma_at",
     "get_kernel",
-    "haar_pairing",
     "indicator_function",
     "integrate_pl",
     "kernel_profile",
@@ -113,9 +103,7 @@ __all__ = [
     "reflect",
     "rescale_to_interval",
     "residual",
-    "sample_grid",
     "second_derivative_atoms",
-    "shift_kernel_sum",
     "solve_c",
     "tail_bound_value",
     "triangle_function",

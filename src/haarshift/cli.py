@@ -32,7 +32,7 @@ from .reconstruct import compare_report, mc_estimate
 from .solver import (
     SolverError,
     a_of_omega,
-    min_modulus_scan,
+    modulus_chunks,
     read_table,
     solve_c,
     write_table,
@@ -141,6 +141,7 @@ def _cmd_mc(args) -> int:
         threads=args.threads,
     )
     payload = est.to_dict()
+    payload["y"] = args.y
     if math.isnan(payload["stderr"]):
         payload["stderr"] = None
         payload["stderr_defined"] = False
@@ -199,10 +200,7 @@ def _cmd_adiag(args) -> int:
             fh = open(args.out, "w", newline="")
             writer = csv.writer(fh)
             writer.writerow(["omega", "abs_a"])
-        for start in range(-count, count + 1, 1 << 19):
-            idx = np.arange(start, min(start + (1 << 19), count + 1))
-            omega = idx * args.step
-            mod = np.abs(a_of_omega(omega))
+        for omega, mod in modulus_chunks(2 * count + 1, lambda k: (k - count) * args.step):
             best = min(best, float(mod.min()))
             if writer is not None:
                 for w, m in zip(omega, mod):

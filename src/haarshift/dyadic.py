@@ -1,21 +1,23 @@
-"""Random dyadic grids: geometry, sampling, and the truncated kernel sum.
+"""Random dyadic grids and the Monte-Carlo estimator that averages over them.
 
 A grid draw is a dilation r in [1, 2) together with a bit per level; the
 level-n lattice is { offset_n + r 2^n k : k integer } where offset_n is the
 bit-weighted sum r * sum_{i < n} 2^i beta_i.  Only finitely many bits are
-kept: bits below i_min move every admitted lattice by less than double
-precision can represent, and bits at or above the top level are never
-consulted by the admitted levels.
+kept: bits below the lowest admitted level minus `BITS_BELOW_FLOOR` move
+every admitted lattice by less than double precision can represent, and
+bits at or above the top level are never consulted by the admitted levels.
 
-Two access paths share the same arithmetic:
+The engine (`accumulate_samples`) never builds a lattice.  Per draw it
+tracks the fractional shift sigma_n = offset_n / (r 2^n) and hands it to a
+vectorized per-level term function.  Draws come in chunks keyed by (seed,
+chunk index), with per-chunk counter offsets so any chunk can be generated
+independently.  Reduction happens in chunk order (pairwise within chunks,
+exact summation across), so results are bit-identical for any thread count.
 
-* scalar objects (`GridSample`, `interval_containing`, `shift_kernel_sum`)
-  for tests and one-off geometry, keyed by (seed, index);
-* a chunked vectorized accumulator (`accumulate_samples`) used by the
-  Monte-Carlo estimators, keyed by (seed, chunk index), with per-chunk
-  counter offsets so any chunk can be generated independently.  Reduction
-  happens in chunk order (pairwise within chunks, exact summation across),
-  so results are bit-identical for any thread count.
+`estimate` is the one Monte-Carlo estimator: ln 2 times the sample mean,
+its stderr, and the bound on the discarded coarse levels.  The two-point
+kernel sum (`kernel_sum_terms`) and the averaged shift operator
+(`operators`) are this estimator with different per-level terms.
 
 Draw order is part of the reproducibility contract: the dilation is drawn
 first, then the bit rows from low level to high, as unsigned bytes.
@@ -30,23 +32,22 @@ from typing import Callable
 
 import numpy as np
 
-from .piecewise import Interval
+from .piecewise import make_g, make_h
 
 __all__ = [
-    "GridSample",
     "LevelRange",
-    "level_offset",
-    "interval_containing",
-    "sample_grid",
-    "shift_kernel_sum",
+    "Estimate",
     "cutoff_for_tolerance",
     "tail_bound_value",
+    "levels_for_distance",
     "accumulate_samples",
+    "estimate",
     "BITS_BELOW_FLOOR",
 ]
 
-_H_VALUES = np.array([7.0, -1.0, 1.0, -7.0])
-_G_VALUES = np.array([-1.0, 1.0, 1.0, -1.0])
+# quarter values of the two generating step functions, as lookup arrays
+_H_VALUES = np.array(make_h().values)
+_G_VALUES = np.array(make_g().values)
 
 # bits this far below the lowest admitted level shift the admitted lattices
 # by less than one part in 2^52, the double-precision mantissa
@@ -70,40 +71,29 @@ class LevelRange:
         return iter(range(self.n_min, self.n_max + 1))
 
 
-@dataclass(frozen=True)
-class GridSample:
-    """One grid draw: dilation r and a finite window of translation bits.
+@dataclass
+class Estimate:
+    """Monte-Carlo estimate at one probe x, with its stderr and tail bound."""
 
-    ``bits[j]`` is the bit of level ``i_min + j``; the stored window covers
-    levels ``i_min`` (inclusive) to ``n_max`` (exclusive), which supports
-    lattice geometry at any level up to and including ``n_max``.
-    """
-
-    r: float
-    bits: np.ndarray
-    i_min: int
-    n_max: int
+    x: float
+    mean: float
+    stderr: float
+    tail_bound: float
+    num_samples: int
     seed: int
+    levels: LevelRange
 
-    def __post_init__(self):
-        if not (1.0 <= self.r < 2.0):
-            raise ValueError(f"dilation must lie in [1, 2), got {self.r}")
-        if self.i_min >= self.n_max:
-            raise ValueError("need i_min < n_max")
-        b = np.asarray(self.bits, dtype=np.uint8)
-        if b.shape != (self.n_max - self.i_min,):
-            raise ValueError("bit window length must be n_max - i_min")
-        if np.any(b > 1):
-            raise ValueError("bits must be 0 or 1")
-        object.__setattr__(self, "bits", b)
-
-    def bit(self, i: int) -> int:
-        """Bit of level i; levels below the stored window read as 0."""
-        if i < self.i_min:
-            return 0
-        if i >= self.n_max:
-            raise ValueError(f"level {i} above the stored bit window")
-        return int(self.bits[i - self.i_min])
+    def to_dict(self) -> dict:
+        return {
+            "x": self.x,
+            "mean": self.mean,
+            "stderr": self.stderr,
+            "tail_bound": self.tail_bound,
+            "M": self.num_samples,
+            "seed": self.seed,
+            "n_min": self.levels.n_min,
+            "n_max": self.levels.n_max,
+        }
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:
@@ -111,89 +101,8 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=index << 70))
 
 
-def sample_grid(seed: int, i_min: int, n_max: int, index: int = 0) -> GridSample:
-    """Draw one grid: r with density 1/(r ln 2) on [1, 2), bits fair coins.
-
-    Sampling r as 2^U with U uniform makes averages over draws equal the
-    dr/r integral over [1, 2] divided by its mass ln 2.  Deterministic for
-    fixed (seed, index).
-    """
-    if i_min >= n_max:
-        raise ValueError("need i_min < n_max")
-    rng = _rng(seed, index)
-    r = float(np.exp2(rng.random(1)[0]))
-    bits = rng.integers(0, 2, size=(n_max - i_min, 1), dtype=np.uint8)[:, 0]
-    return GridSample(r=r, bits=bits, i_min=i_min, n_max=n_max, seed=seed)
-
-
-def level_offset(s: GridSample, n: int) -> float:
-    """Absolute shift of the level-n lattice: r * sum_{i < n} 2^i * bit(i).
-
-    Bits below the stored window are treated as zero; the induced position
-    error is below r * 2^(i_min + 1).
-    """
-    if n < s.i_min:
-        return 0.0
-    if n > s.n_max:
-        raise ValueError(f"level {n} above the stored bit window")
-    top = n - s.i_min
-    total = 0.0
-    for j in range(top):
-        if s.bits[j]:
-            total += 2.0 ** (s.i_min + j)
-    return s.r * total
-
-
-def interval_containing(s: GridSample, n: int, x: float) -> Interval:
-    """The unique level-n cell [left, left + r 2^n) containing x."""
-    length = s.r * 2.0**n
-    offset = level_offset(s, n)
-    k = math.floor((x - offset) / length)
-    left = offset + k * length
-    # float guard: rounding of the division can land one cell off
-    if x < left:
-        left -= length
-    elif x >= left + length:
-        left += length
-    return Interval(left=left, length=length)
-
-
 def _quarter_index(t: np.ndarray) -> np.ndarray:
     return np.minimum((t * 4.0).astype(np.int64), 3)
-
-
-def _gamma_eval(gamma, lengths):
-    """Accept a coefficient table or any callable of the cell length."""
-    fn = getattr(gamma, "c_at", None)
-    if fn is not None:
-        return gamma.c_at(np.log(lengths))
-    return gamma(lengths)
-
-
-def shift_kernel_sum(
-    s: GridSample, gamma, x: float, y: float, levels: LevelRange
-) -> float:
-    """Sum over admitted cells containing both points of
-    gamma(|I|) h_I(x) g_I(y).
-
-    At most one cell per level can contain both x and y; cells shorter than
-    |x - y| never do, so those levels contribute zero automatically.
-    """
-    if x == y:
-        raise ValueError("the kernel sum is undefined on the diagonal x = y")
-    total = 0.0
-    for n in levels:
-        cell = interval_containing(s, n, x)
-        if not (cell.left <= y < cell.right):
-            continue
-        length = cell.length
-        tx = (x - cell.left) / length
-        ty = (y - cell.left) / length
-        g_val = float(np.atleast_1d(_gamma_eval(gamma, np.asarray([length])))[0])
-        h_v = _H_VALUES[min(int(tx * 4), 3)]
-        g_v = _G_VALUES[min(int(ty * 4), 3)]
-        total += g_val * h_v * g_v / length
-    return total
 
 
 def cutoff_for_tolerance(gamma_sup: float, tol: float) -> int:
@@ -216,6 +125,17 @@ def tail_bound_value(gamma_sup: float, n_cutoff: int) -> float:
     return 14.0 * gamma_sup * 2.0 ** (1 - n_cutoff)
 
 
+def levels_for_distance(dist: float, gamma_sup: float, tol_tail: float) -> LevelRange:
+    """Admitted levels for a probe `dist` away from the nearest feature.
+
+    Cells below level floor(log2 dist) - 1 are shorter than dist, so they
+    contribute nothing; the ceiling is the cutoff for `tol_tail`.
+    """
+    n_cut = cutoff_for_tolerance(gamma_sup, tol_tail)
+    n_min = math.floor(math.log2(dist)) - 1
+    return LevelRange(n_min, max(n_cut - 1, n_min))
+
+
 def accumulate_samples(
     seed: int,
     num_samples: int,
@@ -230,8 +150,13 @@ def accumulate_samples(
     up to ``levels.n_max``, maintaining the fractional lattice shift
     sigma_n = offset_n / (r 2^n) by the halving recursion
     sigma_{n+1} = (sigma_n + bit_n)/2, and calls ``term_fn(n, r, sigma)``
-    for admitted levels only.  Returns (sum, sum of squares) of the
-    per-draw totals, reduced deterministically.
+    for admitted levels only.  Returns (sum, M2) of the per-draw totals,
+    M2 being the sum of their squared deviations from the mean.
+
+    Each chunk reduces to (count, sum, M2); the chunks are merged in chunk
+    order by M2 = sum M2_i + sum n_i (mean_i - mean)^2 with exact summation,
+    which keeps the variance stable when the totals sit far from zero and
+    leaves the result independent of the thread count.
 
     term_fn must be pure and vectorized over the draw axis.
     """
@@ -240,7 +165,7 @@ def accumulate_samples(
     i_min = levels.n_min - BITS_BELOW_FLOOR
     n_rows = levels.n_max - i_min  # bit rows for levels i_min .. n_max-1
 
-    def run_chunk(chunk_index: int, count: int) -> tuple[float, float]:
+    def run_chunk(chunk_index: int, count: int) -> tuple[int, float, float]:
         rng = _rng(seed, chunk_index)
         r = np.exp2(rng.random(count))
         bits = rng.integers(0, 2, size=(n_rows, count), dtype=np.uint8)
@@ -251,7 +176,9 @@ def accumulate_samples(
                 acc += term_fn(n, r, sigma)
             if row < n_rows:
                 sigma = 0.5 * (sigma + bits[row])
-        return float(np.sum(acc)), float(np.sum(acc * acc))
+        chunk_sum = float(np.sum(acc))
+        dev = acc - chunk_sum / count
+        return count, chunk_sum, float(np.sum(dev * dev))
 
     jobs = []
     start = 0
@@ -267,17 +194,54 @@ def accumulate_samples(
     else:
         partials = [run_chunk(*j) for j in jobs]
 
-    total = math.fsum(p[0] for p in partials)
-    total_sq = math.fsum(p[1] for p in partials)
-    return total, total_sq
+    total = math.fsum(p[1] for p in partials)
+    mean = total / num_samples
+    m2 = math.fsum(
+        part for n, s, q in partials for part in (q, n * (s / n - mean) ** 2)
+    )
+    return total, m2
 
 
-def kernel_sum_terms(gamma, x: float, y: float) -> Callable:
+def estimate(
+    x: float,
+    term_fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+    levels: LevelRange,
+    gamma_sup: float,
+    num_samples: int,
+    seed: int = 0,
+    threads: int | None = None,
+) -> Estimate:
+    """Average the per-draw level sums of `term_fn` over grid draws.
+
+    The estimate is ln 2 times the sample mean (the dilation is drawn with
+    density 1/(r ln 2), compensating the unnormalized dr/r weight), with
+    the sample-standard-deviation stderr and the bound on the levels above
+    `levels`.  stderr is NaN for a single draw.
+    """
+    total, m2 = accumulate_samples(seed, num_samples, levels, term_fn, threads=threads)
+    ln2 = math.log(2.0)
+    if num_samples > 1:
+        stderr = ln2 * math.sqrt(m2 / (num_samples - 1) / num_samples)
+    else:
+        stderr = float("nan")
+    return Estimate(
+        x=x,
+        mean=ln2 * total / num_samples,
+        stderr=stderr,
+        tail_bound=tail_bound_value(gamma_sup, levels.n_max + 1),
+        num_samples=num_samples,
+        seed=seed,
+        levels=levels,
+    )
+
+
+def kernel_sum_terms(table, x: float, y: float) -> Callable:
     """Vectorized level-term function for the two-point kernel sum.
 
     Returned callable matches the `accumulate_samples` contract and computes
     gamma(|I|) h_I(x) g_I(y) for the cell containing x, zero when y falls
-    in a different cell.
+    in a different cell; gamma(L) = c(ln L) is read from the coefficient
+    table.
     """
     if x == y:
         raise ValueError("the kernel sum is undefined on the diagonal x = y")
@@ -290,7 +254,7 @@ def kernel_sum_terms(gamma, x: float, y: float) -> Callable:
         same = kx == np.floor(py)
         tx = px - kx
         ty = py - kx
-        vals = _gamma_eval(gamma, length) * _H_VALUES[_quarter_index(tx)]
+        vals = table.c_at(np.log(length)) * _H_VALUES[_quarter_index(tx)]
         vals = vals * _G_VALUES[_quarter_index(np.clip(ty, 0.0, 1.0 - 1e-16))] / length
         return np.where(same, vals, 0.0)
 

@@ -186,7 +186,6 @@ def _hilbert() -> KernelSpec:
 
 
 @_vectorized
-@_vectorized
 def _cp_k2(x):
     # K = x/(1+x^2); for x > 1 evaluate through t = 1/x so no power of x
     # in the numerator outruns the denominator

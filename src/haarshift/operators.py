@@ -24,26 +24,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dyadic
-from .dyadic import _H_VALUES, _gamma_eval, _quarter_index
+from .dyadic import _H_VALUES, _quarter_index
 from .kernels import KernelSpec, kernel_value
-from .piecewise import (
-    Interval,
-    PiecewiseLinear,
-    StepFunction,
-    integrate_pl,
-    make_g,
-    rescale_to_interval,
-)
+from .piecewise import PiecewiseLinear, StepFunction
 from .solver import CoefficientTable
 
 __all__ = [
     "TestFunction",
     "indicator_function",
     "triangle_function",
-    "haar_pairing",
-    "apply_shift",
     "apply_averaged",
-    "AveragedValue",
     "direct_pv",
     "OperatorError",
 ]
@@ -119,51 +109,7 @@ def triangle_function() -> TestFunction:
     return TestFunction(PiecewiseLinear([0, 1, 2], [0.0, 1.0, 0.0]))
 
 
-def haar_pairing(g_step: StepFunction, f: TestFunction) -> float:
-    """Exact integral of g_step * f."""
-    if isinstance(f.base, StepFunction):
-        return g_step.integral_against(f.base)
-    total = 0.0
-    for w, a, b in zip(g_step.values, g_step.breakpoints, g_step.breakpoints[1:]):
-        if w != 0:
-            total += w * integrate_pl(f.base, a, b)
-    return total
-
-
-def apply_shift(
-    s: dyadic.GridSample,
-    table,
-    f: TestFunction,
-    x: float,
-    levels: dyadic.LevelRange,
-    stats: dict | None = None,
-) -> float:
-    """Operator value at x for one grid draw.
-
-    Per level only the cell containing x is consulted, and it is skipped
-    outright when it misses the support of f; `stats["intervals"]` counts
-    the cells actually paired.
-    """
-    lo, hi = f.support
-    g = make_g()
-    total = 0.0
-    for n in levels:
-        cell = dyadic.interval_containing(s, n, x)
-        if cell.right <= lo or cell.left >= hi:
-            continue
-        if stats is not None:
-            stats["intervals"] = stats.get("intervals", 0) + 1
-        pairing = haar_pairing(rescale_to_interval(g, cell), f)
-        if pairing == 0.0:
-            continue
-        tx = (x - cell.left) / cell.length
-        h_val = float(_H_VALUES[min(int(tx * 4), 3)])
-        g_val = float(np.atleast_1d(_gamma_eval(table, np.asarray([cell.length])))[0])
-        total += g_val * pairing * h_val / math.sqrt(cell.length)
-    return total
-
-
-def _operator_terms(gamma, f: TestFunction, x: float) -> Callable:
+def _operator_terms(table: CoefficientTable, f: TestFunction, x: float) -> Callable:
     """Vectorized level-term function for the averaged operator at x.
 
     The pairing against the quarter-split cell collapses to a four-point
@@ -185,49 +131,9 @@ def _operator_terms(gamma, f: TestFunction, x: float) -> Callable:
             + 2.0 * F(a + 0.75 * length)
             - F(a + length)
         )
-        return _gamma_eval(gamma, length) * _H_VALUES[_quarter_index(tx)] * comb / length
+        return table.c_at(np.log(length)) * _H_VALUES[_quarter_index(tx)] * comb / length
 
     return term
-
-
-@dataclass
-class AveragedValue:
-    """Averaged operator value at one probe."""
-
-    x: float
-    mean: float
-    stderr: float
-    tail_bound: float
-    num_samples: int
-    seed: int
-    levels: dyadic.LevelRange
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "tail_bound": self.tail_bound,
-            "M": self.num_samples,
-            "seed": self.seed,
-            "n_min": self.levels.n_min,
-            "n_max": self.levels.n_max,
-        }
-
-
-def _default_levels(
-    table: CoefficientTable, f: TestFunction, x: float, tol_tail: float
-) -> tuple[dyadic.LevelRange, float]:
-    dist = min(abs(x - float(k)) for k in f.knots)
-    if dist < 2.0**-40:
-        raise ValueError(
-            "probe coincides with a knot of f; the level range is unbounded there"
-        )
-    gamma_sup = table.sup_norm()
-    n_cut = dyadic.cutoff_for_tolerance(gamma_sup, tol_tail)
-    n_min = math.floor(math.log2(dist)) - 1
-    levels = dyadic.LevelRange(n_min, max(n_cut - 1, n_min))
-    return levels, dyadic.tail_bound_value(gamma_sup, levels.n_max + 1)
 
 
 def apply_averaged(
@@ -239,7 +145,7 @@ def apply_averaged(
     tol_tail: float = 1e-4,
     threads: int | None = None,
     levels: dyadic.LevelRange | None = None,
-) -> list[AveragedValue]:
+) -> list[dyadic.Estimate]:
     """Average the operator over grid draws at each probe.
 
     The level floor adapts per probe: cells shorter than the distance from
@@ -247,36 +153,21 @@ def apply_averaged(
     so they are excluded a priori.  The ceiling comes from the requested
     tail tolerance.
     """
-    if num_samples < 1:
-        raise ValueError("need at least one draw")
-    ln2 = math.log(2.0)
+    gamma_sup = table.sup_norm()
     out = []
     for x in xs:
         x = float(x)
-        if levels is None:
-            lv, tail = _default_levels(table, f, x, tol_tail)
-        else:
-            lv = levels
-            tail = dyadic.tail_bound_value(table.sup_norm(), lv.n_max + 1)
-        total, total_sq = dyadic.accumulate_samples(
-            seed, num_samples, lv, _operator_terms(table, f, x), threads=threads
-        )
-        mean = ln2 * total / num_samples
-        if num_samples > 1:
-            var = (total_sq - total * total / num_samples) / (num_samples - 1)
-            stderr = ln2 * math.sqrt(max(var, 0.0) / num_samples)
-        else:
-            stderr = float("nan")
+        lv = levels
+        if lv is None:
+            dist = min(abs(x - float(k)) for k in f.knots)
+            if dist < 2.0**-40:
+                raise ValueError(
+                    "probe coincides with a knot of f; the level range is unbounded there"
+                )
+            lv = dyadic.levels_for_distance(dist, gamma_sup, tol_tail)
+        term = _operator_terms(table, f, x)
         out.append(
-            AveragedValue(
-                x=x,
-                mean=mean,
-                stderr=stderr,
-                tail_bound=tail,
-                num_samples=num_samples,
-                seed=seed,
-                levels=lv,
-            )
+            dyadic.estimate(x, term, lv, gamma_sup, num_samples, seed=seed, threads=threads)
         )
     return out
 

@@ -19,7 +19,6 @@ Both are compared against the kernel evaluators in reports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "kernel_profile",
     "reconstruct_at",
     "mc_estimate",
-    "MCEstimate",
     "compare_report",
     "CompareReport",
 ]
@@ -89,33 +87,6 @@ def reconstruct_at(table: CoefficientTable, x: float, rtol: float = 1e-8) -> flo
     return total / x
 
 
-@dataclass
-class MCEstimate:
-    """Monte-Carlo estimate of the averaged two-point kernel sum."""
-
-    x: float
-    y: float
-    num_samples: int
-    mean: float
-    stderr: float
-    tail_bound: float
-    seed: int
-    levels: dyadic.LevelRange
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "M": self.num_samples,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "tail_bound": self.tail_bound,
-            "seed": self.seed,
-            "n_min": self.levels.n_min,
-            "n_max": self.levels.n_max,
-        }
-
-
 def mc_estimate(
     table: CoefficientTable,
     x: float,
@@ -124,43 +95,18 @@ def mc_estimate(
     tol_tail: float = 1e-4,
     seed: int = 0,
     threads: int | None = None,
-) -> MCEstimate:
+) -> dyadic.Estimate:
     """Estimate K(x - y) by averaging truncated lattice sums over draws.
 
-    The estimator is ln 2 times the sample mean (the dilation is drawn with
-    density 1/(r ln 2), compensating the unnormalized dr/r weight), with
-    the sample-standard-deviation stderr and the discarded-levels bound for
-    the chosen cutoff.  stderr is NaN for a single draw.
+    Levels start where cells become long enough to hold both points and
+    stop at the cutoff for `tol_tail`; `dyadic.estimate` gives the mean,
+    stderr and tail bound.
     """
-    if x == y:
-        raise ValueError("the kernel sum is undefined on the diagonal x = y")
-    if num_samples < 1:
-        raise ValueError("need at least one draw")
+    term = dyadic.kernel_sum_terms(table, x, y)
     gamma_sup = table.sup_norm()
-    n_cut = dyadic.cutoff_for_tolerance(gamma_sup, tol_tail)
-    n_min = math.floor(math.log2(abs(x - y))) - 1
-    levels = dyadic.LevelRange(n_min, max(n_cut - 1, n_min))
-    tail = dyadic.tail_bound_value(gamma_sup, levels.n_max + 1)
-
-    total, total_sq = dyadic.accumulate_samples(
-        seed, num_samples, levels, dyadic.kernel_sum_terms(table, x, y), threads=threads
-    )
-    ln2 = math.log(2.0)
-    mean = ln2 * total / num_samples
-    if num_samples > 1:
-        var = (total_sq - total * total / num_samples) / (num_samples - 1)
-        stderr = ln2 * math.sqrt(max(var, 0.0) / num_samples)
-    else:
-        stderr = float("nan")
-    return MCEstimate(
-        x=x,
-        y=y,
-        num_samples=num_samples,
-        mean=mean,
-        stderr=stderr,
-        tail_bound=tail,
-        seed=seed,
-        levels=levels,
+    levels = dyadic.levels_for_distance(abs(x - y), gamma_sup, tol_tail)
+    return dyadic.estimate(
+        x, term, levels, gamma_sup, num_samples, seed=seed, threads=threads
     )
 
 

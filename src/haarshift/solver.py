@@ -30,9 +30,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -300,14 +300,22 @@ def a_of_omega(omega):
     return out if out.ndim else complex(out)
 
 
+def modulus_chunks(size: int, omega_at: Callable[[np.ndarray], np.ndarray]):
+    """Yield (omega, |a(omega)|) for omega = omega_at(k), k = 0 .. size - 1.
+
+    Works through 2^19 indices at a time, so a scan of any length runs in
+    bounded memory.
+    """
+    for start in range(0, size, 1 << 19):
+        omega = omega_at(np.arange(start, min(start + (1 << 19), size)))
+        yield omega, np.abs(a_of_omega(omega))
+
+
 def min_modulus_scan(omega_grid) -> float:
     """Minimum of |a(omega)| over a grid, evaluated in chunks."""
     omega_grid = np.asarray(omega_grid, dtype=float)
-    best = np.inf
-    for start in range(0, omega_grid.size, 1 << 19):
-        chunk = omega_grid[start : start + (1 << 19)]
-        best = min(best, float(np.min(np.abs(a_of_omega(chunk)))))
-    return best
+    chunks = modulus_chunks(omega_grid.size, omega_grid.__getitem__)
+    return min((float(np.min(mod)) for _, mod in chunks), default=np.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from haarshift import KernelSpec, get_kernel, solve_c
+from haarshift import CoefficientTable, KernelSpec, get_kernel, solve_c
 
 # Every table solved anywhere in the suite lands here so the contraction
 # ratio can be asserted across all runs, not just the ones a given test
@@ -13,6 +13,28 @@ def solve_tracked(spec, **kwargs):
     table = solve_c(spec, **kwargs)
     TRACKED_TABLES.append(table)
     return table
+
+
+def linear_table(slope, intercept, u_min=-14.0, u_max=14.0, step=2.0**-6):
+    """Coefficient table with c(u) = slope u + intercept on the window and
+    its end values as the tails."""
+    n = round((u_max - u_min) / step) + 1
+    grid = u_min + step * np.arange(n)
+    return CoefficientTable(
+        u_min=u_min,
+        u_max=u_max,
+        step=step,
+        samples=slope * grid + intercept,
+        tail_left=slope * u_min + intercept,
+        tail_right=slope * u_max + intercept,
+        residual_sup=0.0,
+        iterations=0,
+    )
+
+
+def const_table(value):
+    """Coefficient table with c = value everywhere, tails included."""
+    return linear_table(0.0, value)
 
 
 def tent_m(u):

@@ -4,27 +4,26 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from haarshift import (
+from conftest import const_table
+from oracles import (
     GridSample,
+    fixed_grid,
+    interval_containing,
+    level_offset,
+    sample_grid,
+    shift_kernel_sum,
+)
+
+from haarshift import (
     LevelRange,
     accumulate_samples,
     cutoff_for_tolerance,
-    sample_grid,
-    shift_kernel_sum,
     tail_bound_value,
 )
-from haarshift.dyadic import interval_containing, kernel_sum_terms, level_offset
+from haarshift.dyadic import kernel_sum_terms
 
 
-def _grid(r=1.0, i_min=-5, n_max=15, one_at=None):
-    bits = np.zeros(n_max - i_min, dtype=np.uint8)
-    if one_at is not None:
-        bits[one_at - i_min] = 1
-    return GridSample(r=r, bits=bits, i_min=i_min, n_max=n_max, seed=0)
-
-
-def _ones(lengths):
-    return np.ones_like(np.asarray(lengths, dtype=float))
+ONES = const_table(1.0)
 
 
 def test_level_range():
@@ -47,7 +46,7 @@ def test_grid_sample_validation():
 
 
 def test_bit_window_semantics():
-    s = _grid(i_min=-3, n_max=5)
+    s = fixed_grid(i_min=-3, n_max=5)
     assert s.bit(-4) == 0
     assert s.bit(-3) == 0
     with pytest.raises(ValueError):
@@ -55,7 +54,7 @@ def test_bit_window_semantics():
 
 
 def test_offset_zero_bits():
-    s = _grid()
+    s = fixed_grid()
     for n in (-5, -1, 0, 7, 15):
         assert level_offset(s, n) == 0.0
 
@@ -63,7 +62,7 @@ def test_offset_zero_bits():
 def test_offset_single_bit():
     # one set bit at level n-1 shifts the level-n lattice by half a cell
     n = 3
-    s = _grid(r=1.0, i_min=0, n_max=8, one_at=n - 1)
+    s = fixed_grid(r=1.0, i_min=0, n_max=8, one_at=n - 1)
     assert level_offset(s, n) == 2.0 ** (n - 1)
     assert level_offset(s, n - 1) == 0.0
 
@@ -78,13 +77,13 @@ def test_offset_telescopes():
 
 
 def test_interval_containing_standard_grid():
-    s = _grid(r=1.0)
+    s = fixed_grid(r=1.0)
     cell = interval_containing(s, 0, 3.7)
     assert (cell.left, cell.right) == (3.0, 4.0)
 
 
 def test_interval_containing_dilated_grid():
-    s = _grid(r=1.5)
+    s = fixed_grid(r=1.5)
     cell = interval_containing(s, 0, 3.7)
     assert (cell.left, cell.right) == (3.0, 4.5)
 
@@ -128,24 +127,24 @@ def test_sample_grid_distributions():
 
 
 def test_kernel_sum_single_level_hand_value():
-    s = _grid(r=1.0)
-    total = shift_kernel_sum(s, _ones, 0.1, 0.2, LevelRange(0, 0))
+    s = fixed_grid(r=1.0)
+    total = shift_kernel_sum(s, ONES, 0.1, 0.2, LevelRange(0, 0))
     assert total == -7.0
 
 
 def test_kernel_sum_rejects_diagonal():
-    s = _grid()
+    s = fixed_grid()
     with pytest.raises(ValueError):
-        shift_kernel_sum(s, _ones, 0.3, 0.3, LevelRange(0, 1))
+        shift_kernel_sum(s, ONES, 0.3, 0.3, LevelRange(0, 1))
     with pytest.raises(ValueError):
-        kernel_sum_terms(_ones, 0.3, 0.3)
+        kernel_sum_terms(ONES, 0.3, 0.3)
 
 
 def test_kernel_sum_separated_cells():
-    s = _grid(r=1.0)
-    assert shift_kernel_sum(s, _ones, 0.9, 1.1, LevelRange(0, 0)) == 0.0
+    s = fixed_grid(r=1.0)
+    assert shift_kernel_sum(s, ONES, 0.9, 1.1, LevelRange(0, 0)) == 0.0
     # every admitted cell is shorter than the separation
-    assert shift_kernel_sum(s, _ones, 0.1, 5.3, LevelRange(-6, 2)) == 0.0
+    assert shift_kernel_sum(s, ONES, 0.1, 5.3, LevelRange(-6, 2)) == 0.0
 
 
 def test_kernel_sum_global_bound():
@@ -154,7 +153,7 @@ def test_kernel_sum_global_bound():
         s = sample_grid(int(rng.integers(0, 1 << 30)), i_min=-40, n_max=24)
         x = float(rng.uniform(-4, 4))
         y = x + float(rng.uniform(0.01, 3.0)) * rng.choice([-1.0, 1.0])
-        total = shift_kernel_sum(s, _ones, x, y, LevelRange(-12, 23))
+        total = shift_kernel_sum(s, ONES, x, y, LevelRange(-12, 23))
         assert abs(total) <= 14.0 / abs(x - y) + 1e-9
 
 
@@ -186,7 +185,7 @@ def test_tail_bound_against_extended_sums():
         y = x + float(rng.uniform(0.05, 1.5))
         mass = 0.0
         for n in range(big_n, big_n + 41):
-            mass += abs(shift_kernel_sum(s, _ones, x, y, LevelRange(n, n)))
+            mass += abs(shift_kernel_sum(s, ONES, x, y, LevelRange(n, n)))
         assert mass <= 14.0 * 2.0 ** (1 - big_n) + 1e-12
 
 
@@ -206,13 +205,19 @@ def test_accumulate_rejects_empty():
         accumulate_samples(0, 0, LevelRange(0, 1), lambda n, r, sigma: r)
 
 
-def test_accumulate_deterministic_and_thread_invariant():
-    term = kernel_sum_terms(_ones, 0.7, 0.1)
+# a last chunk of 1328 draws; one draw per chunk, so every chunk's M2 is 0
+@pytest.mark.parametrize(
+    "num_samples, chunk_size",
+    [(30_000, 1 << 12), (500, 1)],
+    ids=["partial-last-chunk", "one-draw-chunks"],
+)
+def test_accumulate_deterministic_and_thread_invariant(num_samples, chunk_size):
+    term = kernel_sum_terms(ONES, 0.7, 0.1)
     levels = LevelRange(-2, 6)
-    a = accumulate_samples(5, 30_000, levels, term, threads=1, chunk_size=1 << 12)
-    b = accumulate_samples(5, 30_000, levels, term, threads=1, chunk_size=1 << 12)
-    c = accumulate_samples(5, 30_000, levels, term, threads=2, chunk_size=1 << 12)
-    d = accumulate_samples(5, 30_000, levels, term, threads=4, chunk_size=1 << 12)
+    a, b, c, d = (
+        accumulate_samples(5, num_samples, levels, term, threads=t, chunk_size=chunk_size)
+        for t in (1, 1, 2, 4)
+    )
     assert a == b == c == d
 
 
@@ -224,24 +229,35 @@ def test_engine_matches_scalar_sampler():
     levels = LevelRange(-3, 8)
     m = 64
     total, _ = accumulate_samples(
-        31, m, levels, kernel_sum_terms(_ones, x, y), chunk_size=1
+        31, m, levels, kernel_sum_terms(ONES, x, y), chunk_size=1
     )
     i_min = levels.n_min - 52
     manual = 0.0
     for index in range(m):
         s = sample_grid(31, i_min, levels.n_max, index=index)
-        manual += shift_kernel_sum(s, _ones, x, y, levels)
+        manual += shift_kernel_sum(s, ONES, x, y, levels)
     assert total == pytest.approx(manual, rel=1e-9, abs=1e-9)
 
 
 def test_stderr_shrinks_with_sample_count():
-    term = kernel_sum_terms(_ones, 0.9, 0.35)
+    term = kernel_sum_terms(ONES, 0.9, 0.35)
     levels = LevelRange(-2, 8)
 
     def stderr(m):
-        total, total_sq = accumulate_samples(8, m, levels, term)
-        var = (total_sq - total * total / m) / (m - 1)
-        return math.sqrt(var / m)
+        _, m2 = accumulate_samples(8, m, levels, term)
+        return math.sqrt(m2 / (m - 1) / m)
 
     ratio = stderr(2_000) / stderr(200_000)
     assert 8.0 <= ratio <= 12.0
+
+
+def test_variance_stable_far_from_zero():
+    """Totals sitting far from zero must keep their spread: for 1e8 + r the
+    sample variance is that of r, whose density is 1/(r ln 2) on [1, 2)."""
+    m = 1 << 16
+    _, m2 = accumulate_samples(
+        4, m, LevelRange(0, 0), lambda n, r, sigma: 1e8 + r, chunk_size=1 << 12
+    )
+    ln2 = math.log(2.0)
+    want = 3.0 / (2.0 * ln2) - 1.0 / ln2**2
+    assert m2 / (m - 1) == pytest.approx(want, rel=0.05)

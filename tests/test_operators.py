@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from conftest import const_table
+from oracles import apply_shift, fixed_grid, haar_pairing, sample_grid
+
 from haarshift import (
     LevelRange,
     OperatorError,
     TestFunction,
     apply_averaged,
-    apply_shift,
     direct_pv,
     get_kernel,
-    haar_pairing,
     indicator_function,
     make_g,
-    sample_grid,
     triangle_function,
 )
 from haarshift.dyadic import BITS_BELOW_FLOOR, accumulate_samples
@@ -26,21 +26,6 @@ from haarshift.piecewise import (
     integrate_pl,
     rescale_to_interval,
 )
-from haarshift.solver import CoefficientTable
-
-
-def _const_table(value, u_min=-14.0, u_max=14.0, step=2.0**-6):
-    n = round((u_max - u_min) / step) + 1
-    return CoefficientTable(
-        u_min=u_min,
-        u_max=u_max,
-        step=step,
-        samples=np.full(n, value),
-        tail_left=value,
-        tail_right=value,
-        residual_sup=0.0,
-        iterations=0,
-    )
 
 
 def test_pairing_mean_zero_function():
@@ -94,33 +79,26 @@ def test_antiderivative_vectorized():
     assert out == pytest.approx([0.0, 0.125, 0.875, 1.0], abs=1e-15)
 
 
-def _unshifted_grid(r=1.0, i_min=-5, n_max=15):
-    from haarshift import GridSample
-
-    bits = np.zeros(n_max - i_min, dtype=np.uint8)
-    return GridSample(r=r, bits=bits, i_min=i_min, n_max=n_max, seed=0)
-
-
 def test_apply_shift_hand_value():
     # level 2 cell [0, 4): x = 2 sits in the third quarter, h there is 1,
     # the pairing with the indicator is -1/2, both Haar factors give 1/2
-    s = _unshifted_grid()
-    total = apply_shift(s, _const_table(1.0), indicator_function(), 2.0, LevelRange(2, 2))
+    s = fixed_grid()
+    total = apply_shift(s, const_table(1.0), indicator_function(), 2.0, LevelRange(2, 2))
     assert total == pytest.approx(-0.25, abs=1e-15)
 
 
 def test_apply_shift_zero_function():
-    s = _unshifted_grid()
+    s = fixed_grid()
     zero = TestFunction(StepFunction([0, 1], [0.0]))
-    assert apply_shift(s, _const_table(1.0), zero, 2.0, LevelRange(-3, 6)) == 0.0
+    assert apply_shift(s, const_table(1.0), zero, 2.0, LevelRange(-3, 6)) == 0.0
 
 
 def test_apply_shift_linear_in_table():
     s = sample_grid(11, -10, 12)
     f = triangle_function()
     lv = LevelRange(-4, 9)
-    one = apply_shift(s, _const_table(1.5), f, 0.37, lv)
-    two = apply_shift(s, _const_table(3.0), f, 0.37, lv)
+    one = apply_shift(s, const_table(1.5), f, 0.37, lv)
+    two = apply_shift(s, const_table(3.0), f, 0.37, lv)
     assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
@@ -128,8 +106,8 @@ def test_apply_shift_linear_in_function():
     s = sample_grid(12, -10, 12)
     tall = TestFunction(PiecewiseLinear([0, 1, 2], [0.0, 3.0, 0.0]))
     lv = LevelRange(-4, 9)
-    base = apply_shift(s, _const_table(1.0), triangle_function(), 0.81, lv)
-    scaled = apply_shift(s, _const_table(1.0), tall, 0.81, lv)
+    base = apply_shift(s, const_table(1.0), triangle_function(), 0.81, lv)
+    scaled = apply_shift(s, const_table(1.0), tall, 0.81, lv)
     assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
 
@@ -137,7 +115,7 @@ def test_apply_shift_touches_one_cell_per_level():
     s = sample_grid(7, -12, 12)
     lv = LevelRange(-6, 11)
     stats = {}
-    apply_shift(s, _const_table(1.0), indicator_function(), 0.3, lv, stats=stats)
+    apply_shift(s, const_table(1.0), indicator_function(), 0.3, lv, stats=stats)
     assert 1 <= stats["intervals"] <= len(list(lv))
 
 

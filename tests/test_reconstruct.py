@@ -3,43 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import const_table, linear_table
+
 from haarshift import (
-    CoefficientTable,
     compare_report,
     get_kernel,
     kernel_profile,
     mc_estimate,
     reconstruct_at,
 )
-
-
-def _const_table(value, u_min=-14.0, u_max=14.0, step=2.0**-6):
-    n = round((u_max - u_min) / step) + 1
-    return CoefficientTable(
-        u_min=u_min,
-        u_max=u_max,
-        step=step,
-        samples=np.full(n, value),
-        tail_left=value,
-        tail_right=value,
-        residual_sup=0.0,
-        iterations=0,
-    )
-
-
-def _linear_table(slope, intercept, u_min=-14.0, u_max=14.0, step=2.0**-6):
-    n = round((u_max - u_min) / step) + 1
-    grid = u_min + step * np.arange(n)
-    return CoefficientTable(
-        u_min=u_min,
-        u_max=u_max,
-        step=step,
-        samples=slope * grid + intercept,
-        tail_left=slope * u_min + intercept,
-        tail_right=slope * u_max + intercept,
-        residual_sup=0.0,
-        iterations=0,
-    )
 
 
 def test_profile_shape():
@@ -52,13 +24,13 @@ def test_profile_shape():
 
 def test_reconstruct_requires_positive_x():
     with pytest.raises(ValueError):
-        reconstruct_at(_const_table(1.0), 0.0)
+        reconstruct_at(const_table(1.0), 0.0)
     with pytest.raises(ValueError):
-        reconstruct_at(_const_table(1.0), -2.0)
+        reconstruct_at(const_table(1.0), -2.0)
 
 
 def test_reconstruct_zero_coefficients():
-    assert reconstruct_at(_const_table(0.0), 1.7) == 0.0
+    assert reconstruct_at(const_table(0.0), 1.7) == 0.0
 
 
 def test_reconstruct_constant_coefficients_exact():
@@ -67,7 +39,7 @@ def test_reconstruct_constant_coefficients_exact():
     for c0 in (2.5, -1.0):
         for x in (0.05, 1.0, 17.0):
             expected = -3.0 * c0 / (8.0 * x)
-            got = reconstruct_at(_const_table(c0), x)
+            got = reconstruct_at(const_table(c0), x)
             assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -92,7 +64,7 @@ def test_reconstruct_log_linear_coefficients_hand_integrated():
 
         j += anti(b) - anti(a)
     slope, intercept = 0.8, -1.3
-    table = _linear_table(slope, intercept)
+    table = linear_table(slope, intercept)
     for x in (0.5, 1.0, 2.0):
         expected = ((slope * math.log(x) + intercept) * (-0.375) - slope * j) / x
         assert reconstruct_at(table, x) == pytest.approx(expected, abs=1e-7)
@@ -179,7 +151,7 @@ def test_mc_antisymmetric(hilbert_table):
 def test_mc_scaling_equivariance():
     # a flat coefficient table makes the averaged kernel homogeneous of
     # degree -1, so doubling both points halves the estimate
-    table = _const_table(2.0)
+    table = const_table(2.0)
     one = mc_estimate(table, 0.8, 0.3, num_samples=40_000, seed=6)
     two = mc_estimate(table, 1.6, 0.6, num_samples=40_000, seed=7)
     band = 3 * (0.5 * one.stderr + two.stderr) + 1.5 * one.tail_bound
