@@ -57,6 +57,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be a positive finite number")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip()]
@@ -242,7 +249,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kernel", **kernel_kwargs)
     p.add_argument("--probes", type=_probe_spec, default="log:0.001:1000:50",
                    help="'log:A:B:N' or comma-separated values")
-    p.add_argument("--rtol", type=float, default=1e-8)
+    p.add_argument("--rtol", type=_positive_float, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
@@ -271,8 +278,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_apply)
 
     p = sub.add_parser("adiag", help="scan the modulus of the recursion symbol")
-    p.add_argument("--omega-max", type=float, default=1e4)
-    p.add_argument("--step", type=float, default=1e-2)
+    p.add_argument("--omega-max", type=_positive_float, default=1e4)
+    p.add_argument("--step", type=_positive_float, default=1e-2)
     p.add_argument("--out", help="CSV of (omega, |a|)")
     p.set_defaults(func=_cmd_adiag)
 

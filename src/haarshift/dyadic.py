@@ -15,9 +15,11 @@ independently.  Reduction happens in chunk order (pairwise within chunks,
 exact summation across), so results are bit-identical for any thread count.
 
 `estimate` is the one Monte-Carlo estimator: ln 2 times the sample mean,
-its stderr, and the bound on the discarded coarse levels.  The two-point
-kernel sum (`kernel_sum_terms`) and the averaged shift operator
-(`operators`) are this estimator with different per-level terms.
+its stderr, and the bound on the discarded coarse levels.  `shift_terms`
+is the one level term of the Haar shift, given its pairing with f: the
+averaged shift operator (`operators`) pairs with a test function, and the
+two-point kernel sum (`kernel_sum_terms`) is the shift applied to a unit
+mass at y.
 
 Draw order is part of the reproducibility contract: the dilation is drawn
 first, then the bit rows from low level to high, as unsigned bytes.
@@ -235,27 +237,37 @@ def estimate(
     )
 
 
-def kernel_sum_terms(table, x: float, y: float) -> Callable:
-    """Vectorized level-term function for the two-point kernel sum.
+def shift_terms(table, x: float, pairing: Callable) -> Callable:
+    """Vectorized level-term function of the Haar shift at x.
 
     Returned callable matches the `accumulate_samples` contract and computes
-    gamma(|I|) h_I(x) g_I(y) for the cell containing x, zero when y falls
-    in a different cell; gamma(L) = c(ln L) is read from the coefficient
-    table.
+    gamma(|I|) h_I(x) <g_I, f> for the cell I = [(k + sigma) L, (k + sigma
+    + 1) L) containing x, gamma(L) = c(ln L) read from the table.
+    ``pairing(k, sigma, L)`` returns sqrt(L) <g_I, f>.
     """
-    if x == y:
-        raise ValueError("the kernel sum is undefined on the diagonal x = y")
 
     def term(n: int, r: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         length = r * 2.0**n
         px = x / length - sigma
-        py = y / length - sigma
-        kx = np.floor(px)
-        same = kx == np.floor(py)
-        tx = px - kx
-        ty = py - kx
-        vals = table.c_at(np.log(length)) * _H_VALUES[_quarter_index(tx)]
-        vals = vals * _G_VALUES[_quarter_index(np.clip(ty, 0.0, 1.0 - 1e-16))] / length
-        return np.where(same, vals, 0.0)
+        k = np.floor(px)
+        vals = table.c_at(np.log(length)) * _H_VALUES[_quarter_index(px - k)]
+        return vals * pairing(k, sigma, length) / length
 
     return term
+
+
+def kernel_sum_terms(table, x: float, y: float) -> Callable:
+    """Level-term function for the two-point kernel sum.
+
+    The shift at x applied to a unit mass at y: the pairing is g_I(y),
+    zero when y falls in a different cell than x.
+    """
+    if x == y:
+        raise ValueError("the kernel sum is undefined on the diagonal x = y")
+
+    def pairing(k: np.ndarray, sigma: np.ndarray, length: np.ndarray) -> np.ndarray:
+        py = y / length - sigma
+        ty = np.clip(py - k, 0.0, 1.0)
+        return np.where(np.floor(py) == k, _G_VALUES[_quarter_index(ty)], 0.0)
+
+    return shift_terms(table, x, pairing)

@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dyadic
-from .dyadic import _H_VALUES, _quarter_index
 from .kernels import KernelSpec, kernel_value
 from .piecewise import PiecewiseLinear, StepFunction
 from .solver import CoefficientTable
@@ -110,30 +109,24 @@ def triangle_function() -> TestFunction:
 
 
 def _operator_terms(table: CoefficientTable, f: TestFunction, x: float) -> Callable:
-    """Vectorized level-term function for the averaged operator at x.
+    """Level-term function of the averaged operator at x.
 
-    The pairing against the quarter-split cell collapses to a four-point
-    combination of the antiderivative:
-    <g_I, f> = (F(a) - 2 F(a + L/4) + 2 F(a + 3L/4) - F(a + L)) / sqrt(L),
-    and h_I(x) contributes another 1/sqrt(L).
+    The pairing against the quarter-split cell I = [a, a + L) collapses to
+    a four-point combination of the antiderivative:
+    sqrt(L) <g_I, f> = F(a) - 2 F(a + L/4) + 2 F(a + 3L/4) - F(a + L).
     """
     F = f.antiderivative
 
-    def term(n: int, r: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        length = r * 2.0**n
-        px = x / length - sigma
-        k = np.floor(px)
-        tx = px - k
+    def pairing(k: np.ndarray, sigma: np.ndarray, length: np.ndarray) -> np.ndarray:
         a = (k + sigma) * length
-        comb = (
+        return (
             F(a)
             - 2.0 * F(a + 0.25 * length)
             + 2.0 * F(a + 0.75 * length)
             - F(a + length)
         )
-        return table.c_at(np.log(length)) * _H_VALUES[_quarter_index(tx)] * comb / length
 
-    return term
+    return dyadic.shift_terms(table, x, pairing)
 
 
 def apply_averaged(

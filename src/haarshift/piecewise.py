@@ -23,6 +23,21 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+__all__ = [
+    "Interval",
+    "StepFunction",
+    "PiecewiseLinear",
+    "DiracComb",
+    "make_h",
+    "make_g",
+    "reflect",
+    "rescale_to_interval",
+    "convolve_steps",
+    "kernel_profile",
+    "second_derivative_atoms",
+    "integrate_pl",
+]
+
 Rational = Union[int, Fraction]
 
 
@@ -259,6 +274,12 @@ def convolve_steps(f: StepFunction, k: StepFunction) -> PiecewiseLinear:
                     acc += fv * kv * (hi - lo)
         values.append(float(acc))
     return PiecewiseLinear(knots, values)
+
+
+def kernel_profile() -> PiecewiseLinear:
+    """The odd piecewise-linear profile: convolution of the two generators
+    (the second reflected)."""
+    return convolve_steps(make_h(), reflect(make_g()))
 
 
 def second_derivative_atoms(

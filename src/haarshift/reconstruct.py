@@ -25,11 +25,10 @@ import numpy as np
 
 from . import dyadic
 from .kernels import KernelSpec
-from .piecewise import PiecewiseLinear, convolve_steps, make_g, make_h, reflect
+from .piecewise import kernel_profile
 from .solver import CoefficientTable
 
 __all__ = [
-    "kernel_profile",
     "reconstruct_at",
     "mc_estimate",
     "compare_report",
@@ -37,12 +36,6 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-
-def kernel_profile() -> PiecewiseLinear:
-    """The odd piecewise-linear profile: convolution of the two generators
-    (the second reflected)."""
-    return convolve_steps(make_h(), reflect(make_g()))
 
 
 _PROFILE = kernel_profile()
@@ -61,6 +54,8 @@ def reconstruct_at(table: CoefficientTable, x: float, rtol: float = 1e-8) -> flo
     """
     if x <= 0:
         raise ValueError("reconstruction is defined for x > 0; use oddness")
+    if not rtol > 0:
+        raise ValueError(f"need rtol > 0, got {rtol}")
 
     def panel(a: float, b: float) -> float:
         mid = 0.5 * (a + b)

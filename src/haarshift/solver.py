@@ -6,6 +6,10 @@ in log scale,
 
     m(u) = (1/8) c(u + ln 4) + (9/2) c(u + ln 2) - (99/8) c(u + ln(4/3)) + 7 c(u).
 
+Its terms (`RECURSION`) are derived at import from the exact curvature
+atoms of the generator profile (`piecewise.kernel_profile`): an atom of
+weight w at t gives weight w t^2 at shift ln(1/t).
+
 The 99/8 term dominates the other three (12 3/8 against 11 5/8), so
 isolating it gives an affine map
 
@@ -14,9 +18,10 @@ isolating it gives an affine map
 
 whose linear part has operator norm (8/99)(1/8 + 9/2 + 7) = 31/33 < 1.
 Iterating it from any bounded start converges geometrically; the limit is
-bounded by (8/99)/(1 - 31/33) = 4/3 times ||m||_inf.  This module iterates
-on a uniform grid wide enough that, over max_iter sweeps, information from
-beyond the padding can never reach the requested window.
+bounded by (8/99)/(1 - 31/33) = 4/3 times ||m||_inf.  The sweep, the
+residual, the symbol and these constants all read the one table.  This
+module iterates on a uniform grid wide enough that, over max_iter sweeps,
+information from beyond the padding can never reach the requested window.
 
 Shifted reads at the irrational offsets use linear interpolation; since the
 offsets are the same for every grid point, each read is one weighted pair
@@ -37,6 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import KernelSpec, m_of
+from .piecewise import kernel_profile, second_derivative_atoms
 
 __all__ = [
     "CoefficientTable",
@@ -48,22 +54,46 @@ __all__ = [
     "min_modulus_scan",
     "write_table",
     "read_table",
+    "RECURSION",
     "CONTRACTION_RATIO",
     "NORM_CONSTANT",
 ]
 
-SHIFT_A = math.log(3.0)        # ln 3
-SHIFT_B = math.log(1.5)        # ln(3/2)
-SHIFT_C = math.log(4.0 / 3.0)  # ln(4/3), the downward shift
-_LN4 = math.log(4.0)
-_LN2 = math.log(2.0)
+# (e^shift, weight) of each term, exact: an atom of weight w at t reads c
+# at u + ln(1/t) with weight w t^2
+_TERMS = [
+    (1 / t, w * t * t)
+    for t, w in second_derivative_atoms(kernel_profile(), positive_axis_only=True).atoms
+]
+# (shift, weight) pairs of the recursion m(u) = sum w c(u + shift)
+RECURSION = tuple((math.log(q), float(w)) for q, w in _TERMS)
 
-# (8/99)(1/8 + 9/2 + 7) = 31/33; the dominant coefficient is 99/8
-CONTRACTION_RATIO = 31.0 / 33.0
+# the sweep isolates the dominant term and reads the others relative to it,
+# each relative shift the log of an exact ratio >= 1, negated for a ratio < 1
+_DOM_Q, _DOM_W = max(_TERMS, key=lambda term: abs(term[1]))
+_DOM_SHIFT = math.log(_DOM_Q)
+_OTHERS = [(q / _DOM_Q, w) for q, w in _TERMS if q != _DOM_Q]
+_SWEEP = tuple(
+    (math.log(r) if r >= 1 else -math.log(1 / r), float(w)) for r, w in _OTHERS
+)
+_SWEEP_SCALE = float(-1 / _DOM_W)
+_RATIO = sum(abs(w) for _, w in _OTHERS) / abs(_DOM_W)
+
+# operator norm of the sweep's linear part: (8/99)(1/8 + 9/2 + 7) = 31/33
+CONTRACTION_RATIO = float(_RATIO)
 # (8/99) / (1 - 31/33) = 4/3, the explicit sup-norm constant
-NORM_CONSTANT = 4.0 / 3.0
+NORM_CONSTANT = float(1 / abs(_DOM_W) / (1 - _RATIO))
 # value of the symbol at frequency zero: 1/8 + 9/2 - 99/8 + 7
-_A_ZERO = -0.75
+_A_ZERO = float(sum(w for _, w in _TERMS))
+
+
+def _weighted_sum(terms, read):
+    """Sum of weight * read(shift) over (shift, weight) terms, in place."""
+    (shift, weight), *rest = terms
+    out = weight * read(shift)
+    for shift, weight in rest:
+        out += weight * read(shift)
+    return out
 
 
 class SolverError(RuntimeError):
@@ -174,20 +204,23 @@ def solve_c(
         raise ValueError("window must satisfy u_min < u_max")
     if step <= 0 or tol <= 0:
         raise ValueError("step and tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
 
     def mfun(u):
         return m_of(spec, u)
 
     # padding: upward shifts reach at most max_iter * ln3 to the right of the
     # window over the whole run, the downward shift max_iter * ln(4/3) left
-    pad_left = max_iter * SHIFT_C
-    pad_right = max_iter * SHIFT_A
+    shifts = [shift for shift, _ in _SWEEP]
+    pad_left = max_iter * -min(shifts)
+    pad_right = max_iter * max(shifts)
     n_left = int(np.ceil(pad_left / step))
     n_right = int(np.ceil((u_max - u_min + pad_right) / step))
     grid = (u_min - n_left * step) + step * np.arange(n_left + n_right + 1)
     n = len(grid)
 
-    m_arr = np.asarray(mfun(grid - SHIFT_C), dtype=float)
+    m_arr = np.asarray(mfun(grid - _DOM_SHIFT), dtype=float)
     if not np.all(np.isfinite(m_arr)):
         raise SolverError("source term m is not finite on the padded window")
 
@@ -204,7 +237,7 @@ def solve_c(
     ).astype(float)
 
     # one pad block per side for the slice reads; ln3 is the widest shift
-    pad = int(np.ceil(SHIFT_A / step)) + 2
+    pad = int(np.ceil(max(map(abs, shifts)) / step)) + 2
 
     def shifted(c_ext: np.ndarray, offset: float) -> np.ndarray:
         # same fractional part at every grid point: one lerp of two slices
@@ -222,12 +255,9 @@ def solve_c(
         ext_l = tail_left if tail_left is not None else c[0]
         ext_r = tail_right if tail_right is not None else c[-1]
         c_ext = np.concatenate([np.full(pad, ext_l), c, np.full(pad, ext_r)])
-        c_new = (8.0 / 99.0) * (
-            0.125 * shifted(c_ext, SHIFT_A)
-            + 4.5 * shifted(c_ext, SHIFT_B)
-            + 7.0 * shifted(c_ext, -SHIFT_C)
-            - m_arr
-        )
+        c_new = _weighted_sum(_SWEEP, lambda shift: shifted(c_ext, shift))
+        c_new -= m_arr
+        c_new *= _SWEEP_SCALE
         change = float(np.max(np.abs(c_new - c)))
         if prev_change is not None and prev_change > 0:
             max_ratio = max(max_ratio, change / prev_change)
@@ -274,16 +304,12 @@ def residual(
     """
     if probe_points is None:
         grid = table.grid
-        probe_points = grid[grid + _LN4 <= table.u_max + 1e-12]
+        reach = max(shift for shift, _ in RECURSION)
+        probe_points = grid[grid + reach <= table.u_max + 1e-12]
     probes = np.asarray(probe_points, dtype=float)
     if probes.size == 0:
         return 0.0
-    lhs = (
-        0.125 * table.c_at(probes + _LN4)
-        + 4.5 * table.c_at(probes + _LN2)
-        - 12.375 * table.c_at(probes + SHIFT_C)
-        + 7.0 * table.c_at(probes)
-    )
+    lhs = _weighted_sum(RECURSION, lambda shift: table.c_at(probes + shift))
     m_vals = np.asarray(m_of(spec, probes), dtype=float)
     return float(np.max(np.abs(m_vals - lhs)))
 
@@ -291,12 +317,7 @@ def residual(
 def a_of_omega(omega):
     """The trigonometric symbol of the recursion at frequency omega."""
     w = np.asarray(omega, dtype=float)
-    out = (
-        0.125 * np.exp(1j * w * _LN4)
-        + 4.5 * np.exp(1j * w * _LN2)
-        - 12.375 * np.exp(1j * w * SHIFT_C)
-        + 7.0
-    )
+    out = _weighted_sum(RECURSION, lambda shift: np.exp(1j * w * shift))
     return out if out.ndim else complex(out)
 
 

@@ -17,6 +17,9 @@ from conftest import TRACKED_TABLES, solve_tracked, tent_m, tent_spec
 from oracles import neumann_tail_bound, neumann_word_sum
 
 from haarshift import (
+    CONTRACTION_RATIO,
+    NORM_CONSTANT,
+    RECURSION,
     apply_averaged,
     builtin_names,
     compare_report,
@@ -55,6 +58,15 @@ def test_criterion_1_profile_curvature_atoms():
         (Fraction(1), Fraction(7)),
     )
     assert atoms.atoms == expected
+    # the solver derives its recursion from these atoms: weight w t^2 at
+    # shift ln(1/t), bit for bit, and its constants in exact arithmetic
+    assert RECURSION == (
+        (math.log(4.0), 0.125),
+        (math.log(2.0), 4.5),
+        (math.log(4.0 / 3.0), -12.375),
+        (0.0, 7.0),
+    )
+    assert CONTRACTION_RATIO == 31.0 / 33.0 and NORM_CONSTANT == 4.0 / 3.0
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     print(f"criterion 1: PASS curvature atoms exact ({elapsed:.3f}s)")

@@ -218,6 +218,25 @@ def test_adiag_scan(tmp_path, capsys):
         assert m == pytest.approx(mods[-w], abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "adiag --step=0",
+        "adiag --step=-0.5",
+        "adiag --omega-max=-50",
+        "adiag --omega-max=inf",
+        "adiag --step=nan",
+        "verify --table t --kernel hilbert --rtol=0",
+        "verify --table t --kernel hilbert --rtol=-1",
+    ],
+)
+def test_nonpositive_scan_or_tolerance_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 64
+    assert "positive" in capsys.readouterr().err
+
+
 def test_no_arguments_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

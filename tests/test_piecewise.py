@@ -161,17 +161,6 @@ def test_convolution_knots_are_breakpoint_sums():
     assert list(conv.knots) == expected
 
 
-def test_profile_second_derivative_atoms():
-    p = convolve_steps(make_h(), reflect(make_g()))
-    comb = second_derivative_atoms(p, positive_axis_only=True)
-    assert comb.atoms == (
-        (Fraction(1, 4), Fraction(2)),
-        (Fraction(1, 2), Fraction(18)),
-        (Fraction(3, 4), Fraction(-22)),
-        (Fraction(1), Fraction(7)),
-    )
-
-
 def test_atoms_of_zero_function():
     zero = PiecewiseLinear([0, 1], [0.0, 0.0])
     assert second_derivative_atoms(zero).atoms == ()

@@ -29,6 +29,13 @@ def test_reconstruct_requires_positive_x():
         reconstruct_at(const_table(1.0), -2.0)
 
 
+@pytest.mark.parametrize("rtol", [0.0, -1.0, math.nan])
+def test_reconstruct_requires_positive_rtol(rtol):
+    # with rtol <= 0 the panel stop test can never hold
+    with pytest.raises(ValueError, match="rtol > 0"):
+        reconstruct_at(const_table(1.0), 1.0, rtol=rtol)
+
+
 def test_reconstruct_zero_coefficients():
     assert reconstruct_at(const_table(0.0), 1.7) == 0.0
 

@@ -119,6 +119,8 @@ def test_solver_input_validation():
         solve_c(spec, step=0.0)
     with pytest.raises(ValueError):
         solve_c(spec, tol=-1.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_c(spec, max_iter=0)
 
 
 def test_solver_rejects_non_finite_source():
