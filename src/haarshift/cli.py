@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 numerical failure, 64 usage error (including an
 unknown kernel name).  All outputs are deterministic given the flags; JSON
-sidecars carry the full flag set, seed and library versions so a result
-can be reproduced from its metadata alone.
+sidecars carry the full flag set, seed, library versions and the
+Monte-Carlo draw-stream version so a result can be reproduced from its
+metadata alone.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .dyadic import STREAM_VERSION
 from .kernels import builtin_names, get_kernel
 from .operators import (
     OperatorError,
@@ -95,6 +97,7 @@ def _provenance(args: argparse.Namespace) -> dict:
             "haarshift": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
+            "stream": STREAM_VERSION,
         },
     }
 

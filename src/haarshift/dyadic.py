@@ -1,18 +1,19 @@
 """Random dyadic grids and the Monte-Carlo estimator that averages over them.
 
-A grid draw is a dilation r in [1, 2) together with a bit per level; the
-level-n lattice is { offset_n + r 2^n k : k integer } where offset_n is the
-bit-weighted sum r * sum_{i < n} 2^i beta_i.  Only finitely many bits are
-kept: bits below the lowest admitted level minus `BITS_BELOW_FLOOR` move
-every admitted lattice by less than double precision can represent, and
-bits at or above the top level are never consulted by the admitted levels.
+A grid draw is a dilation r in [1, 2), the fractional shift sigma of the
+lowest admitted level's lattice, and a bit per level above it; the level-n
+lattice is { r 2^n (sigma_n + k) : k integer } with the halving recursion
+sigma_{n+1} = (sigma_n + bit_n) / 2.  A fair bit maps a uniform sigma_n to
+a uniform sigma_{n+1}, so drawing sigma uniform on [0, 1) at the floor
+gives every admitted level the shift law of a grid with infinitely many
+bits below it; bits at or above the top level are never consulted.
 
 The engine (`accumulate_samples`) never builds a lattice.  Per draw it
-tracks the fractional shift sigma_n = offset_n / (r 2^n) and hands it to a
-vectorized per-level term function.  Draws come in chunks keyed by (seed,
-chunk index), with per-chunk counter offsets so any chunk can be generated
-independently.  Reduction happens in chunk order (pairwise within chunks,
-exact summation across), so results are bit-identical for any thread count.
+tracks sigma_n and hands it to a vectorized per-level term function.
+Draws come in chunks keyed by (seed, chunk index), with per-chunk counter
+offsets so any chunk can be generated independently.  Reduction happens
+in chunk order (pairwise within chunks, exact summation across), so
+results are bit-identical for any thread count.
 
 `estimate` is the one Monte-Carlo estimator: ln 2 times the sample mean,
 its stderr, and the bound on the discarded coarse levels.  `shift_terms`
@@ -21,8 +22,12 @@ averaged shift operator (`operators`) pairs with a test function, and the
 two-point kernel sum (`kernel_sum_terms`) is the shift applied to a unit
 mass at y.
 
-Draw order is part of the reproducibility contract: the dilation is drawn
-first, then the bit rows from low level to high, as unsigned bytes.
+Draw order is part of the reproducibility contract, and `STREAM_VERSION`
+names it; the CLI records it as `versions.stream` in its JSON outputs.
+Stream 2 draws, per chunk, the dilation first, then the floor shift sigma,
+then the bit rows from low level to high, as unsigned bytes.  Stream 1
+(outputs without `versions.stream`) built sigma from 52 further bit rows
+below the floor instead of drawing it.
 """
 
 from __future__ import annotations
@@ -44,18 +49,21 @@ __all__ = [
     "levels_for_distance",
     "accumulate_samples",
     "estimate",
-    "BITS_BELOW_FLOOR",
+    "STREAM_VERSION",
 ]
 
 # quarter values of the two generating step functions, as lookup arrays
 _H_VALUES = np.array(make_h().values)
 _G_VALUES = np.array(make_g().values)
 
-# bits this far below the lowest admitted level shift the admitted lattices
-# by less than one part in 2^52, the double-precision mantissa
-BITS_BELOW_FLOOR = 52
+# version of the draw order; bump it whenever the same seed draws differently
+STREAM_VERSION = 2
 
 DEFAULT_CHUNK = 1 << 17
+
+# draws per term_fn call: small enough that the allocator reuses the level
+# temporaries instead of refaulting them, large enough to amortise each call
+_TERM_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -148,12 +156,14 @@ def accumulate_samples(
 ) -> tuple[float, float]:
     """Chunked Monte-Carlo accumulation of per-draw level sums.
 
-    For each draw, iterates levels from ``levels.n_min - BITS_BELOW_FLOOR``
-    up to ``levels.n_max``, maintaining the fractional lattice shift
-    sigma_n = offset_n / (r 2^n) by the halving recursion
-    sigma_{n+1} = (sigma_n + bit_n)/2, and calls ``term_fn(n, r, sigma)``
-    for admitted levels only.  Returns (sum, M2) of the per-draw totals,
-    M2 being the sum of their squared deviations from the mean.
+    For each draw, takes the fractional lattice shift sigma uniform at
+    ``levels.n_min``, calls ``term_fn(n, r, sigma)`` at every admitted level
+    and moves sigma up a level by the halving recursion
+    sigma_{n+1} = (sigma_n + bit_n)/2.  A chunk draws r, then sigma, then
+    the ``n_max - n_min`` bit rows (stream `STREAM_VERSION`), and hands
+    term_fn its draws in blocks of at most 32768.  Returns (sum, M2) of the
+    per-draw totals, M2 being the sum of their squared deviations from the
+    mean.
 
     Each chunk reduces to (count, sum, M2); the chunks are merged in chunk
     order by M2 = sum M2_i + sum n_i (mean_i - mean)^2 with exact summation,
@@ -164,31 +174,30 @@ def accumulate_samples(
     """
     if num_samples < 1:
         raise ValueError("need at least one draw")
-    i_min = levels.n_min - BITS_BELOW_FLOOR
-    n_rows = levels.n_max - i_min  # bit rows for levels i_min .. n_max-1
 
     def run_chunk(chunk_index: int, count: int) -> tuple[int, float, float]:
         rng = _rng(seed, chunk_index)
         r = np.exp2(rng.random(count))
-        bits = rng.integers(0, 2, size=(n_rows, count), dtype=np.uint8)
-        sigma = np.zeros(count)
+        sigma = rng.random(count)
+        bits = rng.integers(
+            0, 2, size=(levels.n_max - levels.n_min, count), dtype=np.uint8
+        )
         acc = np.zeros(count)
-        for row, n in enumerate(range(i_min, levels.n_max + 1)):
-            if n >= levels.n_min:
-                acc += term_fn(n, r, sigma)
-            if row < n_rows:
-                sigma = 0.5 * (sigma + bits[row])
+        for start in range(0, count, _TERM_BLOCK):
+            block = slice(start, start + _TERM_BLOCK)
+            r_block, sigma_block, acc_block = r[block], sigma[block], acc[block]
+            for row, n in enumerate(levels):
+                acc_block += term_fn(n, r_block, sigma_block)
+                if n < levels.n_max:
+                    sigma_block = 0.5 * (sigma_block + bits[row, block])
         chunk_sum = float(np.sum(acc))
         dev = acc - chunk_sum / count
         return count, chunk_sum, float(np.sum(dev * dev))
 
-    jobs = []
-    start = 0
-    index = 0
-    while start < num_samples:
-        jobs.append((index, min(chunk_size, num_samples - start)))
-        start += jobs[-1][1]
-        index += 1
+    jobs = [
+        (index, min(chunk_size, num_samples - start))
+        for index, start in enumerate(range(0, num_samples, chunk_size))
+    ]
 
     if threads is not None and threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -24,18 +24,15 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 __all__ = [
-    "Interval",
     "StepFunction",
     "PiecewiseLinear",
     "DiracComb",
     "make_h",
     "make_g",
     "reflect",
-    "rescale_to_interval",
     "convolve_steps",
     "kernel_profile",
     "second_derivative_atoms",
-    "integrate_pl",
 ]
 
 Rational = Union[int, Fraction]
@@ -45,22 +42,6 @@ def _as_fraction(x) -> Fraction:
     # Fraction(float) is exact, which is what we want: a caller passing
     # 0.25 means the dyadic rational 1/4, not "roughly a quarter".
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A half-open interval [left, left + length), length > 0."""
-
-    left: float
-    length: float
-
-    def __post_init__(self):
-        if not self.length > 0:
-            raise ValueError(f"interval length must be positive, got {self.length}")
-
-    @property
-    def right(self) -> float:
-        return self.left + self.length
 
 
 @dataclass(frozen=True)
@@ -107,26 +88,6 @@ class StepFunction:
     @property
     def support(self) -> tuple[Fraction, Fraction]:
         return self.breakpoints[0], self.breakpoints[-1]
-
-    def l2_norm(self) -> float:
-        s = Fraction(0)
-        for v, b1, b2 in zip(self.values, self.breakpoints, self.breakpoints[1:]):
-            s += _as_fraction(v) ** 2 * (b2 - b1)
-        return float(s) ** 0.5
-
-    def integral_against(self, other: "StepFunction") -> float:
-        """Exact integral of self * other (both piecewise constant)."""
-        total = Fraction(0)
-        for v, a1, a2 in zip(self.values, self.breakpoints, self.breakpoints[1:]):
-            if v == 0:
-                continue
-            for w, b1, b2 in zip(other.values, other.breakpoints, other.breakpoints[1:]):
-                if w == 0:
-                    continue
-                lo, hi = max(a1, b1), min(a2, b2)
-                if hi > lo:
-                    total += _as_fraction(v) * _as_fraction(w) * (hi - lo)
-        return float(total)
 
 
 @dataclass(frozen=True)
@@ -201,9 +162,6 @@ class DiracComb:
             raise ValueError("atom weights must be nonzero")
         object.__setattr__(self, "atoms", ats)
 
-    def total_weight(self) -> Fraction:
-        return sum((w for _, w in self.atoms), Fraction(0))
-
 
 # the two generating step functions on [0, 1], in quarters
 _H_VALUES = (7.0, -1.0, 1.0, -7.0)
@@ -225,23 +183,6 @@ def reflect(f: StepFunction) -> StepFunction:
     """x -> f(-x)."""
     bps = tuple(-b for b in reversed(f.breakpoints))
     vals = tuple(reversed(f.values))
-    return StepFunction(bps, vals)
-
-
-def rescale_to_interval(f: StepFunction, interval: Interval) -> StepFunction:
-    """Rescale a step function on [0, 1] to an interval, preserving the L2 norm.
-
-    Returns x -> f((x - left) / length) / sqrt(length).  Exactness of the
-    breakpoints is kept when the interval endpoints are exact (floats are
-    converted exactly).
-    """
-    left = _as_fraction(interval.left)
-    length = _as_fraction(interval.length)
-    if length <= 0:
-        raise ValueError("interval length must be positive")
-    scale = 1.0 / float(length) ** 0.5
-    bps = tuple(left + b * length for b in f.breakpoints)
-    vals = tuple(v * scale for v in f.values)
     return StepFunction(bps, vals)
 
 
@@ -299,33 +240,3 @@ def second_derivative_atoms(
         if jump != 0 and (not positive_axis_only or knot > 0):
             atoms.append((knot, jump))
     return DiracComb(atoms)
-
-
-def integrate_pl(p: PiecewiseLinear, a, b) -> float:
-    """Exact integral of a piecewise-linear function over [a, b].
-
-    Trapezoid sums per knot interval in rational arithmetic, clipping the
-    first and last partial intervals; zero contribution outside the support.
-    """
-    a = _as_fraction(a)
-    b = _as_fraction(b)
-    if a > b:
-        raise ValueError("need a <= b")
-    lo = max(a, p.knots[0])
-    hi = min(b, p.knots[-1])
-    if hi <= lo:
-        return 0.0
-
-    def value_at(t: Fraction) -> Fraction:
-        # exact linear interpolation at an interior point
-        for k1, k2, v1, v2 in zip(p.knots, p.knots[1:], p.values, p.values[1:]):
-            if k1 <= t <= k2:
-                w = (t - k1) / (k2 - k1)
-                return _as_fraction(v1) * (1 - w) + _as_fraction(v2) * w
-        return Fraction(0)
-
-    cuts = [lo] + [k for k in p.knots if lo < k < hi] + [hi]
-    total = Fraction(0)
-    for t1, t2 in zip(cuts, cuts[1:]):
-        total += (value_at(t1) + value_at(t2)) * (t2 - t1) / 2
-    return float(total)

@@ -51,11 +51,13 @@ def reconstruct_at(table: CoefficientTable, x: float, rtol: float = 1e-8) -> flo
     disagree with the parent estimate by more than rtol times the overall
     scale.  The integrand's only roughness is the kink chain the table's
     linear interpolation imprints on gamma(x/s), which bisection resolves.
+    rtol must be at least the double-precision epsilon 2^-52.
     """
     if x <= 0:
         raise ValueError("reconstruction is defined for x > 0; use oddness")
-    if not rtol > 0:
-        raise ValueError(f"need rtol > 0, got {rtol}")
+    if not rtol >= 2.0**-52:
+        # below double-precision epsilon rounding alone can fail the stop test
+        raise ValueError(f"need rtol >= 2^-52, the double-precision epsilon, got {rtol}")
 
     def panel(a: float, b: float) -> float:
         mid = 0.5 * (a + b)

@@ -36,6 +36,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -134,8 +135,9 @@ class CoefficientTable:
                 f"(expected {expected})"
             )
 
-    @property
+    @cached_property
     def grid(self) -> np.ndarray:
+        # built once per table: c_at interpolates on it at every call
         return self.u_min + self.step * np.arange(len(self.samples))
 
     def sup_norm(self) -> float:

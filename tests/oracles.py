@@ -6,22 +6,17 @@ expansion instead of sweeping, and explicit lattice geometry instead of
 the Monte-Carlo engine's fractional-shift recursion.  Agreement between
 the two routes is the point of the tests that import this module.  The
 scalar lattice route draws one grid at a time, builds each level's offset
-from its bits and sums the kernel or the operator cell by cell.
+from its floor shift and bits, and sums the kernel or the operator cell by
+cell, pairing f with each rescaled g exactly in rational arithmetic.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from haarshift.piecewise import (
-    Interval,
-    StepFunction,
-    integrate_pl,
-    make_g,
-    make_h,
-    rescale_to_interval,
-)
+from haarshift.piecewise import PiecewiseLinear, StepFunction, make_g, make_h
 
 LN3 = math.log(3.0)
 LN32 = math.log(1.5)
@@ -88,6 +83,86 @@ def neumann_tail_bound(m_sup: float, depth: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# exact pairing algebra: cells, rescaled generators, rational integrals
+
+
+@dataclass(frozen=True)
+class Interval:
+    """A half-open interval [left, left + length), length > 0."""
+
+    left: float
+    length: float
+
+    def __post_init__(self):
+        if not self.length > 0:
+            raise ValueError(f"interval length must be positive, got {self.length}")
+
+    @property
+    def right(self) -> float:
+        return self.left + self.length
+
+
+def rescale_to_interval(f: StepFunction, interval: Interval) -> StepFunction:
+    """Rescale a step function on [0, 1] to an interval, preserving the L2 norm.
+
+    Returns x -> f((x - left) / length) / sqrt(length).  Exactness of the
+    breakpoints is kept when the interval endpoints are exact (floats are
+    converted exactly).
+    """
+    left = Fraction(interval.left)
+    length = Fraction(interval.length)
+    scale = 1.0 / float(length) ** 0.5
+    bps = tuple(left + b * length for b in f.breakpoints)
+    vals = tuple(v * scale for v in f.values)
+    return StepFunction(bps, vals)
+
+
+def integral_against(f: StepFunction, k: StepFunction) -> float:
+    """Exact integral of f * k (both piecewise constant)."""
+    total = Fraction(0)
+    for v, a1, a2 in zip(f.values, f.breakpoints, f.breakpoints[1:]):
+        if v == 0:
+            continue
+        for w, b1, b2 in zip(k.values, k.breakpoints, k.breakpoints[1:]):
+            if w == 0:
+                continue
+            lo, hi = max(a1, b1), min(a2, b2)
+            if hi > lo:
+                total += Fraction(v) * Fraction(w) * (hi - lo)
+    return float(total)
+
+
+def integrate_pl(p: PiecewiseLinear, a, b) -> float:
+    """Exact integral of a piecewise-linear function over [a, b].
+
+    Trapezoid sums per knot interval in rational arithmetic, clipping the
+    first and last partial intervals; zero contribution outside the support.
+    """
+    a = Fraction(a)
+    b = Fraction(b)
+    if a > b:
+        raise ValueError("need a <= b")
+    lo = max(a, p.knots[0])
+    hi = min(b, p.knots[-1])
+    if hi <= lo:
+        return 0.0
+
+    def value_at(t: Fraction) -> Fraction:
+        # exact linear interpolation at an interior point
+        for k1, k2, v1, v2 in zip(p.knots, p.knots[1:], p.values, p.values[1:]):
+            if k1 <= t <= k2:
+                w = (t - k1) / (k2 - k1)
+                return Fraction(v1) * (1 - w) + Fraction(v2) * w
+        return Fraction(0)
+
+    cuts = [lo] + [k for k in p.knots if lo < k < hi] + [hi]
+    total = Fraction(0)
+    for t1, t2 in zip(cuts, cuts[1:]):
+        total += (value_at(t1) + value_at(t2)) * (t2 - t1) / 2
+    return float(total)
+
+
+# ---------------------------------------------------------------------------
 # scalar lattice geometry, one grid draw at a time
 
 _H_QUARTERS = make_h().values
@@ -96,14 +171,17 @@ _G_QUARTERS = make_g().values
 
 @dataclass(frozen=True)
 class GridSample:
-    """One grid draw: dilation r and a finite window of translation bits.
+    """One grid draw: dilation r, floor shift sigma and a window of bits.
 
-    ``bits[j]`` is the bit of level ``i_min + j``; the stored window covers
-    levels ``i_min`` (inclusive) to ``n_max`` (exclusive), which supports
-    lattice geometry at any level up to and including ``n_max``.
+    ``sigma`` in [0, 1) is the fractional shift of the level-``i_min``
+    lattice, and ``bits[j]`` is the bit of level ``i_min + j``; the stored
+    window covers levels ``i_min`` (inclusive) to ``n_max`` (exclusive),
+    which supports lattice geometry at any level up to and including
+    ``n_max``.
     """
 
     r: float
+    sigma: float
     bits: np.ndarray
     i_min: int
     n_max: int
@@ -112,6 +190,8 @@ class GridSample:
     def __post_init__(self):
         if not (1.0 <= self.r < 2.0):
             raise ValueError(f"dilation must lie in [1, 2), got {self.r}")
+        if not (0.0 <= self.sigma < 1.0):
+            raise ValueError(f"floor shift must lie in [0, 1), got {self.sigma}")
         if self.i_min >= self.n_max:
             raise ValueError("need i_min < n_max")
         b = np.asarray(self.bits, dtype=np.uint8)
@@ -131,38 +211,58 @@ class GridSample:
 
 
 def fixed_grid(r=1.0, i_min=-5, n_max=15, one_at=None) -> GridSample:
-    """A grid whose bits are all zero, except the one of level `one_at`."""
+    """A grid with no floor shift and all bits zero, except the one of
+    level `one_at`."""
     bits = np.zeros(n_max - i_min, dtype=np.uint8)
     if one_at is not None:
         bits[one_at - i_min] = 1
-    return GridSample(r=r, bits=bits, i_min=i_min, n_max=n_max, seed=0)
+    return GridSample(r=r, sigma=0.0, bits=bits, i_min=i_min, n_max=n_max, seed=0)
 
 
-def sample_grid(seed: int, i_min: int, n_max: int, index: int = 0) -> GridSample:
-    """Draw one grid: r with density 1/(r ln 2) on [1, 2), bits fair coins.
+def sample_chunk(
+    seed: int, i_min: int, n_max: int, index: int, count: int
+) -> list[GridSample]:
+    """Draw the `count` grids of chunk `index`: r with density 1/(r ln 2) on
+    [1, 2), sigma uniform on [0, 1), bits fair coins.
 
-    Draw `index` owns the 2^70-wide Philox counter block starting at
-    index << 70, and takes r first, then the bits from low level to high.
+    Chunk `index` owns the 2^70-wide Philox counter block starting at
+    index << 70, and takes every r first, then every sigma, then the bit
+    rows from low level to high.
     """
     if i_min >= n_max:
         raise ValueError("need i_min < n_max")
     rng = np.random.Generator(np.random.Philox(key=seed, counter=index << 70))
-    r = float(np.exp2(rng.random(1)[0]))
-    bits = rng.integers(0, 2, size=(n_max - i_min, 1), dtype=np.uint8)[:, 0]
-    return GridSample(r=r, bits=bits, i_min=i_min, n_max=n_max, seed=seed)
+    rs = np.exp2(rng.random(count))
+    sigmas = rng.random(count)
+    bits = rng.integers(0, 2, size=(n_max - i_min, count), dtype=np.uint8)
+    return [
+        GridSample(
+            r=float(rs[j]),
+            sigma=float(sigmas[j]),
+            bits=bits[:, j],
+            i_min=i_min,
+            n_max=n_max,
+            seed=seed,
+        )
+        for j in range(count)
+    ]
+
+
+def sample_grid(seed: int, i_min: int, n_max: int, index: int = 0) -> GridSample:
+    """Draw one grid, the only one of a one-draw chunk `index`."""
+    return sample_chunk(seed, i_min, n_max, index, 1)[0]
 
 
 def level_offset(s: GridSample, n: int) -> float:
-    """Absolute shift of the level-n lattice: r * sum_{i < n} 2^i * bit(i).
+    """Absolute shift of the level-n lattice:
+    r * (sigma 2^i_min + sum_{i_min <= i < n} 2^i * bit(i)).
 
-    Bits below the stored window are treated as zero; the induced position
-    error is below r * 2^(i_min + 1).
+    Levels below the stored window have zero bits, so their lattices share
+    the level-i_min offset.
     """
-    if n < s.i_min:
-        return 0.0
     if n > s.n_max:
         raise ValueError(f"level {n} above the stored bit window")
-    total = 0.0
+    total = s.sigma * 2.0**s.i_min
     for j in range(n - s.i_min):
         if s.bits[j]:
             total += 2.0 ** (s.i_min + j)
@@ -211,7 +311,7 @@ def shift_kernel_sum(s: GridSample, table, x: float, y: float, levels) -> float:
 def haar_pairing(g_step: StepFunction, f) -> float:
     """Exact integral of g_step * f for a step or piecewise-linear f."""
     if isinstance(f.base, StepFunction):
-        return g_step.integral_against(f.base)
+        return integral_against(g_step, f.base)
     total = 0.0
     for w, a, b in zip(g_step.values, g_step.breakpoints, g_step.breakpoints[1:]):
         if w != 0:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import haarshift
-from haarshift import __version__, read_table, write_table
+from haarshift import STREAM_VERSION, __version__, read_table, write_table
 from haarshift import cli
 
 
@@ -114,6 +114,7 @@ def test_mc_output_and_determinism(hilbert_base, capsys):
     payload = json.loads(first)
     assert payload["M"] == 2000
     assert payload["stderr_defined"] is True
+    assert payload["versions"]["stream"] == STREAM_VERSION
     assert abs(payload["mean"] - 1.25) < 3 * payload["stderr"] + 1e-3
     assert cli.main(args) == 0
     assert capsys.readouterr().out == first
@@ -189,6 +190,7 @@ def test_apply_writes_files(hilbert_base, tmp_path):
     sidecar = json.loads(out.with_suffix(".json").read_text())
     assert sidecar["flags"]["f"] == "indicator"
     assert sidecar["flags"]["seed"] == 0
+    assert sidecar["versions"]["stream"] == STREAM_VERSION
 
 
 def test_apply_requires_probes(hilbert_base):
@@ -235,6 +237,14 @@ def test_nonpositive_scan_or_tolerance_is_usage_error(argv, capsys):
         cli.main(argv.split())
     assert exc.value.code == 64
     assert "positive" in capsys.readouterr().err
+
+
+def test_verify_rtol_below_epsilon_is_numeric_error(hilbert_base, capsys):
+    # a positive rtol below 2^-52 passes the flag check; the reconstruction
+    # rejects it at once instead of bisecting without end
+    argv = ["verify", "--table", hilbert_base, "--kernel", "hilbert", "--rtol", "1e-300"]
+    assert cli.main(argv) == 2
+    assert "2^-52" in capsys.readouterr().err
 
 
 def test_no_arguments_is_usage_error():

@@ -10,6 +10,7 @@ from oracles import (
     fixed_grid,
     interval_containing,
     level_offset,
+    sample_chunk,
     sample_grid,
     shift_kernel_sum,
 )
@@ -20,7 +21,7 @@ from haarshift import (
     cutoff_for_tolerance,
     tail_bound_value,
 )
-from haarshift.dyadic import kernel_sum_terms
+from haarshift.dyadic import _TERM_BLOCK, kernel_sum_terms
 
 
 ONES = const_table(1.0)
@@ -36,13 +37,19 @@ def test_level_range():
 def test_grid_sample_validation():
     bits = np.zeros(4, dtype=np.uint8)
     with pytest.raises(ValueError):
-        GridSample(r=0.9, bits=bits, i_min=0, n_max=4, seed=0)
+        GridSample(r=0.9, sigma=0.0, bits=bits, i_min=0, n_max=4, seed=0)
     with pytest.raises(ValueError):
-        GridSample(r=2.0, bits=bits, i_min=0, n_max=4, seed=0)
+        GridSample(r=2.0, sigma=0.0, bits=bits, i_min=0, n_max=4, seed=0)
     with pytest.raises(ValueError):
-        GridSample(r=1.5, bits=bits, i_min=4, n_max=4, seed=0)
+        GridSample(r=1.5, sigma=1.0, bits=bits, i_min=0, n_max=4, seed=0)
     with pytest.raises(ValueError):
-        GridSample(r=1.5, bits=np.array([0, 2, 0, 0]), i_min=0, n_max=4, seed=0)
+        GridSample(r=1.5, sigma=-0.25, bits=bits, i_min=0, n_max=4, seed=0)
+    with pytest.raises(ValueError):
+        GridSample(r=1.5, sigma=0.0, bits=bits, i_min=4, n_max=4, seed=0)
+    with pytest.raises(ValueError):
+        GridSample(
+            r=1.5, sigma=0.0, bits=np.array([0, 2, 0, 0]), i_min=0, n_max=4, seed=0
+        )
 
 
 def test_bit_window_semantics():
@@ -70,7 +77,7 @@ def test_offset_single_bit():
 def test_offset_telescopes():
     rng = np.random.default_rng(11)
     bits = rng.integers(0, 2, size=20, dtype=np.uint8)
-    s = GridSample(r=1.75, bits=bits, i_min=-8, n_max=12, seed=0)
+    s = GridSample(r=1.75, sigma=0.375, bits=bits, i_min=-8, n_max=12, seed=0)
     for n in range(-8, 12):
         diff = level_offset(s, n + 1) - level_offset(s, n)
         assert diff == pytest.approx(1.75 * 2.0**n * s.bit(n), abs=1e-12)
@@ -111,17 +118,20 @@ def test_sample_grid_deterministic():
 def test_sample_grid_distributions():
     m = 100_000
     rs = np.empty(m)
+    sigmas = np.empty(m)
     ones = 0
     n_bits = 12
     for i in range(m):
         s = sample_grid(2024, i_min=0, n_max=n_bits, index=i)
         rs[i] = s.r
+        sigmas[i] = s.sigma
         ones += int(s.bits.sum())
     assert abs(ones / (m * n_bits) - 0.5) <= 0.005
     assert abs(np.mean(np.log(rs)) - math.log(2.0) / 2) <= 0.003
     # r has density 1/(r ln 2) on [1, 2), so its CDF is log2
     ks = scipy.stats.kstest(rs, np.log2)
     assert ks.pvalue > 1e-3
+    assert scipy.stats.kstest(sigmas, "uniform").pvalue > 1e-3
     chi = scipy.stats.chisquare([ones, m * n_bits - ones])
     assert chi.pvalue > 1e-3
 
@@ -231,11 +241,36 @@ def test_engine_matches_scalar_sampler():
     total, _ = accumulate_samples(
         31, m, levels, kernel_sum_terms(ONES, x, y), chunk_size=1
     )
-    i_min = levels.n_min - 52
     manual = 0.0
     for index in range(m):
-        s = sample_grid(31, i_min, levels.n_max, index=index)
+        s = sample_grid(31, levels.n_min, levels.n_max, index=index)
         manual += shift_kernel_sum(s, ONES, x, y, levels)
+    assert total == pytest.approx(manual, rel=1e-9, abs=1e-9)
+
+
+def test_floor_shift_is_uniform():
+    """At a single level the term sees the floor shift as drawn: its mean
+    is 1/2 and its variance 1/12, as for a uniform on [0, 1)."""
+    m = 1 << 16
+    total, m2 = accumulate_samples(
+        6, m, LevelRange(0, 0), lambda n, r, sigma: sigma, chunk_size=1 << 12
+    )
+    assert total / m == pytest.approx(0.5, rel=0.01)
+    assert m2 / (m - 1) == pytest.approx(1.0 / 12.0, rel=0.05)
+
+
+def test_engine_matches_scalar_sampler_across_term_blocks():
+    """A chunk longer than the engine's term block must still hand every
+    draw its own r, sigma and bits: the chunk total equals the scalar sum
+    over the chunk's grids."""
+    x, y = 0.73, 0.21
+    levels = LevelRange(-2, 1)
+    m = _TERM_BLOCK + 300
+    total, _ = accumulate_samples(31, m, levels, kernel_sum_terms(ONES, x, y))
+    manual = math.fsum(
+        shift_kernel_sum(s, ONES, x, y, levels)
+        for s in sample_chunk(31, levels.n_min, levels.n_max, 0, m)
+    )
     assert total == pytest.approx(manual, rel=1e-9, abs=1e-9)
 
 

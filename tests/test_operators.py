@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import const_table
-from oracles import apply_shift, fixed_grid, haar_pairing, sample_grid
+from oracles import (
+    Interval,
+    apply_shift,
+    fixed_grid,
+    haar_pairing,
+    integrate_pl,
+    rescale_to_interval,
+    sample_grid,
+)
 
 from haarshift import (
     LevelRange,
@@ -17,15 +25,9 @@ from haarshift import (
     make_g,
     triangle_function,
 )
-from haarshift.dyadic import BITS_BELOW_FLOOR, accumulate_samples
+from haarshift.dyadic import accumulate_samples
 from haarshift.operators import _operator_terms
-from haarshift.piecewise import (
-    Interval,
-    PiecewiseLinear,
-    StepFunction,
-    integrate_pl,
-    rescale_to_interval,
-)
+from haarshift.piecewise import PiecewiseLinear, StepFunction
 
 
 def test_pairing_mean_zero_function():
@@ -124,7 +126,7 @@ def test_engine_matches_scalar_operator(hilbert_table):
     x = 0.37
     lv = LevelRange(-3, 8)
     total, _ = accumulate_samples(5, 1, lv, _operator_terms(hilbert_table, f, x))
-    s = sample_grid(5, lv.n_min - BITS_BELOW_FLOOR, lv.n_max)
+    s = sample_grid(5, lv.n_min, lv.n_max)
     scalar = apply_shift(s, hilbert_table, f, x, lv)
     assert total == pytest.approx(scalar, rel=1e-9, abs=1e-12)
 
