@@ -117,13 +117,12 @@ def _cmd_solve(args) -> int:
         window=(args.window[0], args.window[1]),
         step=args.step,
         tol=args.tol,
-        max_iter=args.max_iter,
     )
     base = args.out or f"{args.kernel}_table"
     csv_path, json_path = write_table(table, base, extra=_provenance(args))
     print(
-        f"{args.kernel}: converged in {table.iterations} sweeps, "
-        f"residual_sup={table.residual_sup:.3e}, sup|c|={table.sup_norm():.6f}"
+        f"{args.kernel}: residual_sup={table.residual_sup:.3e}, "
+        f"sup|c|={table.sup_norm():.6f}"
     )
     print(f"wrote {csv_path} and {json_path}")
     return 0
@@ -241,9 +240,8 @@ def build_parser() -> _Parser:
     p.add_argument("--kernel", **kernel_kwargs)
     p.add_argument("--window", nargs=2, type=float, default=[-14.0, 14.0],
                    metavar=("U0", "U1"))
-    p.add_argument("--step", type=float, default=2.0**-9)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=_positive_int, default=600)
+    p.add_argument("--step", type=_positive_float, default=2.0**-9)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
     p.add_argument("--out", help="output base path (writes BASE.csv and BASE.json)")
     p.set_defaults(func=_cmd_solve)
 

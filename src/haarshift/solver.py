@@ -1,4 +1,4 @@
-"""Contraction solver for the four-term shifted coefficient recursion.
+"""Spectral solver for the four-term shifted coefficient recursion.
 
 The averaged-grid representation reduces to a linear functional equation on
 the log axis: with m(u) = e^(3u) K''(e^u) and c(u) the coefficient function
@@ -10,24 +10,36 @@ Its terms (`RECURSION`) are derived at import from the exact curvature
 atoms of the generator profile (`piecewise.kernel_profile`): an atom of
 weight w at t gives weight w t^2 at shift ln(1/t).
 
-The 99/8 term dominates the other three (12 3/8 against 11 5/8), so
-isolating it gives an affine map
+On e^(i omega u) the left side is multiplication by the symbol
+a(omega) = sum w e^(i omega shift) (`a_of_omega`), and the 99/8 term
+dominates the other three (12 3/8 against 11 5/8), so |a(omega)| >= 3/4:
+the recursion is solved by one division in Fourier space.  Isolating the
+dominant term writes the same solution as the fixed point of
 
     c(u) = (8/99) [ (1/8) c(u + ln 3) + (9/2) c(u + ln(3/2))
-                    + 7 c(u - ln(4/3)) - m(u - ln(4/3)) ]
+                    + 7 c(u - ln(4/3)) - m(u - ln(4/3)) ],
 
-whose linear part has operator norm (8/99)(1/8 + 9/2 + 7) = 31/33 < 1.
-Iterating it from any bounded start converges geometrically; the limit is
-bounded by (8/99)/(1 - 31/33) = 4/3 times ||m||_inf.  The sweep, the
-residual, the symbol and these constants all read the one table.  This
-module iterates on a uniform grid wide enough that, over max_iter sweeps,
-information from beyond the padding can never reach the requested window.
+whose linear part has norm 31/33 (`CONTRACTION_RATIO`).  Its Neumann
+series is a sum over words of steps, each ln 3 up or ln(4/3) down at most,
+and bounds c by (8/99)/(1 - 31/33) = 4/3 (`NORM_CONSTANT`) times the sup
+of the source.  That expansion certifies the spectral solve:
 
-Shifted reads at the irrational offsets use linear interpolation; since the
-offsets are the same for every grid point, each read is one weighted pair
-of slices.  Beyond the padded grid the iterate is extended by constants:
-the fixed point of the recursion with m frozen at its detected limit
-(c_tail = -(4/3) m_limit), or a plain clamp when m has no flat limit.
+- reach: the words of k or more steps carry at most (31/33)^k, and the
+  shorter ones read the source within k ln(4/3) below and k ln 3 above the
+  window.  `solve_c` samples it over that reach, with the smallest k for
+  which (31/33)^k <= tol, tapers it to 0 past the reach over a fixed
+  margin, and makes the transform long enough that its periodic images
+  lie past the reach too.
+- trim: it solves c = b + d, with b a logistic step between the constant
+  solutions m/a(0) at the two ends and d = irfft(rfft(f) / a(omega)) for
+  the rest of the source, f = m - sum w b(u + shift).  Where |f| <= (3/4)
+  tol at either end, f is dropped, which moves c by at most tol.  The
+  recursion annihilates e^u and e^-u (a(-i) = a(i) = 0), the logistic's
+  leading tails, so for a source with limits little beyond the window is
+  kept, and for a constant one nothing: no transform runs.
+
+`residual` substitutes the interpolated table back into the four-term
+equation, a check in real space that is independent of the transform.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -69,23 +81,22 @@ _TERMS = [
 # (shift, weight) pairs of the recursion m(u) = sum w c(u + shift)
 RECURSION = tuple((math.log(q), float(w)) for q, w in _TERMS)
 
-# the sweep isolates the dominant term and reads the others relative to it,
-# each relative shift the log of an exact ratio >= 1, negated for a ratio < 1
+# isolating the dominant term leaves the others at exact ratios q of its
+# shift: one word step reads ln(max q) up or ln(1 / min q) down
 _DOM_Q, _DOM_W = max(_TERMS, key=lambda term: abs(term[1]))
-_DOM_SHIFT = math.log(_DOM_Q)
 _OTHERS = [(q / _DOM_Q, w) for q, w in _TERMS if q != _DOM_Q]
-_SWEEP = tuple(
-    (math.log(r) if r >= 1 else -math.log(1 / r), float(w)) for r, w in _OTHERS
-)
-_SWEEP_SCALE = float(-1 / _DOM_W)
 _RATIO = sum(abs(w) for _, w in _OTHERS) / abs(_DOM_W)
+_REACH_UP = math.log(max(q for q, _ in _OTHERS))
+_REACH_DOWN = math.log(1 / min(q for q, _ in _OTHERS))
 
-# operator norm of the sweep's linear part: (8/99)(1/8 + 9/2 + 7) = 31/33
+# operator norm of the fixed-point map's linear part: (8/99)(1/8 + 9/2 + 7) = 31/33
 CONTRACTION_RATIO = float(_RATIO)
 # (8/99) / (1 - 31/33) = 4/3, the explicit sup-norm constant
 NORM_CONSTANT = float(1 / abs(_DOM_W) / (1 - _RATIO))
 # value of the symbol at frequency zero: 1/8 + 9/2 - 99/8 + 7
 _A_ZERO = float(sum(w for _, w in _TERMS))
+# log-axis width over which the kept source is tapered to 0
+_TAPER = 4.0
 
 
 def _weighted_sum(terms, read):
@@ -97,12 +108,20 @@ def _weighted_sum(terms, read):
     return out
 
 
-class SolverError(RuntimeError):
-    """Raised when the iteration cannot certify a solution."""
+def _logistic(u):
+    """1 / (1 + e^-u), through tanh so no exponential overflows."""
+    return 0.5 + 0.5 * np.tanh(0.5 * u)
 
-    def __init__(self, message: str, last_residual: float | None = None):
-        super().__init__(message)
-        self.last_residual = last_residual
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^i 3^j 5^k >= n: a length the transform handles fast."""
+    odd = (3**j * 5**k for j in range(n.bit_length()) for k in range(n.bit_length()))
+    # each odd part times the smallest power of two that reaches n
+    return min(p << (-(-n // p) - 1).bit_length() for p in odd)
+
+
+class SolverError(RuntimeError):
+    """Raised when the source term cannot be solved for."""
 
 
 @dataclass
@@ -110,9 +129,10 @@ class CoefficientTable:
     """Sampled coefficient function c on a uniform log-axis grid.
 
     gamma(r) = c(ln r); outside [u_min, u_max] the table extends by the
-    constant tails.  `max_change_ratio` is the largest observed ratio of
-    successive sup-changes of the iteration, a direct measurement of the
-    contraction factor.
+    constant tails.  `iterations` and `max_change_ratio` record the sweeps
+    of a contraction solve and the largest observed ratio of successive
+    sup-changes, a direct measurement of the contraction factor; `solve_c`
+    runs no sweep and records 0 and 0.0.
     """
 
     u_min: float
@@ -174,9 +194,9 @@ def solve_c(
     window: tuple[float, float] = (-14.0, 14.0),
     step: float = 2.0**-9,
     tol: float = 1e-8,
-    max_iter: int = 600,
 ) -> CoefficientTable:
-    """Solve the coefficient recursion on a window of the log axis.
+    """Solve the coefficient recursion on a window of the log axis, by one
+    division by the symbol (see the module docstring).
 
     Parameters
     ----------
@@ -185,111 +205,91 @@ def solve_c(
     window : (u_min, u_max)
         Log-axis range on which the returned table is sampled.
     step : float
-        Uniform grid step.  The returned residual carries an interpolation
-        term of order step^2 times the curvature of c.
+        Uniform grid step.  The transform solves exactly for the
+        trigonometric interpolant of the sampled source; the returned
+        residual carries the table's linear-interpolation term, of order
+        step^2 times the curvature of c.
     tol : float
-        Target for the iteration tail: sweeps stop once the sup-change
-        drops below tol * (1 - 31/33), which bounds the remaining
-        geometric tail by tol.
-    max_iter : int
-        Sweep budget; also sets the padding, so raising it both allows and
-        pays for longer transients.
+        Accuracy target, at least 2^-52.  Dropping the source where
+        |f| <= (3/4) tol moves c by at most tol, and the grid is padded so
+        far that the source beyond it (and the taper and periodic images
+        put there) moves c by at most (4/3) tol times its sup.
 
     Raises
     ------
     SolverError
-        If m is not finite on the padded window or the sweep budget is
-        exhausted before the sup-change target.
+        If m is not finite on the padded window.
     """
     u_min, u_max = float(window[0]), float(window[1])
-    if not (u_min < u_max):
-        raise ValueError("window must satisfy u_min < u_max")
-    if step <= 0 or tol <= 0:
-        raise ValueError("step and tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if not -math.inf < u_min < u_max < math.inf:
+        raise ValueError("window must be finite with u_min < u_max")
+    if not 0 < step < math.inf:
+        raise ValueError("step must be positive and finite")
+    if not 2.0**-52 <= tol < math.inf:
+        raise ValueError(
+            f"tol must be finite and tol >= 2^-52, got {tol!r}: "
+            "the padding grows like log(1/tol)"
+        )
 
-    def mfun(u):
-        return m_of(spec, u)
+    mfun = partial(m_of, spec)
+    # reach: words of k or more steps carry at most ratio^k <= tol of the
+    # source; the shorter ones read it within k steps down and up
+    k = max(0, math.ceil(math.log(tol) / math.log(CONTRACTION_RATIO)))
+    margin = max(1, math.ceil(_TAPER / step))
+    n_left = math.ceil(k * _REACH_DOWN / step) + margin
+    n_window = round((u_max - u_min) / step)
+    n_right = math.ceil(k * _REACH_UP / step) + margin
+    grid = u_min + step * np.arange(-n_left, n_window + n_right + 1)
+    window_grid = grid[n_left : n_left + n_window + 1]
 
-    # padding: upward shifts reach at most max_iter * ln3 to the right of the
-    # window over the whole run, the downward shift max_iter * ln(4/3) left
-    shifts = [shift for shift, _ in _SWEEP]
-    pad_left = max_iter * -min(shifts)
-    pad_right = max_iter * max(shifts)
-    n_left = int(np.ceil(pad_left / step))
-    n_right = int(np.ceil((u_max - u_min + pad_right) / step))
-    grid = (u_min - n_left * step) + step * np.arange(n_left + n_right + 1)
-    n = len(grid)
-
-    m_arr = np.asarray(mfun(grid - _DOM_SHIFT), dtype=float)
-    if not np.all(np.isfinite(m_arr)):
+    m = np.asarray(mfun(grid), dtype=float)
+    if not np.all(np.isfinite(m)):
         raise SolverError("source term m is not finite on the padded window")
 
     flat_l, m_left = _detect_tail(mfun, grid[0], direction=-1)
     flat_r, m_right = _detect_tail(mfun, grid[-1], direction=+1)
-    # fixed point of the recursion with constant m: c = m / a(0) = -(4/3) m
-    tail_left = m_left / _A_ZERO if flat_l else None
-    tail_right = m_right / _A_ZERO if flat_r else None
+    # b steps between the solutions for constant m, m / a(0) = -(4/3) m
+    b_left, b_right = m_left / _A_ZERO, m_right / _A_ZERO
+    centre = 0.5 * (u_min + u_max)
+    f = m - _A_ZERO * b_left
+    if b_right != b_left:
+        f -= (b_right - b_left) * _weighted_sum(
+            RECURSION, lambda shift: _logistic(grid + shift - centre)
+        )
+    samples = b_left + (b_right - b_left) * _logistic(window_grid - centre)
 
-    c = np.where(
-        grid < 0.5 * (grid[0] + grid[-1]),
-        tail_left if tail_left is not None else 0.0,
-        tail_right if tail_right is not None else 0.0,
-    ).astype(float)
+    # trim: the source kept runs from the first to the last |f| above
+    # tol / NORM_CONSTANT, and at least over the window
+    kept = np.flatnonzero(np.abs(f) > tol / NORM_CONSTANT)
+    if kept.size:
+        lo = max(min(kept[0], n_left), margin)
+        hi = min(max(kept[-1], n_left + n_window), len(grid) - 1 - margin)
+        # taper over the margin outside [lo, hi]: there |f| is below the
+        # trim threshold or the grid point is past the reach
+        piece = f[lo - margin : hi + margin + 1]
+        ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(margin) / margin)
+        piece[:margin] *= ramp
+        piece[-margin:] *= ramp[::-1]
+        # periodic images of the piece start past both ends of the grid
+        start = lo - margin
+        n_fft = _fft_length(max(len(grid) - start, hi + margin + 1))
+        spectrum = np.fft.rfft(piece, n_fft)
+        spectrum /= a_of_omega(2 * np.pi / (n_fft * step) * np.arange(spectrum.size))
+        d = np.fft.irfft(spectrum, n_fft)
+        samples += d[n_left - start : n_left - start + n_window + 1]
 
-    # one pad block per side for the slice reads; ln3 is the widest shift
-    pad = int(np.ceil(max(map(abs, shifts)) / step)) + 2
-
-    def shifted(c_ext: np.ndarray, offset: float) -> np.ndarray:
-        # same fractional part at every grid point: one lerp of two slices
-        f = int(np.floor(offset / step))
-        w = offset / step - f
-        i0 = pad + f
-        return (1.0 - w) * c_ext[i0 : i0 + n] + w * c_ext[i0 + 1 : i0 + 1 + n]
-
-    stop = tol * (1.0 - CONTRACTION_RATIO)
-    prev_change = None
-    max_ratio = 0.0
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        ext_l = tail_left if tail_left is not None else c[0]
-        ext_r = tail_right if tail_right is not None else c[-1]
-        c_ext = np.concatenate([np.full(pad, ext_l), c, np.full(pad, ext_r)])
-        c_new = _weighted_sum(_SWEEP, lambda shift: shifted(c_ext, shift))
-        c_new -= m_arr
-        c_new *= _SWEEP_SCALE
-        change = float(np.max(np.abs(c_new - c)))
-        if prev_change is not None and prev_change > 0:
-            max_ratio = max(max_ratio, change / prev_change)
-        prev_change = change
-        c = c_new
-        if change < stop:
-            converged = True
-            break
-
-    window_mask = (grid >= u_min - 1e-12) & (grid <= u_max + 1e-12)
-    samples = c[window_mask].copy()
     table = CoefficientTable(
         u_min=u_min,
         u_max=u_max,
         step=step,
         samples=samples,
-        tail_left=tail_left if tail_left is not None else float(samples[0]),
-        tail_right=tail_right if tail_right is not None else float(samples[-1]),
+        tail_left=b_left if flat_l else float(samples[0]),
+        tail_right=b_right if flat_r else float(samples[-1]),
         residual_sup=0.0,
-        iterations=iterations,
+        iterations=0,
         kernel_name=spec.name,
-        max_change_ratio=max_ratio,
     )
     table.residual_sup = residual(table, spec)
-    if not converged:
-        raise SolverError(
-            f"no convergence in {max_iter} sweeps (last sup-change "
-            f"{prev_change:.3e}, residual {table.residual_sup:.3e})",
-            last_residual=table.residual_sup,
-        )
     return table
 
 

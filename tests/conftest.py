@@ -3,16 +3,21 @@ import pytest
 
 from haarshift import CoefficientTable, KernelSpec, get_kernel, solve_c
 
-# Every table solved anywhere in the suite lands here so the contraction
-# ratio can be asserted across all runs, not just the ones a given test
-# happens to make.
-TRACKED_TABLES: list = []
+from oracles import sweep_solve
+
+# reference sweep tables by (kernel name, step), shared by every test that
+# compares against the sweep or measures its contraction ratio
+_SWEEPS: dict = {}
 
 
-def solve_tracked(spec, **kwargs):
-    table = solve_c(spec, **kwargs)
-    TRACKED_TABLES.append(table)
-    return table
+def sweep_table(name: str, step: float):
+    """The reference sweep's table for a built-in kernel or the tent, solved
+    once per session."""
+    key = (name, step)
+    if key not in _SWEEPS:
+        spec = tent_spec() if name == "synthetic-tent" else get_kernel(name)
+        _SWEEPS[key] = sweep_solve(spec, step=step)
+    return _SWEEPS[key]
 
 
 def linear_table(slope, intercept, u_min=-14.0, u_max=14.0, step=2.0**-6):
@@ -51,19 +56,19 @@ def tent_spec() -> KernelSpec:
 
 @pytest.fixture(scope="session")
 def hilbert_table():
-    return solve_tracked(get_kernel("hilbert"), step=2.0**-7)
+    return solve_c(get_kernel("hilbert"), step=2.0**-7)
 
 
 @pytest.fixture(scope="session")
 def cp_table():
-    return solve_tracked(get_kernel("conjugate-poisson"), step=2.0**-8)
+    return solve_c(get_kernel("conjugate-poisson"), step=2.0**-8)
 
 
 @pytest.fixture(scope="session")
 def smoothed_table():
-    return solve_tracked(get_kernel("smoothed-truncated"), step=2.0**-8)
+    return solve_c(get_kernel("smoothed-truncated"), step=2.0**-8)
 
 
 @pytest.fixture(scope="session")
 def tent_table():
-    return solve_tracked(tent_spec(), step=2.0**-8)
+    return solve_c(tent_spec(), step=2.0**-8)

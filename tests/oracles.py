@@ -1,9 +1,10 @@
 """Independent reference computations used by the tests.
 
 These deliberately take different routes than the library: pointwise
-evaluation instead of interval arithmetic, explicit composition-word
-expansion instead of sweeping, and explicit lattice geometry instead of
-the Monte-Carlo engine's fractional-shift recursion.  Agreement between
+evaluation instead of interval arithmetic, the contraction sweep in real
+space and explicit composition-word expansion instead of the solver's
+division by the symbol, and explicit lattice geometry instead of the
+Monte-Carlo engine's fractional-shift recursion.  Agreement between
 the two routes is the point of the tests that import this module.  The
 scalar lattice route draws one grid at a time, builds each level's offset
 from its floor shift and bits, and sums the kernel or the operator cell by
@@ -16,7 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from haarshift import CoefficientTable, m_of, residual
 from haarshift.piecewise import PiecewiseLinear, StepFunction, make_g, make_h
+from haarshift.solver import _detect_tail
 
 LN3 = math.log(3.0)
 LN32 = math.log(1.5)
@@ -80,6 +83,99 @@ def neumann_tail_bound(m_sup: float, depth: int) -> float:
     (8/99) m_sup * (31/33)^(depth+1) / (1 - 31/33).
     """
     return (8.0 / 99.0) * m_sup * RATIO ** (depth + 1) / (1.0 - RATIO)
+
+
+def sweep_solve(spec, window=(-14.0, 14.0), step=2.0**-9, tol=1e-8, max_iter=600):
+    """Coefficient table by the contraction sweep, started from the tails.
+
+    Iterates the fixed-point map
+
+        c(u) = W_UP3 c(u + ln 3) + W_UP32 c(u + ln(3/2)) + W_DOWN43 c(u - ln(4/3))
+               - (8/99) m(u - ln(4/3))
+
+    on a uniform grid padded by max_iter * (ln(4/3), ln 3), so that nothing
+    from beyond the padding reaches the window within the sweep budget.
+    Shifted reads interpolate linearly between grid points; beyond the grid
+    the iterate is extended by the constant tails (the library's tail
+    detection, so both routes share their tails) or clamped where m has no
+    flat limit.  The sweeps start from those tails and stop once the
+    sup-change drops below tol (1 - 31/33), which bounds the remaining
+    geometric tail by tol.  The table records the sweep count and the
+    largest ratio of successive sup-changes, the observed contraction
+    factor; an exhausted budget fails the calling test.
+    """
+    u_min, u_max = float(window[0]), float(window[1])
+
+    def mfun(u):
+        return m_of(spec, u)
+
+    n_left = int(np.ceil(max_iter * LN43 / step))
+    n_right = int(np.ceil((u_max - u_min + max_iter * LN3) / step))
+    grid = (u_min - n_left * step) + step * np.arange(n_left + n_right + 1)
+    n = len(grid)
+    source = (8.0 / 99.0) * np.asarray(mfun(grid - LN43), dtype=float)
+
+    # fixed point of the map with m frozen at its limit: c = -(4/3) m
+    flat_l, m_left = _detect_tail(mfun, grid[0], direction=-1)
+    flat_r, m_right = _detect_tail(mfun, grid[-1], direction=+1)
+    tail_left = -(4.0 / 3.0) * m_left if flat_l else None
+    tail_right = -(4.0 / 3.0) * m_right if flat_r else None
+    c = np.where(
+        grid < 0.5 * (grid[0] + grid[-1]),
+        tail_left if tail_left is not None else 0.0,
+        tail_right if tail_right is not None else 0.0,
+    ).astype(float)
+
+    # one pad block per side for the slice reads; ln3 is the widest shift
+    pad = int(np.ceil(LN3 / step)) + 2
+
+    def shifted(c_ext, offset):
+        # same fractional part at every grid point: one lerp of two slices
+        f = int(np.floor(offset / step))
+        w = offset / step - f
+        i0 = pad + f
+        return (1.0 - w) * c_ext[i0 : i0 + n] + w * c_ext[i0 + 1 : i0 + 1 + n]
+
+    stop = tol * (1.0 - RATIO)
+    prev_change = None
+    max_ratio = 0.0
+    for sweeps in range(1, max_iter + 1):
+        ext_l = tail_left if tail_left is not None else c[0]
+        ext_r = tail_right if tail_right is not None else c[-1]
+        c_ext = np.concatenate([np.full(pad, ext_l), c, np.full(pad, ext_r)])
+        c_new = (
+            W_UP3 * shifted(c_ext, LN3)
+            + W_UP32 * shifted(c_ext, LN32)
+            + W_DOWN43 * shifted(c_ext, -LN43)
+            - source
+        )
+        change = float(np.max(np.abs(c_new - c)))
+        if prev_change is not None and prev_change > 0:
+            max_ratio = max(max_ratio, change / prev_change)
+        prev_change = change
+        c = c_new
+        if change < stop:
+            break
+    else:
+        raise AssertionError(
+            f"sweep: no convergence in {max_iter} sweeps (last sup-change {prev_change:.3e})"
+        )
+
+    samples = c[n_left : n_left + round((u_max - u_min) / step) + 1].copy()
+    table = CoefficientTable(
+        u_min=u_min,
+        u_max=u_max,
+        step=step,
+        samples=samples,
+        tail_left=tail_left if tail_left is not None else float(samples[0]),
+        tail_right=tail_right if tail_right is not None else float(samples[-1]),
+        residual_sup=0.0,
+        iterations=sweeps,
+        kernel_name=spec.name,
+        max_change_ratio=max_ratio,
+    )
+    table.residual_sup = residual(table, spec)
+    return table
 
 
 # ---------------------------------------------------------------------------
