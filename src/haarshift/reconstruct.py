@@ -9,7 +9,9 @@ Two independent routes verify the representation:
 
   with P the continuous odd piecewise-linear profile built from the two
   generating step functions.  Its support makes the domain exact, and
-  P(0) = 0 kills the apparent 1/x trouble at s -> 0.
+  P(0) = 0 kills the apparent 1/x trouble at s -> 0.  Gauss-Legendre
+  panels over the profile's knot intervals are bisected breadth-first,
+  all the pending panels of a probe in one table lookup per round.
 
 * stochastic: averaging the truncated two-point lattice sums over grid
   draws, with an explicit bound for the discarded coarse levels.
@@ -19,6 +21,7 @@ Both are compared against the kernel evaluators in reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,15 +46,28 @@ _PROFILE = kernel_profile()
 _P_KNOTS = [float(k) for k in _PROFILE.knots if k >= 0]
 
 
+def _panels(table: CoefficientTable, x: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """8-node Gauss-Legendre estimates of the integrand over each [a, b],
+    with one table lookup and one profile evaluation for all the panels."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    s = mid[:, None] + half[:, None] * _GL_NODES
+    vals = table.c_at(np.log(x) - np.log(s)) * _PROFILE(s)
+    return half * (vals @ _GL_WEIGHTS)
+
+
 def reconstruct_at(table: CoefficientTable, x: float, rtol: float = 1e-8) -> float:
     """Deterministic reconstruction of K(x) for x > 0.
 
     Composite 8-node Gauss-Legendre over each knot interval of the profile
-    on [0, 1], with recursive bisection of any panel whose two halves
-    disagree with the parent estimate by more than rtol times the overall
-    scale.  The integrand's only roughness is the kink chain the table's
-    linear interpolation imprints on gamma(x/s), which bisection resolves.
-    rtol must be at least the double-precision epsilon 2^-52.
+    on [0, 1], bisected breadth-first: each round splits every pending
+    panel and evaluates all the halves at once.  A panel is accepted when
+    its two halves agree with its own estimate within rtol times the
+    overall scale (or it is narrower than 1e-13), and the accepted halves
+    are summed with math.fsum.  The integrand's only roughness is the kink
+    chain the table's linear interpolation imprints on gamma(x/s), which
+    bisection resolves.  rtol must be at least the double-precision
+    epsilon 2^-52.
     """
     if x <= 0:
         raise ValueError("reconstruction is defined for x > 0; use oddness")
@@ -59,29 +75,22 @@ def reconstruct_at(table: CoefficientTable, x: float, rtol: float = 1e-8) -> flo
         # below double-precision epsilon rounding alone can fail the stop test
         raise ValueError(f"need rtol >= 2^-52, the double-precision epsilon, got {rtol}")
 
-    def panel(a: float, b: float) -> float:
+    a = np.array(_P_KNOTS[:-1])
+    b = np.array(_P_KNOTS[1:])
+    est = _panels(table, x, a, b)
+    scale = max(sum(abs(e) for e in est.tolist()), 1e-300)
+    parts = []
+    while a.size:
         mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        s = mid + half * _GL_NODES
-        vals = table.c_at(np.log(x) - np.log(s)) * _PROFILE(s)
-        return half * float(np.dot(_GL_WEIGHTS, vals))
-
-    stack = [
-        (a, b, panel(a, b)) for a, b in zip(_P_KNOTS, _P_KNOTS[1:])
-    ]
-    scale = max(sum(abs(est) for *_, est in stack), 1e-300)
-    total = 0.0
-    while stack:
-        a, b, est = stack.pop()
-        mid = 0.5 * (a + b)
-        e1 = panel(a, mid)
-        e2 = panel(mid, b)
-        if abs(e1 + e2 - est) < rtol * scale or (b - a) < 1e-13:
-            total += e1 + e2
-        else:
-            stack.append((a, mid, e1))
-            stack.append((mid, b, e2))
-    return total / x
+        halves = _panels(table, x, np.concatenate([a, mid]), np.concatenate([mid, b]))
+        e1, e2 = halves[: a.size], halves[a.size :]
+        both = e1 + e2
+        done = (np.abs(both - est) < rtol * scale) | ((b - a) < 1e-13)
+        parts += both[done].tolist()
+        split = ~done
+        a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
+        est = np.concatenate([e1[split], e2[split]])
+    return math.fsum(parts) / x
 
 
 def mc_estimate(

@@ -157,8 +157,14 @@ class CoefficientTable:
 
     @cached_property
     def grid(self) -> np.ndarray:
-        # built once per table: c_at interpolates on it at every call
+        # built once per table: the CSV column, the residual's probes and
+        # c_at's two window edges
         return self.u_min + self.step * np.arange(len(self.samples))
+
+    @cached_property
+    def _rises(self) -> np.ndarray:
+        # s[j+1] - s[j], and 0 after the last sample, which c_at reads there
+        return np.diff(self.samples, append=self.samples[-1])
 
     def sup_norm(self) -> float:
         return max(
@@ -166,9 +172,35 @@ class CoefficientTable:
         )
 
     def c_at(self, u):
-        """c(u) by linear interpolation, constant tails outside the window."""
+        """c(u) by linear interpolation, constant tails outside the window.
+
+        The cell is found by index arithmetic on the uniform grid, not by
+        a search: with t = (u - u_min) / step clipped to [0, n - 1] and
+        j = floor(t),
+
+            c = s[j] + (t - j) (s[j+1] - s[j]),
+
+        the rise after the last sample taken as 0, so every grid node
+        reads its sample exactly when u_min and step are dyadic.  Below
+        grid[0] and above grid[-1] the tails apply, as np.interp's
+        left/right do; NaN gives NaN, and a scalar gives a float.
+
+        Away from underflow, the result is within
+
+            2 * 2^-52 * (n max|s[j+1] - s[j]| + max|s|)
+
+        of the exact linear interpolant through (u_min + j step, s[j]), n
+        being the sample count: the rounding of t moves it by at most
+        2^-52 n cells, and the lerp itself adds a few roundings.
+        """
         u = np.asarray(u, dtype=float)
-        out = np.interp(u, self.grid, self.samples, left=self.tail_left, right=self.tail_right)
+        t = np.minimum(np.maximum((u - self.u_min) / self.step, 0.0), len(self.samples) - 1)
+        left = np.floor(t)
+        # fmax sends a NaN to index 0; t - left keeps the NaN
+        j = np.fmax(left, 0.0).astype(np.intp)
+        c = self.samples[j] + (t - left) * self._rises[j]
+        grid = self.grid
+        out = np.where(u < grid[0], self.tail_left, np.where(u > grid[-1], self.tail_right, c))
         return out if out.ndim else float(out)
 
 
@@ -355,12 +387,10 @@ def write_table(table: CoefficientTable, base_path: str | Path, extra: dict | No
     base = Path(base_path)
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
-    grid = table.grid
+    # the bytes csv.writer would write: no field needs quoting, rows end in CRLF
+    rows = zip(table.grid.tolist(), table.samples.tolist())
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "c"])
-        for u, v in zip(grid, table.samples):
-            writer.writerow([format(u, ".17g"), format(v, ".17g")])
+        fh.write("u,c\r\n" + "".join(f"{u:.17g},{v:.17g}\r\n" for u, v in rows))
     meta = {
         "u_min": table.u_min,
         "u_max": table.u_max,
@@ -385,19 +415,17 @@ def read_table(base_path: str | Path) -> CoefficientTable:
     base = Path(base_path)
     with open(base.with_suffix(".json")) as fh:
         meta = json.load(fh)
-    samples = []
-    with open(base.with_suffix(".csv"), newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["u", "c"]:
-            raise ValueError(f"unexpected table header {header!r}")
-        for row in reader:
-            samples.append(float(row[1]))
+    csv_path = base.with_suffix(".csv")
+    with open(csv_path, newline="") as fh:
+        header = next(csv.reader(fh), [])
+    if header[:2] != ["u", "c"]:
+        raise ValueError(f"unexpected table header {header!r}")
+    samples = np.loadtxt(csv_path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
     return CoefficientTable(
         u_min=float(meta["u_min"]),
         u_max=float(meta["u_max"]),
         step=float(meta["step"]),
-        samples=np.asarray(samples),
+        samples=samples,
         tail_left=float(meta["tail_left"]),
         tail_right=float(meta["tail_right"]),
         residual_sup=float(meta["residual_sup"]),

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from haarshift import CoefficientTable, m_of, residual
-from haarshift.piecewise import PiecewiseLinear, StepFunction, make_g, make_h
+from haarshift.piecewise import PiecewiseLinear, StepFunction, kernel_profile, make_g, make_h
 from haarshift.solver import _detect_tail
 
 LN3 = math.log(3.0)
@@ -176,6 +176,45 @@ def sweep_solve(spec, window=(-14.0, 14.0), step=2.0**-9, tol=1e-8, max_iter=600
     )
     table.residual_sup = residual(table, spec)
     return table
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_PROFILE = kernel_profile()
+_P_KNOTS = [float(k) for k in _PROFILE.knots if k >= 0]
+
+
+def depth_first_reconstruct(table, x: float, rtol: float = 1e-8) -> float:
+    """K(x) for x > 0 by the quadrature of the library's reconstruct_at,
+    bisected depth-first one panel at a time.
+
+    Each panel is its own 8-node Gauss-Legendre estimate and its own table
+    lookup; a stack holds the pending panels and the accepted halves are
+    added up in the order they are popped.  The acceptance test is the
+    library's, so the two routes accept the same panels and differ only in
+    the order of the summation.
+    """
+
+    def panel(a: float, b: float) -> float:
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        s = mid + half * _GL_NODES
+        vals = table.c_at(np.log(x) - np.log(s)) * _PROFILE(s)
+        return half * float(np.dot(_GL_WEIGHTS, vals))
+
+    stack = [(a, b, panel(a, b)) for a, b in zip(_P_KNOTS, _P_KNOTS[1:])]
+    scale = max(sum(abs(est) for *_, est in stack), 1e-300)
+    total = 0.0
+    while stack:
+        a, b, est = stack.pop()
+        mid = 0.5 * (a + b)
+        e1 = panel(a, mid)
+        e2 = panel(mid, b)
+        if abs(e1 + e2 - est) < rtol * scale or (b - a) < 1e-13:
+            total += e1 + e2
+        else:
+            stack.append((a, mid, e1))
+            stack.append((mid, b, e2))
+    return total / x
 
 
 # ---------------------------------------------------------------------------

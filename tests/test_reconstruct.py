@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import const_table, linear_table
+from oracles import depth_first_reconstruct
 
 from haarshift import (
     compare_report,
@@ -89,6 +90,17 @@ def test_reconstruct_conjugate_poisson(cp_table):
         want = float(spec.k(x))
         got = reconstruct_at(cp_table, x)
         assert got == pytest.approx(want, rel=7e-3)
+
+
+@pytest.mark.parametrize("fixture", ["cp_table", "smoothed_table"])
+def test_breadth_first_matches_depth_first(fixture, request):
+    """The batched bisection accepts the panels the one-at-a-time route
+    accepts, so the two differ only in the order of the summation; probes
+    are the verify subcommand's default, log:0.001:1000:50."""
+    table = request.getfixturevalue(fixture)
+    for x in np.logspace(-3.0, 3.0, 50):
+        want = depth_first_reconstruct(table, float(x))
+        assert reconstruct_at(table, float(x)) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_compare_report_basics(hilbert_table):

@@ -1,4 +1,10 @@
+import csv
+import io
 import math
+import tempfile
+import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +101,106 @@ def test_gamma_at_below_window_returns_tail(cp_table):
     assert gamma_at(cp_table, r) == cp_table.tail_left
     with pytest.raises(ValueError):
         gamma_at(cp_table, -1.0)
+
+
+EPS = 2.0**-52
+DYADIC_STEPS = (2.0**-9, 2.0**-3, 0.5)
+
+
+@st.composite
+def lerp_tables(draw):
+    """Random tables: a dyadic or a non-dyadic step and window start, rough
+    or smooth samples, tails apart from the end samples."""
+    n = draw(st.integers(1, 200))
+    step = draw(st.sampled_from(DYADIC_STEPS + (0.003, 1.0 / 3.0)))
+    if draw(st.booleans()):
+        u_min = draw(st.integers(-320, 320)) / 16.0
+    else:
+        u_min = draw(st.floats(-20.0, 20.0))
+    if draw(st.booleans()):
+        values = st.floats(-1e3, 1e3, allow_subnormal=False)
+        samples = np.array(draw(st.lists(values, min_size=n, max_size=n)))
+    else:
+        amplitude = draw(st.floats(0.1, 1e3))
+        omega = draw(st.floats(0.0, 3.0))
+        samples = amplitude * np.sin(omega * (u_min + step * np.arange(n)) + 0.3)
+    tails = st.floats(-1e3, 1e3)
+    return CoefficientTable(
+        u_min=u_min,
+        u_max=u_min + (n - 1) * step,
+        step=step,
+        samples=samples,
+        tail_left=draw(tails),
+        tail_right=draw(tails),
+        residual_sup=0.0,
+        iterations=0,
+    )
+
+
+def exact_lerp(table, u: float) -> Fraction:
+    """The linear interpolant through (u_min + j step, s[j]) at u, in exact
+    rational arithmetic."""
+    s = table.samples
+    t = (Fraction(u) - Fraction(table.u_min)) / Fraction(table.step)
+    t = min(max(t, Fraction(0)), Fraction(len(s) - 1))
+    j = min(math.floor(t), len(s) - 2)
+    if j < 0:
+        return Fraction(s[0])
+    return Fraction(s[j]) + (t - j) * (Fraction(s[j + 1]) - Fraction(s[j]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(table=lerp_tables(), data=st.data())
+def test_c_at_matches_np_interp(table, data):
+    """The index-arithmetic lerp against np.interp and the exact lerp: the
+    tails and NaN exactly, the grid nodes bit for bit on a dyadic grid,
+    and everything else within the bound the c_at docstring states."""
+    grid, s = table.grid, table.samples
+    n = len(s)
+    inside = st.floats(grid[0], grid[-1])
+    around = st.floats(grid[0] - 2.0, grid[-1] + 2.0)
+    probes = np.array(
+        [grid[0], grid[-1], table.u_max, math.inf, -math.inf, math.nan,
+         np.nextafter(grid[0], -math.inf), np.nextafter(grid[-1], math.inf)]
+        + data.draw(st.lists(inside, max_size=30))
+        + data.draw(st.lists(around, max_size=30))
+    )
+    probes = np.concatenate([probes, grid])
+    with warnings.catch_warnings():
+        # NaN and the infinities pass the index cast without a RuntimeWarning
+        warnings.simplefilter("error")
+        got = table.c_at(probes)
+    want = np.interp(probes, grid, s, left=table.tail_left, right=table.tail_right)
+
+    nan = np.isnan(probes)
+    assert np.all(np.isnan(got[nan]))
+    below, above = probes < grid[0], probes > grid[-1]
+    assert np.all(got[below] == table.tail_left)
+    assert np.all(got[above] == table.tail_right)
+    assert np.array_equal(got[below | above], want[below | above])
+
+    if table.step in DYADIC_STEPS and table.u_min == round(table.u_min * 16) / 16:
+        assert np.array_equal(table.c_at(grid), s)
+        assert np.array_equal(table.c_at(grid), np.interp(grid, grid, s))
+
+    rise = float(np.max(np.abs(np.diff(s)))) if n > 1 else 0.0
+    bound = 2 * EPS * (n * rise + float(np.max(np.abs(s))))
+    # np.interp measures from its own rounded grid node, off by up to
+    # 2^-52 |u| / step cells
+    interp_bound = 4 * EPS * ((n + float(np.max(np.abs(grid))) / table.step) * rise
+                              + float(np.max(np.abs(s))))
+    for u, c, c_ref in zip(probes, got, want):
+        if not grid[0] <= u <= grid[-1]:
+            continue
+        assert abs(Fraction(float(c)) - exact_lerp(table, float(u))) <= bound
+        assert abs(c - c_ref) <= bound + interp_bound
+
+    for u in (grid[0], float(probes[-1]), table.u_max, math.nan):
+        one = table.c_at(u)
+        assert type(one) is float
+        assert type(table.c_at(np.float64(u))) is float
+        assert type(table.c_at(np.array(u))) is float
+        assert one == table.c_at(np.array([u]))[0] or (math.isnan(one) and math.isnan(u))
 
 
 def test_symbol_at_zero():
@@ -234,6 +340,66 @@ def test_table_round_trip_exact(tmp_path, cp_table):
     assert back.iterations == cp_table.iterations
     assert back.kernel_name == cp_table.kernel_name
     assert back.max_change_ratio == cp_table.max_change_ratio
+
+
+def csv_writer_bytes(table) -> bytes:
+    """The table CSV as csv.writer renders it, each float with format(v, ".17g")."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["u", "c"])
+    for u, v in zip(table.grid, table.samples):
+        writer.writerow([format(u, ".17g"), format(v, ".17g")])
+    return buf.getvalue().encode()
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308]
+)
+ANY_FLOAT = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    samples=st.lists(ANY_FLOAT, min_size=1, max_size=40),
+    u_min=st.one_of(EDGE_FLOATS.filter(lambda v: abs(v) < 1.0), st.floats(-1e6, 1e6)),
+    step=st.floats(1e-6, 10.0),
+    tails=st.tuples(ANY_FLOAT, ANY_FLOAT),
+    residual_sup=ANY_FLOAT,
+    max_change_ratio=ANY_FLOAT,
+    iterations=st.integers(0, 10**6),
+    kernel_name=st.text(max_size=12),
+)
+def test_table_round_trip_property(
+    samples, u_min, step, tails, residual_sup, max_change_ratio, iterations, kernel_name
+):
+    """write_table then read_table gives the table back bit for bit, and
+    the CSV is byte for byte what csv.writer writes."""
+    table = CoefficientTable(
+        u_min=u_min,
+        u_max=u_min + (len(samples) - 1) * step,
+        step=step,
+        samples=np.array(samples),
+        tail_left=tails[0],
+        tail_right=tails[1],
+        residual_sup=residual_sup,
+        iterations=iterations,
+        kernel_name=kernel_name,
+        max_change_ratio=max_change_ratio,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, _ = write_table(table, Path(tmp) / "t")
+        assert csv_path.read_bytes() == csv_writer_bytes(table)
+        back = read_table(Path(tmp) / "t")
+    assert back.samples.tobytes() == table.samples.tobytes()
+    for name in ("u_min", "u_max", "step", "tail_left", "tail_right", "residual_sup",
+                 "max_change_ratio"):
+        assert same_bits(getattr(back, name), getattr(table, name)), name
+    assert back.iterations == iterations
+    assert back.kernel_name == kernel_name
 
 
 def test_read_table_rejects_foreign_header(tmp_path):
