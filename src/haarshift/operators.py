@@ -44,17 +44,25 @@ class OperatorError(RuntimeError):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Compactly supported piecewise function with a fast antiderivative.
+    """Bounded, compactly supported step or piecewise-linear function.
 
-    Wraps either representation; the cumulative integral F is precomputed
-    at the knots so that pairings against quarter-split cells reduce to
-    four F evaluations per cell.
+    The operator is applied to bounded f, so every value must be finite;
+    a NaN or infinite value is rejected at construction.  The pairings
+    against quarter-split cells reduce to four reads of the antiderivative
+    F per cell (see `antiderivative`).
     """
 
     # not a test case, despite the name pytest keys on
     __test__ = False
 
     base: StepFunction | PiecewiseLinear
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in self.base.values):
+            raise ValueError(
+                "test function values must be finite: the operator is applied "
+                "to bounded f"
+            )
 
     @property
     def knots(self) -> tuple:
@@ -71,30 +79,38 @@ class TestFunction:
         return self.base(t)
 
     @cached_property
-    def _tables(self):
+    def _segments(self) -> tuple[tuple[float, float, float, float], ...]:
+        """(k_j, h_j, v_j, s_j/2) per segment: left knot, width, value at
+        the left knot and half the slope (0 for a step function)."""
         ks = np.array([float(k) for k in self.knots])
-        if isinstance(self.base, StepFunction):
-            vals = np.asarray(self.base.values, dtype=float)
-            cum = np.concatenate([[0.0], np.cumsum(vals * np.diff(ks))])
-            return ks, cum, vals, None
+        widths = np.diff(ks)
         vals = np.asarray(self.base.values, dtype=float)
-        avg = 0.5 * (vals[:-1] + vals[1:])
-        cum = np.concatenate([[0.0], np.cumsum(avg * np.diff(ks))])
-        slopes = np.diff(vals) / np.diff(ks)
-        return ks, cum, vals, slopes
+        if isinstance(self.base, StepFunction):
+            half_slopes = np.zeros_like(widths)
+        else:
+            half_slopes = 0.5 * (np.diff(vals) / widths)
+        return tuple(
+            zip(ks[:-1].tolist(), widths.tolist(), vals.tolist(), half_slopes.tolist())
+        )
 
     def antiderivative(self, t):
-        """F(t) = integral of f from the left support edge to t, vectorized."""
+        """F(t) = integral of f from the left support edge to t, vectorized.
+
+        F(t) = sum_j d_j (v_j + (s_j/2) d_j) with d_j = clip(t - k_j, 0, h_j):
+        segment j contributes nothing left of k_j and its whole integral
+        right of k_j + h_j.  No search: the cost is one pass over t per
+        segment, and the built-in f (the CLI offers only these) have one
+        (indicator) and two (triangle) segments.
+        """
         t = np.asarray(t, dtype=float)
-        ks, cum, vals, slopes = self._tables
-        idx = np.clip(np.searchsorted(ks, t, side="right") - 1, 0, len(ks) - 2)
-        d = np.clip(t - ks[idx], 0.0, None)
-        d = np.minimum(d, ks[idx + 1] - ks[idx])
-        if slopes is None:
-            out = cum[idx] + vals[idx] * d
-        else:
-            out = cum[idx] + vals[idx] * d + 0.5 * slopes[idx] * d * d
-        out = np.where(t <= ks[0], 0.0, np.where(t >= ks[-1], cum[-1], out))
+        out = None
+        for k, h, v, half_slope in self._segments:
+            d = np.clip(t - k, 0.0, h)
+            term = d * (v + half_slope * d)
+            if out is None:
+                out = term
+            else:
+                out += term
         return out if out.ndim else float(out)
 
 

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import const_table
 from oracles import (
@@ -81,6 +84,75 @@ def test_antiderivative_vectorized():
     assert out == pytest.approx([0.0, 0.125, 0.875, 1.0], abs=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "base",
+    [
+        lambda v: StepFunction([0, 1, 2], [1.0, v]),
+        lambda v: PiecewiseLinear([0, 1, 2], [0.0, v, 0.0]),
+    ],
+    ids=["step", "linear"],
+)
+def test_test_function_rejects_non_finite(base, bad):
+    # one bad value would reach F everywhere: each segment's value is
+    # multiplied by its d_j, which is 0 but not skipped outside the segment
+    with pytest.raises(ValueError, match="bounded f"):
+        TestFunction(base(bad))
+
+
+def exact_antiderivative(f: TestFunction, t: float) -> Fraction:
+    """Integral of f from its left knot to t, in rationals (rounded once to
+    a double for piecewise-linear f, as `integrate_pl` returns)."""
+    t = Fraction(t)
+    if isinstance(f.base, StepFunction):
+        bps = f.base.breakpoints
+        return sum(
+            Fraction(v) * max(Fraction(0), min(t, b2) - b1)
+            for v, b1, b2 in zip(f.base.values, bps, bps[1:])
+        )
+    return Fraction(integrate_pl(f.base, min(t, f.base.knots[0]), t))
+
+
+@st.composite
+def step_and_linear_functions(draw):
+    """A step or piecewise-linear f on 2-6 rational knots n/q.  The knots
+    are stored as the doubles nearest to them: those are the knots the
+    float antiderivative sees, so the oracle integrates the same f."""
+    q = draw(st.integers(1, 12))
+    nums = draw(st.lists(st.integers(-40, 40), min_size=2, max_size=6, unique=True))
+    knots = [Fraction(float(Fraction(n, q))) for n in sorted(nums)]
+    value = st.floats(-1e3, 1e3, allow_subnormal=False).map(
+        lambda v: v if abs(v) > 1e-9 else 0.0
+    )
+    if draw(st.booleans()):
+        n_values = len(knots) - 1
+        make = StepFunction
+    else:
+        n_values = len(knots)
+        make = PiecewiseLinear
+    values = draw(st.lists(value, min_size=n_values, max_size=n_values))
+    return TestFunction(make(knots, values))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(f=step_and_linear_functions(), data=st.data())
+def test_antiderivative_matches_exact_integrals(f, data):
+    lo, hi = f.support
+    inside = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=8))
+    outside = st.floats(hi, 2.0**20) | st.floats(-(2.0**20), lo)
+    far = data.draw(st.lists(outside, min_size=1, max_size=4))
+    probes = inside + [float(k) for k in f.knots] + far + [-(2.0**20), 2.0**20]
+    tol = 1e-14 * (hi - lo) * max(abs(v) for v in f.base.values)
+    got = f.antiderivative(np.array(probes))
+    assert got.shape == (len(probes),)
+    for t, from_array in zip(probes, got):
+        want = exact_antiderivative(f, t)
+        from_scalar = f.antiderivative(t)
+        assert isinstance(from_scalar, float)
+        assert abs(Fraction(from_scalar) - want) <= tol
+        assert abs(Fraction(float(from_array)) - want) <= tol
+
+
 def test_apply_shift_hand_value():
     # level 2 cell [0, 4): x = 2 sits in the third quarter, h there is 1,
     # the pairing with the indicator is -1/2, both Haar factors give 1/2
@@ -121,14 +193,53 @@ def test_apply_shift_touches_one_cell_per_level():
     assert 1 <= stats["intervals"] <= len(list(lv))
 
 
-def test_engine_matches_scalar_operator(hilbert_table):
-    f = triangle_function()
+THREE_CELLS = TestFunction(
+    StepFunction([-1, Fraction(1, 3), 1, Fraction(5, 2)], [0.5, -2.0, 1.25])
+)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [indicator_function(), triangle_function(), THREE_CELLS],
+    ids=["indicator", "triangle", "three-cells"],
+)
+def test_engine_matches_scalar_operator(hilbert_table, f):
+    """One draw per chunk, so chunk j is the scalar oracle's draw j: the
+    engine's per-draw totals must match apply_shift in sum and spread."""
     x = 0.37
     lv = LevelRange(-3, 8)
-    total, _ = accumulate_samples(5, 1, lv, _operator_terms(hilbert_table, f, x))
-    s = sample_grid(5, lv.n_min, lv.n_max)
-    scalar = apply_shift(s, hilbert_table, f, x, lv)
-    assert total == pytest.approx(scalar, rel=1e-9, abs=1e-12)
+    m = 16
+    total, m2 = accumulate_samples(
+        5, m, lv, _operator_terms(hilbert_table, f, x), chunk_size=1
+    )
+    draws = [sample_grid(5, lv.n_min, lv.n_max, index=j) for j in range(m)]
+    scalar = [apply_shift(s, hilbert_table, f, x, lv) for s in draws]
+    mean = sum(scalar) / m
+    spread = sum((v - mean) ** 2 for v in scalar)
+    assert total == pytest.approx(sum(scalar), rel=1e-9, abs=1e-12)
+    assert m2 == pytest.approx(spread, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "num_samples, chunk_size",
+    [(30_000, 1 << 12), (100, 1)],
+    ids=["partial-last-chunk", "one-draw-chunks"],
+)
+@pytest.mark.parametrize(
+    "f", [indicator_function(), triangle_function()], ids=["indicator", "triangle"]
+)
+def test_operator_accumulate_thread_invariant(
+    hilbert_table, f, num_samples, chunk_size
+):
+    term = _operator_terms(hilbert_table, f, 0.37)
+    levels = LevelRange(-3, 8)
+    a, b, c, d = (
+        accumulate_samples(
+            5, num_samples, levels, term, threads=t, chunk_size=chunk_size
+        )
+        for t in (1, 1, 2, 4)
+    )
+    assert a == b == c == d
 
 
 def test_apply_averaged_hilbert_indicator(hilbert_table):
