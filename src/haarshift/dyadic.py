@@ -54,7 +54,8 @@ __all__ = [
 
 # quarter values of the two generating step functions, as lookup arrays
 _H_VALUES = np.array(make_h().values)
-_G_VALUES = np.array(make_g().values)
+# g's quarter values with a 0 at each end, for points outside the cell
+_G_PADDED = np.concatenate([[0.0], make_g().values, [0.0]])
 
 # version of the draw order; bump it whenever the same seed draws differently
 STREAM_VERSION = 2
@@ -109,10 +110,6 @@ class Estimate:
 def _rng(seed: int, index: int) -> np.random.Generator:
     # counter-based: every index owns a disjoint 2^70-wide counter block
     return np.random.Generator(np.random.Philox(key=seed, counter=index << 70))
-
-
-def _quarter_index(t: np.ndarray) -> np.ndarray:
-    return np.minimum((t * 4.0).astype(np.int64), 3)
 
 
 def cutoff_for_tolerance(gamma_sup: float, tol: float) -> int:
@@ -170,7 +167,8 @@ def accumulate_samples(
     which keeps the variance stable when the totals sit far from zero and
     leaves the result independent of the thread count.
 
-    term_fn must be pure and vectorized over the draw axis.
+    term_fn must be pure and vectorized over the draw axis, and must not
+    keep the arrays it is handed: sigma is moved up a level in place.
     """
     if num_samples < 1:
         raise ValueError("need at least one draw")
@@ -189,7 +187,8 @@ def accumulate_samples(
             for row, n in enumerate(levels):
                 acc_block += term_fn(n, r_block, sigma_block)
                 if n < levels.n_max:
-                    sigma_block = 0.5 * (sigma_block + bits[row, block])
+                    sigma_block += bits[row, block]
+                    sigma_block *= 0.5
         chunk_sum = float(np.sum(acc))
         dev = acc - chunk_sum / count
         return count, chunk_sum, float(np.sum(dev * dev))
@@ -257,10 +256,17 @@ def shift_terms(table, x: float, pairing: Callable) -> Callable:
 
     def term(n: int, r: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         length = r * 2.0**n
-        px = x / length - sigma
+        px = x / length
+        px -= sigma
         k = np.floor(px)
-        vals = table.c_at(np.log(length)) * _H_VALUES[_quarter_index(px - k)]
-        return vals * pairing(k, sigma, length) / length
+        # 4 (px - k) is exact and lies in [0, 4): truncation is h's quarter
+        px -= k
+        px *= 4.0
+        vals = table.c_at(np.log(length))
+        vals *= _H_VALUES[px.astype(np.intp)]
+        vals *= pairing(k, sigma, length)
+        vals /= length
+        return vals
 
     return term
 
@@ -275,8 +281,15 @@ def kernel_sum_terms(table, x: float, y: float) -> Callable:
         raise ValueError("the kernel sum is undefined on the diagonal x = y")
 
     def pairing(k: np.ndarray, sigma: np.ndarray, length: np.ndarray) -> np.ndarray:
-        py = y / length - sigma
-        ty = np.clip(py - k, 0.0, 1.0)
-        return np.where(np.floor(py) == k, _G_VALUES[_quarter_index(ty)], 0.0)
+        # floor(4 py) - 4k, exact, is g's quarter when y shares x's cell,
+        # negative or >= 4 when not; clipped, it reads the padding's 0
+        quarter = y / length
+        quarter -= sigma
+        quarter *= 4.0
+        np.floor(quarter, out=quarter)
+        quarter -= 4.0 * k
+        np.clip(quarter, -1.0, 4.0, out=quarter)
+        quarter += 1.0
+        return _G_PADDED[quarter.astype(np.intp)]
 
     return shift_terms(table, x, pairing)

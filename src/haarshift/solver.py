@@ -176,14 +176,17 @@ class CoefficientTable:
 
         The cell is found by index arithmetic on the uniform grid, not by
         a search: with t = (u - u_min) / step clipped to [0, n - 1] and
-        j = floor(t),
+        j = t truncated,
 
             c = s[j] + (t - j) (s[j+1] - s[j]),
 
         the rise after the last sample taken as 0, so every grid node
         reads its sample exactly when u_min and step are dyadic.  Below
         grid[0] and above grid[-1] the tails apply, as np.interp's
-        left/right do; NaN gives NaN, and a scalar gives a float.
+        left/right do; NaN gives NaN, and a scalar gives a float.  The
+        clip comes before any product, so +-inf reads a tail with no
+        inf * 0, and the tail selection runs only when some u lies
+        outside the window or is NaN.
 
         Away from underflow, the result is within
 
@@ -194,14 +197,23 @@ class CoefficientTable:
         2^-52 n cells, and the lerp itself adds a few roundings.
         """
         u = np.asarray(u, dtype=float)
-        t = np.minimum(np.maximum((u - self.u_min) / self.step, 0.0), len(self.samples) - 1)
-        left = np.floor(t)
-        # fmax sends a NaN to index 0; t - left keeps the NaN
-        j = np.fmax(left, 0.0).astype(np.intp)
-        c = self.samples[j] + (t - left) * self._rises[j]
+        scalar = u.ndim == 0
+        if scalar:
+            u = u.reshape(1)
         grid = self.grid
-        out = np.where(u < grid[0], self.tail_left, np.where(u > grid[-1], self.tail_right, c))
-        return out if out.ndim else float(out)
+        # False when some u is NaN, as min and max propagate it
+        inside = not u.size or (u.min() >= grid[0] and u.max() <= grid[-1])
+        t = u - self.u_min
+        t /= self.step
+        np.clip(t, 0.0, len(self.samples) - 1, out=t)
+        # fmax sends a NaN to index 0; t - j keeps the NaN
+        j = (t if inside else np.fmax(t, 0.0)).astype(np.intp)
+        t -= j
+        t *= self._rises[j]
+        t += self.samples[j]
+        if not inside:
+            t = np.where(u < grid[0], self.tail_left, np.where(u > grid[-1], self.tail_right, t))
+        return float(t[0]) if scalar else t
 
 
 def gamma_at(table: CoefficientTable, r):

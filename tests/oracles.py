@@ -477,3 +477,66 @@ def apply_shift(s: GridSample, table, f, x: float, levels, stats=None) -> float:
         gamma = float(table.c_at(np.log(cell.length)))
         total += gamma * pairing * h_val / math.sqrt(cell.length)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the vectorized level term written out plainly, a fresh array per step:
+# the reference the library's in-place term must match bit for bit
+
+_H_ARRAY = np.array(_H_QUARTERS)
+_G_ARRAY = np.array(_G_QUARTERS)
+
+
+def _quarter_index(t: np.ndarray) -> np.ndarray:
+    return np.minimum((t * 4.0).astype(np.int64), 3)
+
+
+def reference_c_at(table, u: np.ndarray) -> np.ndarray:
+    """c(u): t = (u - u_min) / step clipped to [0, n - 1], j = floor(t),
+    s[j] + (t - j) (s[j+1] - s[j]), then the tails by comparing u with the
+    first and last grid nodes."""
+    s = table.samples
+    u = np.asarray(u, dtype=float)
+    t = np.minimum(np.maximum((u - table.u_min) / table.step, 0.0), len(s) - 1)
+    left = np.floor(t)
+    j = np.fmax(left, 0.0).astype(np.intp)
+    rises = np.diff(s, append=s[-1])
+    c = s[j] + (t - left) * rises[j]
+    first, last = table.u_min, table.u_min + table.step * (len(s) - 1)
+    return np.where(u < first, table.tail_left, np.where(u > last, table.tail_right, c))
+
+
+def reference_shift_terms(table, x: float, pairing):
+    """Level term gamma(|I|) h_I(x) <g_I, f> for the `accumulate_samples`
+    contract, given pairing(k, sigma, L) = sqrt(L) <g_I, f>."""
+
+    def term(n, r, sigma):
+        length = r * 2.0**n
+        px = x / length - sigma
+        k = np.floor(px)
+        vals = reference_c_at(table, np.log(length)) * _H_ARRAY[_quarter_index(px - k)]
+        return vals * pairing(k, sigma, length) / length
+
+    return term
+
+
+def reference_kernel_pairing(y: float):
+    """g_I(y), zero when y falls in another cell than the one indexed k."""
+
+    def pairing(k, sigma, length):
+        py = y / length - sigma
+        ty = np.clip(py - k, 0.0, 1.0)
+        return np.where(np.floor(py) == k, _G_ARRAY[_quarter_index(ty)], 0.0)
+
+    return pairing
+
+
+def reference_operator_pairing(f):
+    """sqrt(L) <g_I, f> as the four-point antiderivative combination."""
+    F = f.antiderivative
+
+    def pairing(k, sigma, length):
+        a = (k + sigma) * length
+        return F(a) - 2.0 * F(a + 0.25 * length) + 2.0 * F(a + 0.75 * length) - F(a + length)
+
+    return pairing

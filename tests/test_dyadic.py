@@ -4,24 +4,31 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import const_table
+from conftest import const_table, linear_table
 from oracles import (
     GridSample,
     fixed_grid,
     interval_containing,
     level_offset,
+    reference_kernel_pairing,
+    reference_operator_pairing,
+    reference_shift_terms,
     sample_chunk,
     sample_grid,
     shift_kernel_sum,
 )
 
 from haarshift import (
+    CoefficientTable,
     LevelRange,
     accumulate_samples,
     cutoff_for_tolerance,
+    indicator_function,
     tail_bound_value,
+    triangle_function,
 )
 from haarshift.dyadic import _TERM_BLOCK, kernel_sum_terms
+from haarshift.operators import _operator_terms
 
 
 ONES = const_table(1.0)
@@ -296,3 +303,56 @@ def test_variance_stable_far_from_zero():
     ln2 = math.log(2.0)
     want = 3.0 / (2.0 * ln2) - 1.0 / ln2**2
     assert m2 / (m - 1) == pytest.approx(want, rel=0.05)
+
+
+def _wavy_table():
+    """Non-constant samples on a non-dyadic step, tails apart from the end
+    samples."""
+    u_min, step, n = -3.1, 1.0 / 3.0, 16
+    grid = u_min + step * np.arange(n)
+    return CoefficientTable(
+        u_min=u_min,
+        u_max=u_min + step * (n - 1),
+        step=step,
+        samples=np.sin(2.0 * grid) + 0.3 * grid,
+        tail_left=0.7,
+        tail_right=-0.4,
+        residual_sup=0.0,
+        iterations=0,
+    )
+
+
+# both windows sit inside the log cell lengths of levels -6 .. 4, about
+# -4.2 .. 3.5, so the draws read both tails and the interior
+TERM_TABLES = {
+    "linear": linear_table(0.8, -1.3, u_min=-2.0, u_max=2.5),
+    "wavy": _wavy_table(),
+}
+
+
+@pytest.mark.parametrize(
+    "num_samples, chunk_size",
+    [(300, 1), (_TERM_BLOCK + 300, 1 << 17)],
+    ids=["one-draw-chunks", "beyond-one-term-block"],
+)
+@pytest.mark.parametrize("table_name", sorted(TERM_TABLES))
+@pytest.mark.parametrize("route", ["kernel-sum", "indicator", "triangle"])
+def test_level_term_matches_reference_bit_for_bit(route, table_name, num_samples, chunk_size):
+    """The in-place level term computes what the plainly written reference
+    computes, draw by draw: (sum, M2) agree bit for bit."""
+    table = TERM_TABLES[table_name]
+    levels = LevelRange(-6, 4)
+    # x is 0.02 from a knot of either f, so cells short enough to read the
+    # left tail still pair to nonzero values
+    x = 0.98
+    if route == "kernel-sum":
+        cases = [
+            (kernel_sum_terms(table, x, y), reference_kernel_pairing(y)) for y in (0.96, 0.21, -1.9)
+        ]
+    else:
+        f = indicator_function() if route == "indicator" else triangle_function()
+        cases = [(_operator_terms(table, f, x), reference_operator_pairing(f))]
+    for term, pairing in cases:
+        want = reference_shift_terms(table, x, pairing)
+        got = accumulate_samples(17, num_samples, levels, term, chunk_size=chunk_size)
+        assert got == accumulate_samples(17, num_samples, levels, want, chunk_size=chunk_size)

@@ -178,6 +178,9 @@ def test_c_at_matches_np_interp(table, data):
     assert np.all(got[below] == table.tail_left)
     assert np.all(got[above] == table.tail_right)
     assert np.array_equal(got[below | above], want[below | above])
+    # probes all inside the window skip the tail selection, same values
+    inner = ~(nan | below | above)
+    assert np.array_equal(table.c_at(probes[inner]), got[inner])
 
     if table.step in DYADIC_STEPS and table.u_min == round(table.u_min * 16) / 16:
         assert np.array_equal(table.c_at(grid), s)
