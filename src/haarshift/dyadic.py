@@ -24,10 +24,15 @@ mass at y.
 
 Draw order is part of the reproducibility contract, and `STREAM_VERSION`
 names it; the CLI records it as `versions.stream` in its JSON outputs.
-Stream 2 draws, per chunk, the dilation first, then the floor shift sigma,
-then the bit rows from low level to high, as unsigned bytes.  Stream 1
-(outputs without `versions.stream`) built sigma from 52 further bit rows
-below the floor instead of drawing it.
+Stream 3 draws, per chunk, the dilation first, then the floor shift sigma,
+then the bit rows from low level to high out of the generator's raw 64-bit
+words: bit i of the (level, draw) array, in row-major order, is bit
+i mod 64 of word i div 64, the same on every platform, and
+`levels_for_distance` puts the floor at floor(log2 dist) exactly.  Stream 2
+drew the bit rows as unsigned bytes with `Generator.integers` and started
+one level lower, at a level that never contributes.  Stream 1 (outputs
+without `versions.stream`) built sigma from 52 further bit rows below the
+floor instead of drawing it.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ _H_VALUES = np.array(make_h().values)
 _G_PADDED = np.concatenate([[0.0], make_g().values, [0.0]])
 
 # version of the draw order; bump it whenever the same seed draws differently
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 DEFAULT_CHUNK = 1 << 17
 
@@ -135,11 +140,16 @@ def tail_bound_value(gamma_sup: float, n_cutoff: int) -> float:
 def levels_for_distance(dist: float, gamma_sup: float, tol_tail: float) -> LevelRange:
     """Admitted levels for a probe `dist` away from the nearest feature.
 
-    Cells below level floor(log2 dist) - 1 are shorter than dist, so they
-    contribute nothing; the ceiling is the cutoff for `tol_tail`.
+    The floor is n_min = floor(log2 dist), exact through `math.frexp`: a
+    level-n cell is r 2^n < 2^(n+1) long, so every cell below n_min is
+    shorter than 2^n_min <= dist and contributes nothing.  The ceiling is
+    the cutoff for `tol_tail`.
     """
+    if not 0.0 < dist < math.inf:
+        raise ValueError(f"need a positive finite distance, got {dist!r}")
     n_cut = cutoff_for_tolerance(gamma_sup, tol_tail)
-    n_min = math.floor(math.log2(dist)) - 1
+    # dist = m 2^e with m in [1/2, 1)
+    n_min = math.frexp(dist)[1] - 1
     return LevelRange(n_min, max(n_cut - 1, n_min))
 
 
@@ -157,10 +167,10 @@ def accumulate_samples(
     ``levels.n_min``, calls ``term_fn(n, r, sigma)`` at every admitted level
     and moves sigma up a level by the halving recursion
     sigma_{n+1} = (sigma_n + bit_n)/2.  A chunk draws r, then sigma, then
-    the ``n_max - n_min`` bit rows (stream `STREAM_VERSION`), and hands
-    term_fn its draws in blocks of at most 32768.  Returns (sum, M2) of the
-    per-draw totals, M2 being the sum of their squared deviations from the
-    mean.
+    the ``n_max - n_min`` bit rows from raw 64-bit words, read
+    little-endian (stream `STREAM_VERSION`), and hands term_fn its draws
+    in blocks of at most 32768.  Returns (sum, M2) of the per-draw
+    totals, M2 being the sum of their squared deviations from the mean.
 
     Each chunk reduces to (count, sum, M2); the chunks are merged in chunk
     order by M2 = sum M2_i + sum n_i (mean_i - mean)^2 with exact summation,
@@ -177,9 +187,11 @@ def accumulate_samples(
         rng = _rng(seed, chunk_index)
         r = np.exp2(rng.random(count))
         sigma = rng.random(count)
-        bits = rng.integers(
-            0, 2, size=(levels.n_max - levels.n_min, count), dtype=np.uint8
-        )
+        n_bits = (levels.n_max - levels.n_min) * count
+        words = rng.bit_generator.random_raw(-(-n_bits // 64))
+        bits = np.unpackbits(
+            words.astype("<u8", copy=False).view(np.uint8), count=n_bits, bitorder="little"
+        ).reshape(-1, count)
         acc = np.zeros(count)
         for start in range(0, count, _TERM_BLOCK):
             block = slice(start, start + _TERM_BLOCK)

@@ -306,8 +306,9 @@ def solve_c(
     # tol / NORM_CONSTANT, and at least over the window
     kept = np.flatnonzero(np.abs(f) > tol / NORM_CONSTANT)
     if kept.size:
-        lo = max(min(kept[0], n_left), margin)
-        hi = min(max(kept[-1], n_left + n_window), len(grid) - 1 - margin)
+        # Python ints: _fft_length takes bit lengths
+        lo = max(min(int(kept[0]), n_left), margin)
+        hi = min(max(int(kept[-1]), n_left + n_window), len(grid) - 1 - margin)
         # taper over the margin outside [lo, hi]: there |f| is below the
         # trim threshold or the grid point is past the reach
         piece = f[lo - margin : hi + margin + 1]

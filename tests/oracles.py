@@ -362,14 +362,18 @@ def sample_chunk(
 
     Chunk `index` owns the 2^70-wide Philox counter block starting at
     index << 70, and takes every r first, then every sigma, then the bit
-    rows from low level to high.
+    rows from low level to high (stream 3): bit i of the rows, laid out
+    level after level, is bit i % 64 of raw 64-bit word i // 64.
     """
     if i_min >= n_max:
         raise ValueError("need i_min < n_max")
     rng = np.random.Generator(np.random.Philox(key=seed, counter=index << 70))
     rs = np.exp2(rng.random(count))
     sigmas = rng.random(count)
-    bits = rng.integers(0, 2, size=(n_max - i_min, count), dtype=np.uint8)
+    i = np.arange((n_max - i_min) * count)
+    words = rng.bit_generator.random_raw(-(-i.size // 64))
+    bits = (words[i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)
+    bits = bits.astype(np.uint8).reshape(n_max - i_min, count)
     return [
         GridSample(
             r=float(rs[j]),

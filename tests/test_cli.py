@@ -57,6 +57,17 @@ def test_solve_conjugate_poisson_sidecar(tmp_path, capsys):
     assert meta["max_change_ratio"] == 0.0
 
 
+def test_solve_narrow_window(tmp_path):
+    # a window narrower than the default trims the kept source on both sides
+    base = tmp_path / "cp6"
+    rc = cli.main(
+        ["solve", "--kernel", "conjugate-poisson", "--window", "-6", "6", "--out", str(base)]
+    )
+    assert rc == 0
+    table = read_table(base)
+    assert (table.u_min, table.u_max) == (-6.0, 6.0)
+
+
 def test_verify_default_probes(hilbert_base, capsys):
     rc = cli.main(["verify", "--table", hilbert_base, "--kernel", "hilbert"])
     assert rc == 0

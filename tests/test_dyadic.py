@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import const_table, linear_table
 from oracles import (
@@ -24,6 +26,7 @@ from haarshift import (
     accumulate_samples,
     cutoff_for_tolerance,
     indicator_function,
+    levels_for_distance,
     tail_bound_value,
     triangle_function,
 )
@@ -215,6 +218,29 @@ def test_cutoff_for_tolerance():
     assert cutoff_for_tolerance(0.0, 1e-4) == 1
     with pytest.raises(ValueError):
         cutoff_for_tolerance(1.0, 0.0)
+
+
+# powers of two, and their neighbours one ulp below and above
+POWERS_AND_NEIGHBOURS = st.tuples(st.integers(-1000, 1000), st.sampled_from((-1, 0, 1))).map(
+    lambda p: math.nextafter(2.0 ** p[0], p[1] * math.inf) if p[1] else 2.0 ** p[0]
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(dist=st.one_of(st.floats(2.0**-1000, 2.0**1000), POWERS_AND_NEIGHBOURS))
+def test_level_floor_is_exact(dist):
+    """Every cell below the floor is shorter than dist, for every dilation
+    r < 2, and the floor level's longest cells are not."""
+    n_min = levels_for_distance(dist, 1.0, 1e-4).n_min
+    below_two = math.nextafter(2.0, 0.0)
+    assert below_two * 2.0 ** (n_min - 1) < dist
+    assert 2.0 ** (n_min + 1) > dist
+
+
+@pytest.mark.parametrize("dist", [0.0, -1.0, math.inf, math.nan])
+def test_level_floor_needs_positive_finite_distance(dist):
+    with pytest.raises(ValueError, match="positive finite distance"):
+        levels_for_distance(dist, 1.0, 1e-4)
 
 
 def test_accumulate_rejects_empty():

@@ -142,7 +142,8 @@ def test_mc_deterministic(hilbert_table):
 
 def test_mc_levels_and_tail(hilbert_table):
     est = mc_estimate(hilbert_table, 0.7, 0.0, num_samples=10, tol_tail=1e-4)
-    assert est.levels.n_min == math.floor(math.log2(0.7)) - 1
+    # the floor is floor(log2 0.7) = -1: level -2 cells are shorter than 0.7
+    assert est.levels.n_min == -1
     assert est.tail_bound <= 1e-4
     sup = hilbert_table.sup_norm()
     assert est.tail_bound == pytest.approx(

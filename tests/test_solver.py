@@ -237,6 +237,21 @@ def test_solver_input_validation():
             solve_c(spec, tol=tol)
 
 
+@pytest.mark.parametrize("window", [(-6.0, 6.0), (-3.0, 5.0)])
+@pytest.mark.parametrize("fixture", ["cp_table", "smoothed_table"])
+def test_narrow_window_matches_default_window(fixture, window, request):
+    """A window narrower than the default trims the kept source on both
+    sides; on the overlap the table agrees with the default window's
+    within tol."""
+    full = request.getfixturevalue(fixture)
+    tol = 1e-8
+    table = solve_c(get_kernel(full.kernel_name), window=window, step=full.step, tol=tol)
+    j = round((window[0] - full.u_min) / full.step)
+    overlap = slice(j, j + len(table.samples))
+    assert np.array_equal(table.grid, full.grid[overlap])
+    assert np.max(np.abs(table.samples - full.samples[overlap])) <= tol
+
+
 def test_solver_rejects_non_finite_source():
     bad = KernelSpec(
         name="poisoned",
