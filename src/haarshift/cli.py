@@ -131,8 +131,7 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     spec = get_kernel(args.kernel)
     table = read_table(args.table)
-    report = compare_report(spec, table, args.probes, rtol=args.rtol)
-    payload = report.to_dict()
+    payload = compare_report(spec, table, args.probes, rtol=args.rtol)
     payload.update(_provenance(args))
     _emit(payload, args.out)
     return 0
@@ -200,7 +199,10 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_adiag(args) -> int:
-    count = int(round(args.omega_max / args.step))
+    count = args.omega_max / args.step
+    if not math.isfinite(count):
+        raise ValueError(f"scan count omega_max / step = {count} is not finite")
+    count = int(round(count))
     best = math.inf
     writer = None
     fh = None
@@ -260,7 +262,7 @@ def build_parser() -> _Parser:
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--samples", type=_positive_int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tail-tol", type=float, default=1e-4)
+    p.add_argument("--tail-tol", type=_positive_float, default=1e-4)
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count())
     p.add_argument("--out")
     p.set_defaults(func=_cmd_mc)
@@ -273,7 +275,7 @@ def build_parser() -> _Parser:
                    help="comma-separated probe points")
     p.add_argument("--samples", type=_positive_int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tail-tol", type=float, default=1e-4)
+    p.add_argument("--tail-tol", type=_positive_float, default=1e-4)
     p.add_argument("--threads", type=_positive_int, default=os.cpu_count())
     p.add_argument("--out", help="CSV path (JSON provenance sidecar alongside)")
     p.set_defaults(func=_cmd_apply)

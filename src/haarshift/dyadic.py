@@ -47,7 +47,6 @@ import numpy as np
 from .piecewise import make_g, make_h
 
 __all__ = [
-    "LevelRange",
     "Estimate",
     "cutoff_for_tolerance",
     "tail_bound_value",
@@ -72,21 +71,6 @@ DEFAULT_CHUNK = 1 << 17
 _TERM_BLOCK = 1 << 15
 
 
-@dataclass(frozen=True)
-class LevelRange:
-    """Inclusive range of admitted levels; cell length at level n is r 2^n."""
-
-    n_min: int
-    n_max: int
-
-    def __post_init__(self):
-        if self.n_min > self.n_max:
-            raise ValueError("need n_min <= n_max")
-
-    def __iter__(self):
-        return iter(range(self.n_min, self.n_max + 1))
-
-
 @dataclass
 class Estimate:
     """Monte-Carlo estimate at one probe x, with its stderr and tail bound."""
@@ -97,7 +81,7 @@ class Estimate:
     tail_bound: float
     num_samples: int
     seed: int
-    levels: LevelRange
+    levels: range  # admitted levels; cell length at level n is r 2^n
 
     def to_dict(self) -> dict:
         return {
@@ -107,8 +91,8 @@ class Estimate:
             "tail_bound": self.tail_bound,
             "M": self.num_samples,
             "seed": self.seed,
-            "n_min": self.levels.n_min,
-            "n_max": self.levels.n_max,
+            "n_min": self.levels.start,
+            "n_max": self.levels[-1],
         }
 
 
@@ -125,8 +109,8 @@ def cutoff_for_tolerance(gamma_sup: float, tol: float) -> int:
     per level contains a given point and sum of 1/length over those cells
     telescopes to at most 2^(1-N).
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if gamma_sup == 0:
         return 1
     return 1 + max(0, math.ceil(math.log2(14.0 * gamma_sup / tol)))
@@ -137,37 +121,38 @@ def tail_bound_value(gamma_sup: float, n_cutoff: int) -> float:
     return 14.0 * gamma_sup * 2.0 ** (1 - n_cutoff)
 
 
-def levels_for_distance(dist: float, gamma_sup: float, tol_tail: float) -> LevelRange:
+def levels_for_distance(dist: float, gamma_sup: float, tol_tail: float) -> range:
     """Admitted levels for a probe `dist` away from the nearest feature.
 
     The floor is n_min = floor(log2 dist), exact through `math.frexp`: a
     level-n cell is r 2^n < 2^(n+1) long, so every cell below n_min is
-    shorter than 2^n_min <= dist and contributes nothing.  The ceiling is
-    the cutoff for `tol_tail`.
+    shorter than 2^n_min <= dist and contributes nothing.  The levels stop
+    below the cutoff for `tol_tail`, and hold at least the floor.
     """
     if not 0.0 < dist < math.inf:
         raise ValueError(f"need a positive finite distance, got {dist!r}")
     n_cut = cutoff_for_tolerance(gamma_sup, tol_tail)
     # dist = m 2^e with m in [1/2, 1)
     n_min = math.frexp(dist)[1] - 1
-    return LevelRange(n_min, max(n_cut - 1, n_min))
+    return range(n_min, max(n_cut, n_min + 1))
 
 
 def accumulate_samples(
     seed: int,
     num_samples: int,
-    levels: LevelRange,
+    levels: range,
     term_fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
     threads: int | None = None,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> tuple[float, float]:
     """Chunked Monte-Carlo accumulation of per-draw level sums.
 
-    For each draw, takes the fractional lattice shift sigma uniform at
-    ``levels.n_min``, calls ``term_fn(n, r, sigma)`` at every admitted level
-    and moves sigma up a level by the halving recursion
-    sigma_{n+1} = (sigma_n + bit_n)/2.  A chunk draws r, then sigma, then
-    the ``n_max - n_min`` bit rows from raw 64-bit words, read
+    For each draw, takes the fractional lattice shift sigma uniform at the
+    lowest level of ``levels``, a nonempty range of consecutive levels,
+    calls ``term_fn(n, r, sigma)`` at every level in it and moves sigma up
+    a level by the halving recursion sigma_{n+1} = (sigma_n + bit_n)/2.  A
+    chunk draws r, then sigma, then one bit row per level below the top
+    one from raw 64-bit words, read
     little-endian (stream `STREAM_VERSION`), and hands term_fn its draws
     in blocks of at most 32768.  Returns (sum, M2) of the per-draw
     totals, M2 being the sum of their squared deviations from the mean.
@@ -182,12 +167,15 @@ def accumulate_samples(
     """
     if num_samples < 1:
         raise ValueError("need at least one draw")
+    if not levels or levels.step != 1:
+        raise ValueError(f"need a nonempty range of consecutive levels, got {levels!r}")
+    n_rows = len(levels) - 1
 
     def run_chunk(chunk_index: int, count: int) -> tuple[int, float, float]:
         rng = _rng(seed, chunk_index)
         r = np.exp2(rng.random(count))
         sigma = rng.random(count)
-        n_bits = (levels.n_max - levels.n_min) * count
+        n_bits = n_rows * count
         words = rng.bit_generator.random_raw(-(-n_bits // 64))
         bits = np.unpackbits(
             words.astype("<u8", copy=False).view(np.uint8), count=n_bits, bitorder="little"
@@ -198,7 +186,7 @@ def accumulate_samples(
             r_block, sigma_block, acc_block = r[block], sigma[block], acc[block]
             for row, n in enumerate(levels):
                 acc_block += term_fn(n, r_block, sigma_block)
-                if n < levels.n_max:
+                if row < n_rows:
                     sigma_block += bits[row, block]
                     sigma_block *= 0.5
         chunk_sum = float(np.sum(acc))
@@ -227,7 +215,7 @@ def accumulate_samples(
 def estimate(
     x: float,
     term_fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
-    levels: LevelRange,
+    levels: range,
     gamma_sup: float,
     num_samples: int,
     seed: int = 0,
@@ -250,7 +238,7 @@ def estimate(
         x=x,
         mean=ln2 * total / num_samples,
         stderr=stderr,
-        tail_bound=tail_bound_value(gamma_sup, levels.n_max + 1),
+        tail_bound=tail_bound_value(gamma_sup, levels.stop),
         num_samples=num_samples,
         seed=seed,
         levels=levels,

@@ -153,7 +153,6 @@ def apply_averaged(
     seed: int = 0,
     tol_tail: float = 1e-4,
     threads: int | None = None,
-    levels: dyadic.LevelRange | None = None,
 ) -> list[dyadic.Estimate]:
     """Average the operator over grid draws at each probe.
 
@@ -166,14 +165,12 @@ def apply_averaged(
     out = []
     for x in xs:
         x = float(x)
-        lv = levels
-        if lv is None:
-            dist = min(abs(x - float(k)) for k in f.knots)
-            if dist < 2.0**-40:
-                raise ValueError(
-                    "probe coincides with a knot of f; the level range is unbounded there"
-                )
-            lv = dyadic.levels_for_distance(dist, gamma_sup, tol_tail)
+        dist = min(abs(x - float(k)) for k in f.knots)
+        if dist < 2.0**-40:
+            raise ValueError(
+                "probe coincides with a knot of f; the level range is unbounded there"
+            )
+        lv = dyadic.levels_for_distance(dist, gamma_sup, tol_tail)
         term = _operator_terms(table, f, x)
         out.append(
             dyadic.estimate(x, term, lv, gamma_sup, num_samples, seed=seed, threads=threads)

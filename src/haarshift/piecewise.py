@@ -19,14 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "StepFunction",
     "PiecewiseLinear",
-    "DiracComb",
     "make_h",
     "make_g",
     "reflect",
@@ -85,10 +84,6 @@ class StepFunction:
         out = np.where(inside, self._val_array[np.clip(idx, 0, len(self.values) - 1)], 0.0)
         return out if out.ndim else float(out)
 
-    @property
-    def support(self) -> tuple[Fraction, Fraction]:
-        return self.breakpoints[0], self.breakpoints[-1]
-
 
 @dataclass(frozen=True)
 class PiecewiseLinear:
@@ -134,10 +129,6 @@ class PiecewiseLinear:
         )
         return out if out.ndim else float(out)
 
-    @property
-    def support(self) -> tuple[Fraction, Fraction]:
-        return self.knots[0], self.knots[-1]
-
     def slopes(self) -> list[Fraction]:
         """Exact slope on each knot interval."""
         return [
@@ -146,21 +137,6 @@ class PiecewiseLinear:
                 self.values, self.values[1:], self.knots, self.knots[1:]
             )
         ]
-
-
-@dataclass(frozen=True)
-class DiracComb:
-    """Finite list of point masses (location, weight), locations increasing."""
-
-    atoms: tuple[tuple[Fraction, Fraction], ...]
-
-    def __init__(self, atoms: Iterable[tuple[Rational, Rational]]):
-        ats = tuple((_as_fraction(a), _as_fraction(w)) for a, w in atoms)
-        if any(a1 >= a2 for (a1, _), (a2, _) in zip(ats, ats[1:])):
-            raise ValueError("atom locations must be strictly increasing")
-        if any(w == 0 for _, w in ats):
-            raise ValueError("atom weights must be nonzero")
-        object.__setattr__(self, "atoms", ats)
 
 
 # the two generating step functions on [0, 1], in quarters
@@ -225,8 +201,9 @@ def kernel_profile() -> PiecewiseLinear:
 
 def second_derivative_atoms(
     p: PiecewiseLinear, positive_axis_only: bool = False
-) -> DiracComb:
-    """Distributional second derivative of a piecewise-linear function.
+) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Distributional second derivative of a piecewise-linear function, as
+    exact (location, weight) atoms in increasing location.
 
     Each knot where the slope jumps contributes an atom of weight
     (right slope - left slope); the slope outside the support is zero, so
@@ -239,4 +216,4 @@ def second_derivative_atoms(
         jump = s_right - s_left
         if jump != 0 and (not positive_axis_only or knot > 0):
             atoms.append((knot, jump))
-    return DiracComb(atoms)
+    return tuple(atoms)

@@ -22,7 +22,6 @@ Both are compared against the kernel evaluators in reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,11 +34,14 @@ __all__ = [
     "reconstruct_at",
     "mc_estimate",
     "compare_report",
-    "CompareReport",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
+
+# pending panels past which reconstruct_at revises its scale; solved tables
+# of the built-in kernels keep a few hundred at most
+_PENDING_CAP = 1 << 12
 
 _PROFILE = kernel_profile()
 # positive-axis knots of the profile, as floats, for quadrature panels
@@ -64,9 +66,12 @@ def reconstruct_at(table: CoefficientTable, x: float, rtol: float = 1e-8) -> flo
     panel and evaluates all the halves at once.  A panel is accepted when
     its two halves agree with its own estimate within rtol times the
     overall scale (or it is narrower than 1e-13), and the accepted halves
-    are summed with math.fsum.  The integrand's only roughness is the kink
-    chain the table's linear interpolation imprints on gamma(x/s), which
-    bisection resolves.  rtol must be at least the double-precision
+    are summed with math.fsum.  The scale is the magnitude of the first
+    estimates, grown to that of the halves once more than 4096 panels are
+    pending: a first estimate that misses a narrow feature of the table
+    would otherwise split without end.  The integrand's only roughness is
+    the kink chain the table's linear interpolation imprints on gamma(x/s),
+    which bisection resolves.  rtol must be at least the double-precision
     epsilon 2^-52.
     """
     if x <= 0:
@@ -85,6 +90,8 @@ def reconstruct_at(table: CoefficientTable, x: float, rtol: float = 1e-8) -> flo
         halves = _panels(table, x, np.concatenate([a, mid]), np.concatenate([mid, b]))
         e1, e2 = halves[: a.size], halves[a.size :]
         both = e1 + e2
+        if a.size > _PENDING_CAP:
+            scale = max(scale, float(np.sum(np.abs(both))))
         done = (np.abs(both - est) < rtol * scale) | ((b - a) < 1e-13)
         parts += both[done].tolist()
         split = ~done
@@ -116,26 +123,14 @@ def mc_estimate(
     )
 
 
-@dataclass
-class CompareReport:
-    """Reconstruction versus the kernel evaluator over probe points."""
-
-    kernel_name: str
-    probes: list = field(default_factory=list)  # rows: {x, K, Khat, rel_err}
-    max_rel_err: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "kernel": self.kernel_name,
-            "probes": self.probes,
-            "max_rel_err": self.max_rel_err,
-        }
-
-
 def compare_report(
     spec: KernelSpec, table: CoefficientTable, probe_xs, rtol: float = 1e-8
-) -> CompareReport:
-    """Reconstruct at each positive probe and tabulate relative errors."""
+) -> dict:
+    """Reconstruct at each positive probe and tabulate relative errors.
+
+    Returns {"kernel", "probes", "max_rel_err"}, the rows of "probes" being
+    {"x", "K", "Khat", "rel_err"}: the report `verify` prints.
+    """
     rows = []
     worst = 0.0
     for x in np.asarray(probe_xs, dtype=float):
@@ -146,4 +141,4 @@ def compare_report(
         rel = abs(k_hat - k_true) / abs(k_true) if k_true != 0 else abs(k_hat)
         rows.append({"x": float(x), "K": k_true, "Khat": k_hat, "rel_err": rel})
         worst = max(worst, rel)
-    return CompareReport(kernel_name=spec.name, probes=rows, max_rel_err=worst)
+    return {"kernel": spec.name, "probes": rows, "max_rel_err": worst}

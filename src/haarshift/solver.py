@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import KernelSpec, m_of
+from .kernels import GENERIC_GUARD, KernelSpec, m_of
 from .piecewise import kernel_profile, second_derivative_atoms
 
 __all__ = [
@@ -62,9 +62,7 @@ __all__ = [
     "SolverError",
     "solve_c",
     "residual",
-    "gamma_at",
     "a_of_omega",
-    "min_modulus_scan",
     "write_table",
     "read_table",
     "RECURSION",
@@ -76,7 +74,7 @@ __all__ = [
 # at u + ln(1/t) with weight w t^2
 _TERMS = [
     (1 / t, w * t * t)
-    for t, w in second_derivative_atoms(kernel_profile(), positive_axis_only=True).atoms
+    for t, w in second_derivative_atoms(kernel_profile(), positive_axis_only=True)
 ]
 # (shift, weight) pairs of the recursion m(u) = sum w c(u + shift)
 RECURSION = tuple((math.log(q), float(w)) for q, w in _TERMS)
@@ -122,6 +120,9 @@ def _fft_length(n: int) -> int:
 
 class SolverError(RuntimeError):
     """Raised when the source term cannot be solved for."""
+
+
+_HYPOTHESIS = "the representation needs x^3 K''(x) bounded"
 
 
 @dataclass
@@ -216,17 +217,8 @@ class CoefficientTable:
         return float(t[0]) if scalar else t
 
 
-def gamma_at(table: CoefficientTable, r):
-    """gamma(r) = c(ln r) for r > 0."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("gamma is defined for positive interval lengths only")
-    out = table.c_at(np.log(r))
-    return out if np.ndim(out) else float(out)
-
-
 def _detect_tail(mfun, u_edge: float, direction: int) -> tuple[bool, float]:
-    """Probe m for a flat limit just inside the padded edge."""
+    """Probe m for a flat limit just inside u_edge."""
     probes = u_edge - direction * np.array([0.0, 0.5, 1.0, 2.0])
     vals = np.asarray(mfun(probes), dtype=float)
     flat = np.all(np.abs(vals - vals[0]) <= 1e-9 * (1.0 + np.abs(vals[0])))
@@ -262,7 +254,11 @@ def solve_c(
     Raises
     ------
     SolverError
-        If m is not finite on the padded window.
+        If the source term breaks the paper's hypothesis that x^3 K''(x)
+        is bounded: m is not finite on the padded window, or the grid
+        passes the generic route's guard (|u| > GENERIC_GUARD, a kernel
+        without m_eval) and m has not settled there to the limit that the
+        route holds beyond it.
     """
     u_min, u_max = float(window[0]), float(window[1])
     if not -math.inf < u_min < u_max < math.inf:
@@ -288,10 +284,20 @@ def solve_c(
 
     m = np.asarray(mfun(grid), dtype=float)
     if not np.all(np.isfinite(m)):
-        raise SolverError("source term m is not finite on the padded window")
+        raise SolverError(f"source term m is not finite on the padded window: {_HYPOTHESIS}")
 
-    flat_l, m_left = _detect_tail(mfun, grid[0], direction=-1)
-    flat_r, m_right = _detect_tail(mfun, grid[-1], direction=+1)
+    # the generic route holds m at its value at the guard beyond it, so
+    # where the grid passes the guard the tail is read there and must be flat
+    reach = GENERIC_GUARD if spec.m_eval is None else math.inf
+    edge_l, edge_r = max(grid[0], -reach), min(grid[-1], reach)
+    flat_l, m_left = _detect_tail(mfun, edge_l, direction=-1)
+    flat_r, m_right = _detect_tail(mfun, edge_r, direction=+1)
+    if not (flat_l or edge_l == grid[0]) or not (flat_r or edge_r == grid[-1]):
+        raise SolverError(
+            f"m(u) = x^3 K''(x) at x = e^u has not settled by |u| = {reach:g}, the "
+            f"generic route's guard, which the padded window passes: {_HYPOTHESIS}, "
+            "with a limit the generic route reaches; supply m_eval"
+        )
     # b steps between the solutions for constant m, m / a(0) = -(4/3) m
     b_left, b_right = m_left / _A_ZERO, m_right / _A_ZERO
     centre = 0.5 * (u_min + u_max)
@@ -379,13 +385,6 @@ def modulus_chunks(size: int, omega_at: Callable[[np.ndarray], np.ndarray]):
         yield omega, np.abs(a_of_omega(omega))
 
 
-def min_modulus_scan(omega_grid) -> float:
-    """Minimum of |a(omega)| over a grid, evaluated in chunks."""
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    chunks = modulus_chunks(omega_grid.size, omega_grid.__getitem__)
-    return min((float(np.min(mod)) for _, mod in chunks), default=np.inf)
-
-
 # ---------------------------------------------------------------------------
 # serialization: CSV table plus JSON sidecar
 
@@ -426,7 +425,8 @@ def write_table(table: CoefficientTable, base_path: str | Path, extra: dict | No
 def read_table(base_path: str | Path) -> CoefficientTable:
     """Read a table written by `write_table`."""
     base = Path(base_path)
-    with open(base.with_suffix(".json")) as fh:
+    json_path = base.with_suffix(".json")
+    with open(json_path) as fh:
         meta = json.load(fh)
     csv_path = base.with_suffix(".csv")
     with open(csv_path, newline="") as fh:
@@ -434,15 +434,18 @@ def read_table(base_path: str | Path) -> CoefficientTable:
     if header[:2] != ["u", "c"]:
         raise ValueError(f"unexpected table header {header!r}")
     samples = np.loadtxt(csv_path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
-    return CoefficientTable(
-        u_min=float(meta["u_min"]),
-        u_max=float(meta["u_max"]),
-        step=float(meta["step"]),
-        samples=samples,
-        tail_left=float(meta["tail_left"]),
-        tail_right=float(meta["tail_right"]),
-        residual_sup=float(meta["residual_sup"]),
-        iterations=int(meta["iterations"]),
-        kernel_name=str(meta.get("kernel_name", "")),
-        max_change_ratio=float(meta.get("max_change_ratio", 0.0)),
-    )
+    try:
+        return CoefficientTable(
+            u_min=float(meta["u_min"]),
+            u_max=float(meta["u_max"]),
+            step=float(meta["step"]),
+            samples=samples,
+            tail_left=float(meta["tail_left"]),
+            tail_right=float(meta["tail_right"]),
+            residual_sup=float(meta["residual_sup"]),
+            iterations=int(meta["iterations"]),
+            kernel_name=str(meta.get("kernel_name", "")),
+            max_change_ratio=float(meta.get("max_change_ratio", 0.0)),
+        )
+    except KeyError as exc:
+        raise ValueError(f"table sidecar {json_path} has no field {exc.args[0]!r}") from None

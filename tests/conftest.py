@@ -51,7 +51,7 @@ def tent_m(u):
 def tent_spec() -> KernelSpec:
     # driven purely through m_eval; the kernel evaluators are never touched
     # by the solver, so there is no kernel to supply
-    return KernelSpec(name="synthetic-tent", k=None, k1=None, k2=None, m_eval=tent_m)
+    return KernelSpec(name="synthetic-tent", k=None, k2=None, m_eval=tent_m)
 
 
 @pytest.fixture(scope="session")

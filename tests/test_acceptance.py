@@ -30,12 +30,12 @@ from haarshift import (
     make_g,
     make_h,
     mc_estimate,
-    min_modulus_scan,
     reconstruct_at,
     reflect,
     second_derivative_atoms,
     solve_c,
 )
+from haarshift.solver import modulus_chunks
 
 _TABLES: dict = {}
 
@@ -58,7 +58,7 @@ def test_criterion_1_profile_curvature_atoms():
         (Fraction(3, 4), Fraction(-22)),
         (Fraction(1), Fraction(7)),
     )
-    assert atoms.atoms == expected
+    assert atoms == expected
     # the solver derives its recursion from these atoms: weight w t^2 at
     # shift ln(1/t), bit for bit, and its constants in exact arithmetic
     assert RECURSION == (
@@ -78,7 +78,8 @@ def test_criterion_2_dominance_and_symbol_modulus():
     dominant = Fraction(99, 8)
     rest = Fraction(1, 8) + Fraction(9, 2) + Fraction(7)
     assert dominant > rest
-    low = min_modulus_scan(np.arange(-1_000_000, 1_000_001) * 1e-2)
+    chunks = modulus_chunks(2_000_001, lambda k: (k - 1_000_000) * 1e-2)
+    low = min(float(mod.min()) for _, mod in chunks)
     assert low >= 0.75 - 1e-9
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
@@ -118,13 +119,13 @@ def test_criterion_4_conjugate_poisson_loop():
     # a step fine enough to put interpolation below the 1e-4 target
     table = _table("conjugate-poisson", 2.0**-11)
     spec = get_kernel("conjugate-poisson")
-    report = compare_report(spec, table, np.logspace(-2.0, 2.0, 50))
-    assert report.max_rel_err <= 1e-4
+    worst = compare_report(spec, table, np.logspace(-2.0, 2.0, 50))["max_rel_err"]
+    assert worst <= 1e-4
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
     print(
         f"criterion 4: PASS max rel reconstruction error "
-        f"{report.max_rel_err:.3e} over 50 probes ({elapsed:.1f}s)"
+        f"{worst:.3e} over 50 probes ({elapsed:.1f}s)"
     )
 
 

@@ -247,6 +247,14 @@ def test_adiag_scan(tmp_path, capsys):
         "solve --kernel hilbert --step=0",
         "solve --kernel hilbert --tol=nan",
         "solve --kernel hilbert --tol=-1e-8",
+        "mc --table t --x 1 --y 0 --tail-tol=0",
+        "mc --table t --x 1 --y 0 --tail-tol=-1",
+        "mc --table t --x 1 --y 0 --tail-tol=nan",
+        "mc --table t --x 1 --y 0 --tail-tol=inf",
+        "apply --table t --kernel hilbert --x 2 --tail-tol=0",
+        "apply --table t --kernel hilbert --x 2 --tail-tol=-1",
+        "apply --table t --kernel hilbert --x 2 --tail-tol=nan",
+        "apply --table t --kernel hilbert --x 2 --tail-tol=inf",
     ],
 )
 def test_nonpositive_scan_or_tolerance_is_usage_error(argv, capsys):
@@ -254,6 +262,28 @@ def test_nonpositive_scan_or_tolerance_is_usage_error(argv, capsys):
         cli.main(argv.split())
     assert exc.value.code == 64
     assert "positive" in capsys.readouterr().err
+
+
+def test_adiag_scan_count_overflow_is_numeric_error(capsys):
+    # both flags are positive and finite, their ratio is not
+    assert cli.main(["adiag", "--omega-max", "1e200", "--step", "1e-200"]) == 2
+    assert "scan count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mc", "apply", "verify"])
+def test_sidecar_missing_field_is_numeric_error(hilbert_base, command, capsys):
+    sidecar = Path(hilbert_base).with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    del meta["u_min"]
+    sidecar.write_text(json.dumps(meta))
+    argv = {
+        "mc": ["mc", "--table", hilbert_base, "--x", "1", "--y", "0"],
+        "apply": ["apply", "--table", hilbert_base, "--kernel", "hilbert", "--x", "2"],
+        "verify": ["verify", "--table", hilbert_base, "--kernel", "hilbert"],
+    }[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "hilb.json has no field 'u_min'" in err
 
 
 def test_verify_rtol_below_epsilon_is_numeric_error(hilbert_base, capsys):

@@ -22,7 +22,6 @@ from oracles import (
 
 from haarshift import (
     CoefficientTable,
-    LevelRange,
     accumulate_samples,
     cutoff_for_tolerance,
     indicator_function,
@@ -38,10 +37,11 @@ ONES = const_table(1.0)
 
 
 def test_level_range():
-    assert list(LevelRange(-2, 1)) == [-2, -1, 0, 1]
-    assert list(LevelRange(3, 3)) == [3]
-    with pytest.raises(ValueError):
-        LevelRange(2, 1)
+    # consecutive levels from floor(log2 dist) up to the last one below the
+    # cutoff for the tail tolerance (20 for sup 8/3 and 1e-4)
+    assert levels_for_distance(0.7, 8.0 / 3.0, 1e-4) == range(-1, 20)
+    # a cutoff at or below the floor leaves the floor level alone
+    assert levels_for_distance(2.0**30, 8.0 / 3.0, 1e-4) == range(30, 31)
 
 
 def test_grid_sample_validation():
@@ -148,23 +148,23 @@ def test_sample_grid_distributions():
 
 def test_kernel_sum_single_level_hand_value():
     s = fixed_grid(r=1.0)
-    total = shift_kernel_sum(s, ONES, 0.1, 0.2, LevelRange(0, 0))
+    total = shift_kernel_sum(s, ONES, 0.1, 0.2, range(0, 1))
     assert total == -7.0
 
 
 def test_kernel_sum_rejects_diagonal():
     s = fixed_grid()
     with pytest.raises(ValueError):
-        shift_kernel_sum(s, ONES, 0.3, 0.3, LevelRange(0, 1))
+        shift_kernel_sum(s, ONES, 0.3, 0.3, range(0, 2))
     with pytest.raises(ValueError):
         kernel_sum_terms(ONES, 0.3, 0.3)
 
 
 def test_kernel_sum_separated_cells():
     s = fixed_grid(r=1.0)
-    assert shift_kernel_sum(s, ONES, 0.9, 1.1, LevelRange(0, 0)) == 0.0
+    assert shift_kernel_sum(s, ONES, 0.9, 1.1, range(0, 1)) == 0.0
     # every admitted cell is shorter than the separation
-    assert shift_kernel_sum(s, ONES, 0.1, 5.3, LevelRange(-6, 2)) == 0.0
+    assert shift_kernel_sum(s, ONES, 0.1, 5.3, range(-6, 3)) == 0.0
 
 
 def test_kernel_sum_global_bound():
@@ -173,7 +173,7 @@ def test_kernel_sum_global_bound():
         s = sample_grid(int(rng.integers(0, 1 << 30)), i_min=-40, n_max=24)
         x = float(rng.uniform(-4, 4))
         y = x + float(rng.uniform(0.01, 3.0)) * rng.choice([-1.0, 1.0])
-        total = shift_kernel_sum(s, ONES, x, y, LevelRange(-12, 23))
+        total = shift_kernel_sum(s, ONES, x, y, range(-12, 24))
         assert abs(total) <= 14.0 / abs(x - y) + 1e-9
 
 
@@ -205,7 +205,7 @@ def test_tail_bound_against_extended_sums():
         y = x + float(rng.uniform(0.05, 1.5))
         mass = 0.0
         for n in range(big_n, big_n + 41):
-            mass += abs(shift_kernel_sum(s, ONES, x, y, LevelRange(n, n)))
+            mass += abs(shift_kernel_sum(s, ONES, x, y, range(n, n + 1)))
         assert mass <= 14.0 * 2.0 ** (1 - big_n) + 1e-12
 
 
@@ -216,8 +216,9 @@ def test_cutoff_for_tolerance():
     assert tail_bound_value(sup, n) <= 1e-4
     assert tail_bound_value(sup, n - 1) > 1e-4
     assert cutoff_for_tolerance(0.0, 1e-4) == 1
-    with pytest.raises(ValueError):
-        cutoff_for_tolerance(1.0, 0.0)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"positive and finite, got {tol!r}"):
+            cutoff_for_tolerance(1.0, tol)
 
 
 # powers of two, and their neighbours one ulp below and above
@@ -231,7 +232,7 @@ POWERS_AND_NEIGHBOURS = st.tuples(st.integers(-1000, 1000), st.sampled_from((-1,
 def test_level_floor_is_exact(dist):
     """Every cell below the floor is shorter than dist, for every dilation
     r < 2, and the floor level's longest cells are not."""
-    n_min = levels_for_distance(dist, 1.0, 1e-4).n_min
+    n_min = levels_for_distance(dist, 1.0, 1e-4).start
     below_two = math.nextafter(2.0, 0.0)
     assert below_two * 2.0 ** (n_min - 1) < dist
     assert 2.0 ** (n_min + 1) > dist
@@ -245,7 +246,11 @@ def test_level_floor_needs_positive_finite_distance(dist):
 
 def test_accumulate_rejects_empty():
     with pytest.raises(ValueError):
-        accumulate_samples(0, 0, LevelRange(0, 1), lambda n, r, sigma: r)
+        accumulate_samples(0, 0, range(0, 2), lambda n, r, sigma: r)
+    # no level, or levels that skip one, leave the sigma recursion undefined
+    for levels in (range(2, 2), range(0, 6, 2)):
+        with pytest.raises(ValueError, match="consecutive levels"):
+            accumulate_samples(0, 10, levels, lambda n, r, sigma: r)
 
 
 # a last chunk of 1328 draws; one draw per chunk, so every chunk's M2 is 0
@@ -256,7 +261,7 @@ def test_accumulate_rejects_empty():
 )
 def test_accumulate_deterministic_and_thread_invariant(num_samples, chunk_size):
     term = kernel_sum_terms(ONES, 0.7, 0.1)
-    levels = LevelRange(-2, 6)
+    levels = range(-2, 7)
     a, b, c, d = (
         accumulate_samples(5, num_samples, levels, term, threads=t, chunk_size=chunk_size)
         for t in (1, 1, 2, 4)
@@ -269,14 +274,14 @@ def test_engine_matches_scalar_sampler():
     sample_grid draw by draw, and its sigma recursion must land in the
     same cells as the explicit offset geometry."""
     x, y = 0.73, 0.21
-    levels = LevelRange(-3, 8)
+    levels = range(-3, 9)
     m = 64
     total, _ = accumulate_samples(
         31, m, levels, kernel_sum_terms(ONES, x, y), chunk_size=1
     )
     manual = 0.0
     for index in range(m):
-        s = sample_grid(31, levels.n_min, levels.n_max, index=index)
+        s = sample_grid(31, levels.start, levels[-1], index=index)
         manual += shift_kernel_sum(s, ONES, x, y, levels)
     assert total == pytest.approx(manual, rel=1e-9, abs=1e-9)
 
@@ -286,7 +291,7 @@ def test_floor_shift_is_uniform():
     is 1/2 and its variance 1/12, as for a uniform on [0, 1)."""
     m = 1 << 16
     total, m2 = accumulate_samples(
-        6, m, LevelRange(0, 0), lambda n, r, sigma: sigma, chunk_size=1 << 12
+        6, m, range(0, 1), lambda n, r, sigma: sigma, chunk_size=1 << 12
     )
     assert total / m == pytest.approx(0.5, rel=0.01)
     assert m2 / (m - 1) == pytest.approx(1.0 / 12.0, rel=0.05)
@@ -297,19 +302,19 @@ def test_engine_matches_scalar_sampler_across_term_blocks():
     draw its own r, sigma and bits: the chunk total equals the scalar sum
     over the chunk's grids."""
     x, y = 0.73, 0.21
-    levels = LevelRange(-2, 1)
+    levels = range(-2, 2)
     m = _TERM_BLOCK + 300
     total, _ = accumulate_samples(31, m, levels, kernel_sum_terms(ONES, x, y))
     manual = math.fsum(
         shift_kernel_sum(s, ONES, x, y, levels)
-        for s in sample_chunk(31, levels.n_min, levels.n_max, 0, m)
+        for s in sample_chunk(31, levels.start, levels[-1], 0, m)
     )
     assert total == pytest.approx(manual, rel=1e-9, abs=1e-9)
 
 
 def test_stderr_shrinks_with_sample_count():
     term = kernel_sum_terms(ONES, 0.9, 0.35)
-    levels = LevelRange(-2, 8)
+    levels = range(-2, 9)
 
     def stderr(m):
         _, m2 = accumulate_samples(8, m, levels, term)
@@ -324,7 +329,7 @@ def test_variance_stable_far_from_zero():
     sample variance is that of r, whose density is 1/(r ln 2) on [1, 2)."""
     m = 1 << 16
     _, m2 = accumulate_samples(
-        4, m, LevelRange(0, 0), lambda n, r, sigma: 1e8 + r, chunk_size=1 << 12
+        4, m, range(0, 1), lambda n, r, sigma: 1e8 + r, chunk_size=1 << 12
     )
     ln2 = math.log(2.0)
     want = 3.0 / (2.0 * ln2) - 1.0 / ln2**2
@@ -367,7 +372,7 @@ def test_level_term_matches_reference_bit_for_bit(route, table_name, num_samples
     """The in-place level term computes what the plainly written reference
     computes, draw by draw: (sum, M2) agree bit for bit."""
     table = TERM_TABLES[table_name]
-    levels = LevelRange(-6, 4)
+    levels = range(-6, 5)
     # x is 0.02 from a knot of either f, so cells short enough to read the
     # left tail still pair to nonzero values
     x = 0.98

@@ -18,7 +18,6 @@ from oracles import (
 )
 
 from haarshift import (
-    LevelRange,
     OperatorError,
     TestFunction,
     apply_averaged,
@@ -28,7 +27,7 @@ from haarshift import (
     make_g,
     triangle_function,
 )
-from haarshift.dyadic import accumulate_samples
+from haarshift.dyadic import accumulate_samples, estimate
 from haarshift.operators import _operator_terms
 from haarshift.piecewise import PiecewiseLinear, StepFunction
 
@@ -157,20 +156,20 @@ def test_apply_shift_hand_value():
     # level 2 cell [0, 4): x = 2 sits in the third quarter, h there is 1,
     # the pairing with the indicator is -1/2, both Haar factors give 1/2
     s = fixed_grid()
-    total = apply_shift(s, const_table(1.0), indicator_function(), 2.0, LevelRange(2, 2))
+    total = apply_shift(s, const_table(1.0), indicator_function(), 2.0, range(2, 3))
     assert total == pytest.approx(-0.25, abs=1e-15)
 
 
 def test_apply_shift_zero_function():
     s = fixed_grid()
     zero = TestFunction(StepFunction([0, 1], [0.0]))
-    assert apply_shift(s, const_table(1.0), zero, 2.0, LevelRange(-3, 6)) == 0.0
+    assert apply_shift(s, const_table(1.0), zero, 2.0, range(-3, 7)) == 0.0
 
 
 def test_apply_shift_linear_in_table():
     s = sample_grid(11, -10, 12)
     f = triangle_function()
-    lv = LevelRange(-4, 9)
+    lv = range(-4, 10)
     one = apply_shift(s, const_table(1.5), f, 0.37, lv)
     two = apply_shift(s, const_table(3.0), f, 0.37, lv)
     assert two == pytest.approx(2.0 * one, rel=1e-12)
@@ -179,7 +178,7 @@ def test_apply_shift_linear_in_table():
 def test_apply_shift_linear_in_function():
     s = sample_grid(12, -10, 12)
     tall = TestFunction(PiecewiseLinear([0, 1, 2], [0.0, 3.0, 0.0]))
-    lv = LevelRange(-4, 9)
+    lv = range(-4, 10)
     base = apply_shift(s, const_table(1.0), triangle_function(), 0.81, lv)
     scaled = apply_shift(s, const_table(1.0), tall, 0.81, lv)
     assert scaled == pytest.approx(3.0 * base, rel=1e-12)
@@ -187,7 +186,7 @@ def test_apply_shift_linear_in_function():
 
 def test_apply_shift_touches_one_cell_per_level():
     s = sample_grid(7, -12, 12)
-    lv = LevelRange(-6, 11)
+    lv = range(-6, 12)
     stats = {}
     apply_shift(s, const_table(1.0), indicator_function(), 0.3, lv, stats=stats)
     assert 1 <= stats["intervals"] <= len(list(lv))
@@ -207,12 +206,12 @@ def test_engine_matches_scalar_operator(hilbert_table, f):
     """One draw per chunk, so chunk j is the scalar oracle's draw j: the
     engine's per-draw totals must match apply_shift in sum and spread."""
     x = 0.37
-    lv = LevelRange(-3, 8)
+    lv = range(-3, 9)
     m = 16
     total, m2 = accumulate_samples(
         5, m, lv, _operator_terms(hilbert_table, f, x), chunk_size=1
     )
-    draws = [sample_grid(5, lv.n_min, lv.n_max, index=j) for j in range(m)]
+    draws = [sample_grid(5, lv.start, lv[-1], index=j) for j in range(m)]
     scalar = [apply_shift(s, hilbert_table, f, x, lv) for s in draws]
     mean = sum(scalar) / m
     spread = sum((v - mean) ** 2 for v in scalar)
@@ -232,7 +231,7 @@ def test_operator_accumulate_thread_invariant(
     hilbert_table, f, num_samples, chunk_size
 ):
     term = _operator_terms(hilbert_table, f, 0.37)
-    levels = LevelRange(-3, 8)
+    levels = range(-3, 9)
     a, b, c, d = (
         accumulate_samples(
             5, num_samples, levels, term, threads=t, chunk_size=chunk_size
@@ -267,13 +266,15 @@ def test_apply_averaged_rejects_knot_probe(hilbert_table):
 
 
 def test_apply_averaged_explicit_levels(hilbert_table):
-    lv = LevelRange(-2, 6)
-    (est,) = apply_averaged(
-        hilbert_table, indicator_function(), [2.0], 50, seed=0, levels=lv
-    )
-    assert est.levels == lv
+    """The averaged operator's estimator on levels given by the caller:
+    the tail bound covers the levels above the range's top."""
+    lv = range(-2, 7)
     sup = hilbert_table.sup_norm()
-    assert est.tail_bound == pytest.approx(14.0 * sup * 2.0**-lv.n_max, rel=1e-12)
+    term = _operator_terms(hilbert_table, indicator_function(), 2.0)
+    est = estimate(2.0, term, lv, sup, 50, seed=0)
+    assert est.levels == lv
+    assert (est.to_dict()["n_min"], est.to_dict()["n_max"]) == (-2, 6)
+    assert est.tail_bound == pytest.approx(14.0 * sup * 2.0**-6, rel=1e-12)
 
 
 def test_direct_pv_hilbert_indicator():

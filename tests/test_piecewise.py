@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from haarshift import (
-    DiracComb,
     PiecewiseLinear,
     StepFunction,
     convolve_steps,
@@ -161,13 +160,13 @@ def test_convolution_knots_are_breakpoint_sums():
 
 def test_atoms_of_zero_function():
     zero = PiecewiseLinear([0, 1], [0.0, 0.0])
-    assert second_derivative_atoms(zero).atoms == ()
+    assert second_derivative_atoms(zero) == ()
 
 
 def test_atom_weights_telescope_to_zero():
     p = convolve_steps(make_h(), reflect(make_g()))
     comb = second_derivative_atoms(p)
-    assert sum(w for _, w in comb.atoms) == 0
+    assert sum(w for _, w in comb) == 0
 
 
 def test_double_integration_recovers_profile():
@@ -179,7 +178,7 @@ def test_double_integration_recovers_profile():
     gaps = []
     for knot, val in zip(p.knots, p.values):
         acc = Fraction(0)
-        for loc, w in comb.atoms:
+        for loc, w in comb:
             if knot > loc:
                 acc += w * (knot - loc)
         gaps.append(Fraction(val) - acc)
@@ -214,13 +213,6 @@ def test_integral_against_matches_pointwise():
             mid = float(a + b) / 2
             expected += f(mid) * k(mid) * float(b - a)
         assert integral_against(f, k) == pytest.approx(expected, abs=1e-9)
-
-
-def test_dirac_comb_validation():
-    with pytest.raises(ValueError):
-        DiracComb(((Fraction(1, 2), Fraction(1)), (Fraction(1, 4), Fraction(2))))
-    with pytest.raises(ValueError):
-        DiracComb(((Fraction(1, 4), Fraction(0)),))
 
 
 def test_piecewise_linear_slopes_exact():

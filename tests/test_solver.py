@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import tempfile
 import warnings
@@ -17,14 +18,13 @@ from haarshift import (
     KernelSpec,
     SolverError,
     a_of_omega,
-    gamma_at,
     get_kernel,
-    min_modulus_scan,
     read_table,
     residual,
     solve_c,
     write_table,
 )
+from haarshift.solver import modulus_chunks
 
 from conftest import sweep_table, tent_m
 from oracles import neumann_tail_bound, neumann_word_sum
@@ -39,7 +39,7 @@ def test_hilbert_solution_is_constant(hilbert_table):
 
 def test_zero_source_gives_zero_solution():
     spec = KernelSpec(
-        name="null-source", k=None, k1=None, k2=None, m_eval=np.zeros_like
+        name="null-source", k=None, k2=None, m_eval=np.zeros_like
     )
     table = solve_c(spec, step=2.0**-6)
     assert np.all(table.samples == 0.0)
@@ -86,21 +86,19 @@ def test_residual_custom_probes_match_default(cp_table):
 
 def test_gamma_at_constant(hilbert_table):
     for r in (1e-5, 0.37, 1.0, 42.0, 1e5):
-        assert gamma_at(hilbert_table, r) == pytest.approx(-8.0 / 3.0, abs=1e-6)
+        assert hilbert_table.c_at(np.log(r)) == pytest.approx(-8.0 / 3.0, abs=1e-6)
 
 
 def test_gamma_at_grid_node_is_exact(hilbert_table):
     # u = 0 is a grid node of the (-14, 14) window, and ln 1.0 is exactly 0,
     # so interpolation must return the stored sample untouched
     k = round(-hilbert_table.u_min / hilbert_table.step)
-    assert gamma_at(hilbert_table, 1.0) == hilbert_table.samples[k]
+    assert hilbert_table.c_at(np.log(1.0)) == hilbert_table.samples[k]
 
 
 def test_gamma_at_below_window_returns_tail(cp_table):
     r = 0.5 * math.exp(cp_table.u_min)
-    assert gamma_at(cp_table, r) == cp_table.tail_left
-    with pytest.raises(ValueError):
-        gamma_at(cp_table, -1.0)
+    assert cp_table.c_at(np.log(r)) == cp_table.tail_left
 
 
 EPS = 2.0**-52
@@ -219,8 +217,8 @@ def test_symbol_triangle_bound_and_symmetry():
 
 
 def test_min_modulus_quick_scan():
-    grid = np.arange(-10000, 10001) * 0.01
-    assert min_modulus_scan(grid) >= 0.75 - 1e-9
+    chunks = modulus_chunks(20001, lambda k: (k - 10000) * 0.01)
+    assert min(float(mod.min()) for _, mod in chunks) >= 0.75 - 1e-9
 
 
 def test_solver_input_validation():
@@ -256,12 +254,50 @@ def test_solver_rejects_non_finite_source():
     bad = KernelSpec(
         name="poisoned",
         k=None,
-        k1=None,
         k2=None,
         m_eval=lambda u: np.where(np.asarray(u) > 1.0, np.nan, 1.0),
     )
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match=HYPOTHESIS):
         solve_c(bad, step=2.0**-5)
+
+
+HYPOTHESIS = r"x\^3 K''\(x\) bounded"
+
+
+def cos_log_kernel(m_eval=None) -> KernelSpec:
+    """K = cos(ln x) / x: x^3 K'' = cos(ln x) + 3 sin(ln x) is bounded but
+    has no limit."""
+    return KernelSpec(
+        name="cos-log",
+        k=lambda x: np.cos(np.log(x)) / x,
+        k2=lambda x: (np.cos(np.log(x)) + 3 * np.sin(np.log(x))) / np.asarray(x) ** 3,
+        m_eval=m_eval,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        KernelSpec(name="cubic", k=None, k2=lambda x: np.ones_like(np.asarray(x, dtype=float))),
+        cos_log_kernel(),
+    ],
+    ids=["x3k2-is-x3", "cos-log-by-k2"],
+)
+def test_solver_rejects_source_outside_hypothesis(spec):
+    """Given by k2 alone, x^3 K'' = x^3 grows and cos(ln x) + 3 sin(ln x)
+    has no limit: the generic route holds m at its value at the guard,
+    which the padded window passes, so the solve refuses either."""
+    with pytest.raises(SolverError, match=HYPOTHESIS):
+        solve_c(spec, step=2.0**-7)
+
+
+def test_cos_log_kernel_with_exact_m_solves():
+    """The same source through its exact m_eval has no guard: it solves,
+    and with no limit at the right end the tail is the last sample."""
+    table = solve_c(cos_log_kernel(lambda u: np.cos(u) + 3 * np.sin(u)), step=2.0**-7)
+    assert table.tail_right == table.samples[-1]
+    assert table.tail_left == table.samples[0]
+    assert table.sup_norm() <= NORM_CONSTANT * math.sqrt(10.0) + 1e-6
 
 
 def test_contraction_ratio_observed():
@@ -304,7 +340,6 @@ def test_cosine_source_matches_closed_form(amplitude, omega, phase, offset):
     spec = KernelSpec(
         name="cosine",
         k=None,
-        k1=None,
         k2=None,
         m_eval=lambda u: amplitude * np.cos(omega * np.asarray(u) + phase) + offset,
     )
@@ -438,6 +473,16 @@ def test_read_table_rejects_foreign_header(tmp_path):
     csv_file = base.with_suffix(".csv")
     csv_file.write_text("a,b\n0,0\n")
     with pytest.raises(ValueError):
+        read_table(base)
+
+
+def test_read_table_names_missing_sidecar_field(tmp_path, cp_table):
+    base = tmp_path / "cp"
+    _, json_path = write_table(cp_table, base)
+    meta = json.loads(json_path.read_text())
+    del meta["u_min"]
+    json_path.write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=r"cp\.json has no field 'u_min'"):
         read_table(base)
 
 
