@@ -43,6 +43,9 @@ from .solver import (
 USAGE_EXIT = 64
 NUMERIC_EXIT = 2
 
+# largest omega_max / step `adiag` scans: 2^30 + 1 frequencies, minutes of work
+ADIAG_MAX_COUNT = 1 << 29
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with the BSD convention for usage errors."""
@@ -200,8 +203,10 @@ def _cmd_apply(args) -> int:
 
 def _cmd_adiag(args) -> int:
     count = args.omega_max / args.step
-    if not math.isfinite(count):
-        raise ValueError(f"scan count omega_max / step = {count} is not finite")
+    if not count <= ADIAG_MAX_COUNT:
+        raise ValueError(
+            f"scan count omega_max / step = {count:g} is above the bound 2^29 = {ADIAG_MAX_COUNT}"
+        )
     count = int(round(count))
     best = math.inf
     writer = None

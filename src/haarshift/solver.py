@@ -428,6 +428,8 @@ def read_table(base_path: str | Path) -> CoefficientTable:
     json_path = base.with_suffix(".json")
     with open(json_path) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"table sidecar {json_path} is not a JSON object")
     csv_path = base.with_suffix(".csv")
     with open(csv_path, newline="") as fh:
         header = next(csv.reader(fh), [])

@@ -42,6 +42,11 @@ def const_table(value):
     return linear_table(0.0, value)
 
 
+def tally_bits(tally):
+    """Everything an engine tally holds, for bit-for-bit comparison."""
+    return (tally.counts.tolist(), tally.sums.tolist(), tally.m2.tolist(), tally.mean, tally.stderr)
+
+
 def tent_m(u):
     """Synthetic compactly supported source term: unit tent on [-1/2, 1/2]."""
     u = np.asarray(u, dtype=float)

@@ -354,42 +354,86 @@ def fixed_grid(r=1.0, i_min=-5, n_max=15, one_at=None) -> GridSample:
     return GridSample(r=r, sigma=0.0, bits=bits, i_min=i_min, n_max=n_max, seed=0)
 
 
+def strata_shape(num_samples: int, n_bit_rows: int) -> tuple[int, int]:
+    """(q, q_w) of stream 4: 16 strata per axis of log2 r and sigma and
+    2^min(4, n_bit_rows) of w, each axis halved together while a stratum
+    would hold fewer than 2 draws; (1, 1), plain draws, below 16 draws."""
+    q, q_w = 16, 2 ** min(4, n_bit_rows)
+    while q > 1 and q * q * q_w * 2 > num_samples:
+        q //= 2
+        q_w = min(q_w, q)
+    return (q, q_w) if q > 1 else (1, 1)
+
+
 def sample_chunk(
-    seed: int, i_min: int, n_max: int, index: int, count: int
+    seed: int,
+    i_min: int,
+    n_max: int,
+    index: int,
+    count: int,
+    num_samples: int = 1,
+    start: int = 0,
 ) -> list[GridSample]:
-    """Draw the `count` grids of chunk `index`: r with density 1/(r ln 2) on
-    [1, 2), sigma uniform on [0, 1), bits fair coins.
+    """Draw the `count` grids of chunk `index` of a `num_samples`-draw call,
+    its first draw being draw `start` of the call.
 
     Chunk `index` owns the 2^70-wide Philox counter block starting at
-    index << 70, and takes every r first, then every sigma, then the bit
-    rows from low level to high (stream 3): bit i of the rows, laid out
-    level after level, is bit i % 64 of raw 64-bit word i // 64.
+    index << 70, and takes every uniform of log2 r first, then every
+    uniform of sigma, then the bit rows from low level to high: bit i of
+    the rows, laid out level after level, is bit i % 64 of raw 64-bit word
+    i // 64.  Stream 4 stratifies: draw start + j sits in stratum
+    h = (start + j) % (q * q * q_w), whose digits i_r, i_sigma, i_w
+    (h = (i_w q + i_sigma) q + i_r) give r = 2^((i_r + U) / q),
+    sigma = (i_sigma + U') / q and, in the first log2 q_w bit rows, the
+    bits of i_w, most significant first.
     """
     if i_min >= n_max:
         raise ValueError("need i_min < n_max")
+    n_rows = n_max - i_min
+    q, q_w = strata_shape(num_samples, n_rows)
+    w_rows = q_w.bit_length() - 1
     rng = np.random.Generator(np.random.Philox(key=seed, counter=index << 70))
-    rs = np.exp2(rng.random(count))
-    sigmas = rng.random(count)
-    i = np.arange((n_max - i_min) * count)
+    us = rng.random(count)
+    vs = rng.random(count)
+    i = np.arange(n_rows * count)
     words = rng.bit_generator.random_raw(-(-i.size // 64))
     bits = (words[i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)
-    bits = bits.astype(np.uint8).reshape(n_max - i_min, count)
-    return [
-        GridSample(
-            r=float(rs[j]),
-            sigma=float(sigmas[j]),
-            bits=bits[:, j],
-            i_min=i_min,
-            n_max=n_max,
-            seed=seed,
+    bits = bits.astype(np.uint8).reshape(n_rows, count)
+    grids = []
+    for j in range(count):
+        rest, i_r = divmod((start + j) % (q * q * q_w), q)
+        i_w, i_sigma = divmod(rest, q)
+        column = bits[:, j].copy()
+        for row in range(w_rows):
+            column[row] = (i_w >> (w_rows - 1 - row)) & 1
+        grids.append(
+            GridSample(
+                r=float(np.exp2(np.array([(i_r + us[j]) / q]))[0]),
+                sigma=(i_sigma + float(vs[j])) / q,
+                bits=column,
+                i_min=i_min,
+                n_max=n_max,
+                seed=seed,
+            )
         )
-        for j in range(count)
-    ]
+    return grids
 
 
-def sample_grid(seed: int, i_min: int, n_max: int, index: int = 0) -> GridSample:
-    """Draw one grid, the only one of a one-draw chunk `index`."""
-    return sample_chunk(seed, i_min, n_max, index, 1)[0]
+def sample_grid(
+    seed: int, i_min: int, n_max: int, index: int = 0, num_samples: int = 1
+) -> GridSample:
+    """Draw one grid, the only one of a one-draw chunk `index` of a
+    `num_samples`-draw call (so draw `index` of that call)."""
+    return sample_chunk(seed, i_min, n_max, index, 1, num_samples, start=index)[0]
+
+
+def pooled(tally) -> tuple[float, float]:
+    """(sum, M2) of all the draws of a stratified tally, strata pooled:
+    M2 = sum_h M2_h + sum_h n_h (ybar_h - ybar)^2, the plain sample M2."""
+    total = math.fsum(tally.sums)
+    mean = total / int(tally.counts.sum())
+    spread = tally.counts * (tally.sums / tally.counts - mean) ** 2
+    return total, math.fsum(tally.m2) + math.fsum(spread)
 
 
 def level_offset(s: GridSample, n: int) -> float:

@@ -125,6 +125,8 @@ def test_mc_output_and_determinism(hilbert_base, capsys):
     first = capsys.readouterr().out
     payload = json.loads(first)
     assert payload["M"] == 2000
+    # 2000 draws leave 8 x 8 x 8 strata at least 2 draws each, not 16^3
+    assert payload["strata"] == 512
     assert payload["stderr_defined"] is True
     assert payload["versions"]["stream"] == STREAM_VERSION
     assert abs(payload["mean"] - 1.25) < 3 * payload["stderr"] + 1e-3
@@ -140,6 +142,7 @@ def test_mc_single_sample(hilbert_base, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["stderr"] is None
     assert payload["stderr_defined"] is False
+    assert payload["strata"] == 1
 
 
 def test_mc_rejects_zero_samples(hilbert_base, capsys):
@@ -270,6 +273,22 @@ def test_adiag_scan_count_overflow_is_numeric_error(capsys):
     assert "scan count" in capsys.readouterr().err
 
 
+def test_adiag_huge_scan_count_is_numeric_error():
+    """A finite scan count of 1e15 (2e15 frequencies) is refused at once,
+    naming the bound, instead of scanning without end."""
+    env = dict(os.environ, PYTHONPATH=str(Path(haarshift.__file__).parents[1]))
+    argv = ["adiag", "--omega-max", "1e12", "--step", "1e-3"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "haarshift.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert f"bound 2^29 = {cli.ADIAG_MAX_COUNT}" in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["mc", "apply", "verify"])
 def test_sidecar_missing_field_is_numeric_error(hilbert_base, command, capsys):
     sidecar = Path(hilbert_base).with_suffix(".json")
@@ -284,6 +303,19 @@ def test_sidecar_missing_field_is_numeric_error(hilbert_base, command, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "hilb.json has no field 'u_min'" in err
+
+
+@pytest.mark.parametrize("command", ["mc", "apply", "verify"])
+@pytest.mark.parametrize("text", ["[]", "3", '"u_min"', "null"])
+def test_sidecar_not_an_object_is_numeric_error(hilbert_base, command, text, capsys):
+    Path(hilbert_base).with_suffix(".json").write_text(text)
+    argv = {
+        "mc": ["mc", "--table", hilbert_base, "--x", "1", "--y", "0"],
+        "apply": ["apply", "--table", hilbert_base, "--kernel", "hilbert", "--x", "2"],
+        "verify": ["verify", "--table", hilbert_base, "--kernel", "hilbert"],
+    }[command]
+    assert cli.main(argv) == 2
+    assert "hilb.json is not a JSON object" in capsys.readouterr().err
 
 
 def test_verify_rtol_below_epsilon_is_numeric_error(hilbert_base, capsys):

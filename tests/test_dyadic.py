@@ -6,34 +6,45 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import const_table, linear_table
+from conftest import const_table, linear_table, tally_bits
 from oracles import (
     GridSample,
     fixed_grid,
     interval_containing,
     level_offset,
+    pooled,
     reference_kernel_pairing,
     reference_operator_pairing,
     reference_shift_terms,
     sample_chunk,
     sample_grid,
     shift_kernel_sum,
+    strata_shape,
 )
 
 from haarshift import (
+    STREAM_VERSION,
     CoefficientTable,
     accumulate_samples,
+    apply_averaged,
     cutoff_for_tolerance,
     indicator_function,
     levels_for_distance,
+    mc_estimate,
     tail_bound_value,
     triangle_function,
 )
-from haarshift.dyadic import _TERM_BLOCK, kernel_sum_terms
+from haarshift.dyadic import DEFAULT_CHUNK, _TERM_BLOCK, kernel_sum_terms
 from haarshift.operators import _operator_terms
 
 
 ONES = const_table(1.0)
+
+
+def _by_stratum(values, strata):
+    """Per-stratum sums of per-draw values, draw i in stratum i % strata."""
+    values = np.asarray(values)
+    return np.bincount(np.arange(len(values)) % strata, values, strata)
 
 
 def test_level_range():
@@ -253,17 +264,18 @@ def test_accumulate_rejects_empty():
             accumulate_samples(0, 10, levels, lambda n, r, sigma: r)
 
 
-# a last chunk of 1328 draws; one draw per chunk, so every chunk's M2 is 0
+# a last chunk of 1328 draws; one draw per chunk, so every chunk's M2 is 0;
+# a default-sized chunk and a last chunk shorter than the 4096 strata
 @pytest.mark.parametrize(
     "num_samples, chunk_size",
-    [(30_000, 1 << 12), (500, 1)],
-    ids=["partial-last-chunk", "one-draw-chunks"],
+    [(30_000, 1 << 12), (500, 1), (DEFAULT_CHUNK + 1000, DEFAULT_CHUNK)],
+    ids=["partial-last-chunk", "one-draw-chunks", "last-chunk-below-strata"],
 )
 def test_accumulate_deterministic_and_thread_invariant(num_samples, chunk_size):
     term = kernel_sum_terms(ONES, 0.7, 0.1)
     levels = range(-2, 7)
     a, b, c, d = (
-        accumulate_samples(5, num_samples, levels, term, threads=t, chunk_size=chunk_size)
+        tally_bits(accumulate_samples(5, num_samples, levels, term, threads=t, chunk_size=chunk_size))
         for t in (1, 1, 2, 4)
     )
     assert a == b == c == d
@@ -271,56 +283,131 @@ def test_accumulate_deterministic_and_thread_invariant(num_samples, chunk_size):
 
 def test_engine_matches_scalar_sampler():
     """The chunked engine at chunk size 1 must draw the same stream as
-    sample_grid draw by draw, and its sigma recursion must land in the
-    same cells as the explicit offset geometry."""
+    sample_grid draw by draw, stratum by stratum, and its sigma recursion
+    must land in the same cells as the explicit offset geometry."""
     x, y = 0.73, 0.21
     levels = range(-3, 9)
     m = 64
-    total, _ = accumulate_samples(
-        31, m, levels, kernel_sum_terms(ONES, x, y), chunk_size=1
-    )
-    manual = 0.0
-    for index in range(m):
-        s = sample_grid(31, levels.start, levels[-1], index=index)
-        manual += shift_kernel_sum(s, ONES, x, y, levels)
-    assert total == pytest.approx(manual, rel=1e-9, abs=1e-9)
+    tally = accumulate_samples(31, m, levels, kernel_sum_terms(ONES, x, y), chunk_size=1)
+    q, q_w = strata_shape(m, len(levels) - 1)
+    assert tally.strata == q * q * q_w == 8
+    manual = [
+        shift_kernel_sum(sample_grid(31, levels.start, levels[-1], index, m), ONES, x, y, levels)
+        for index in range(m)
+    ]
+    assert tally.sums == pytest.approx(_by_stratum(manual, 8), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "levels, strata", [(range(0, 3), 1024), (range(0, 2), 512)], ids=["two-bit-rows", "one-bit-row"]
+)
+def test_engine_matches_scalar_sampler_with_few_bit_rows(levels, strata):
+    """With fewer than 4 bit rows, w is stratified on the rows there are;
+    a chunk of 2H + 37 draws holds 2 or 3 draws per stratum."""
+    x, y = 0.73, 0.21
+    m = 2 * strata + 37
+    tally = accumulate_samples(7, m, levels, kernel_sum_terms(ONES, x, y))
+    assert tally.strata == strata
+    assert sorted(set(tally.counts.tolist())) == [2, 3]
+    manual = [
+        shift_kernel_sum(s, ONES, x, y, levels)
+        for s in sample_chunk(7, levels.start, levels[-1], 0, m, m)
+    ]
+    assert tally.sums == pytest.approx(_by_stratum(manual, strata), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "num_samples, strata", [(1, 1), (2, 1), (8191, 512), (8192, 4096), (8193, 4096)]
+)
+def test_strata_follow_the_draw_count(num_samples, strata):
+    """H shrinks until every stratum holds 2 draws, and one draw is plain
+    with no stderr; counts differ by at most one, and with equal counts
+    the stratified mean is the plain sample mean."""
+    levels = range(-2, 7)
+    tally = accumulate_samples(3, num_samples, levels, kernel_sum_terms(ONES, 0.7, 0.1))
+    q, q_w = strata_shape(num_samples, len(levels) - 1)
+    assert tally.strata == strata == q * q * q_w
+    counts = tally.counts.tolist()
+    assert sum(counts) == num_samples
+    # draw i sits in stratum i % H, so the low strata hold the extra draws
+    assert counts == [num_samples // strata + (h < num_samples % strata) for h in range(strata)]
+    if num_samples == 1:
+        assert math.isnan(tally.stderr)
+        return
+    assert min(counts) >= 2
+    assert tally.stderr > 0.0
+    if num_samples % strata == 0:
+        assert tally.mean == math.fsum(tally.sums) / num_samples
+    want = math.fsum(tally.sums / tally.counts) / strata
+    assert tally.mean == pytest.approx(want, rel=1e-14)
+
+
+def test_merge_matches_direct_statistics():
+    """Chunks that start mid-round (5000 draws against 4096 strata) and a
+    short last chunk merge to the per-stratum count, sum and M2 computed
+    directly from the oracle's draws."""
+    levels = range(0, 5)
+    m, chunk = 3 * 4096 + 1000, 5000
+
+    def term(n, r, sigma):
+        return (n + 2) * r * sigma
+
+    tally = accumulate_samples(12, m, levels, term, chunk_size=chunk)
+    totals = []
+    for index, start in enumerate(range(0, m, chunk)):
+        count = min(chunk, m - start)
+        for s in sample_chunk(12, levels.start, levels[-1], index, count, m, start):
+            sigma, total = s.sigma, 0.0
+            for j, n in enumerate(levels):
+                total += (n + 2) * s.r * sigma
+                if j < len(s.bits):
+                    sigma = (sigma + s.bits[j]) / 2
+            totals.append(total)
+    strata = np.arange(m) % 4096
+    assert tally.strata == 4096
+    assert tally.counts.tolist() == np.bincount(strata, minlength=4096).tolist()
+    sums = np.bincount(strata, totals, 4096)
+    dev = np.asarray(totals) - (sums / tally.counts)[strata]
+    assert tally.sums == pytest.approx(sums, rel=1e-12)
+    assert tally.m2 == pytest.approx(np.bincount(strata, dev * dev, 4096), rel=1e-9, abs=1e-15)
 
 
 def test_floor_shift_is_uniform():
     """At a single level the term sees the floor shift as drawn: its mean
     is 1/2 and its variance 1/12, as for a uniform on [0, 1)."""
     m = 1 << 16
-    total, m2 = accumulate_samples(
-        6, m, range(0, 1), lambda n, r, sigma: sigma, chunk_size=1 << 12
-    )
-    assert total / m == pytest.approx(0.5, rel=0.01)
+    tally = accumulate_samples(6, m, range(0, 1), lambda n, r, sigma: sigma, chunk_size=1 << 12)
+    _, m2 = pooled(tally)
+    assert tally.mean == pytest.approx(0.5, rel=0.01)
     assert m2 / (m - 1) == pytest.approx(1.0 / 12.0, rel=0.05)
 
 
 def test_engine_matches_scalar_sampler_across_term_blocks():
     """A chunk longer than the engine's term block must still hand every
-    draw its own r, sigma and bits: the chunk total equals the scalar sum
-    over the chunk's grids."""
+    draw its own r, sigma and bits: each stratum's total equals the scalar
+    sum over its grids."""
     x, y = 0.73, 0.21
     levels = range(-2, 2)
     m = _TERM_BLOCK + 300
-    total, _ = accumulate_samples(31, m, levels, kernel_sum_terms(ONES, x, y))
-    manual = math.fsum(
+    tally = accumulate_samples(31, m, levels, kernel_sum_terms(ONES, x, y))
+    manual = [
         shift_kernel_sum(s, ONES, x, y, levels)
-        for s in sample_chunk(31, levels.start, levels[-1], 0, m)
-    )
-    assert total == pytest.approx(manual, rel=1e-9, abs=1e-9)
+        for s in sample_chunk(31, levels.start, levels[-1], 0, m, m)
+    ]
+    assert tally.strata == 2048
+    assert tally.sums == pytest.approx(_by_stratum(manual, 2048), rel=1e-9, abs=1e-9)
 
 
 def test_stderr_shrinks_with_sample_count():
+    """At a fixed stratum count (4096 from 8192 draws on), a hundred times
+    the draws gives a tenth of the stderr."""
     term = kernel_sum_terms(ONES, 0.9, 0.35)
     levels = range(-2, 9)
 
     def stderr(m):
-        _, m2 = accumulate_samples(8, m, levels, term)
-        return math.sqrt(m2 / (m - 1) / m)
+        return accumulate_samples(8, m, levels, term).stderr
 
-    ratio = stderr(2_000) / stderr(200_000)
+    ratio = stderr(8_192) / stderr(819_200)
     assert 8.0 <= ratio <= 12.0
 
 
@@ -328,9 +415,8 @@ def test_variance_stable_far_from_zero():
     """Totals sitting far from zero must keep their spread: for 1e8 + r the
     sample variance is that of r, whose density is 1/(r ln 2) on [1, 2)."""
     m = 1 << 16
-    _, m2 = accumulate_samples(
-        4, m, range(0, 1), lambda n, r, sigma: 1e8 + r, chunk_size=1 << 12
-    )
+    tally = accumulate_samples(4, m, range(0, 1), lambda n, r, sigma: 1e8 + r, chunk_size=1 << 12)
+    _, m2 = pooled(tally)
     ln2 = math.log(2.0)
     want = 3.0 / (2.0 * ln2) - 1.0 / ln2**2
     assert m2 / (m - 1) == pytest.approx(want, rel=0.05)
@@ -386,4 +472,41 @@ def test_level_term_matches_reference_bit_for_bit(route, table_name, num_samples
     for term, pairing in cases:
         want = reference_shift_terms(table, x, pairing)
         got = accumulate_samples(17, num_samples, levels, term, chunk_size=chunk_size)
-        assert got == accumulate_samples(17, num_samples, levels, want, chunk_size=chunk_size)
+        assert tally_bits(got) == tally_bits(
+            accumulate_samples(17, num_samples, levels, want, chunk_size=chunk_size)
+        )
+
+
+@pytest.mark.parametrize("num_samples", [8192, 600], ids=["2-per-stratum", "64-strata"])
+@pytest.mark.parametrize("route", ["kernel-sum", "indicator"])
+def test_stderr_matches_spread_over_seeds(route, num_samples):
+    """The reported stderr is honest: over 128 seeds, the spread of the
+    stratified estimates is within a factor 1.25 of their mean stderr
+    (the spread's own sampling error is about 6%).  An M2/n_h in place of
+    M2/(n_h - 1) reads 1.36-1.42 at 2 draws per stratum and fails."""
+    if route == "kernel-sum":
+        ests = [mc_estimate(ONES, 0.7, 0.1, num_samples=num_samples, seed=s) for s in range(128)]
+    else:
+        x = 2.0 if num_samples == 8192 else 0.25
+        ests = [
+            apply_averaged(ONES, indicator_function(), [x], num_samples, seed=s)[0]
+            for s in range(128)
+        ]
+    spread = float(np.std([e.mean for e in ests], ddof=1))
+    reported = float(np.mean([e.stderr for e in ests]))
+    assert 1 / 1.25 <= spread / reported <= 1.25
+
+
+def test_stream_contract_golden():
+    """Fixed-seed outputs of stream 4.  The draw order moves these by about
+    a stderr (1e-2 relative); rounding differences between platforms stay
+    far below the 1e-12 allowed here."""
+    est = mc_estimate(ONES, 0.7, 0.1, num_samples=20_000, seed=2026)
+    (op,) = apply_averaged(ONES, triangle_function(), [0.4], 20_000, seed=2026)
+    message = "the draw order changed: bump `STREAM_VERSION` and update this value"
+    assert STREAM_VERSION == 4, message
+    assert (est.strata, op.strata) == (4096, 4096), message
+    assert est.mean == pytest.approx(-0.6241603323087881, rel=1e-12), message
+    assert est.stderr == pytest.approx(0.008325802660488338, rel=1e-12), message
+    assert op.mean == pytest.approx(0.6471595068113942, rel=1e-12), message
+    assert op.stderr == pytest.approx(0.002536867128310578, rel=1e-12), message

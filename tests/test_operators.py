@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import const_table
+from conftest import const_table, tally_bits
 from oracles import (
     Interval,
     apply_shift,
@@ -208,15 +208,17 @@ def test_engine_matches_scalar_operator(hilbert_table, f):
     x = 0.37
     lv = range(-3, 9)
     m = 16
-    total, m2 = accumulate_samples(
-        5, m, lv, _operator_terms(hilbert_table, f, x), chunk_size=1
-    )
-    draws = [sample_grid(5, lv.start, lv[-1], index=j) for j in range(m)]
+    tally = accumulate_samples(5, m, lv, _operator_terms(hilbert_table, f, x), chunk_size=1)
+    # 16 draws fill 8 strata with 2 each; draw j sits in stratum j % 8
+    assert tally.strata == 8
+    draws = [sample_grid(5, lv.start, lv[-1], index=j, num_samples=m) for j in range(m)]
     scalar = [apply_shift(s, hilbert_table, f, x, lv) for s in draws]
-    mean = sum(scalar) / m
-    spread = sum((v - mean) ** 2 for v in scalar)
-    assert total == pytest.approx(sum(scalar), rel=1e-9, abs=1e-12)
-    assert m2 == pytest.approx(spread, rel=1e-9, abs=1e-12)
+    for h in range(8):
+        pair = scalar[h::8]
+        mean = sum(pair) / 2
+        spread = sum((v - mean) ** 2 for v in pair)
+        assert tally.sums[h] == pytest.approx(sum(pair), rel=1e-9, abs=1e-12)
+        assert tally.m2[h] == pytest.approx(spread, rel=1e-9, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -233,9 +235,7 @@ def test_operator_accumulate_thread_invariant(
     term = _operator_terms(hilbert_table, f, 0.37)
     levels = range(-3, 9)
     a, b, c, d = (
-        accumulate_samples(
-            5, num_samples, levels, term, threads=t, chunk_size=chunk_size
-        )
+        tally_bits(accumulate_samples(5, num_samples, levels, term, threads=t, chunk_size=chunk_size))
         for t in (1, 1, 2, 4)
     )
     assert a == b == c == d
@@ -247,7 +247,8 @@ def test_apply_averaged_hilbert_indicator(hilbert_table):
     assert abs(est.mean - want) <= 3 * est.stderr + est.tail_bound
     assert est.stderr < 0.05
     d = est.to_dict()
-    assert set(d) == {"x", "mean", "stderr", "tail_bound", "M", "seed", "n_min", "n_max"}
+    assert set(d) == {"x", "mean", "stderr", "tail_bound", "M", "seed", "n_min", "n_max", "strata"}
+    assert d["strata"] == 4096
 
 
 def test_apply_averaged_reflected(hilbert_table):
