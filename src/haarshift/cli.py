@@ -77,14 +77,18 @@ def _float_list(text: str) -> list[float]:
 
 
 def _probe_spec(text: str) -> np.ndarray:
-    """Either 'log:A:B:N' (N log-spaced points) or a comma list."""
+    """Either 'log:A:B:N' (N log-spaced points) or a comma list, not empty."""
     if text.startswith("log:"):
         try:
             _, a, b, n = text.split(":")
-            return np.logspace(math.log10(float(a)), math.log10(float(b)), int(n))
+            probes = np.logspace(math.log10(float(a)), math.log10(float(b)), int(n))
         except (ValueError, TypeError):
             raise argparse.ArgumentTypeError(f"bad probe spec {text!r}")
-    return np.asarray(_float_list(text))
+    else:
+        probes = np.asarray(_float_list(text))
+    if not probes.size:
+        raise argparse.ArgumentTypeError(f"no probes in {text!r}")
+    return probes
 
 
 def _provenance(args: argparse.Namespace) -> dict:

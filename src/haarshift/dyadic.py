@@ -228,13 +228,13 @@ def accumulate_samples(
       16 draws q = q_w = 1, plain draws;
     - q_w = 2^min(log2 q, number of bit rows): w is stratified on at most
       4 bits, and only on bits that are drawn;
-    - the strata's counts differ by at most one, and a chunk of a multiple
-      of H draws (the default chunk, 2^17, is one of 4096) holds every
-      stratum equally often.
+    - chunk_size is rounded up to a multiple of H (the default, 2^17, is
+      one), so a chunk holds whole rounds of the strata and the last one
+      maybe a part round; the strata's counts differ by at most one.
 
     term_fn gets the draws in blocks of at most 32768.  Each chunk reduces
-    its per-draw totals to per-stratum (count, sum, M2), and the chunks
-    merge in chunk order, M2 by M2_a + M2_b + delta^2 n_a n_b / (n_a + n_b):
+    its whole rounds, then its part round, to per-stratum (count, sum, M2),
+    merged in chunk order by M2_a + (M2_b + delta^2 n_a n_b / (n_a + n_b)):
     the result is the same for every thread count, and the variance stays
     stable when the totals sit far from zero.
 
@@ -255,17 +255,15 @@ def accumulate_samples(
     rest, i_r = np.divmod(np.arange(strata), q)
     i_w, i_sigma = np.divmod(rest, q)
     w_rows = q_w.bit_length() - 1
-    table = np.array(
+    r_offset, sigma_offset, *w_digits = np.array(
         [i_r / q, i_sigma / q] + [(i_w >> (w_rows - 1 - row)) & 1 for row in range(w_rows)]
     )
 
-    def run_chunk(chunk_index: int, start: int, count: int) -> list:
-        # column j holds the stratum of the chunk's draw j (mod H).  A chunk
-        # of the default size starts a round and copies nothing: one more
-        # allocation here moved glibc's heap enough to triple the page
-        # faults of the two-thread operator route
-        first = start % strata
-        r_offset, sigma_offset, *w_digits = np.roll(table, -first, axis=1) if first else table
+    # whole rounds per chunk, so a chunk's draw j sits in stratum j mod H
+    chunk_size = -(-chunk_size // strata) * strata
+
+    def run_chunk(chunk_index: int) -> list:
+        count = min(chunk_size, num_samples - chunk_index * chunk_size)
         full = count - count % strata
         rng = _rng(seed, chunk_index)
 
@@ -302,40 +300,34 @@ def accumulate_samples(
                 if row < n_rows:
                     sigma_block += bits[row, block]
                     sigma_block *= 0.5
-        # pieces (first stratum, draws per stratum, sums, M2): the whole
-        # rounds, then one draw each for the rest
+        # per stratum (draws, sums, M2): the whole rounds, counted by an int
+        # (an array here refaulted the level temporaries), then the part round
         whole, rest = rounds(acc)
         pieces = []
         if full:
             sums = whole.sum(axis=0)
             dev = whole - sums / len(whole)
             dev *= dev
-            pieces.append((first, len(whole), sums, dev.sum(axis=0)))
+            pieces.append((len(whole), sums, dev.sum(axis=0)))
         if len(rest):
-            pieces.append(((start + full) % strata, 1, rest.copy(), np.zeros(len(rest))))
+            ones = (np.arange(strata) < len(rest)).astype(np.int64)
+            pieces.append((ones, np.pad(rest, (0, strata - len(rest))), np.zeros(strata)))
         return pieces
 
-    jobs = [
-        (index, start, min(chunk_size, num_samples - start))
-        for index, start in enumerate(range(0, num_samples, chunk_size))
-    ]
-
-    if threads is not None and threads > 1 and len(jobs) > 1:
+    chunks = range(-(-num_samples // chunk_size))
+    if threads is not None and threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(lambda j: run_chunk(*j), jobs))
+            partials = list(pool.map(run_chunk, chunks))
     else:
-        partials = [run_chunk(*j) for j in jobs]
+        partials = [run_chunk(index) for index in chunks]
 
-    counts = np.zeros(strata, dtype=np.int64)
-    sums = np.zeros(strata)
-    m2 = np.zeros(strata)
-    for first, n_b, s_b, m2_b in (piece for pieces in partials for piece in pieces):
-        idx = (first + np.arange(len(s_b))) % strata
-        n_a = counts[idx]
-        delta = s_b / n_b - sums[idx] / np.maximum(n_a, 1)
-        m2[idx] += m2_b + delta * delta * (n_a * n_b / (n_a + n_b))
-        sums[idx] += s_b
-        counts[idx] = n_a + n_b
+    counts, sums, m2 = np.zeros(strata, dtype=np.int64), np.zeros(strata), np.zeros(strata)
+    for n_b, s_b, m2_b in (piece for pieces in partials for piece in pieces):
+        # a stratum with no draw in the piece (n_b = 0) keeps its bits
+        delta = s_b / np.maximum(n_b, 1) - sums / np.maximum(counts, 1)
+        m2 = m2 + (m2_b + delta * delta * (counts * n_b / (counts + n_b)))
+        sums = sums + s_b
+        counts = counts + n_b
     return Tally(counts, sums, m2)
 
 

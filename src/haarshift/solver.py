@@ -149,6 +149,14 @@ class CoefficientTable:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
+        # u_min = u_max is a one-sample table, which reads correctly
+        if not -math.inf < self.u_min <= self.u_max < math.inf:
+            raise ValueError(f"need finite u_min <= u_max, got {self.u_min!r}, {self.u_max!r}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step!r}")
+        for name in ("tail_left", "tail_right", "samples"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         expected = round((self.u_max - self.u_min) / self.step) + 1
         if len(self.samples) != expected:
             raise ValueError(

@@ -372,20 +372,18 @@ def sample_chunk(
     index: int,
     count: int,
     num_samples: int = 1,
-    start: int = 0,
 ) -> list[GridSample]:
-    """Draw the `count` grids of chunk `index` of a `num_samples`-draw call,
-    its first draw being draw `start` of the call.
+    """Draw the `count` grids of chunk `index` of a `num_samples`-draw call.
 
     Chunk `index` owns the 2^70-wide Philox counter block starting at
     index << 70, and takes every uniform of log2 r first, then every
     uniform of sigma, then the bit rows from low level to high: bit i of
     the rows, laid out level after level, is bit i % 64 of raw 64-bit word
-    i // 64.  Stream 4 stratifies: draw start + j sits in stratum
-    h = (start + j) % (q * q * q_w), whose digits i_r, i_sigma, i_w
-    (h = (i_w q + i_sigma) q + i_r) give r = 2^((i_r + U) / q),
-    sigma = (i_sigma + U') / q and, in the first log2 q_w bit rows, the
-    bits of i_w, most significant first.
+    i // 64.  Stream 4 stratifies, and a chunk starts a round of the
+    H = q * q * q_w strata: its draw j sits in stratum h = j % H, whose
+    digits i_r, i_sigma, i_w (h = (i_w q + i_sigma) q + i_r) give
+    r = 2^((i_r + U) / q), sigma = (i_sigma + U') / q and, in the first
+    log2 q_w bit rows, the bits of i_w, most significant first.
     """
     if i_min >= n_max:
         raise ValueError("need i_min < n_max")
@@ -401,7 +399,7 @@ def sample_chunk(
     bits = bits.astype(np.uint8).reshape(n_rows, count)
     grids = []
     for j in range(count):
-        rest, i_r = divmod((start + j) % (q * q * q_w), q)
+        rest, i_r = divmod(j % (q * q * q_w), q)
         i_w, i_sigma = divmod(rest, q)
         column = bits[:, j].copy()
         for row in range(w_rows):
@@ -419,12 +417,26 @@ def sample_chunk(
     return grids
 
 
-def sample_grid(
-    seed: int, i_min: int, n_max: int, index: int = 0, num_samples: int = 1
-) -> GridSample:
-    """Draw one grid, the only one of a one-draw chunk `index` of a
-    `num_samples`-draw call (so draw `index` of that call)."""
-    return sample_chunk(seed, i_min, n_max, index, 1, num_samples, start=index)[0]
+def sample_call(
+    seed: int, i_min: int, n_max: int, num_samples: int, chunk_size: int
+) -> list[GridSample]:
+    """Every grid of a `num_samples`-draw call in draw order, its chunks
+    `chunk_size` draws rounded up to whole rounds of the H strata."""
+    q, q_w = strata_shape(num_samples, n_max - i_min)
+    chunk = -(-chunk_size // (q * q * q_w)) * (q * q * q_w)
+    return [
+        grid
+        for index, start in enumerate(range(0, num_samples, chunk))
+        for grid in sample_chunk(
+            seed, i_min, n_max, index, min(chunk, num_samples - start), num_samples
+        )
+    ]
+
+
+def sample_grid(seed: int, i_min: int, n_max: int, index: int = 0) -> GridSample:
+    """One unstratified grid: the first draw of chunk `index` of a call
+    of fewer than 16 draws, which are plain."""
+    return sample_chunk(seed, i_min, n_max, index, 1)[0]
 
 
 def pooled(tally) -> tuple[float, float]:
@@ -509,7 +521,7 @@ def apply_shift(s: GridSample, table, f, x: float, levels, stats=None) -> float:
     outright when it misses the support of f; `stats["intervals"]` counts
     the cells actually paired.
     """
-    lo, hi = f.support
+    lo, hi = float(f.knots[0]), float(f.knots[-1])
     g = make_g()
     total = 0.0
     for n in levels:

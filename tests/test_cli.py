@@ -78,14 +78,21 @@ def test_verify_default_probes(hilbert_base, capsys):
     assert payload["flags"]["probes"][0] == pytest.approx(1e-3)
 
 
-def test_verify_empty_probe_list(hilbert_base, capsys):
-    rc = cli.main(
-        ["verify", "--table", hilbert_base, "--kernel", "hilbert", "--probes", ""]
-    )
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["probes"] == []
-    assert payload["max_rel_err"] == 0.0
+@pytest.mark.parametrize("probes", ["", ",", "log:1:10:0"])
+def test_verify_empty_probe_list_is_usage_error(hilbert_base, probes, capsys):
+    # no probe means no comparison: the report would read max_rel_err 0.0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--table", hilbert_base, "--kernel", "hilbert", "--probes", probes])
+    assert exc.value.code == 64
+    assert "no probes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("probes", ["nan", "inf", "1,-1", "0"])
+def test_verify_probe_off_the_positive_axis_is_numeric_error(hilbert_base, probes, capsys):
+    # unchecked, a NaN probe splits quadrature panels until memory runs out
+    argv = ["verify", "--table", hilbert_base, "--kernel", "hilbert", "--probes", probes]
+    assert cli.main(argv) == 2
+    assert "needs 0 < x < inf" in capsys.readouterr().err
 
 
 def test_verify_deterministic_output(hilbert_base, tmp_path):
@@ -316,6 +323,41 @@ def test_sidecar_not_an_object_is_numeric_error(hilbert_base, command, text, cap
     }[command]
     assert cli.main(argv) == 2
     assert "hilb.json is not a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("step", 0.0, "step must be positive"),
+        ("u_max", math.inf, "u_min <= u_max"),
+        ("tail_left", math.nan, "tail_left must be finite"),
+    ],
+)
+def test_sidecar_bad_field_is_numeric_error(hilbert_base, field, value, message, capsys):
+    # unchecked, step 0 and u_max inf end in ZeroDivisionError and
+    # OverflowError tracebacks, and a NaN tail is read silently
+    sidecar = Path(hilbert_base).with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    meta[field] = value
+    sidecar.write_text(json.dumps(meta))
+    assert cli.main(["mc", "--table", hilbert_base, "--x", "1", "--y", "0"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_apply_probe_next_to_a_kink(hilbert_base, capsys):
+    """1e-9 from the kink at the triangle's peak, the direct route meets the
+    closed form."""
+    x = 1.000000001
+    argv = ["apply", "--table", hilbert_base, "--kernel", "hilbert", "--f", "triangle",
+            "--x", repr(x), "--samples", "500"]
+    assert cli.main(argv) == 0
+    row = capsys.readouterr().out.strip().splitlines()[1]
+    direct = float(row.split(",")[3])
+
+    def phi(y):
+        return y * math.log(abs(y))
+
+    assert direct == pytest.approx(phi(x) - 2.0 * phi(x - 1.0) + phi(x - 2.0), abs=1e-12)
 
 
 def test_verify_rtol_below_epsilon_is_numeric_error(hilbert_base, capsys):

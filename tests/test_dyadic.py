@@ -16,6 +16,7 @@ from oracles import (
     reference_kernel_pairing,
     reference_operator_pairing,
     reference_shift_terms,
+    sample_call,
     sample_chunk,
     sample_grid,
     shift_kernel_sum,
@@ -282,9 +283,10 @@ def test_accumulate_deterministic_and_thread_invariant(num_samples, chunk_size):
 
 
 def test_engine_matches_scalar_sampler():
-    """The chunked engine at chunk size 1 must draw the same stream as
-    sample_grid draw by draw, stratum by stratum, and its sigma recursion
-    must land in the same cells as the explicit offset geometry."""
+    """At chunk size 1, rounded up to the 8 strata, the chunked engine must
+    draw the same stream as the scalar sampler, draw by draw, stratum by
+    stratum, and its sigma recursion must land in the same cells as the
+    explicit offset geometry."""
     x, y = 0.73, 0.21
     levels = range(-3, 9)
     m = 64
@@ -292,8 +294,8 @@ def test_engine_matches_scalar_sampler():
     q, q_w = strata_shape(m, len(levels) - 1)
     assert tally.strata == q * q * q_w == 8
     manual = [
-        shift_kernel_sum(sample_grid(31, levels.start, levels[-1], index, m), ONES, x, y, levels)
-        for index in range(m)
+        shift_kernel_sum(s, ONES, x, y, levels)
+        for s in sample_call(31, levels.start, levels[-1], m, chunk_size=1)
     ]
     assert tally.sums == pytest.approx(_by_stratum(manual, 8), rel=1e-9, abs=1e-9)
 
@@ -343,26 +345,24 @@ def test_strata_follow_the_draw_count(num_samples, strata):
 
 
 def test_merge_matches_direct_statistics():
-    """Chunks that start mid-round (5000 draws against 4096 strata) and a
-    short last chunk merge to the per-stratum count, sum and M2 computed
-    directly from the oracle's draws."""
+    """Chunks of 5000 draws, rounded up to two rounds of the 4096 strata,
+    and a short last chunk with a part round merge to the per-stratum
+    count, sum and M2 computed directly from the oracle's draws."""
     levels = range(0, 5)
-    m, chunk = 3 * 4096 + 1000, 5000
+    m = 3 * 4096 + 1000
 
     def term(n, r, sigma):
         return (n + 2) * r * sigma
 
-    tally = accumulate_samples(12, m, levels, term, chunk_size=chunk)
+    tally = accumulate_samples(12, m, levels, term, chunk_size=5000)
     totals = []
-    for index, start in enumerate(range(0, m, chunk)):
-        count = min(chunk, m - start)
-        for s in sample_chunk(12, levels.start, levels[-1], index, count, m, start):
-            sigma, total = s.sigma, 0.0
-            for j, n in enumerate(levels):
-                total += (n + 2) * s.r * sigma
-                if j < len(s.bits):
-                    sigma = (sigma + s.bits[j]) / 2
-            totals.append(total)
+    for s in sample_call(12, levels.start, levels[-1], m, chunk_size=5000):
+        sigma, total = s.sigma, 0.0
+        for j, n in enumerate(levels):
+            total += (n + 2) * s.r * sigma
+            if j < len(s.bits):
+                sigma = (sigma + s.bits[j]) / 2
+        totals.append(total)
     strata = np.arange(m) % 4096
     assert tally.strata == 4096
     assert tally.counts.tolist() == np.bincount(strata, minlength=4096).tolist()

@@ -14,6 +14,7 @@ from oracles import (
     haar_pairing,
     integrate_pl,
     rescale_to_interval,
+    sample_call,
     sample_grid,
 )
 
@@ -29,7 +30,12 @@ from haarshift import (
 )
 from haarshift.dyadic import accumulate_samples, estimate
 from haarshift.operators import _operator_terms
-from haarshift.piecewise import PiecewiseLinear, StepFunction
+from haarshift.piecewise import (
+    PiecewiseLinear,
+    StepFunction,
+    reflect,
+    second_derivative_atoms,
+)
 
 
 def test_pairing_mean_zero_function():
@@ -113,7 +119,7 @@ def exact_antiderivative(f: TestFunction, t: float) -> Fraction:
 
 
 @st.composite
-def step_and_linear_functions(draw):
+def step_and_linear_functions(draw, step_only=False):
     """A step or piecewise-linear f on 2-6 rational knots n/q.  The knots
     are stored as the doubles nearest to them: those are the knots the
     float antiderivative sees, so the oracle integrates the same f."""
@@ -123,7 +129,7 @@ def step_and_linear_functions(draw):
     value = st.floats(-1e3, 1e3, allow_subnormal=False).map(
         lambda v: v if abs(v) > 1e-9 else 0.0
     )
-    if draw(st.booleans()):
+    if step_only or draw(st.booleans()):
         n_values = len(knots) - 1
         make = StepFunction
     else:
@@ -136,7 +142,7 @@ def step_and_linear_functions(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(f=step_and_linear_functions(), data=st.data())
 def test_antiderivative_matches_exact_integrals(f, data):
-    lo, hi = f.support
+    lo, hi = float(f.knots[0]), float(f.knots[-1])
     inside = data.draw(st.lists(st.floats(lo, hi), min_size=1, max_size=8))
     outside = st.floats(hi, 2.0**20) | st.floats(-(2.0**20), lo)
     far = data.draw(st.lists(outside, min_size=1, max_size=4))
@@ -203,15 +209,16 @@ THREE_CELLS = TestFunction(
     ids=["indicator", "triangle", "three-cells"],
 )
 def test_engine_matches_scalar_operator(hilbert_table, f):
-    """One draw per chunk, so chunk j is the scalar oracle's draw j: the
-    engine's per-draw totals must match apply_shift in sum and spread."""
+    """At chunk size 1, rounded up to the 8 strata, the engine's per-draw
+    totals must match apply_shift on the sampler's draws in sum and
+    spread."""
     x = 0.37
     lv = range(-3, 9)
     m = 16
     tally = accumulate_samples(5, m, lv, _operator_terms(hilbert_table, f, x), chunk_size=1)
     # 16 draws fill 8 strata with 2 each; draw j sits in stratum j % 8
     assert tally.strata == 8
-    draws = [sample_grid(5, lv.start, lv[-1], index=j, num_samples=m) for j in range(m)]
+    draws = sample_call(5, lv.start, lv[-1], m, chunk_size=1)
     scalar = [apply_shift(s, hilbert_table, f, x, lv) for s in draws]
     for h in range(8):
         pair = scalar[h::8]
@@ -278,52 +285,140 @@ def test_apply_averaged_explicit_levels(hilbert_table):
     assert est.tail_bound == pytest.approx(14.0 * sup * 2.0**-6, rel=1e-12)
 
 
-def test_direct_pv_hilbert_indicator():
-    spec = get_kernel("hilbert")
-    got = direct_pv(spec, indicator_function(), 2.0)
-    assert got == pytest.approx(math.log(2.0), abs=1e-8)
-
-
-def test_direct_pv_interior_symmetric_point():
-    # at the midpoint of the support the two exclusion lobes cancel exactly
-    spec = get_kernel("hilbert")
-    assert direct_pv(spec, indicator_function(), 0.5) == pytest.approx(0.0, abs=1e-8)
-
-
 def test_direct_pv_zero_function():
     spec = get_kernel("hilbert")
     zero = TestFunction(StepFunction([0, 1], [0.0]))
     assert direct_pv(spec, zero, 2.0) == 0.0
 
 
-def test_direct_pv_conjugate_poisson():
-    spec = get_kernel("conjugate-poisson")
-    want = 0.5 * math.log(2.5)
-    assert direct_pv(spec, indicator_function(), 2.0) == pytest.approx(want, abs=1e-8)
+def hilbert_indicator(x):
+    """PV integral_0^1 dt / (x - t) = ln|x / (x - 1)|."""
+    if abs(x) > 2:
+        return -math.log1p(-1.0 / x)
+    return math.log(abs(x)) - math.log(abs(x - 1.0))
 
 
-def test_direct_pv_triangle():
+def hilbert_piecewise_linear(f, x):
+    """PV integral f(t) / (x - t) dt = sum_k w_k (x - k) ln|x - k| over the
+    atoms w_k of f'' at the knots k: the atoms' total and first moment
+    vanish, so the terms linear in x cancel."""
+    return math.fsum(
+        float(w) * float(x - k) * math.log(abs(float(x - k)))
+        for k, w in second_derivative_atoms(f.base)
+        if k != x
+    )
+
+
+def hilbert_triangle(x):
+    if 0 <= x <= 2:
+        return hilbert_piecewise_linear(triangle_function(), x)
+    # the atoms 1, -2, 1 at 0, 1, 2 with ln|x - k| = ln|x| + log1p(-k/x):
+    # the ln|x| terms cancel exactly, so no large terms cancel in rounding
+    return -2.0 * (x - 1.0) * math.log1p(-1.0 / x) + (x - 2.0) * math.log1p(-2.0 / x)
+
+
+def cp_indicator(x):
+    """integral_0^1 (x - t) / (1 + (x - t)^2) dt."""
+    return 0.5 * (math.log1p(x * x) - math.log1p((x - 1.0) ** 2))
+
+
+NEAR_KNOT_PROBES = [
+    -1000.0, -1.0, 1e-300, 1e-10, 2.0**-39, 0.25, 0.5, 1 - 1e-9, 1 + 1e-9, 1 + 2.0**-39,
+    1.5, 2 - 1e-10, 2.0, 2 + 1e-10, 4.0, 5.0, 1e5,
+]
+
+
+@pytest.mark.parametrize("x", NEAR_KNOT_PROBES)
+def test_direct_pv_matches_closed_forms(x):
+    """Within 1e-12 of the closed forms, however near x sits to a knot
+    (down to 1e-300 away) or however far from the support."""
+    hilbert, cp = get_kernel("hilbert"), get_kernel("conjugate-poisson")
+    box, tent = indicator_function(), triangle_function()
+    assert direct_pv(hilbert, box, x) == pytest.approx(hilbert_indicator(x), abs=1e-12)
+    assert direct_pv(hilbert, tent, x) == pytest.approx(hilbert_triangle(x), abs=1e-12)
+    assert direct_pv(cp, box, x) == pytest.approx(cp_indicator(x), abs=1e-12)
+
+
+def cp_ramp(x):
+    """int K(x - t) f(t) dt for K(u) = u / (1 + u^2) and f(t) = (t + 40) / 80
+    on [-40, 40]: with u = x - t, (1/80) [(x + 40) ln(1 + u^2) / 2 - u + atan u]
+    between u = x - 40 and x + 40."""
+
+    def antiderivative(u):
+        return (x + 40.0) / 2.0 * math.log1p(u * u) - u + math.atan(u)
+
+    return (antiderivative(x + 40.0) - antiderivative(x - 40.0)) / 80.0
+
+
+@pytest.mark.parametrize("x", [0.3, 10.0, -20.0, 39.0])
+def test_direct_pv_resolves_the_kernel_scale(x):
+    """A kernel with a feature at scale 1 and an f linear far on both sides
+    of x: panels halving from the nearest knot distance down towards 0
+    resolve K there; one panel over [0, d_min] would be 1.3e-3 off."""
+    ramp = TestFunction(PiecewiseLinear([-40, 40], [0.0, 1.0]))
+    got = direct_pv(get_kernel("conjugate-poisson"), ramp, x)
+    assert got == pytest.approx(cp_ramp(x), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "f, x",
+    [
+        (indicator_function(), 0.0),
+        (indicator_function(), 1.0),
+        (TestFunction(PiecewiseLinear([0, 1], [0.0, 2.0])), 1.0),
+        (TestFunction(PiecewiseLinear([-1, 1], [0.5, 0.0])), -1.0),
+    ],
+    ids=["indicator-0", "indicator-1", "linear-right-end", "linear-left-end"],
+)
+def test_direct_pv_rejects_jump_at_x(f, x):
+    with pytest.raises(OperatorError, match="jumps"):
+        direct_pv(get_kernel("hilbert"), f, x)
+
+
+def test_direct_pv_continuous_knots():
+    """At a kink, and at a step breakpoint with equal sides, f is
+    continuous and the value finite."""
+    hilbert = get_kernel("hilbert")
+    tent = triangle_function()
+    assert direct_pv(hilbert, tent, 1.0) == pytest.approx(0.0, abs=1e-12)
+    lopsided = TestFunction(PiecewiseLinear([0, 1, 3], [0.0, 1.0, 0.0]))
+    assert hilbert_piecewise_linear(lopsided, 1.0) == -math.log(2.0)
+    assert direct_pv(hilbert, lopsided, 1.0) == pytest.approx(-math.log(2.0), abs=1e-12)
+    split = TestFunction(StepFunction([0, Fraction(1, 2), 1], [1.0, 1.0]))
+    assert direct_pv(hilbert, split, 0.5) == direct_pv(hilbert, indicator_function(), 0.5)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_direct_pv_rejects_non_finite_x(x):
+    with pytest.raises(ValueError, match="finite x"):
+        direct_pv(get_kernel("hilbert"), indicator_function(), x)
+
+
+@pytest.mark.parametrize("x", [1e-310, 5e-324, -(2.0**-1001)])
+def test_direct_pv_rejects_x_within_2_to_the_minus_1000_of_a_knot(x):
+    # the nodes next to the knot would overflow 1/s into inf * 0 = NaN
+    with pytest.raises(ValueError, match=r"within 2\^-1000"):
+        direct_pv(get_kernel("hilbert"), indicator_function(), x)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(f=step_and_linear_functions(step_only=True), data=st.data())
+def test_direct_pv_reflection_negates(f, data):
+    """T f(x) = -T f~(-x) for f~(t) = f(-t), bit for bit: the panels and
+    nodes are the same, and f~ reads f's values at the negated points.
+    Step functions only: np.interp interpolates a reflected linear piece
+    from its other end, which rounds differently."""
+    knots = [float(k) for k in f.knots]
+    x = data.draw(st.floats(-60, 60) | st.sampled_from(knots))
+    mirrored = TestFunction(reflect(f.base))
     spec = get_kernel("hilbert")
-    want = 4.0 * math.log(4.0 / 3.0) - 2.0 * math.log(1.5)
-    assert direct_pv(spec, triangle_function(), 4.0) == pytest.approx(want, abs=1e-8)
-
-
-def test_direct_pv_schedule_validation():
-    spec = get_kernel("hilbert")
-    with pytest.raises(OperatorError):
-        direct_pv(spec, indicator_function(), 2.0, eps_schedule=[0.25])
-
-
-def test_direct_pv_unsettled_schedule():
-    spec = get_kernel("hilbert")
-    with pytest.raises(OperatorError):
-        direct_pv(
-            spec,
-            indicator_function(),
-            0.7,
-            eps_schedule=[0.25, 0.125],
-            atol=1e-30,
-        )
+    try:
+        value = direct_pv(spec, f, x)
+    except (OperatorError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            direct_pv(spec, mirrored, -x)
+        return
+    assert direct_pv(spec, mirrored, -x) == -value
 
 
 def test_averaged_agrees_with_direct_pv(hilbert_table):

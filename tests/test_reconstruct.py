@@ -10,6 +10,7 @@ from oracles import depth_first_reconstruct
 
 from haarshift import (
     CoefficientTable,
+    KernelSpec,
     compare_report,
     get_kernel,
     kernel_profile,
@@ -26,11 +27,13 @@ def test_profile_shape():
     assert p(0.3) == pytest.approx(-p(-0.3), abs=1e-15)
 
 
-def test_reconstruct_requires_positive_x():
-    with pytest.raises(ValueError):
-        reconstruct_at(const_table(1.0), 0.0)
-    with pytest.raises(ValueError):
-        reconstruct_at(const_table(1.0), -2.0)
+@pytest.mark.parametrize("x", [0.0, -2.0, math.nan, math.inf])
+def test_reconstruct_requires_positive_x(x):
+    # unchecked, a NaN probe splits panels without bound
+    with pytest.raises(ValueError, match="0 < x < inf"):
+        reconstruct_at(const_table(1.0), x)
+    with pytest.raises(ValueError, match="0 < x < inf"):
+        compare_report(get_kernel("hilbert"), const_table(1.0), [1.0, x])
 
 
 @pytest.mark.parametrize("rtol", [0.0, -1.0, math.nan, 1e-30, 1e-300])
@@ -157,6 +160,19 @@ def test_compare_report_basics(hilbert_table):
     assert [set(row) for row in report["probes"]] == [{"x", "K", "Khat", "rel_err"}] * 3
     assert report["max_rel_err"] <= 1e-6
     assert compare_report(spec, hilbert_table, [0.5, 1.0, 2.0]) == report
+
+
+def test_compare_report_keeps_a_nan_error(hilbert_table):
+    """A probe whose K is NaN makes max_rel_err NaN: the builtin max would
+    drop it and report the other probe's error."""
+    hilbert = get_kernel("hilbert")
+    spec = KernelSpec(
+        "nan-at-2", lambda x: np.where(np.asarray(x) == 2.0, np.nan, 1.0 / np.asarray(x)),
+        hilbert.k2, hilbert.m_eval,
+    )
+    report = compare_report(spec, hilbert_table, [1.0, 2.0])
+    assert math.isnan(report["probes"][1]["rel_err"])
+    assert math.isnan(report["max_rel_err"])
 
 
 def test_compare_report_empty(hilbert_table):

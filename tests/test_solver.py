@@ -365,6 +365,34 @@ def test_tent_solution_matches_word_expansion(tent_table):
     assert float(np.max(np.abs(solved - oracle))) <= budget
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("u_min", -math.inf),
+        ("u_min", 2.0),
+        ("u_max", math.nan),
+        ("step", 0.0),
+        ("step", -0.5),
+        ("step", math.inf),
+        ("tail_left", math.nan),
+        ("tail_right", math.inf),
+    ],
+)
+def test_table_postinit_names_bad_field(field, value):
+    fields = dict(u_min=0.0, u_max=1.0, step=0.5, samples=np.zeros(3), tail_left=0.0,
+                  tail_right=0.0, residual_sup=0.0, iterations=0)
+    fields[field] = value
+    name = "u_min <= u_max" if field.startswith("u_") else field
+    with pytest.raises(ValueError, match=name):
+        CoefficientTable(**fields)
+
+
+def test_table_postinit_rejects_non_finite_samples():
+    with pytest.raises(ValueError, match="samples must be finite"):
+        CoefficientTable(u_min=0.0, u_max=1.0, step=0.5, samples=[0.0, math.nan, 0.0],
+                         tail_left=0.0, tail_right=0.0, residual_sup=0.0, iterations=0)
+
+
 def test_table_postinit_validates_length():
     with pytest.raises(ValueError):
         CoefficientTable(
