@@ -10,6 +10,7 @@ metadata alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -70,22 +71,25 @@ def _positive_float(text: str) -> float:
 
 
 def _float_list(text: str) -> list[float]:
+    """A comma-separated list of probe points, not empty."""
     try:
-        return [float(part) for part in text.split(",") if part.strip()]
+        probes = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+    if not probes:
+        raise argparse.ArgumentTypeError(f"no probes in {text!r}")
+    return probes
 
 
 def _probe_spec(text: str) -> np.ndarray:
     """Either 'log:A:B:N' (N log-spaced points) or a comma list, not empty."""
-    if text.startswith("log:"):
-        try:
-            _, a, b, n = text.split(":")
-            probes = np.logspace(math.log10(float(a)), math.log10(float(b)), int(n))
-        except (ValueError, TypeError):
-            raise argparse.ArgumentTypeError(f"bad probe spec {text!r}")
-    else:
-        probes = np.asarray(_float_list(text))
+    if not text.startswith("log:"):
+        return np.asarray(_float_list(text))
+    try:
+        _, a, b, n = text.split(":")
+        probes = np.logspace(math.log10(float(a)), math.log10(float(b)), int(n))
+    except (ValueError, TypeError):
+        raise argparse.ArgumentTypeError(f"bad probe spec {text!r}")
     if not probes.size:
         raise argparse.ArgumentTypeError(f"no probes in {text!r}")
     return probes
@@ -109,7 +113,7 @@ def _provenance(args: argparse.Namespace) -> dict:
     }
 
 
-def _emit(payload: dict, out: str | None) -> None:
+def _emit(payload: dict, out: str | Path | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
         Path(out).write_text(text + "\n")
@@ -195,10 +199,7 @@ def _cmd_apply(args) -> int:
     if args.out:
         with open(args.out, "w", newline="") as fh:
             csv.writer(fh).writerows(lines)
-        sidecar = Path(args.out).with_suffix(".json")
-        sidecar.write_text(
-            json.dumps(_provenance(args), indent=2, sort_keys=True) + "\n"
-        )
+        _emit(_provenance(args), Path(args.out).with_suffix(".json"))
     else:
         for line in lines:
             print(",".join(line))
@@ -213,21 +214,16 @@ def _cmd_adiag(args) -> int:
         )
     count = int(round(count))
     best = math.inf
-    writer = None
-    fh = None
-    try:
-        if args.out:
-            fh = open(args.out, "w", newline="")
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as fh:
+        if fh:
             writer = csv.writer(fh)
             writer.writerow(["omega", "abs_a"])
         for omega, mod in modulus_chunks(2 * count + 1, lambda k: (k - count) * args.step):
             best = min(best, float(mod.min()))
-            if writer is not None:
-                for w, m in zip(omega, mod):
-                    writer.writerow([format(w, ".17g"), format(m, ".17g")])
-    finally:
-        if fh is not None:
-            fh.close()
+            if fh:
+                writer.writerows(
+                    (format(w, ".17g"), format(m, ".17g")) for w, m in zip(omega, mod)
+                )
     a0 = a_of_omega(0.0)
     print(f"min |a(omega)| over [{-args.omega_max:g}, {args.omega_max:g}] "
           f"step {args.step:g}: {best:.9f}")
@@ -245,10 +241,18 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    kernel_kwargs = dict(required=True, help=f"one of: {', '.join(builtin_names())}")
+    # flags shared by several subcommands, each declared once
+    kernel = _Parser(add_help=False)
+    kernel.add_argument("--kernel", required=True, help=f"one of: {', '.join(builtin_names())}")
+    table = _Parser(add_help=False)
+    table.add_argument("--table", required=True, help="table base path from `solve`")
+    monte_carlo = _Parser(add_help=False, parents=[table])
+    monte_carlo.add_argument("--samples", type=_positive_int, default=100000)
+    monte_carlo.add_argument("--seed", type=int, default=0)
+    monte_carlo.add_argument("--tail-tol", type=_positive_float, default=1e-4)
+    monte_carlo.add_argument("--threads", type=_positive_int, default=os.cpu_count())
 
-    p = sub.add_parser("solve", help="solve the coefficient recursion")
-    p.add_argument("--kernel", **kernel_kwargs)
+    p = sub.add_parser("solve", parents=[kernel], help="solve the coefficient recursion")
     p.add_argument("--window", nargs=2, type=float, default=[-14.0, 14.0],
                    metavar=("U0", "U1"))
     p.add_argument("--step", type=_positive_float, default=2.0**-9)
@@ -256,36 +260,25 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="output base path (writes BASE.csv and BASE.json)")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("verify", help="reconstruct the kernel and compare")
-    p.add_argument("--table", required=True, help="table base path from `solve`")
-    p.add_argument("--kernel", **kernel_kwargs)
+    p = sub.add_parser("verify", parents=[table, kernel],
+                       help="reconstruct the kernel and compare")
     p.add_argument("--probes", type=_probe_spec, default="log:0.001:1000:50",
                    help="'log:A:B:N' or comma-separated values")
     p.add_argument("--rtol", type=_positive_float, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("mc", help="Monte-Carlo two-point estimate")
-    p.add_argument("--table", required=True)
+    p = sub.add_parser("mc", parents=[monte_carlo], help="Monte-Carlo two-point estimate")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
-    p.add_argument("--samples", type=_positive_int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tail-tol", type=_positive_float, default=1e-4)
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count())
     p.add_argument("--out")
     p.set_defaults(func=_cmd_mc)
 
-    p = sub.add_parser("apply", help="averaged operator vs direct convolution")
-    p.add_argument("--table", required=True)
-    p.add_argument("--kernel", **kernel_kwargs)
+    p = sub.add_parser("apply", parents=[monte_carlo, kernel],
+                       help="averaged operator vs direct convolution")
     p.add_argument("--f", choices=["indicator", "triangle"], default="indicator")
     p.add_argument("--x", type=_float_list, required=True,
                    help="comma-separated probe points")
-    p.add_argument("--samples", type=_positive_int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tail-tol", type=_positive_float, default=1e-4)
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count())
     p.add_argument("--out", help="CSV path (JSON provenance sidecar alongside)")
     p.set_defaults(func=_cmd_apply)
 

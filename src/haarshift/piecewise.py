@@ -73,15 +73,15 @@ class StepFunction:
         return np.array([float(b) for b in self.breakpoints])
 
     @cached_property
-    def _val_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+    def _padded_values(self) -> np.ndarray:
+        # 0, the cell values, 0: indexed by the count of breakpoints <= x
+        return np.array([0.0, *self.values, 0.0])
 
     def __call__(self, x):
         """Evaluate at scalar or array x (value 0 outside the support)."""
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self._bp_array, x, side="right") - 1
-        inside = (idx >= 0) & (idx < len(self.values))
-        out = np.where(inside, self._val_array[np.clip(idx, 0, len(self.values) - 1)], 0.0)
+        # NaN sorts past every breakpoint and reads 0
+        out = self._padded_values[np.searchsorted(self._bp_array, x, side="right")]
         return out if out.ndim else float(out)
 
 
@@ -123,10 +123,6 @@ class PiecewiseLinear:
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.interp(x, self._knot_array, self._val_array, left=0.0, right=0.0)
-        # np.interp clamps instead of zeroing outside the knot span
-        out = np.where(
-            (x < self._knot_array[0]) | (x > self._knot_array[-1]), 0.0, out
-        )
         return out if out.ndim else float(out)
 
     def slopes(self) -> list[Fraction]:

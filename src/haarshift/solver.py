@@ -44,13 +44,12 @@ equation, a check in real space that is independent of the transform.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -133,7 +132,9 @@ class CoefficientTable:
     constant tails.  `iterations` and `max_change_ratio` record the sweeps
     of a contraction solve and the largest observed ratio of successive
     sup-changes, a direct measurement of the contraction factor; `solve_c`
-    runs no sweep and records 0 and 0.0.
+    runs no sweep and records 0 and 0.0.  These fields are the table's
+    file format: `write_table` puts `samples` in the CSV and every other
+    field in the JSON sidecar.
     """
 
     u_min: float
@@ -352,22 +353,17 @@ def solve_c(
     return table
 
 
-def residual(
-    table: CoefficientTable,
-    spec: KernelSpec,
-    probe_points: Sequence[float] | np.ndarray | None = None,
-) -> float:
-    """Sup-norm defect of the recursion over probe points.
+def residual(table: CoefficientTable, spec: KernelSpec) -> float:
+    """Sup-norm defect of the recursion over the table's grid.
 
-    Substitutes the interpolated table into the four-term equation.  The
-    default probes are the window grid points whose largest shifted read,
-    u + ln 4, stays inside the window, so tails never mask the defect.
+    Substitutes the interpolated table into the four-term equation at the
+    window grid points whose largest shifted read, u + ln 4, stays inside
+    the window, so tails never mask the defect; a window narrower than
+    ln 4 has no such point, and the defect reads 0.0.
     """
-    if probe_points is None:
-        grid = table.grid
-        reach = max(shift for shift, _ in RECURSION)
-        probe_points = grid[grid + reach <= table.u_max + 1e-12]
-    probes = np.asarray(probe_points, dtype=float)
+    grid = table.grid
+    reach = max(shift for shift, _ in RECURSION)
+    probes = grid[grid + reach <= table.u_max + 1e-12]
     if probes.size == 0:
         return 0.0
     lhs = _weighted_sum(RECURSION, lambda shift: table.c_at(probes + shift))
@@ -397,6 +393,11 @@ def modulus_chunks(size: int, omega_at: Callable[[np.ndarray], np.ndarray]):
 # serialization: CSV table plus JSON sidecar
 
 
+def _sidecar_fields():
+    """The fields the JSON sidecar carries: all but the CSV's samples."""
+    return [f for f in fields(CoefficientTable) if f.name != "samples"]
+
+
 def write_table(table: CoefficientTable, base_path: str | Path, extra: dict | None = None) -> tuple[Path, Path]:
     """Write `<base>.csv` (columns u, c) and `<base>.json` (metadata).
 
@@ -411,17 +412,7 @@ def write_table(table: CoefficientTable, base_path: str | Path, extra: dict | No
     rows = zip(table.grid.tolist(), table.samples.tolist())
     with open(csv_path, "w", newline="") as fh:
         fh.write("u,c\r\n" + "".join(f"{u:.17g},{v:.17g}\r\n" for u, v in rows))
-    meta = {
-        "u_min": table.u_min,
-        "u_max": table.u_max,
-        "step": table.step,
-        "tail_left": table.tail_left,
-        "tail_right": table.tail_right,
-        "residual_sup": table.residual_sup,
-        "iterations": table.iterations,
-        "kernel_name": table.kernel_name,
-        "max_change_ratio": table.max_change_ratio,
-    }
+    meta = {f.name: getattr(table, f.name) for f in _sidecar_fields()}
     if extra:
         meta.update(extra)
     with open(json_path, "w") as fh:
@@ -431,31 +422,36 @@ def write_table(table: CoefficientTable, base_path: str | Path, extra: dict | No
 
 
 def read_table(base_path: str | Path) -> CoefficientTable:
-    """Read a table written by `write_table`."""
+    """Read a table written by `write_table`.
+
+    Each sidecar field is cast to its declared type; a field with a
+    default may be missing.  A missing or uncastable field raises
+    `ValueError` naming it.
+    """
     base = Path(base_path)
     json_path = base.with_suffix(".json")
     with open(json_path) as fh:
         meta = json.load(fh)
     if not isinstance(meta, dict):
         raise ValueError(f"table sidecar {json_path} is not a JSON object")
-    csv_path = base.with_suffix(".csv")
-    with open(csv_path, newline="") as fh:
-        header = next(csv.reader(fh), [])
-    if header[:2] != ["u", "c"]:
-        raise ValueError(f"unexpected table header {header!r}")
-    samples = np.loadtxt(csv_path, delimiter=",", skiprows=1, usecols=1, ndmin=1)
-    try:
-        return CoefficientTable(
-            u_min=float(meta["u_min"]),
-            u_max=float(meta["u_max"]),
-            step=float(meta["step"]),
-            samples=samples,
-            tail_left=float(meta["tail_left"]),
-            tail_right=float(meta["tail_right"]),
-            residual_sup=float(meta["residual_sup"]),
-            iterations=int(meta["iterations"]),
-            kernel_name=str(meta.get("kernel_name", "")),
-            max_change_ratio=float(meta.get("max_change_ratio", 0.0)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"table sidecar {json_path} has no field {exc.args[0]!r}") from None
+    types = get_type_hints(CoefficientTable)
+    values = {}
+    for f in _sidecar_fields():
+        if f.name not in meta:
+            if f.default is MISSING:
+                raise ValueError(f"table sidecar {json_path} has no field {f.name!r}")
+            continue
+        cast = types[f.name]
+        try:
+            values[f.name] = cast(meta[f.name])
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(
+                f"table sidecar {json_path} field {f.name!r} must be of type {cast.__name__}, "
+                f"got {meta[f.name]!r}"
+            ) from None
+    with open(base.with_suffix(".csv")) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header[:2] != ["u", "c"]:
+            raise ValueError(f"unexpected table header {header!r}")
+        samples = np.loadtxt(fh, delimiter=",", usecols=1, ndmin=1)
+    return CoefficientTable(samples=samples, **values)

@@ -78,11 +78,16 @@ def test_verify_default_probes(hilbert_base, capsys):
     assert payload["flags"]["probes"][0] == pytest.approx(1e-3)
 
 
-@pytest.mark.parametrize("probes", ["", ",", "log:1:10:0"])
-def test_verify_empty_probe_list_is_usage_error(hilbert_base, probes, capsys):
-    # no probe means no comparison: the report would read max_rel_err 0.0
+@pytest.mark.parametrize(
+    "command, probes",
+    [("verify", ""), ("verify", ","), ("verify", "log:1:10:0"), ("apply", ","), ("apply", " , ")],
+)
+def test_verify_empty_probe_list_is_usage_error(hilbert_base, command, probes, capsys):
+    # no probe means no comparison: verify would read max_rel_err 0.0, and
+    # apply print only its CSV header
+    flag = {"verify": "--probes", "apply": "--x"}[command]
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--table", hilbert_base, "--kernel", "hilbert", "--probes", probes])
+        cli.main([command, "--table", hilbert_base, "--kernel", "hilbert", flag, probes])
     assert exc.value.code == 64
     assert "no probes" in capsys.readouterr().err
 
@@ -331,11 +336,15 @@ def test_sidecar_not_an_object_is_numeric_error(hilbert_base, command, text, cap
         ("step", 0.0, "step must be positive"),
         ("u_max", math.inf, "u_min <= u_max"),
         ("tail_left", math.nan, "tail_left must be finite"),
+        ("step", None, "field 'step' must be of type float"),
+        ("u_min", [-14.0], "field 'u_min' must be of type float"),
+        ("iterations", None, "field 'iterations' must be of type int"),
     ],
 )
 def test_sidecar_bad_field_is_numeric_error(hilbert_base, field, value, message, capsys):
     # unchecked, step 0 and u_max inf end in ZeroDivisionError and
-    # OverflowError tracebacks, and a NaN tail is read silently
+    # OverflowError tracebacks, a NaN tail is read silently, and a field
+    # of the wrong JSON type ends in a TypeError traceback
     sidecar = Path(hilbert_base).with_suffix(".json")
     meta = json.loads(sidecar.read_text())
     meta[field] = value

@@ -76,12 +76,19 @@ def test_residual_within_interpolation_budget(cp_table):
     assert cp_table.residual_sup <= 1e-8 + lip * cp_table.step
 
 
-def test_residual_custom_probes_match_default(cp_table):
-    spec = get_kernel("conjugate-poisson")
-    grid = cp_table.grid
-    probes = grid[grid + math.log(4.0) <= cp_table.u_max + 1e-12]
-    assert residual(cp_table, spec, probes) == cp_table.residual_sup
-    assert residual(cp_table, spec, []) == 0.0
+def test_residual_of_window_narrower_than_ln4_is_zero():
+    # every grid point's u + ln 4 read leaves the window: no probe is left
+    table = CoefficientTable(
+        u_min=0.0,
+        u_max=1.25,
+        step=0.25,
+        samples=np.ones(6),
+        tail_left=0.0,
+        tail_right=0.0,
+        residual_sup=0.0,
+        iterations=0,
+    )
+    assert residual(table, get_kernel("conjugate-poisson")) == 0.0
 
 
 def test_gamma_at_constant(hilbert_table):
@@ -508,6 +515,12 @@ def test_read_table_names_missing_sidecar_field(tmp_path, cp_table):
     base = tmp_path / "cp"
     _, json_path = write_table(cp_table, base)
     meta = json.loads(json_path.read_text())
+    # the fields with a default may be missing
+    del meta["kernel_name"], meta["max_change_ratio"]
+    json_path.write_text(json.dumps(meta))
+    back = read_table(base)
+    assert (back.kernel_name, back.max_change_ratio) == ("", 0.0)
+    assert np.array_equal(back.samples, cp_table.samples)
     del meta["u_min"]
     json_path.write_text(json.dumps(meta))
     with pytest.raises(ValueError, match=r"cp\.json has no field 'u_min'"):
