@@ -63,6 +63,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 1 << 128:
+        raise argparse.ArgumentTypeError("must be an integer in [0, 2^128)")
+    return value
+
+
 def _positive_float(text: str) -> float:
     value = float(text)
     if not 0 < value < math.inf:
@@ -121,6 +128,17 @@ def _emit(payload: dict, out: str | Path | None) -> None:
         print(text)
 
 
+def _estimate_payload(est) -> dict:
+    """`Estimate.to_dict` as JSON: a NaN stderr (one draw) becomes null,
+    and `stderr_defined` says whether the estimate has one."""
+    payload = est.to_dict()
+    for entry in [payload, *payload["levels"]]:
+        if math.isnan(entry["stderr"]):
+            entry["stderr"] = None
+    payload["stderr_defined"] = payload["stderr"] is not None
+    return payload
+
+
 def _cmd_solve(args) -> int:
     spec = get_kernel(args.kernel)
     table = solve_c(
@@ -159,13 +177,8 @@ def _cmd_mc(args) -> int:
         seed=args.seed,
         threads=args.threads,
     )
-    payload = est.to_dict()
+    payload = _estimate_payload(est)
     payload["y"] = args.y
-    if math.isnan(payload["stderr"]):
-        payload["stderr"] = None
-        payload["stderr_defined"] = False
-    else:
-        payload["stderr_defined"] = True
     payload.update(_provenance(args))
     _emit(payload, args.out)
     return 0
@@ -199,7 +212,8 @@ def _cmd_apply(args) -> int:
     if args.out:
         with open(args.out, "w", newline="") as fh:
             csv.writer(fh).writerows(lines)
-        _emit(_provenance(args), Path(args.out).with_suffix(".json"))
+        sidecar = {"probes": [_estimate_payload(row) for row in rows], **_provenance(args)}
+        _emit(sidecar, Path(args.out).with_suffix(".json"))
     else:
         for line in lines:
             print(",".join(line))
@@ -248,7 +262,7 @@ def build_parser() -> _Parser:
     table.add_argument("--table", required=True, help="table base path from `solve`")
     monte_carlo = _Parser(add_help=False, parents=[table])
     monte_carlo.add_argument("--samples", type=_positive_int, default=100000)
-    monte_carlo.add_argument("--seed", type=int, default=0)
+    monte_carlo.add_argument("--seed", type=_seed, default=0)
     monte_carlo.add_argument("--tail-tol", type=_positive_float, default=1e-4)
     monte_carlo.add_argument("--threads", type=_positive_int, default=os.cpu_count())
 

@@ -1,55 +1,54 @@
 """Random dyadic grids and the Monte-Carlo estimator that averages over them.
 
-A grid draw is a dilation r in [1, 2), the fractional shift sigma of the
-lowest admitted level's lattice, and a bit per level above it; the level-n
-lattice is { r 2^n (sigma_n + k) : k integer } with the halving recursion
-sigma_{n+1} = (sigma_n + bit_n) / 2.  A fair bit maps a uniform sigma_n to
-a uniform sigma_{n+1}, so drawing sigma uniform on [0, 1) at the floor
-gives every admitted level the shift law of a grid with infinitely many
-bits below it; bits at or above the top level are never consulted.
+A grid is a dilation r in [1, 2) and, at every level n, the fractional
+shift sigma_n of the level-n lattice { r 2^n (sigma_n + k) : k integer }.
+Under the grid law r is log-uniform and every sigma_n is uniform on [0, 1).
+What is estimated here is a sum over levels of a level term, so by
+linearity its average is the sum over levels of the term's averages, and
+each of those needs only its own level's pair (r, sigma_n).  The engine
+(`accumulate_samples`) therefore draws every level on its own and never
+builds a lattice.
 
-The engine (`accumulate_samples`) never builds a lattice.  Per draw it
-tracks sigma_n and hands it to a vectorized per-level term function.
-Draws come in chunks keyed by (seed, chunk index), with per-chunk counter
-offsets so any chunk can be generated independently.
+Level row l = n - n_min takes N_l = ceil(M 2^(-l/2)) draws, and never
+fewer than min(M, 2), where M is the `num_samples` of the call (the CLI's
+`--samples`): M counts the draws at the floor level, and a call of L
+levels makes at most 3.42 M + 2 L term evaluations.  A level-n term is
+bounded by a multiple of sup |gamma| / 2^n and its variance falls about
+fourfold per level, so the higher levels carry little of the variance and
+get fewer draws.
 
-The draws are stratified.  Three uniforms fix a draw: log2 r, the floor
-shift sigma, and the bits read as a binary fraction w = sum_i bit_i
-2^-(i+1), bit_0 at the floor level.  Their cube is cut into
-H = 16 x 16 x 16 = 4096 strata, w on its first min(4, number of bit rows)
-bits, and draw i of a call sits in stratum i mod H: proportional
-allocation, N/H draws per stratum give or take one.  The axes are halved
-together while a stratum would get fewer than 2 draws, and below 16 draws
-the draws are plain.  Each chunk reduces to per-stratum (count, sum, M2),
-merged in chunk order, so results are bit-identical for any thread count.
+Each level's draws are stratified on (log2 r, sigma_n): H_l = 2^b strata,
+b the largest value up to 14 with 2 H_l <= N_l, form a q_r x q_sigma grid
+with q_r = 2^ceil(b/2) and q_sigma = 2^floor(b/2).  Draw i of a level sits
+in stratum i mod H_l: proportional allocation, with counts that differ by
+at most one and at least 2 draws per stratum once M >= 2.
 
-`estimate` is the one Monte-Carlo estimator: ln 2 times the stratified
-mean (1/H) sum_h ybar_h, its stderr ln 2 sqrt(sum_h s_h^2 / n_h) / H
-from the per-stratum sample variances s_h^2 (NaN for a single draw), and
-the bound on the discarded coarse levels.  With equal counts the mean is
-the plain sample mean.  `shift_terms` is the one level term of the Haar
-shift, given its pairing with f: the averaged shift operator
-(`operators`) pairs with a test function, and the two-point kernel sum
-(`kernel_sum_terms`) is the shift applied to a unit mass at y.
+`estimate` is the one Monte-Carlo estimator: ln 2 times the sum over
+levels of the stratified level means (1/H_l) sum_h ybar_{l,h}, its stderr
+ln 2 sqrt(sum_l sum_h s_{l,h}^2 / n_{l,h} / H_l^2) from the per-stratum
+sample variances (NaN when M = 1), the bound on the discarded coarse
+levels, and a record of each level's share (`LevelRecord`).  `shift_terms`
+is the one level term of the Haar shift, given its pairing with f: the
+averaged shift operator (`operators`) pairs with a test function, and the
+two-point kernel sum (`kernel_sum_terms`) is the shift applied to a unit
+mass at y.
 
 Draw order is part of the reproducibility contract, and `STREAM_VERSION`
 names it; the CLI records it as `versions.stream` in its JSON outputs.
-Stream 4 draws, per chunk, the uniforms of log2 r first, then those of
-sigma, then the bit rows from low level to high out of the generator's
-raw 64-bit words (bit i of the (level, draw) array, in row-major order,
-is bit i mod 64 of word i div 64, the same on every platform); each
-draw's stratum then moves r and sigma into its cells and overwrites its
-first bit rows.  Stream 3 drew the same uniforms and bits unstratified.
-Since stream 3, `levels_for_distance` puts the floor at floor(log2 dist)
-exactly.  Stream 2 drew the bit rows as unsigned bytes with
-`Generator.integers` and started one level lower, at a level that never
-contributes.  Stream 1 (outputs without `versions.stream`) built sigma
-from 52 further bit rows below the floor instead of drawing it.
+Stream 5 draws chunk c of level row l from its own Philox counter block,
+keyed by (seed, l, c): all the uniforms U of log2 r, then all the uniforms
+U' of sigma; the draw in stratum h = i_sigma q_r + i_r takes
+r = 2^((i_r + U)/q_r) and sigma = (i_sigma + U')/q_sigma.  Stream 4 drew
+one grid for all levels, a floor shift moved up by one bit per level, in
+4096 strata of (log2 r, sigma, bits), and stream 3 unstratified.  Stream 2
+started one level lower, and stream 1 (outputs without the key) built the
+floor shift from 52 further bits.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -60,6 +59,7 @@ from .piecewise import make_g, make_h
 
 __all__ = [
     "Estimate",
+    "LevelRecord",
     "Tally",
     "cutoff_for_tolerance",
     "tail_bound_value",
@@ -75,13 +75,30 @@ _H_VALUES = np.array(make_h().values)
 _G_PADDED = np.concatenate([[0.0], make_g().values, [0.0]])
 
 # version of the draw order; bump it whenever the same seed draws differently
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 DEFAULT_CHUNK = 1 << 17
 
 # draws per term_fn call: small enough that the allocator reuses the level
 # temporaries instead of refaulting them, large enough to amortise each call
 _TERM_BLOCK = 1 << 15
+
+# a level is cut into at most 2^14 strata: finer strata lowered the stderr
+# further but raised the peak memory of a 2^18-draw call
+_STRATA_BITS = 14
+
+
+class LevelRecord(NamedTuple):
+    """One level's share of an estimate, on its scale: the means add up to
+    its mean and the squared stderrs to its squared stderr.  `hits` counts
+    the draws whose level term is nonzero."""
+
+    n: int
+    draws: int
+    strata: int
+    mean: float
+    stderr: float
+    hits: int
 
 
 @dataclass
@@ -92,10 +109,10 @@ class Estimate:
     mean: float
     stderr: float
     tail_bound: float
-    num_samples: int
+    num_samples: int  # draws at the floor level
     seed: int
     levels: range  # admitted levels; cell length at level n is r 2^n
-    strata: int  # H, the number of strata the draws were spread over
+    record: list[LevelRecord]  # one entry per admitted level, from the floor up
 
     def to_dict(self) -> dict:
         return {
@@ -107,13 +124,14 @@ class Estimate:
             "seed": self.seed,
             "n_min": self.levels.start,
             "n_max": self.levels[-1],
-            "strata": self.strata,
+            "levels": [level._asdict() for level in self.record],
         }
 
 
-def _rng(seed: int, index: int) -> np.random.Generator:
-    # counter-based: every index owns a disjoint 2^70-wide counter block
-    return np.random.Generator(np.random.Philox(key=seed, counter=index << 70))
+def _rng(seed: int, row: int, chunk: int) -> np.random.Generator:
+    # counter-based: chunk `chunk` of level row `row` owns the 2^70-wide
+    # counter block at (row << 128) + (chunk << 70)
+    return np.random.Generator(np.random.Philox(key=seed, counter=(row << 128) + (chunk << 70)))
 
 
 def cutoff_for_tolerance(gamma_sup: float, tol: float) -> int:
@@ -152,29 +170,31 @@ def levels_for_distance(dist: float, gamma_sup: float, tol_tail: float) -> range
     return range(n_min, max(n_cut, n_min + 1))
 
 
-def _strata_shape(num_samples: int, n_rows: int) -> tuple[int, int]:
-    """(q, q_w): strata per axis of log2 r and sigma, and of w.
+def _level_draws(num_samples: int, row: int) -> int:
+    """N_l = ceil(num_samples 2^(-row/2)), at least min(num_samples, 2).
 
-    q = 2^b for the largest b <= 4 that leaves every one of the q^2 q_w
-    strata at least 2 draws, q_w = 2^min(b, n_rows); (1, 1) below 16 draws.
+    In integers, so it is the same on every platform: the least N with
+    N^2 >= ceil(num_samples^2 / 2^row).
     """
-    for b in range(4, 0, -1):
-        q, q_w = 1 << b, 1 << min(b, n_rows)
-        if 2 * q * q * q_w <= num_samples:
-            return q, q_w
-    return 1, 1
+    least = -(-num_samples * num_samples >> row)
+    return max(math.isqrt(least - 1) + 1, min(num_samples, 2))
+
+
+def _strata_shape(draws: int) -> tuple[int, int]:
+    """(q_r, q_sigma) = (2^ceil(b/2), 2^floor(b/2)) for the largest b up to
+    14 with 2^(b+1) <= draws; (1, 1), plain draws, below 4 draws."""
+    b = min(_STRATA_BITS, max(0, (draws // 2).bit_length() - 1))
+    return 1 << ((b + 1) // 2), 1 << (b // 2)
 
 
 class Tally(NamedTuple):
-    """Per-stratum draw counts, sums and M2 of the per-draw level sums.
-
-    Stratum h holds the draws whose global index is h modulo the stratum
-    count, so the counts differ by at most one.
-    """
+    """One level's per-stratum draw counts, sums and M2 of its term (draw i
+    in stratum i mod H), and the number of draws whose term is nonzero."""
 
     counts: np.ndarray
     sums: np.ndarray
     m2: np.ndarray
+    hits: int
 
     @property
     def strata(self) -> int:
@@ -182,13 +202,8 @@ class Tally(NamedTuple):
 
     @property
     def mean(self) -> float:
-        """(1/H) sum_h sums_h / counts_h, each count's strata summed exactly:
-        with equal counts, the plain sample mean of the draws."""
-        h = self.strata
-        return sum(
-            math.fsum(self.sums[self.counts == c]) / (int(c) * h)
-            for c in np.unique(self.counts)
-        )
+        """(1/H) sum_h sums_h / counts_h, the stratified mean."""
+        return float(np.sum(self.sums / self.counts)) / self.strata
 
     @property
     def stderr(self) -> float:
@@ -200,6 +215,22 @@ class Tally(NamedTuple):
         return math.sqrt(float(np.sum(self.m2 / ((n - 1) * n)))) / self.strata
 
 
+def _merge(partials: list, strata: int) -> Tally:
+    """One level's chunk results, merged in chunk order by
+    M2_a + (M2_b + delta^2 n_a n_b / (n_a + n_b)) per stratum."""
+    counts, sums, m2 = np.zeros(strata, dtype=np.int64), np.zeros(strata), np.zeros(strata)
+    hits = 0
+    for pieces, chunk_hits in partials:
+        hits += chunk_hits
+        for n_b, s_b, m2_b in pieces:
+            # a stratum with no draw in the piece (n_b = 0) keeps its bits
+            delta = s_b / np.maximum(n_b, 1) - sums / np.maximum(counts, 1)
+            m2 = m2 + (m2_b + delta * delta * (counts * n_b / (counts + n_b)))
+            sums = sums + s_b
+            counts = counts + n_b
+    return Tally(counts, sums, m2, hits)
+
+
 def accumulate_samples(
     seed: int,
     num_samples: int,
@@ -207,102 +238,65 @@ def accumulate_samples(
     term_fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
     threads: int | None = None,
     chunk_size: int = DEFAULT_CHUNK,
-) -> Tally:
-    """Chunked, stratified Monte-Carlo accumulation of per-draw level sums.
+) -> list[Tally]:
+    """One `Tally` per level of ``levels`` (a nonempty range of consecutive
+    levels), from the floor up, each level on its own stratified draws
+    (stream `STREAM_VERSION`, described in the module docstring).
 
-    For each draw, takes the fractional lattice shift sigma at the lowest
-    level of ``levels``, a nonempty range of consecutive levels, calls
-    ``term_fn(n, r, sigma)`` at every level in it and moves sigma up a
-    level by the halving recursion sigma_{n+1} = (sigma_n + bit_n)/2.
-
-    Draws are stratified on the cube (log2 r, sigma, w), w = sum_i bit_i
-    2^-(i+1) (stream `STREAM_VERSION`).  Draw i of the call sits in stratum
-    h = i mod H, H = q^2 q_w; with h = (i_w q + i_sigma) q + i_r it takes
-    r = 2^((i_r + U)/q), sigma = (i_sigma + U')/q, and in bit rows
-    0 .. log2 q_w - 1 the binary digits of i_w, most significant in row 0.
-    A chunk draws every U, then every U', then one bit row per level below
-    the top one from raw 64-bit words read little-endian; the stratified
-    rows overwrite theirs.  The rules follow from the input:
-
-    - q = 16, halved while a stratum would hold fewer than 2 draws; below
-      16 draws q = q_w = 1, plain draws;
-    - q_w = 2^min(log2 q, number of bit rows): w is stratified on at most
-      4 bits, and only on bits that are drawn;
-    - chunk_size is rounded up to a multiple of H (the default, 2^17, is
-      one), so a chunk holds whole rounds of the strata and the last one
-      maybe a part round; the strata's counts differ by at most one.
-
-    term_fn gets the draws in blocks of at most 32768.  Each chunk reduces
-    its whole rounds, then its part round, to per-stratum (count, sum, M2),
-    merged in chunk order by M2_a + (M2_b + delta^2 n_a n_b / (n_a + n_b)):
-    the result is the same for every thread count, and the variance stays
-    stable when the totals sit far from zero.
-
-    term_fn must be pure and vectorized over the draw axis, and must not
-    keep the arrays it is handed: sigma is moved up a level in place.
-    Rounding takes r to 2 or sigma to 1 with probability below 2^-49 per
-    draw; sigma = 1 names the lattice of sigma = 0.
+    A level's chunks are chunk_size draws rounded up to whole rounds of its
+    strata (the default, 2^17, is one); the last may end in a part round.
+    term_fn(n, r, sigma), pure and vectorized over the draws, gets them in
+    blocks of at most 32768.  The chunks of every level run through one
+    thread pool and each level's merge in chunk order (`_merge`), so the
+    result is the same for every thread count.  Rounding takes r to 2 or
+    sigma to 1 with probability below 2^-46 per draw; sigma = 1 names the
+    lattice of sigma = 0.
     """
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 128):
+        raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
     if num_samples < 1:
         raise ValueError("need at least one draw")
     if not levels or levels.step != 1:
         raise ValueError(f"need a nonempty range of consecutive levels, got {levels!r}")
-    n_rows = len(levels) - 1
-    q, q_w = _strata_shape(num_samples, n_rows)
-    strata = q * q * q_w
-    # per stratum h = (i_w q + i_sigma) q + i_r: i_r / q, i_sigma / q, and
-    # the binary digits of i_w, most significant first
-    rest, i_r = np.divmod(np.arange(strata), q)
-    i_w, i_sigma = np.divmod(rest, q)
-    w_rows = q_w.bit_length() - 1
-    r_offset, sigma_offset, *w_digits = np.array(
-        [i_r / q, i_sigma / q] + [(i_w >> (w_rows - 1 - row)) & 1 for row in range(w_rows)]
-    )
+    # per level row: draws, (q_r, q_sigma), and the chunk size in whole rounds
+    plan = []
+    for row in range(len(levels)):
+        draws = _level_draws(num_samples, row)
+        q_r, q_sigma = _strata_shape(draws)
+        plan.append((draws, q_r, q_sigma, -(-chunk_size // (q_r * q_sigma)) * q_r * q_sigma))
 
-    # whole rounds per chunk, so a chunk's draw j sits in stratum j mod H
-    chunk_size = -(-chunk_size // strata) * strata
-
-    def run_chunk(chunk_index: int) -> list:
-        count = min(chunk_size, num_samples - chunk_index * chunk_size)
+    def run_chunk(task: tuple[int, int]) -> tuple[list, int]:
+        row, index = task
+        draws, q_r, q_sigma, size = plan[row]
+        strata = q_r * q_sigma
+        count = min(size, draws - index * size)
         full = count - count % strata
-        rng = _rng(seed, chunk_index)
+        rng = _rng(seed, row, index)
 
         def rounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # views: the whole rounds of H draws, one per row, and the rest
             return values[:full].reshape(-1, strata), values[full:]
 
-        def stratified(offset: np.ndarray) -> np.ndarray:
+        def stratified(digits: np.ndarray, q: int) -> np.ndarray:
             # (stratum digit + U) / q, through the exact scaling U / q
             values = rng.random(count)
             values *= 1.0 / q
+            offset = digits / q
             whole, rest = rounds(values)
             whole += offset
             rest += offset[: len(rest)]
             return values
 
-        r = np.exp2(stratified(r_offset))
-        sigma = stratified(sigma_offset)
-        n_bits = n_rows * count
-        words = rng.bit_generator.random_raw(-(-n_bits // 64))
-        bits = np.unpackbits(
-            words.astype("<u8", copy=False).view(np.uint8), count=n_bits, bitorder="little"
-        ).reshape(-1, count)
-        for row, digits in enumerate(w_digits):
-            whole, rest = rounds(bits[row])
-            whole[...] = digits
-            rest[...] = digits[: len(rest)]
-        acc = np.zeros(count)
-        for block_start in range(0, count, _TERM_BLOCK):
-            block = slice(block_start, block_start + _TERM_BLOCK)
-            r_block, sigma_block, acc_block = r[block], sigma[block], acc[block]
-            for row, n in enumerate(levels):
-                acc_block += term_fn(n, r_block, sigma_block)
-                if row < n_rows:
-                    sigma_block += bits[row, block]
-                    sigma_block *= 0.5
+        i_sigma, i_r = np.divmod(np.arange(strata), q_r)
+        r = np.exp2(stratified(i_r, q_r))
+        sigma = stratified(i_sigma, q_sigma)
+        terms = np.empty(count)
+        for start in range(0, count, _TERM_BLOCK):
+            block = slice(start, start + _TERM_BLOCK)
+            terms[block] = term_fn(levels[row], r[block], sigma[block])
         # per stratum (draws, sums, M2): the whole rounds, counted by an int
         # (an array here refaulted the level temporaries), then the part round
-        whole, rest = rounds(acc)
+        whole, rest = rounds(terms)
         pieces = []
         if full:
             sums = whole.sum(axis=0)
@@ -312,23 +306,22 @@ def accumulate_samples(
         if len(rest):
             ones = (np.arange(strata) < len(rest)).astype(np.int64)
             pieces.append((ones, np.pad(rest, (0, strata - len(rest))), np.zeros(strata)))
-        return pieces
+        return pieces, int(np.count_nonzero(terms))
 
-    chunks = range(-(-num_samples // chunk_size))
-    if threads is not None and threads > 1 and len(chunks) > 1:
+    tasks = [
+        (row, index)
+        for row, (draws, _, _, size) in enumerate(plan)
+        for index in range(-(-draws // size))
+    ]
+    if threads is not None and threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run_chunk, chunks))
+            partials = list(pool.map(run_chunk, tasks))
     else:
-        partials = [run_chunk(index) for index in chunks]
-
-    counts, sums, m2 = np.zeros(strata, dtype=np.int64), np.zeros(strata), np.zeros(strata)
-    for n_b, s_b, m2_b in (piece for pieces in partials for piece in pieces):
-        # a stratum with no draw in the piece (n_b = 0) keeps its bits
-        delta = s_b / np.maximum(n_b, 1) - sums / np.maximum(counts, 1)
-        m2 = m2 + (m2_b + delta * delta * (counts * n_b / (counts + n_b)))
-        sums = sums + s_b
-        counts = counts + n_b
-    return Tally(counts, sums, m2)
+        partials = [run_chunk(task) for task in tasks]
+    by_row = [[] for _ in plan]
+    for (row, _), partial in zip(tasks, partials):
+        by_row[row].append(partial)
+    return [_merge(chunks, q_r * q_sigma) for chunks, (_, q_r, q_sigma, _) in zip(by_row, plan)]
 
 
 def estimate(
@@ -340,24 +333,28 @@ def estimate(
     seed: int = 0,
     threads: int | None = None,
 ) -> Estimate:
-    """Average the per-draw level sums of `term_fn` over stratified draws.
+    """Average the level terms of `term_fn` over per-level stratified draws.
 
-    The estimate is ln 2 times the stratified mean (the dilation is drawn
-    with density 1/(r ln 2), compensating the unnormalized dr/r weight),
-    with ln 2 times its stderr and the bound on the levels above `levels`.
-    stderr is NaN for a single draw.
+    The estimate is ln 2 times the sum of the level means (the dilation is
+    drawn with density 1/(r ln 2), compensating the unnormalized dr/r
+    weight), with ln 2 times its stderr, the root of the summed squared
+    level stderrs, and the bound on the levels above `levels`.  stderr is
+    NaN for a single draw.
     """
-    tally = accumulate_samples(seed, num_samples, levels, term_fn, threads=threads)
+    tallies = accumulate_samples(seed, num_samples, levels, term_fn, threads=threads)
     ln2 = math.log(2.0)
     return Estimate(
         x=x,
-        mean=ln2 * tally.mean,
-        stderr=ln2 * tally.stderr,
+        mean=ln2 * math.fsum(t.mean for t in tallies),
+        stderr=ln2 * math.sqrt(math.fsum(t.stderr**2 for t in tallies)),
         tail_bound=tail_bound_value(gamma_sup, levels.stop),
         num_samples=num_samples,
         seed=seed,
         levels=levels,
-        strata=tally.strata,
+        record=[
+            LevelRecord(n, int(t.counts.sum()), t.strata, ln2 * t.mean, ln2 * t.stderr, t.hits)
+            for n, t in zip(levels, tallies)
+        ],
     )
 
 

@@ -424,9 +424,10 @@ def write_table(table: CoefficientTable, base_path: str | Path, extra: dict | No
 def read_table(base_path: str | Path) -> CoefficientTable:
     """Read a table written by `write_table`.
 
-    Each sidecar field is cast to its declared type; a field with a
-    default may be missing.  A missing or uncastable field raises
-    `ValueError` naming it.
+    Each sidecar field must hold its declared type as JSON: a float field
+    a number (an int or a float, not a bool), an int field an int, a str
+    field a str.  A field with a default may be missing.  A missing or
+    wrongly typed field raises `ValueError` naming it.
     """
     base = Path(base_path)
     json_path = base.with_suffix(".json")
@@ -441,13 +442,17 @@ def read_table(base_path: str | Path) -> CoefficientTable:
             if f.default is MISSING:
                 raise ValueError(f"table sidecar {json_path} has no field {f.name!r}")
             continue
-        cast = types[f.name]
+        kind, value = types[f.name], meta[f.name]
+        allowed = (int, float) if kind is float else kind
         try:
-            values[f.name] = cast(meta[f.name])
-        except (TypeError, ValueError, OverflowError):
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise TypeError
+            # an int too large for a float field overflows
+            values[f.name] = kind(value)
+        except (TypeError, OverflowError):
             raise ValueError(
-                f"table sidecar {json_path} field {f.name!r} must be of type {cast.__name__}, "
-                f"got {meta[f.name]!r}"
+                f"table sidecar {json_path} field {f.name!r} must be of type {kind.__name__}, "
+                f"got {value!r}"
             ) from None
     with open(base.with_suffix(".csv")) as fh:
         header = fh.readline().rstrip("\r\n").split(",")

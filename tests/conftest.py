@@ -42,9 +42,13 @@ def const_table(value):
     return linear_table(0.0, value)
 
 
-def tally_bits(tally):
-    """Everything an engine tally holds, for bit-for-bit comparison."""
-    return (tally.counts.tolist(), tally.sums.tolist(), tally.m2.tolist(), tally.mean, tally.stderr)
+def tally_bits(tallies):
+    """Everything the engine's per-level tallies hold, for bit-for-bit
+    comparison."""
+    return [
+        (t.counts.tolist(), t.sums.tolist(), t.m2.tolist(), t.hits, t.mean, t.stderr)
+        for t in tallies
+    ]
 
 
 def tent_m(u):

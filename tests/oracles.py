@@ -4,11 +4,12 @@ These deliberately take different routes than the library: pointwise
 evaluation instead of interval arithmetic, the contraction sweep in real
 space and explicit composition-word expansion instead of the solver's
 division by the symbol, and explicit lattice geometry instead of the
-Monte-Carlo engine's fractional-shift recursion.  Agreement between
-the two routes is the point of the tests that import this module.  The
-scalar lattice route draws one grid at a time, builds each level's offset
-from its floor shift and bits, and sums the kernel or the operator cell by
-cell, pairing f with each rescaled g exactly in rational arithmetic.
+Monte-Carlo engine's vectorized level term.  Agreement between the two
+routes is the point of the tests that import this module.  The scalar
+lattice route takes one draw at a time, builds each level's lattice
+explicitly from its dilation and shift, and sums the kernel or the
+operator cell by cell, pairing f with each rescaled g exactly in rational
+arithmetic.
 """
 
 import math
@@ -354,89 +355,71 @@ def fixed_grid(r=1.0, i_min=-5, n_max=15, one_at=None) -> GridSample:
     return GridSample(r=r, sigma=0.0, bits=bits, i_min=i_min, n_max=n_max, seed=0)
 
 
-def strata_shape(num_samples: int, n_bit_rows: int) -> tuple[int, int]:
-    """(q, q_w) of stream 4: 16 strata per axis of log2 r and sigma and
-    2^min(4, n_bit_rows) of w, each axis halved together while a stratum
-    would hold fewer than 2 draws; (1, 1), plain draws, below 16 draws."""
-    q, q_w = 16, 2 ** min(4, n_bit_rows)
-    while q > 1 and q * q * q_w * 2 > num_samples:
-        q //= 2
-        q_w = min(q_w, q)
-    return (q, q_w) if q > 1 else (1, 1)
+def level_draws(num_samples: int, row: int) -> int:
+    """Draws of level row `row` in stream 5: ceil(num_samples 2^(-row/2)),
+    never fewer than min(num_samples, 2)."""
+    return max(math.ceil(num_samples * 2.0 ** (-row / 2)), min(num_samples, 2))
 
 
-def sample_chunk(
-    seed: int,
-    i_min: int,
-    n_max: int,
-    index: int,
-    count: int,
-    num_samples: int = 1,
+def level_strata(draws: int) -> tuple[int, int]:
+    """(q_r, q_sigma) of stream 5: the strata are doubled, along log2 r
+    first, while they stay at most 2^14 and every one keeps 2 draws."""
+    q_r = q_sigma = 1
+    while q_r * q_sigma < 2**14 and 4 * q_r * q_sigma <= draws:
+        if q_r == q_sigma:
+            q_r *= 2
+        else:
+            q_sigma *= 2
+    return q_r, q_sigma
+
+
+def sample_level(
+    seed: int, n: int, row: int, num_samples: int, chunk_size: int
 ) -> list[GridSample]:
-    """Draw the `count` grids of chunk `index` of a `num_samples`-draw call.
+    """Every draw of level row `row` (level n) of a `num_samples`-draw call
+    in draw order, as a grid whose level-n lattice is {r 2^n (sigma + k)}.
 
-    Chunk `index` owns the 2^70-wide Philox counter block starting at
-    index << 70, and takes every uniform of log2 r first, then every
-    uniform of sigma, then the bit rows from low level to high: bit i of
-    the rows, laid out level after level, is bit i % 64 of raw 64-bit word
-    i // 64.  Stream 4 stratifies, and a chunk starts a round of the
-    H = q * q * q_w strata: its draw j sits in stratum h = j % H, whose
-    digits i_r, i_sigma, i_w (h = (i_w q + i_sigma) q + i_r) give
-    r = 2^((i_r + U) / q), sigma = (i_sigma + U') / q and, in the first
-    log2 q_w bit rows, the bits of i_w, most significant first.
+    The level's draws come in chunks of `chunk_size` rounded up to whole
+    rounds of its H = q_r q_sigma strata.  Chunk c owns the Philox counter
+    block at (row << 128) + (c << 70) and takes every uniform U of log2 r
+    first, then every uniform U' of sigma; its draw j sits in stratum
+    h = j % H, with h = i_sigma q_r + i_r, and takes r = 2^((i_r + U) / q_r)
+    and sigma = (i_sigma + U') / q_sigma.
     """
-    if i_min >= n_max:
-        raise ValueError("need i_min < n_max")
-    n_rows = n_max - i_min
-    q, q_w = strata_shape(num_samples, n_rows)
-    w_rows = q_w.bit_length() - 1
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=index << 70))
-    us = rng.random(count)
-    vs = rng.random(count)
-    i = np.arange(n_rows * count)
-    words = rng.bit_generator.random_raw(-(-i.size // 64))
-    bits = (words[i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)
-    bits = bits.astype(np.uint8).reshape(n_rows, count)
+    draws = level_draws(num_samples, row)
+    q_r, q_sigma = level_strata(draws)
+    strata = q_r * q_sigma
+    size = -(-chunk_size // strata) * strata
     grids = []
-    for j in range(count):
-        rest, i_r = divmod(j % (q * q * q_w), q)
-        i_w, i_sigma = divmod(rest, q)
-        column = bits[:, j].copy()
-        for row in range(w_rows):
-            column[row] = (i_w >> (w_rows - 1 - row)) & 1
-        grids.append(
-            GridSample(
-                r=float(np.exp2(np.array([(i_r + us[j]) / q]))[0]),
-                sigma=(i_sigma + float(vs[j])) / q,
-                bits=column,
-                i_min=i_min,
-                n_max=n_max,
-                seed=seed,
+    for index, start in enumerate(range(0, draws, size)):
+        count = min(size, draws - start)
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=(row << 128) + (index << 70)))
+        us, vs = rng.random(count), rng.random(count)
+        i_sigma, i_r = np.divmod(np.arange(count) % strata, q_r)
+        rs = np.exp2((i_r + us) / q_r)
+        for j in range(count):
+            sigma = (int(i_sigma[j]) + float(vs[j])) / q_sigma
+            grids.append(
+                GridSample(
+                    r=float(rs[j]), sigma=sigma, bits=np.zeros(1), i_min=n, n_max=n + 1, seed=seed
+                )
             )
-        )
     return grids
 
 
-def sample_call(
-    seed: int, i_min: int, n_max: int, num_samples: int, chunk_size: int
-) -> list[GridSample]:
-    """Every grid of a `num_samples`-draw call in draw order, its chunks
-    `chunk_size` draws rounded up to whole rounds of the H strata."""
-    q, q_w = strata_shape(num_samples, n_max - i_min)
-    chunk = -(-chunk_size // (q * q * q_w)) * (q * q * q_w)
-    return [
-        grid
-        for index, start in enumerate(range(0, num_samples, chunk))
-        for grid in sample_chunk(
-            seed, i_min, n_max, index, min(chunk, num_samples - start), num_samples
-        )
-    ]
-
-
 def sample_grid(seed: int, i_min: int, n_max: int, index: int = 0) -> GridSample:
-    """One unstratified grid: the first draw of chunk `index` of a call
-    of fewer than 16 draws, which are plain."""
-    return sample_chunk(seed, i_min, n_max, index, 1)[0]
+    """One plain draw of the grid law for the geometry tests: r
+    log-uniform on [1, 2), the floor shift uniform on [0, 1), fair bits.
+    The engine draws each level on its own and never builds such a grid."""
+    rng = np.random.default_rng([seed, index])
+    return GridSample(
+        r=float(2.0 ** rng.random()),
+        sigma=float(rng.random()),
+        bits=rng.integers(0, 2, n_max - i_min, dtype=np.uint8),
+        i_min=i_min,
+        n_max=n_max,
+        seed=seed,
+    )
 
 
 def pooled(tally) -> tuple[float, float]:

@@ -137,8 +137,15 @@ def test_mc_output_and_determinism(hilbert_base, capsys):
     first = capsys.readouterr().out
     payload = json.loads(first)
     assert payload["M"] == 2000
-    # 2000 draws leave 8 x 8 x 8 strata at least 2 draws each, not 16^3
-    assert payload["strata"] == 512
+    # the per-level record, from the floor up: 2000 floor draws fill 512
+    # strata with at least 2 draws each, and every level has its entry
+    levels = payload["levels"]
+    assert [entry["n"] for entry in levels] == list(range(payload["n_min"], payload["n_max"] + 1))
+    assert (levels[0]["draws"], levels[0]["strata"]) == (2000, 512)
+    assert [entry["draws"] for entry in levels[:3]] == [2000, 1415, 1000]
+    assert math.fsum(entry["mean"] for entry in levels) == pytest.approx(payload["mean"], rel=1e-12)
+    assert math.fsum(e["stderr"] ** 2 for e in levels) == pytest.approx(payload["stderr"] ** 2)
+    assert 0 < levels[0]["hits"] <= levels[0]["draws"]
     assert payload["stderr_defined"] is True
     assert payload["versions"]["stream"] == STREAM_VERSION
     assert abs(payload["mean"] - 1.25) < 3 * payload["stderr"] + 1e-3
@@ -154,7 +161,9 @@ def test_mc_single_sample(hilbert_base, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["stderr"] is None
     assert payload["stderr_defined"] is False
-    assert payload["strata"] == 1
+    assert {(entry["draws"], entry["strata"], entry["stderr"]) for entry in payload["levels"]} == {
+        (1, 1, None)
+    }
 
 
 def test_mc_rejects_zero_samples(hilbert_base, capsys):
@@ -163,6 +172,22 @@ def test_mc_rejects_zero_samples(hilbert_base, capsys):
             ["mc", "--table", hilbert_base, "--x", "1", "--y", "0", "--samples", "0"]
         )
     assert exc.value.code == 64
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_mc_seed_out_of_range_is_usage_error(hilbert_base, seed, capsys):
+    # the Philox key takes [0, 2^128); numpy's own error used to exit 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mc", "--table", hilbert_base, "--x", "1", "--y", "0", "--seed", str(seed)])
+    assert exc.value.code == 64
+    assert "argument --seed: must be an integer in [0, 2^128)" in capsys.readouterr().err
+
+
+def test_mc_largest_seed(hilbert_base, capsys):
+    argv = ["mc", "--table", hilbert_base, "--x", "1", "--y", "0", "--samples", "10",
+            "--seed", str(2**128 - 1)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2**128 - 1
 
 
 def test_mc_diagonal_is_numeric_error(hilbert_base, capsys):
@@ -218,6 +243,31 @@ def test_apply_writes_files(hilbert_base, tmp_path):
     assert sidecar["flags"]["f"] == "indicator"
     assert sidecar["flags"]["seed"] == 0
     assert sidecar["versions"]["stream"] == STREAM_VERSION
+    # the per-level record of each probe; the CSV keeps its columns
+    (probe,) = sidecar["probes"]
+    assert probe["x"] == 2.0 and probe["M"] == 500
+    assert probe["levels"][0]["draws"] == 500
+    assert math.fsum(entry["mean"] for entry in probe["levels"]) == pytest.approx(probe["mean"])
+
+
+@pytest.mark.parametrize("command", ["mc", "apply"])
+def test_outputs_do_not_depend_on_threads(hilbert_base, tmp_path, command):
+    """Fixed-seed outputs are byte-identical at 1 and 2 threads, but for the
+    recorded flag; 2^17 + 1000 floor draws make two chunks at the floor."""
+    texts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{command}{threads}.csv"
+        argv = [command, "--table", hilbert_base, "--samples", str(2**17 + 1000),
+                "--seed", "9", "--threads", threads, "--out", str(out)]
+        argv += ["--x", "0.9", "--y", "0.1"] if command == "mc" else ["--kernel", "hilbert",
+                                                                      "--x", "2.0,-1.0"]
+        assert cli.main(argv) == 0
+        sidecar = out if command == "mc" else out.with_suffix(".json")
+        meta = json.loads(sidecar.read_text())
+        assert meta["flags"].pop("threads") == int(threads)
+        meta["flags"].pop("out")
+        texts.append((json.dumps(meta), out.read_text() if command == "apply" else ""))
+    assert texts[0] == texts[1]
 
 
 def test_apply_requires_probes(hilbert_base):
@@ -339,6 +389,11 @@ def test_sidecar_not_an_object_is_numeric_error(hilbert_base, command, text, cap
         ("step", None, "field 'step' must be of type float"),
         ("u_min", [-14.0], "field 'u_min' must be of type float"),
         ("iterations", None, "field 'iterations' must be of type int"),
+        # JSON types are checked, not cast
+        ("step", "0.001953125", "field 'step' must be of type float"),
+        ("iterations", 2.7, "field 'iterations' must be of type int"),
+        ("kernel_name", [1], "field 'kernel_name' must be of type str"),
+        ("tail_left", True, "field 'tail_left' must be of type float"),
     ],
 )
 def test_sidecar_bad_field_is_numeric_error(hilbert_base, field, value, message, capsys):

@@ -14,8 +14,8 @@ from oracles import (
     haar_pairing,
     integrate_pl,
     rescale_to_interval,
-    sample_call,
     sample_grid,
+    sample_level,
 )
 
 from haarshift import (
@@ -209,23 +209,24 @@ THREE_CELLS = TestFunction(
     ids=["indicator", "triangle", "three-cells"],
 )
 def test_engine_matches_scalar_operator(hilbert_table, f):
-    """At chunk size 1, rounded up to the 8 strata, the engine's per-draw
-    totals must match apply_shift on the sampler's draws in sum and
-    spread."""
+    """At chunk size 1, rounded up to one round of each level's strata, the
+    engine's per-stratum sums and M2 must match apply_shift on the
+    oracle's draws of each level; 16 floor draws give 8 strata of 2 at the
+    floor, and 12, 8, 6, ... draws above it."""
     x = 0.37
     lv = range(-3, 9)
     m = 16
-    tally = accumulate_samples(5, m, lv, _operator_terms(hilbert_table, f, x), chunk_size=1)
-    # 16 draws fill 8 strata with 2 each; draw j sits in stratum j % 8
-    assert tally.strata == 8
-    draws = sample_call(5, lv.start, lv[-1], m, chunk_size=1)
-    scalar = [apply_shift(s, hilbert_table, f, x, lv) for s in draws]
-    for h in range(8):
-        pair = scalar[h::8]
-        mean = sum(pair) / 2
-        spread = sum((v - mean) ** 2 for v in pair)
-        assert tally.sums[h] == pytest.approx(sum(pair), rel=1e-9, abs=1e-12)
-        assert tally.m2[h] == pytest.approx(spread, rel=1e-9, abs=1e-12)
+    tallies = accumulate_samples(5, m, lv, _operator_terms(hilbert_table, f, x), chunk_size=1)
+    assert tallies[0].strata == 8
+    for row, (n, tally) in enumerate(zip(lv, tallies)):
+        draws = sample_level(5, n, row, m, chunk_size=1)
+        scalar = np.array([apply_shift(s, hilbert_table, f, x, range(n, n + 1)) for s in draws])
+        strata = np.arange(len(scalar)) % tally.strata
+        sums = np.bincount(strata, scalar, tally.strata)
+        dev = scalar - (sums / tally.counts)[strata]
+        assert tally.sums == pytest.approx(sums, rel=1e-9, abs=1e-12)
+        want = np.bincount(strata, dev * dev, tally.strata)
+        assert tally.m2 == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -254,8 +255,11 @@ def test_apply_averaged_hilbert_indicator(hilbert_table):
     assert abs(est.mean - want) <= 3 * est.stderr + est.tail_bound
     assert est.stderr < 0.05
     d = est.to_dict()
-    assert set(d) == {"x", "mean", "stderr", "tail_bound", "M", "seed", "n_min", "n_max", "strata"}
-    assert d["strata"] == 4096
+    assert set(d) == {"x", "mean", "stderr", "tail_bound", "M", "seed", "n_min", "n_max", "levels"}
+    assert [entry["n"] for entry in d["levels"]] == list(range(d["n_min"], d["n_max"] + 1))
+    first = d["levels"][0]
+    assert (first["n"], first["draws"], first["strata"]) == (0, 40_000, 2**14)
+    assert math.fsum(entry["mean"] for entry in d["levels"]) == pytest.approx(d["mean"], rel=1e-12)
 
 
 def test_apply_averaged_reflected(hilbert_table):
