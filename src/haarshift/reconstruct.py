@@ -11,7 +11,7 @@ Two independent routes verify the representation:
   generating step functions.  Its support makes the domain exact, and
   P(0) = 0 kills the apparent 1/x trouble at s -> 0.  Gauss-Legendre
   panels over the profile's knot intervals are bisected breadth-first,
-  all the pending panels of a probe in one table lookup per round.
+  all the pending panels of all the probes in one table lookup per round.
 
 * stochastic: averaging the truncated two-point lattice sums over grid
   draws, with an explicit bound for the discarded coarse levels.
@@ -48,56 +48,79 @@ _PROFILE = kernel_profile()
 _P_KNOTS = [float(k) for k in _PROFILE.knots if k >= 0]
 
 
-def _panels(table: CoefficientTable, x: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _panels(table: CoefficientTable, log_x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """8-node Gauss-Legendre estimates of the integrand over each [a, b],
-    with one table lookup and one profile evaluation for all the panels."""
+    at log probes log_x, with one table lookup for all the panels."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     s = mid[:, None] + half[:, None] * _GL_NODES
-    vals = table.c_at(np.log(x) - np.log(s)) * _PROFILE(s)
+    vals = table.c_at(log_x[:, None] - np.log(s)) * _PROFILE(s)
     return half * (vals @ _GL_WEIGHTS)
 
 
-def reconstruct_at(table: CoefficientTable, x: float, rtol: float = 1e-8) -> float:
-    """Deterministic reconstruction of K(x) for 0 < x < inf.
+def reconstruct_at(table: CoefficientTable, x, rtol: float = 1e-8):
+    """Deterministic reconstruction of K(x) for 0 < x < inf: a float for a
+    scalar x, an array of x's shape for an array.
 
     Composite 8-node Gauss-Legendre over each knot interval of the profile
     on [0, 1], bisected breadth-first: each round splits every pending
-    panel and evaluates all the halves at once.  A panel is accepted when
-    its two halves agree with its own estimate within rtol times the
-    overall scale (or it is narrower than 1e-13), and the accepted halves
-    are summed with math.fsum.  The scale is the magnitude of the first
-    estimates, grown to that of the halves once more than 4096 panels are
-    pending: a first estimate that misses a narrow feature of the table
-    would otherwise split without end.  The integrand's only roughness is
-    the kink chain the table's linear interpolation imprints on gamma(x/s),
-    which bisection resolves.  rtol must be at least the double-precision
+    panel of every probe and evaluates all the halves at once.  A panel is
+    accepted when its two halves agree with its own estimate within rtol
+    times its probe's scale (or it is narrower than 1e-13), and a probe's
+    accepted halves are summed with math.fsum.  A probe's scale is the
+    magnitude of its first estimates, grown to that of its halves once it
+    has more than 4096 panels pending: a first estimate that misses a
+    narrow feature of the table would otherwise split without end.  Each
+    probe keeps its own scale and panel order, so it gets the same bits
+    alone or in any batch.  The integrand's only roughness is the kink
+    chain the table's linear interpolation imprints on gamma(x/s), which
+    bisection resolves.  rtol must be at least the double-precision
     epsilon 2^-52.
     """
-    if not 0 < x < math.inf:
-        raise ValueError(f"reconstruction needs 0 < x < inf, got {x!r}; use oddness for x < 0")
+    xs = np.asarray(x, dtype=float)
+    probes = xs.ravel()
+    bad = probes[~((probes > 0) & (probes < math.inf))]
+    if bad.size:
+        raise ValueError(
+            f"reconstruction needs 0 < x < inf, got {bad[0].item()!r}; use oddness for x < 0"
+        )
     if not rtol >= 2.0**-52:
         # below double-precision epsilon rounding alone can fail the stop test
         raise ValueError(f"need rtol >= 2^-52, the double-precision epsilon, got {rtol}")
 
-    a = np.array(_P_KNOTS[:-1])
-    b = np.array(_P_KNOTS[1:])
-    est = _panels(table, x, a, b)
-    scale = max(sum(abs(e) for e in est.tolist()), 1e-300)
-    parts = []
+    n, per = probes.size, len(_P_KNOTS) - 1
+    log_x = np.log(probes)
+    # the pending panels, each with the index of its probe
+    probe = np.repeat(np.arange(n), per)
+    a, b = np.tile(_P_KNOTS[:-1], n), np.tile(_P_KNOTS[1:], n)
+    est = _panels(table, log_x[probe], a, b)
+    first = est.reshape(n, per).tolist()
+    scale = np.array([max(sum(abs(e) for e in row), 1e-300) for row in first])
+    # accepted halves and their probes, from typed empties for an empty x
+    owner, parts = [probe[:0]], [est[:0]]
     while a.size:
         mid = 0.5 * (a + b)
-        halves = _panels(table, x, np.concatenate([a, mid]), np.concatenate([mid, b]))
+        halves = _panels(
+            table, np.tile(log_x[probe], 2), np.concatenate([a, mid]), np.concatenate([mid, b])
+        )
         e1, e2 = halves[: a.size], halves[a.size :]
         both = e1 + e2
-        if a.size > _PENDING_CAP:
-            scale = max(scale, float(np.sum(np.abs(both))))
-        done = (np.abs(both - est) < rtol * scale) | ((b - a) < 1e-13)
-        parts += both[done].tolist()
+        for p in np.flatnonzero(np.bincount(probe, minlength=n) > _PENDING_CAP):
+            scale[p] = max(scale[p], float(np.sum(np.abs(both[probe == p]))))
+        done = (np.abs(both - est) < rtol * scale[probe]) | ((b - a) < 1e-13)
+        owner.append(probe[done])
+        parts.append(both[done])
         split = ~done
+        probe = np.concatenate([probe[split], probe[split]])
         a, b = np.concatenate([a[split], mid[split]]), np.concatenate([mid[split], b[split]])
         est = np.concatenate([e1[split], e2[split]])
-    return math.fsum(parts) / x
+
+    owner = np.concatenate(owner)
+    parts = np.concatenate(parts)[np.argsort(owner)].tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
+    # fsum rounds once, so the order of a probe's parts does not matter
+    out = np.array([math.fsum(parts[lo:hi]) for lo, hi in zip([0, *ends], ends)]) / probes
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def mc_estimate(
@@ -131,10 +154,10 @@ def compare_report(
     Returns {"kernel", "probes", "max_rel_err"}, the rows of "probes" being
     {"x", "K", "Khat", "rel_err"}: the report `verify` prints.
     """
+    xs = np.asarray(probe_xs, dtype=float)
     rows = []
-    for x in np.asarray(probe_xs, dtype=float).tolist():
-        # reconstruct_at rejects x outside (0, inf) before K is evaluated
-        k_hat = reconstruct_at(table, x, rtol=rtol)
+    # reconstruct_at rejects any x outside (0, inf) before K is evaluated
+    for x, k_hat in zip(xs.tolist(), reconstruct_at(table, xs, rtol=rtol).tolist()):
         k_true = float(spec.k(x))
         rel = abs(k_hat - k_true) / abs(k_true) if k_true != 0 else abs(k_hat)
         rows.append({"x": x, "K": k_true, "Khat": k_hat, "rel_err": rel})

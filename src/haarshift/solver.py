@@ -374,7 +374,8 @@ def residual(table: CoefficientTable, spec: KernelSpec) -> float:
 def a_of_omega(omega):
     """The trigonometric symbol of the recursion at frequency omega."""
     w = np.asarray(omega, dtype=float)
-    out = _weighted_sum(RECURSION, lambda shift: np.exp(1j * w * shift))
+    # e^(i omega 0) = 1: the zero shift adds its weight, with no exp
+    out = _weighted_sum(RECURSION, lambda shift: np.exp(1j * (w * shift)) if shift else 1.0)
     return out if out.ndim else complex(out)
 
 
@@ -401,17 +402,17 @@ def _sidecar_fields():
 def write_table(table: CoefficientTable, base_path: str | Path, extra: dict | None = None) -> tuple[Path, Path]:
     """Write `<base>.csv` (columns u, c) and `<base>.json` (metadata).
 
-    Floats are written with repr-level precision so a read-back compares
-    exactly equal.  `extra` entries are merged into the sidecar (used by the
-    CLI for provenance).
+    Floats are written with .17g, byte-identical to csv.writer, so a
+    read-back compares exactly equal.  `extra` entries are merged into the
+    sidecar (used by the CLI for provenance).
     """
     base = Path(base_path)
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
     # the bytes csv.writer would write: no field needs quoting, rows end in CRLF
-    rows = zip(table.grid.tolist(), table.samples.tolist())
+    values = np.column_stack((table.grid, table.samples)).ravel().tolist()
     with open(csv_path, "w", newline="") as fh:
-        fh.write("u,c\r\n" + "".join(f"{u:.17g},{v:.17g}\r\n" for u, v in rows))
+        fh.write("u,c\r\n" + "%.17g,%.17g\r\n" * len(table.samples) % tuple(values))
     meta = {f.name: getattr(table, f.name) for f in _sidecar_fields()}
     if extra:
         meta.update(extra)

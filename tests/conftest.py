@@ -81,3 +81,14 @@ def smoothed_table():
 @pytest.fixture(scope="session")
 def tent_table():
     return solve_c(tent_spec(), step=2.0**-8)
+
+
+@pytest.fixture(scope="session")
+def cp_fine_table():
+    """conjugate-poisson at step 2^-11: 57,345 samples."""
+    return solve_c(get_kernel("conjugate-poisson"), step=2.0**-11)
+
+
+@pytest.fixture(scope="session")
+def smoothed_fine_table():
+    return solve_c(get_kernel("smoothed-truncated"), step=2.0**-9)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from haarshift import CoefficientTable, m_of, residual
+from haarshift import RECURSION, CoefficientTable, m_of, residual
 from haarshift.piecewise import PiecewiseLinear, StepFunction, kernel_profile, make_g, make_h
 from haarshift.solver import _detect_tail
 
@@ -50,6 +50,13 @@ def convolution_by_partition(f, g, t: float) -> float:
         mid = 0.5 * (a + b)
         total += f(mid) * g(t - mid) * (b - a)
     return total
+
+
+def plain_symbol(omega):
+    """a(omega) = sum w exp(i omega shift) over the recursion's terms, each
+    exponential taken as the formula reads, the zero shift's included."""
+    omega = np.asarray(omega, dtype=float)
+    return sum(w * np.exp(1j * omega * shift) for shift, w in RECURSION)
 
 
 def neumann_word_sum(m_func, y, depth: int) -> np.ndarray:
@@ -130,31 +137,44 @@ def sweep_solve(spec, window=(-14.0, 14.0), step=2.0**-9, tol=1e-8, max_iter=600
     # one pad block per side for the slice reads; ln3 is the widest shift
     pad = int(np.ceil(LN3 / step)) + 2
 
-    def shifted(c_ext, offset):
+    # the iterate lives inside a padded copy, and each sweep writes the next
+    # one inside a second copy: the two swap, and the sweep runs in place
+    c_ext, new_ext = np.empty(n + 2 * pad), np.empty(n + 2 * pad)
+    c_ext[pad : pad + n] = c
+    c = c_ext[pad : pad + n]
+    lerp, part = np.empty(n), np.empty(n)
+
+    def shifted(c_ext, offset, out):
         # same fractional part at every grid point: one lerp of two slices
         f = int(np.floor(offset / step))
         w = offset / step - f
         i0 = pad + f
-        return (1.0 - w) * c_ext[i0 : i0 + n] + w * c_ext[i0 + 1 : i0 + 1 + n]
+        np.multiply(c_ext[i0 : i0 + n], 1.0 - w, out=out)
+        np.multiply(c_ext[i0 + 1 : i0 + 1 + n], w, out=part)
+        out += part
 
     stop = tol * (1.0 - RATIO)
     prev_change = None
     max_ratio = 0.0
     for sweeps in range(1, max_iter + 1):
-        ext_l = tail_left if tail_left is not None else c[0]
-        ext_r = tail_right if tail_right is not None else c[-1]
-        c_ext = np.concatenate([np.full(pad, ext_l), c, np.full(pad, ext_r)])
-        c_new = (
-            W_UP3 * shifted(c_ext, LN3)
-            + W_UP32 * shifted(c_ext, LN32)
-            + W_DOWN43 * shifted(c_ext, -LN43)
-            - source
-        )
-        change = float(np.max(np.abs(c_new - c)))
+        c_ext[:pad] = tail_left if tail_left is not None else c[0]
+        c_ext[pad + n :] = tail_right if tail_right is not None else c[-1]
+        c_new = new_ext[pad : pad + n]
+        shifted(c_ext, LN3, c_new)
+        c_new *= W_UP3
+        shifted(c_ext, LN32, lerp)
+        lerp *= W_UP32
+        c_new += lerp
+        shifted(c_ext, -LN43, lerp)
+        lerp *= W_DOWN43
+        c_new += lerp
+        c_new -= source
+        np.subtract(c_new, c, out=lerp)
+        change = float(np.abs(lerp, out=lerp).max())
         if prev_change is not None and prev_change > 0:
             max_ratio = max(max_ratio, change / prev_change)
         prev_change = change
-        c = c_new
+        c_ext, new_ext, c = new_ext, c_ext, c_new
         if change < stop:
             break
     else:

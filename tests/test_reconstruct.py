@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from haarshift import (
     mc_estimate,
     reconstruct_at,
 )
+from haarshift import reconstruct
+from haarshift.cli import _probe_spec
 
 
 def test_profile_shape():
@@ -107,6 +110,98 @@ def test_breadth_first_matches_depth_first(fixture, request):
     for x in np.logspace(-3.0, 3.0, 50):
         want = depth_first_reconstruct(table, float(x))
         assert reconstruct_at(table, float(x)) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("fixture", ["cp_fine_table", "smoothed_fine_table"])
+@pytest.mark.parametrize("probes", ["log:0.001:1000:200", "log:0.001:1000:50"])
+def test_batched_reconstruction_matches_single_probes(fixture, probes, request):
+    """One quadrature over all of verify's probes gives each probe the bits
+    of its own call."""
+    table = request.getfixturevalue(fixture)
+    xs = _probe_spec(probes)
+    got = reconstruct_at(table, xs)
+    assert type(got) is np.ndarray and got.shape == xs.shape
+    want = np.array([reconstruct_at(table, x) for x in xs.tolist()])
+    assert got.tobytes() == want.tobytes()
+
+
+def missed_spike_table() -> CoefficientTable:
+    """Noise below u = -1; above it zero but for a plateau of height 1.
+
+    At x = 1 the quadrature reads u = -ln s >= 0.  The plateau is centred
+    on the node of the first halves farthest from every node of the first
+    estimates, and ends halfway to them, so those estimates read 0 and the
+    probe's scale starts at its floor, while the halves read the plateau:
+    its panels then split until more than 4096 are pending.  Probes below
+    x = e^-1 also read the noise, whose kinks keep a few thousand of their
+    panels pending, but never 4096.
+    """
+    step = 2.0**-9
+    nodes = np.polynomial.legendre.leggauss(8)[0]
+
+    def node_u(width):
+        mid = np.arange(width / 2, 1.0, width)
+        return -np.log((mid[:, None] + width / 2 * nodes).ravel())
+
+    first, halves = node_u(0.25), node_u(0.125)
+    halves = halves[(halves > 0.0) & (halves < 2.0)]
+    gaps = np.min(np.abs(halves[:, None] - first), axis=1)
+    grid = -4.0 + step * np.arange(round(8.0 / step) + 1)
+    samples = np.where(grid < -1.0, np.random.default_rng(1).uniform(-1.0, 1.0, grid.size), 0.0)
+    samples[np.abs(grid - halves[np.argmax(gaps)]) <= 0.5 * gaps.max()] = 1.0
+    return CoefficientTable(
+        u_min=-4.0,
+        u_max=4.0,
+        step=step,
+        samples=samples,
+        tail_left=0.0,
+        tail_right=0.0,
+        residual_sup=0.0,
+        iterations=0,
+    )
+
+
+def test_pending_cap_grows_only_its_own_probes_scale(monkeypatch):
+    """A probe past the pending-panel cap grows its own scale and no other
+    probe's: batched with probes that stay under the cap, every probe gets
+    the bits of its own call."""
+    table = missed_spike_table()
+    xs = np.array([1.0, *np.exp(np.linspace(-3.5, -1.5, 8))])
+    sizes = []
+    panels = reconstruct._panels
+
+    def spy(table, log_x, a, b):
+        sizes.append(a.size)
+        return panels(table, log_x, a, b)
+
+    monkeypatch.setattr(reconstruct, "_panels", spy)
+    want, peaks = [], []
+    for x in xs.tolist():
+        sizes.clear()
+        want.append(reconstruct_at(table, x))
+        # each round evaluates two halves per pending panel
+        peaks.append(max(sizes) // 2)
+    assert peaks[0] > reconstruct._PENDING_CAP >= max(peaks[1:])
+    assert want[0] != 0.0
+    assert reconstruct_at(table, xs).tobytes() == np.array(want).tobytes()
+
+
+def test_reconstruct_empty_array():
+    got = reconstruct_at(const_table(1.0), np.array([]))
+    assert type(got) is np.ndarray and got.shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan])
+def test_batched_reconstruction_checks_every_probe_first(bad, monkeypatch):
+    """A bad probe anywhere in the array raises before any panel is
+    evaluated, naming the first bad probe."""
+
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran before the probes were checked")
+
+    monkeypatch.setattr(reconstruct, "_panels", no_quadrature)
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r};")):
+        reconstruct_at(const_table(1.0), np.array([1.0, bad, -1.0, 2.0]))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

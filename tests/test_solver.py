@@ -24,10 +24,11 @@ from haarshift import (
     solve_c,
     write_table,
 )
+from haarshift import solver
 from haarshift.solver import modulus_chunks
 
 from conftest import sweep_table, tent_m
-from oracles import neumann_tail_bound, neumann_word_sum
+from oracles import neumann_tail_bound, neumann_word_sum, plain_symbol
 
 
 def test_hilbert_solution_is_constant(hilbert_table):
@@ -213,6 +214,30 @@ def test_c_at_matches_np_interp(table, data):
 
 def test_symbol_at_zero():
     assert a_of_omega(0.0) == -0.75
+
+
+def symbol_bits(a) -> bytes:
+    return np.asarray(a, dtype=complex).tobytes()
+
+
+def test_symbol_is_the_plain_formula_bit_for_bit(monkeypatch):
+    """a_of_omega skips the exponential of the zero shift, which is 1, and
+    still gives the plain sum's bits: over the conjugate-poisson solve's
+    own rfft frequencies, at their negatives and at 0."""
+    grids = []
+
+    def spy(omega):
+        grids.append(omega)
+        return a_of_omega(omega)
+
+    monkeypatch.setattr(solver, "a_of_omega", spy)
+    solve_c(get_kernel("conjugate-poisson"), step=2.0**-11)
+    (omega,) = grids
+    assert symbol_bits(a_of_omega(omega)) == symbol_bits(plain_symbol(omega))
+    assert symbol_bits(a_of_omega(-omega)) == symbol_bits(plain_symbol(-omega))
+    zero = a_of_omega(0.0)
+    assert type(zero) is complex and zero == -0.75
+    assert symbol_bits(zero) == symbol_bits(plain_symbol(0.0))
 
 
 def test_symbol_triangle_bound_and_symmetry():
@@ -438,6 +463,14 @@ def csv_writer_bytes(table) -> bytes:
     for u, v in zip(table.grid, table.samples):
         writer.writerow([format(u, ".17g"), format(v, ".17g")])
     return buf.getvalue().encode()
+
+
+def test_write_table_full_size_is_csv_writer_bytes(tmp_path, cp_fine_table):
+    """The one format string grows with the rows; at the 57,345 rows of
+    conjugate-poisson at 2^-11 it still writes what csv.writer writes."""
+    assert len(cp_fine_table.samples) == 57_345
+    csv_path, _ = write_table(cp_fine_table, tmp_path / "cp")
+    assert csv_path.read_bytes() == csv_writer_bytes(cp_fine_table)
 
 
 def same_bits(a, b) -> bool:
