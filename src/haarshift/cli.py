@@ -88,6 +88,15 @@ def _float_list(text: str) -> list[float]:
     return probes
 
 
+def _csv_path(text: str) -> str:
+    """`apply`'s CSV path, which must differ from its JSON sidecar's path."""
+    if Path(text).with_suffix(".json") == Path(text):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is also the path of its JSON sidecar: give the CSV another suffix"
+        )
+    return text
+
+
 def _probe_spec(text: str) -> np.ndarray:
     """Either 'log:A:B:N' (N log-spaced points) or a comma list, not empty."""
     if not text.startswith("log:"):
@@ -261,7 +270,9 @@ def build_parser() -> _Parser:
     table = _Parser(add_help=False)
     table.add_argument("--table", required=True, help="table base path from `solve`")
     monte_carlo = _Parser(add_help=False, parents=[table])
-    monte_carlo.add_argument("--samples", type=_positive_int, default=100000)
+    monte_carlo.add_argument("--samples", type=_positive_int, default=100000,
+                             help="draws at the floor level; each level above takes "
+                             "about 1/sqrt(2) as many as the one below")
     monte_carlo.add_argument("--seed", type=_seed, default=0)
     monte_carlo.add_argument("--tail-tol", type=_positive_float, default=1e-4)
     monte_carlo.add_argument("--threads", type=_positive_int, default=os.cpu_count())
@@ -293,7 +304,8 @@ def build_parser() -> _Parser:
     p.add_argument("--f", choices=["indicator", "triangle"], default="indicator")
     p.add_argument("--x", type=_float_list, required=True,
                    help="comma-separated probe points")
-    p.add_argument("--out", help="CSV path (JSON provenance sidecar alongside)")
+    p.add_argument("--out", type=_csv_path,
+                   help="CSV path (JSON provenance sidecar alongside, suffix .json)")
     p.set_defaults(func=_cmd_apply)
 
     p = sub.add_parser("adiag", help="scan the modulus of the recursion symbol")

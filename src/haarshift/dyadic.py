@@ -5,11 +5,11 @@ shift sigma_n of the level-n lattice { r 2^n (sigma_n + k) : k integer }.
 Under the grid law r is log-uniform and every sigma_n is uniform on [0, 1).
 What is estimated here is a sum over levels of a level term, so by
 linearity its average is the sum over levels of the term's averages, and
-each of those needs only its own level's pair (r, sigma_n).  The engine
-(`accumulate_samples`) therefore draws every level on its own and never
-builds a lattice.
+each of those is an integral over the unit square of (log2 r, sigma_n).
+The engine (`accumulate_samples`) therefore treats every level on its own
+and never builds a lattice of cells.
 
-Level row l = n - n_min takes N_l = ceil(M 2^(-l/2)) draws, and never
+Level row l = n - n_min keeps N_l = ceil(M 2^(-l/2)) draws, and never
 fewer than min(M, 2), where M is the `num_samples` of the call (the CLI's
 `--samples`): M counts the draws at the floor level, and a call of L
 levels makes at most 3.42 M + 2 L term evaluations.  A level-n term is
@@ -17,32 +17,29 @@ bounded by a multiple of sup |gamma| / 2^n and its variance falls about
 fourfold per level, so the higher levels carry little of the variance and
 get fewer draws.
 
-Each level's draws are stratified on (log2 r, sigma_n): H_l = 2^b strata,
-b the largest value up to 14 with 2 H_l <= N_l, form a q_r x q_sigma grid
-with q_r = 2^ceil(b/2) and q_sigma = 2^floor(b/2).  Draw i of a level sits
-in stratum i mod H_l: proportional allocation, with counts that differ by
-at most one and at least 2 draws per stratum once M >= 2.
+Each level is integrated over a randomly shifted rank-1 lattice (Cranley
+and Patterson, 1976): R_l = min(16, N_l) replicates of the
+n_l = floor(N_l / R_l)-point Kronecker lattice ((i + 1/2) / n_l, {i phi})
+in (log2 r, sigma), phi the golden-ratio conjugate, each moved modulo 1 by
+its own uniform shift (U, U').  Every replicate mean is unbiased; the level
+mean is the mean of the R_l replicate means and its stderr their sample
+standard deviation over sqrt(R_l), NaN when R_l = 1 (M = 1).
 
-`estimate` is the one Monte-Carlo estimator: ln 2 times the sum over
-levels of the stratified level means (1/H_l) sum_h ybar_{l,h}, its stderr
-ln 2 sqrt(sum_l sum_h s_{l,h}^2 / n_{l,h} / H_l^2) from the per-stratum
-sample variances (NaN when M = 1), the bound on the discarded coarse
-levels, and a record of each level's share (`LevelRecord`).  `shift_terms`
-is the one level term of the Haar shift, given its pairing with f: the
-averaged shift operator (`operators`) pairs with a test function, and the
-two-point kernel sum (`kernel_sum_terms`) is the shift applied to a unit
-mass at y.
+`estimate` is the one Monte-Carlo estimator: ln 2 times the sum of the
+level means, ln 2 times the root of the summed squared level stderrs, the
+bound on the discarded coarse levels, and a record of each level's share
+(`LevelRecord`).  `shift_terms` is the one level term of the Haar shift,
+given its pairing with f: the averaged shift operator (`operators`) pairs
+with a test function, and the two-point kernel sum (`kernel_sum_terms`) is
+the shift applied to a unit mass at y.
 
 Draw order is part of the reproducibility contract, and `STREAM_VERSION`
 names it; the CLI records it as `versions.stream` in its JSON outputs.
-Stream 5 draws chunk c of level row l from its own Philox counter block,
-keyed by (seed, l, c): all the uniforms U of log2 r, then all the uniforms
-U' of sigma; the draw in stratum h = i_sigma q_r + i_r takes
-r = 2^((i_r + U)/q_r) and sigma = (i_sigma + U')/q_sigma.  Stream 4 drew
-one grid for all levels, a floor shift moved up by one bit per level, in
-4096 strata of (log2 r, sigma, bits), and stream 3 unstratified.  Stream 2
-started one level lower, and stream 1 (outputs without the key) built the
-floor shift from 52 further bits.
+Stream 6 takes the shift (U, U') of replicate j of level row l from its own
+Philox counter block, keyed by (seed, l, j); point i of that replicate has
+log2 r = ((i + 1/2) / n_l + U) mod 1 and sigma = ((i phi mod 1) + U') mod 1.
+Stream 5 drew N_l points per level, a uniform pair each, stratified on
+(log2 r, sigma) in up to 2^14 strata; README lists the earlier streams.
 """
 
 from __future__ import annotations
@@ -75,17 +72,18 @@ _H_VALUES = np.array(make_h().values)
 _G_PADDED = np.concatenate([[0.0], make_g().values, [0.0]])
 
 # version of the draw order; bump it whenever the same seed draws differently
-STREAM_VERSION = 5
+STREAM_VERSION = 6
 
-DEFAULT_CHUNK = 1 << 17
+# shifted replicates per level, whose spread gives the stderr R - 1 degrees of
+# freedom: 16 gave smaller errors than 32 or 64 on the kernel sum and indicator
+REPLICATES = 16
 
-# draws per term_fn call: small enough that the allocator reuses the level
-# temporaries instead of refaulting them, large enough to amortise each call
-_TERM_BLOCK = 1 << 15
+# the golden-ratio conjugate, the Kronecker lattice's step in sigma
+_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# a level is cut into at most 2^14 strata: finer strata lowered the stderr
-# further but raised the peak memory of a 2^18-draw call
-_STRATA_BITS = 14
+# lattice points per term_fn call: small enough that the allocator reuses the
+# level temporaries instead of refaulting them, large enough to amortise a call
+DEFAULT_CHUNK = 1 << 15
 
 
 class LevelRecord(NamedTuple):
@@ -95,7 +93,7 @@ class LevelRecord(NamedTuple):
 
     n: int
     draws: int
-    strata: int
+    replicates: int
     mean: float
     stderr: float
     hits: int
@@ -128,10 +126,16 @@ class Estimate:
         }
 
 
-def _rng(seed: int, row: int, chunk: int) -> np.random.Generator:
-    # counter-based: chunk `chunk` of level row `row` owns the 2^70-wide
-    # counter block at (row << 128) + (chunk << 70)
-    return np.random.Generator(np.random.Philox(key=seed, counter=(row << 128) + (chunk << 70)))
+def _shifts(seed: int, row: int, replicates: int) -> np.ndarray:
+    """Each replicate j's shift (U, U'): the first two uniforms of its Philox
+    counter block, (row << 128) + (j << 70) under the seed key."""
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=row << 128))
+    shifts = np.empty((replicates, 2))
+    for j in range(replicates):
+        shifts[j] = rng.random(2)
+        # two uniforms take one step of the counter: move on to block j + 1
+        rng.bit_generator.advance((1 << 70) - 1)
+    return shifts
 
 
 def cutoff_for_tolerance(gamma_sup: float, tol: float) -> int:
@@ -180,55 +184,35 @@ def _level_draws(num_samples: int, row: int) -> int:
     return max(math.isqrt(least - 1) + 1, min(num_samples, 2))
 
 
-def _strata_shape(draws: int) -> tuple[int, int]:
-    """(q_r, q_sigma) = (2^ceil(b/2), 2^floor(b/2)) for the largest b up to
-    14 with 2^(b+1) <= draws; (1, 1), plain draws, below 4 draws."""
-    b = min(_STRATA_BITS, max(0, (draws // 2).bit_length() - 1))
-    return 1 << ((b + 1) // 2), 1 << (b // 2)
-
-
 class Tally(NamedTuple):
-    """One level's per-stratum draw counts, sums and M2 of its term (draw i
-    in stratum i mod H), and the number of draws whose term is nonzero."""
+    """One level's replicate sums, sums[j] the level term added over the
+    `points` lattice points of shift j, and the number of points whose term
+    is nonzero."""
 
-    counts: np.ndarray
+    points: int
     sums: np.ndarray
-    m2: np.ndarray
     hits: int
 
     @property
-    def strata(self) -> int:
-        return len(self.counts)
+    def replicates(self) -> int:
+        return len(self.sums)
+
+    @property
+    def draws(self) -> int:
+        return self.points * self.replicates
 
     @property
     def mean(self) -> float:
-        """(1/H) sum_h sums_h / counts_h, the stratified mean."""
-        return float(np.sum(self.sums / self.counts)) / self.strata
+        """The mean of the replicate means."""
+        return math.fsum(self.sums.tolist()) / self.draws
 
     @property
     def stderr(self) -> float:
-        """sqrt(sum_h s_h^2 / n_h) / H, s_h^2 = M2_h / (n_h - 1); NaN when a
-        stratum holds a single draw."""
-        n = self.counts
-        if n.min() < 2:
+        """The replicate means' sample standard deviation over sqrt(R); NaN
+        for a single replicate."""
+        if self.replicates < 2:
             return math.nan
-        return math.sqrt(float(np.sum(self.m2 / ((n - 1) * n)))) / self.strata
-
-
-def _merge(partials: list, strata: int) -> Tally:
-    """One level's chunk results, merged in chunk order by
-    M2_a + (M2_b + delta^2 n_a n_b / (n_a + n_b)) per stratum."""
-    counts, sums, m2 = np.zeros(strata, dtype=np.int64), np.zeros(strata), np.zeros(strata)
-    hits = 0
-    for pieces, chunk_hits in partials:
-        hits += chunk_hits
-        for n_b, s_b, m2_b in pieces:
-            # a stratum with no draw in the piece (n_b = 0) keeps its bits
-            delta = s_b / np.maximum(n_b, 1) - sums / np.maximum(counts, 1)
-            m2 = m2 + (m2_b + delta * delta * (counts * n_b / (counts + n_b)))
-            sums = sums + s_b
-            counts = counts + n_b
-    return Tally(counts, sums, m2, hits)
+        return float(np.std(self.sums / self.points, ddof=1)) / math.sqrt(self.replicates)
 
 
 def accumulate_samples(
@@ -240,88 +224,64 @@ def accumulate_samples(
     chunk_size: int = DEFAULT_CHUNK,
 ) -> list[Tally]:
     """One `Tally` per level of ``levels`` (a nonempty range of consecutive
-    levels), from the floor up, each level on its own stratified draws
-    (stream `STREAM_VERSION`, described in the module docstring).
+    levels), from the floor up, each level on its own randomly shifted
+    lattices (stream `STREAM_VERSION`, described in the module docstring).
 
-    A level's chunks are chunk_size draws rounded up to whole rounds of its
-    strata (the default, 2^17, is one); the last may end in a part round.
-    term_fn(n, r, sigma), pure and vectorized over the draws, gets them in
-    blocks of at most 32768.  The chunks of every level run through one
-    thread pool and each level's merge in chunk order (`_merge`), so the
-    result is the same for every thread count.  Rounding takes r to 2 or
-    sigma to 1 with probability below 2^-46 per draw; sigma = 1 names the
-    lattice of sigma = 0.
+    term_fn(n, r, sigma), pure and vectorized over the points, gets at most
+    chunk_size points a call: whole replicates of a level, or one
+    replicate's points in consecutive pieces, whose sums add in order.  The
+    calls run through one thread pool; no point depends on chunk_size or
+    the thread count, and no sum on the thread count.  Rounding takes r to
+    2 only with probability below 2^-46 per point.
     """
     if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 128):
         raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
-    if num_samples < 1:
-        raise ValueError("need at least one draw")
+    if isinstance(num_samples, bool) or not (
+        isinstance(num_samples, numbers.Integral) and num_samples >= 1
+    ):
+        raise ValueError(f"num_samples must be a positive integer, got {num_samples!r}")
     if not levels or levels.step != 1:
         raise ValueError(f"need a nonempty range of consecutive levels, got {levels!r}")
-    # per level row: draws, (q_r, q_sigma), and the chunk size in whole rounds
-    plan = []
-    for row in range(len(levels)):
-        draws = _level_draws(num_samples, row)
-        q_r, q_sigma = _strata_shape(draws)
-        plan.append((draws, q_r, q_sigma, -(-chunk_size // (q_r * q_sigma)) * q_r * q_sigma))
+    # per level row: (replicates, lattice points)
+    draws = [_level_draws(int(num_samples), row) for row in range(len(levels))]
+    plan = [(min(REPLICATES, d), d // min(REPLICATES, d)) for d in draws]
+    # drawn before the pool starts, since a generator holds the interpreter lock
+    shifts = [_shifts(seed, row, replicates) for row, (replicates, _) in enumerate(plan)]
+    # (row, first replicate, replicates, first point, end point)
+    tasks = []
+    for row, (replicates, points) in enumerate(plan):
+        group = max(1, chunk_size // points)
+        for first in range(0, replicates, group):
+            for start in range(0, points, chunk_size):
+                stop = min(start + chunk_size, points)
+                tasks.append((row, first, min(group, replicates - first), start, stop))
 
-    def run_chunk(task: tuple[int, int]) -> tuple[list, int]:
-        row, index = task
-        draws, q_r, q_sigma, size = plan[row]
-        strata = q_r * q_sigma
-        count = min(size, draws - index * size)
-        full = count - count % strata
-        rng = _rng(seed, row, index)
+    def run_chunk(task: tuple[int, int, int, int, int]) -> tuple[np.ndarray, int]:
+        row, first, count, start, stop = task
+        points = plan[row][1]
+        shift = shifts[row][first : first + count]
+        i = np.arange(start, stop, dtype=float)
+        lattice = i * _PHI
+        lattice -= np.floor(lattice)
+        # a row per replicate; sums lie in [0, 2), so mod 1 is an exact -1 or 0
+        log2_r = (i + 0.5) / points + shift[:, :1]
+        log2_r -= log2_r >= 1.0
+        sigma = lattice + shift[:, 1:]
+        sigma -= sigma >= 1.0
+        terms = term_fn(levels[row], np.exp2(log2_r).ravel(), sigma.ravel())
+        return terms.reshape(count, -1).sum(axis=1), int(np.count_nonzero(terms))
 
-        def rounds(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # views: the whole rounds of H draws, one per row, and the rest
-            return values[:full].reshape(-1, strata), values[full:]
-
-        def stratified(digits: np.ndarray, q: int) -> np.ndarray:
-            # (stratum digit + U) / q, through the exact scaling U / q
-            values = rng.random(count)
-            values *= 1.0 / q
-            offset = digits / q
-            whole, rest = rounds(values)
-            whole += offset
-            rest += offset[: len(rest)]
-            return values
-
-        i_sigma, i_r = np.divmod(np.arange(strata), q_r)
-        r = np.exp2(stratified(i_r, q_r))
-        sigma = stratified(i_sigma, q_sigma)
-        terms = np.empty(count)
-        for start in range(0, count, _TERM_BLOCK):
-            block = slice(start, start + _TERM_BLOCK)
-            terms[block] = term_fn(levels[row], r[block], sigma[block])
-        # per stratum (draws, sums, M2): the whole rounds, counted by an int
-        # (an array here refaulted the level temporaries), then the part round
-        whole, rest = rounds(terms)
-        pieces = []
-        if full:
-            sums = whole.sum(axis=0)
-            dev = whole - sums / len(whole)
-            dev *= dev
-            pieces.append((len(whole), sums, dev.sum(axis=0)))
-        if len(rest):
-            ones = (np.arange(strata) < len(rest)).astype(np.int64)
-            pieces.append((ones, np.pad(rest, (0, strata - len(rest))), np.zeros(strata)))
-        return pieces, int(np.count_nonzero(terms))
-
-    tasks = [
-        (row, index)
-        for row, (draws, _, _, size) in enumerate(plan)
-        for index in range(-(-draws // size))
-    ]
     if threads is not None and threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(run_chunk, tasks))
     else:
         partials = [run_chunk(task) for task in tasks]
-    by_row = [[] for _ in plan]
-    for (row, _), partial in zip(tasks, partials):
-        by_row[row].append(partial)
-    return [_merge(chunks, q_r * q_sigma) for chunks, (_, q_r, q_sigma, _) in zip(by_row, plan)]
+    sums = [np.zeros(replicates) for replicates, _ in plan]
+    hits = [0] * len(plan)
+    for (row, first, count, _, _), (chunk_sums, chunk_hits) in zip(tasks, partials):
+        sums[row][first : first + count] += chunk_sums
+        hits[row] += chunk_hits
+    return [Tally(points, s, h) for (_, points), s, h in zip(plan, sums, hits)]
 
 
 def estimate(
@@ -333,7 +293,7 @@ def estimate(
     seed: int = 0,
     threads: int | None = None,
 ) -> Estimate:
-    """Average the level terms of `term_fn` over per-level stratified draws.
+    """Average the level terms of `term_fn` over per-level shifted lattices.
 
     The estimate is ln 2 times the sum of the level means (the dilation is
     drawn with density 1/(r ln 2), compensating the unnormalized dr/r
@@ -352,7 +312,7 @@ def estimate(
         seed=seed,
         levels=levels,
         record=[
-            LevelRecord(n, int(t.counts.sum()), t.strata, ln2 * t.mean, ln2 * t.stderr, t.hits)
+            LevelRecord(n, t.draws, t.replicates, ln2 * t.mean, ln2 * t.stderr, t.hits)
             for n, t in zip(levels, tallies)
         ],
     )

@@ -186,9 +186,9 @@ def direct_pv(spec: KernelSpec, f: TestFunction, x: float) -> float:
 
     Panels end at 0, at each distance from x to a knot of f (the integrand
     is 0 past the largest, d_max) and at d_min 2^j from j = -52 to d_max,
-    not below 2^-1000: f is polynomial on both sides of a panel, and
-    [a, 2a] resolves K, which x^3 K'' bounded lets vary only on the scale
-    of s.  10-node Gauss-Legendre on every panel, one call of K and of f per
+    not below 2^-1000 nor within a relative 2^-40 of a knot's distance: f
+    is polynomial on both sides of a panel, and [a, 2a] resolves K, which
+    x^3 K'' bounded lets vary only on the scale of s.  10-node Gauss-Legendre on every panel, one call of K and of f per
     side for all nodes, math.fsum over the panel sums.  OperatorError where
     f jumps at x; ValueError for x non-finite or within 2^-1000 of a knot.
     """
@@ -207,7 +207,10 @@ def direct_pv(spec: KernelSpec, f: TestFunction, x: float) -> float:
     edges = {0.0, *dists}
     d = max(dists[0] * 2.0**-52, 2.0**-1000)
     while d < dists[-1]:
-        edges.add(d)
+        # so close an edge leaves a panel whose nodes round onto the knot,
+        # where f and its mirror image read different sides
+        if all(abs(d - k) > d * 2.0**-40 for k in dists):
+            edges.add(d)
         d *= 2.0
     cuts = np.array(sorted(edges))
     half = 0.5 * np.diff(cuts)

@@ -45,10 +45,7 @@ def const_table(value):
 def tally_bits(tallies):
     """Everything the engine's per-level tallies hold, for bit-for-bit
     comparison."""
-    return [
-        (t.counts.tolist(), t.sums.tolist(), t.m2.tolist(), t.hits, t.mean, t.stderr)
-        for t in tallies
-    ]
+    return [(t.points, t.sums.tolist(), t.hits, t.mean, t.stderr) for t in tallies]
 
 
 def tent_m(u):

@@ -376,55 +376,56 @@ def fixed_grid(r=1.0, i_min=-5, n_max=15, one_at=None) -> GridSample:
 
 
 def level_draws(num_samples: int, row: int) -> int:
-    """Draws of level row `row` in stream 5: ceil(num_samples 2^(-row/2)),
+    """Draws of level row `row` since stream 5: ceil(num_samples 2^(-row/2)),
     never fewer than min(num_samples, 2)."""
     return max(math.ceil(num_samples * 2.0 ** (-row / 2)), min(num_samples, 2))
 
 
-def level_strata(draws: int) -> tuple[int, int]:
-    """(q_r, q_sigma) of stream 5: the strata are doubled, along log2 r
-    first, while they stay at most 2^14 and every one keeps 2 draws."""
-    q_r = q_sigma = 1
-    while q_r * q_sigma < 2**14 and 4 * q_r * q_sigma <= draws:
-        if q_r == q_sigma:
-            q_r *= 2
-        else:
-            q_sigma *= 2
-    return q_r, q_sigma
+def level_lattice(draws: int) -> tuple[int, int]:
+    """(replicates, points) of stream 6: a level of N draws evaluates
+    R = min(16, N) shifts of one lattice of floor(N / R) points."""
+    replicates = min(16, draws)
+    return replicates, draws // replicates
 
 
-def sample_level(
-    seed: int, n: int, row: int, num_samples: int, chunk_size: int
-) -> list[GridSample]:
-    """Every draw of level row `row` (level n) of a `num_samples`-draw call
-    in draw order, as a grid whose level-n lattice is {r 2^n (sigma + k)}.
+def sample_level(seed: int, n: int, row: int, num_samples: int) -> list[list[GridSample]]:
+    """Every point of level row `row` (level n) of a `num_samples`-draw call
+    in stream 6, replicate by replicate, each as a grid whose level-n
+    lattice is {r 2^n (sigma + k)}.
 
-    The level's draws come in chunks of `chunk_size` rounded up to whole
-    rounds of its H = q_r q_sigma strata.  Chunk c owns the Philox counter
-    block at (row << 128) + (c << 70) and takes every uniform U of log2 r
-    first, then every uniform U' of sigma; its draw j sits in stratum
-    h = j % H, with h = i_sigma q_r + i_r, and takes r = 2^((i_r + U) / q_r)
-    and sigma = (i_sigma + U') / q_sigma.
+    Replicate j takes its shift (U, U') from the first two uniforms of the
+    Philox counter block at (row << 128) + (j << 70) under the seed key.
+    Its point i has log2 r = ((i + 1/2) / p + U) mod 1 and
+    sigma = ((i phi mod 1) + U') mod 1, for p points and phi = (sqrt 5 - 1) / 2.
     """
-    draws = level_draws(num_samples, row)
-    q_r, q_sigma = level_strata(draws)
-    strata = q_r * q_sigma
-    size = -(-chunk_size // strata) * strata
-    grids = []
-    for index, start in enumerate(range(0, draws, size)):
-        count = min(size, draws - start)
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=(row << 128) + (index << 70)))
-        us, vs = rng.random(count), rng.random(count)
-        i_sigma, i_r = np.divmod(np.arange(count) % strata, q_r)
-        rs = np.exp2((i_r + us) / q_r)
-        for j in range(count):
-            sigma = (int(i_sigma[j]) + float(vs[j])) / q_sigma
-            grids.append(
-                GridSample(
-                    r=float(rs[j]), sigma=sigma, bits=np.zeros(1), i_min=n, n_max=n + 1, seed=seed
-                )
-            )
-    return grids
+    replicates, points = level_lattice(level_draws(num_samples, row))
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    out = []
+    for j in range(replicates):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=(row << 128) + (j << 70)))
+        u, v = rng.random(2).tolist()
+        rs = np.exp2([((i + 0.5) / points + u) % 1.0 for i in range(points)]).tolist()
+        sigmas = [((i * phi) % 1.0 + v) % 1.0 for i in range(points)]
+        out.append(
+            [
+                GridSample(r=r, sigma=sigma, bits=np.zeros(1), i_min=n, n_max=n + 1, seed=seed)
+                for r, sigma in zip(rs, sigmas)
+            ]
+        )
+    return out
+
+
+def replicate_sums(term, n: int, replicates: list[list[GridSample]], chunk_size: int):
+    """(sums, hits) of `term` over each replicate's points as stream 6 adds
+    them: np.sum over consecutive pieces of at most chunk_size points, the
+    pieces added in order."""
+    sums, hits = [], 0
+    for grids in replicates:
+        values = term(n, np.array([s.r for s in grids]), np.array([s.sigma for s in grids]))
+        hits += int(np.count_nonzero(values))
+        pieces = range(0, len(values), chunk_size)
+        sums.append(sum(float(np.sum(values[k : k + chunk_size])) for k in pieces))
+    return sums, hits
 
 
 def sample_grid(seed: int, i_min: int, n_max: int, index: int = 0) -> GridSample:
@@ -440,15 +441,6 @@ def sample_grid(seed: int, i_min: int, n_max: int, index: int = 0) -> GridSample
         n_max=n_max,
         seed=seed,
     )
-
-
-def pooled(tally) -> tuple[float, float]:
-    """(sum, M2) of all the draws of a stratified tally, strata pooled:
-    M2 = sum_h M2_h + sum_h n_h (ybar_h - ybar)^2, the plain sample M2."""
-    total = math.fsum(tally.sums)
-    mean = total / int(tally.counts.sum())
-    spread = tally.counts * (tally.sums / tally.counts - mean) ** 2
-    return total, math.fsum(tally.m2) + math.fsum(spread)
 
 
 def level_offset(s: GridSample, n: int) -> float:

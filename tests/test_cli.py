@@ -137,12 +137,13 @@ def test_mc_output_and_determinism(hilbert_base, capsys):
     first = capsys.readouterr().out
     payload = json.loads(first)
     assert payload["M"] == 2000
-    # the per-level record, from the floor up: 2000 floor draws fill 512
-    # strata with at least 2 draws each, and every level has its entry
+    # the per-level record, from the floor up: 2000 floor draws make 16
+    # replicates of 125 points, 1415 above them 16 of 88, and every level
+    # has its entry
     levels = payload["levels"]
     assert [entry["n"] for entry in levels] == list(range(payload["n_min"], payload["n_max"] + 1))
-    assert (levels[0]["draws"], levels[0]["strata"]) == (2000, 512)
-    assert [entry["draws"] for entry in levels[:3]] == [2000, 1415, 1000]
+    assert (levels[0]["draws"], levels[0]["replicates"]) == (2000, 16)
+    assert [entry["draws"] for entry in levels[:3]] == [2000, 1408, 992]
     assert math.fsum(entry["mean"] for entry in levels) == pytest.approx(payload["mean"], rel=1e-12)
     assert math.fsum(e["stderr"] ** 2 for e in levels) == pytest.approx(payload["stderr"] ** 2)
     assert 0 < levels[0]["hits"] <= levels[0]["draws"]
@@ -161,9 +162,8 @@ def test_mc_single_sample(hilbert_base, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["stderr"] is None
     assert payload["stderr_defined"] is False
-    assert {(entry["draws"], entry["strata"], entry["stderr"]) for entry in payload["levels"]} == {
-        (1, 1, None)
-    }
+    records = {(entry["draws"], entry["replicates"], entry["stderr"]) for entry in payload["levels"]}
+    assert records == {(1, 1, None)}
 
 
 def test_mc_rejects_zero_samples(hilbert_base, capsys):
@@ -246,8 +246,21 @@ def test_apply_writes_files(hilbert_base, tmp_path):
     # the per-level record of each probe; the CSV keeps its columns
     (probe,) = sidecar["probes"]
     assert probe["x"] == 2.0 and probe["M"] == 500
-    assert probe["levels"][0]["draws"] == 500
+    # 500 floor draws evaluate 16 replicates of 31 points
+    assert (probe["levels"][0]["draws"], probe["levels"][0]["replicates"]) == (496, 16)
     assert math.fsum(entry["mean"] for entry in probe["levels"]) == pytest.approx(probe["mean"])
+
+
+def test_apply_out_that_is_its_own_sidecar_is_usage_error(hilbert_base, tmp_path, capsys):
+    """The sidecar is the CSV path with suffix .json: an --out ending in
+    .json would be overwritten by it, so it is refused before any work."""
+    out = tmp_path / "res.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["apply", "--table", hilbert_base, "--kernel", "hilbert", "--x", "2.0",
+                  "--samples", "50", "--out", str(out)])
+    assert exc.value.code == 64
+    assert "is also the path of its JSON sidecar" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["mc", "apply"])

@@ -12,12 +12,12 @@ from oracles import (
     fixed_grid,
     interval_containing,
     level_draws,
+    level_lattice,
     level_offset,
-    level_strata,
-    pooled,
     reference_kernel_pairing,
     reference_operator_pairing,
     reference_shift_terms,
+    replicate_sums,
     sample_grid,
     sample_level,
     shift_kernel_sum,
@@ -28,6 +28,7 @@ from haarshift import (
     CoefficientTable,
     accumulate_samples,
     apply_averaged,
+    estimate,
     cutoff_for_tolerance,
     indicator_function,
     levels_for_distance,
@@ -35,17 +36,11 @@ from haarshift import (
     tail_bound_value,
     triangle_function,
 )
-from haarshift.dyadic import DEFAULT_CHUNK, _TERM_BLOCK, kernel_sum_terms
+from haarshift.dyadic import DEFAULT_CHUNK, kernel_sum_terms
 from haarshift.operators import _operator_terms
 
 
 ONES = const_table(1.0)
-
-
-def _by_stratum(values, strata):
-    """Per-stratum sums of per-draw values, draw i in stratum i % strata."""
-    values = np.asarray(values)
-    return np.bincount(np.arange(len(values)) % strata, values, strata)
 
 
 def test_level_range():
@@ -137,17 +132,19 @@ def test_sample_grid_deterministic():
     assert c.r != a.r or not np.array_equal(c.bits, a.bits)
 
 
-def _recorded_draws(seed, num_samples, levels, chunk_size=DEFAULT_CHUNK, term=None):
+def _recorded_draws(seed, num_samples, levels, chunk_size=DEFAULT_CHUNK, term=None, threads=None):
     """Run the engine with a term that records the (n, r, sigma) it is
     handed, in call order; returns the tallies and, per level, its r and
-    sigma in draw order."""
+    sigma in call order (replicate by replicate on one thread)."""
     calls = []
 
     def recording(n, r, sigma):
         calls.append((n, r.copy(), sigma.copy()))
         return np.zeros_like(r) if term is None else term(n, r, sigma)
 
-    tallies = accumulate_samples(seed, num_samples, levels, recording, chunk_size=chunk_size)
+    tallies = accumulate_samples(
+        seed, num_samples, levels, recording, threads=threads, chunk_size=chunk_size
+    )
     draws = {
         n: tuple(np.concatenate([c[i] for c in calls if c[0] == n]) for i in (1, 2)) for n in levels
     }
@@ -155,14 +152,12 @@ def _recorded_draws(seed, num_samples, levels, chunk_size=DEFAULT_CHUNK, term=No
 
 
 def test_level_draws_follow_the_grid_law():
-    """Each level's whole rounds of strata draw the dilation and the shift
-    of the grid law, r with density 1/(r ln 2) on [1, 2) and sigma uniform
-    on [0, 1), whatever the level's draw count and strata.  (A part round
-    fills the low strata, which the stratified mean weighs out.)"""
-    tallies, draws = _recorded_draws(2024, 100_000, range(0, 12))
+    """Each level's shifted lattices spread the dilation and the shift as
+    the grid law does, r with density 1/(r ln 2) on [1, 2) and sigma
+    uniform on [0, 1), whatever the level's draw count."""
+    _, draws = _recorded_draws(2024, 100_000, range(0, 12))
     for n in (0, 5, 11):
-        full = len(draws[n][0]) - len(draws[n][0]) % tallies[n].strata
-        rs, sigmas = (values[:full] for values in draws[n])
+        rs, sigmas = draws[n]
         assert np.all((1.0 <= rs) & (rs < 2.0)) and np.all((0.0 <= sigmas) & (sigmas < 1.0))
         assert abs(np.mean(np.log(rs)) - math.log(2.0) / 2) <= 0.003
         # r's CDF is log2
@@ -269,7 +264,7 @@ def test_level_floor_needs_positive_finite_distance(dist):
 
 
 def test_accumulate_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="num_samples must be a positive integer, got 0"):
         accumulate_samples(0, 0, range(0, 2), lambda n, r, sigma: r)
     # a level's draw count follows its row above the floor, so the levels
     # must be consecutive
@@ -288,13 +283,23 @@ def test_accumulate_rejects_seed_outside_the_key_range(seed):
     assert calls == []
 
 
-# chunks of 4096 rounded up to the floor's 8192 strata, the last shorter;
-# chunks of 1 rounded up to one round of each level's strata; at the floor
-# a default-sized chunk and a last chunk shorter than the 2^14 strata
+@pytest.mark.parametrize("num_samples", [2.5, True])
+def test_accumulate_rejects_samples_that_are_not_integers(num_samples):
+    """A fractional draw count, or a bool standing for 1, is refused by
+    name before a single draw."""
+    calls = []
+    message = f"num_samples must be a positive integer, got {num_samples!r}"
+    with pytest.raises(ValueError, match=message):
+        accumulate_samples(0, num_samples, range(0, 2), lambda n, r, sigma: calls.append(n) or r)
+    assert calls == []
+
+
+# replicates of 1,875 floor points, two to a chunk of 4096; one point per
+# chunk; at the floor each replicate of 32,830 points in two pieces
 @pytest.mark.parametrize(
     "num_samples, chunk_size",
-    [(30_000, 1 << 12), (500, 1), (DEFAULT_CHUNK + 1000, DEFAULT_CHUNK)],
-    ids=["partial-last-chunk", "one-draw-chunks", "last-chunk-below-strata"],
+    [(30_000, 1 << 12), (500, 1), (16 * DEFAULT_CHUNK + 1000, DEFAULT_CHUNK)],
+    ids=["grouped-replicates", "one-point-chunks", "replicates-in-pieces"],
 )
 def test_accumulate_deterministic_and_thread_invariant(num_samples, chunk_size):
     term = kernel_sum_terms(ONES, 0.7, 0.1)
@@ -310,8 +315,8 @@ def test_accumulate_deterministic_and_thread_invariant(num_samples, chunk_size):
 def test_estimates_thread_invariant(route):
     """mc_estimate and apply_averaged give the same bits, the per-level
     record included, at 1, 2 and 4 threads; 2^17 + 1000 floor draws make
-    two chunks at the floor."""
-    m = DEFAULT_CHUNK + 1000
+    replicates of 8254 points, six chunks of at most three at the floor."""
+    m = (1 << 17) + 1000
 
     def run(threads):
         if route == "kernel-sum":
@@ -320,130 +325,141 @@ def test_estimates_thread_invariant(route):
 
     one, two, four = (run(t) for t in (1, 2, 4))
     assert one == two == four
-    assert [level.draws for level in one.record[:3]] == [m, 93_390, 66_036]
+    assert [level.draws for level in one.record[:3]] == [132_064, 93_376, 66_032]
 
 
-# 37 floor draws leave part rounds on most levels (37 = 2 x 16 + 5, then
-# 27 = 3 x 8 + 3, 19 = 2 x 8 + 3, ...), in chunks of one round each; a
-# level of 2^15 + 300 draws spans two term blocks
+def _sorted_points(draws):
+    """Per level, its (r, sigma) pairs in lexicographic order."""
+    points = {}
+    for n, (r, sigma) in draws.items():
+        order = np.lexsort((sigma, r))
+        points[n] = (r[order].tolist(), sigma[order].tolist())
+    return points
+
+
+def test_points_do_not_depend_on_chunks_or_threads():
+    """Chunks of 1, 7 and 2^15 points, on 1, 2 and 4 threads, hand the term
+    the same (r, sigma) at every level (300 floor draws make replicates of
+    18 points, so chunks of 7 cut them in pieces), and the Estimates agree
+    bit for bit at every thread count."""
+    term = kernel_sum_terms(ONES, 0.7, 0.1)
+    levels = range(-2, 6)
+    seen = [
+        _sorted_points(_recorded_draws(5, 300, levels, chunk_size, term, threads)[1])
+        for chunk_size in (1, 7, 1 << 15)
+        for threads in (1, 2, 4)
+    ]
+    assert all(points == seen[0] for points in seen[1:])
+    one, two, four = (estimate(0.7, term, levels, 1.0, 300, seed=5, threads=t) for t in (1, 2, 4))
+    assert one == two == four
+
+
+# 37 floor draws make 16 replicates of 2 points, then 16 of 1, down to 2
+# of 1; chunks of one point, of whole replicates, and of 7 points cutting
+# 62-point replicates in pieces
 @pytest.mark.parametrize(
     "num_samples, levels, chunk_size",
     [
         (37, range(-3, 9), 1),
         (37, range(-3, 9), DEFAULT_CHUNK),
-        (_TERM_BLOCK + 300, range(-2, 2), DEFAULT_CHUNK),
+        (1000, range(-2, 2), 7),
     ],
-    ids=["part-rounds-one-round-chunks", "part-rounds", "beyond-one-term-block"],
+    ids=["one-point-chunks", "whole-replicates", "replicates-in-pieces"],
 )
 def test_engine_matches_scalar_sampler(num_samples, levels, chunk_size):
     """Level by level the engine hands its term, bit for bit, the r and
-    sigma the oracle draws from the same Philox layout, and each stratum's
-    total equals the scalar kernel sum over the oracle's explicitly built
-    level-n lattices."""
+    sigma of the oracle's shifted lattices, and adds each replicate's sum
+    as the oracle does; each sum equals the scalar kernel sums over the
+    oracle's explicitly built level-n lattices."""
     x, y = 0.73, 0.21
-    tallies, draws = _recorded_draws(
-        31, num_samples, levels, chunk_size=chunk_size, term=kernel_sum_terms(ONES, x, y)
-    )
+    term = kernel_sum_terms(ONES, x, y)
+    tallies, draws = _recorded_draws(31, num_samples, levels, chunk_size=chunk_size, term=term)
     for row, (n, tally) in enumerate(zip(levels, tallies)):
-        grids = sample_level(31, n, row, num_samples, chunk_size)
+        replicates = sample_level(31, n, row, num_samples)
+        grids = [s for replicate in replicates for s in replicate]
         assert draws[n][0].tolist() == [s.r for s in grids]
         assert draws[n][1].tolist() == [s.sigma for s in grids]
-        manual = [shift_kernel_sum(s, ONES, x, y, range(n, n + 1)) for s in grids]
-        assert tally.sums == pytest.approx(_by_stratum(manual, tally.strata), rel=1e-9, abs=1e-9)
-        assert tally.hits == np.count_nonzero(manual)
+        sums, hits = replicate_sums(term, n, replicates, chunk_size)
+        assert (tally.sums.tolist(), tally.hits) == (sums, hits)
+        manual = [
+            math.fsum(shift_kernel_sum(s, ONES, x, y, range(n, n + 1)) for s in replicate)
+            for replicate in replicates
+        ]
+        assert tally.sums == pytest.approx(manual, rel=1e-9, abs=1e-9)
 
 
 @pytest.mark.parametrize("num_samples", [1, 2, 3, 17, 2**18, 10**6])
-def test_draws_and_strata_follow_the_rule(num_samples):
-    """Level row l takes ceil(M 2^(-l/2)) draws, at least min(M, 2), cut
-    into the most strata, a power of two up to 2^14, that leave every one
-    2 draws; draw i sits in stratum i mod H, so the counts differ by at
-    most one.  A call of L levels makes at most 3.42 M + 2 L term
-    evaluations, and a single draw has no stderr."""
+def test_draws_and_replicates_follow_the_rule(num_samples):
+    """Level row l keeps N_l = ceil(M 2^(-l/2)) draws, at least min(M, 2),
+    and evaluates R_l = min(16, N_l) shifts of a floor(N_l / R_l)-point
+    lattice.  A call of L levels makes at most 3.42 M + 2 L term
+    evaluations, and the stderr, the replicate means' spread over
+    sqrt(R_l), is NaN only for a single replicate (M = 1)."""
     levels = range(-2, 20)
-    tallies = accumulate_samples(3, num_samples, levels, lambda n, r, sigma: sigma)
+    tallies = accumulate_samples(3, num_samples, levels, lambda n, r, sigma: r * sigma)
     for row, tally in enumerate(tallies):
         draws = level_draws(num_samples, row)
-        q_r, q_sigma = level_strata(draws)
-        strata = q_r * q_sigma
-        assert tally.strata == strata
-        counts = tally.counts.tolist()
-        assert counts == [draws // strata + (h < draws % strata) for h in range(strata)]
-        assert tally.hits == draws
-        want = math.fsum(tally.sums / tally.counts) / strata
-        assert tally.mean == pytest.approx(want, rel=1e-14)
+        replicates, points = level_lattice(draws)
+        assert (tally.replicates, tally.points) == (replicates, points)
+        assert tally.draws == replicates * points <= draws < (points + 1) * replicates
+        assert tally.hits == tally.draws
+        means = tally.sums / points
+        assert tally.mean == pytest.approx(float(np.mean(means)), rel=1e-14)
         if num_samples == 1:
             assert math.isnan(tally.stderr)
         else:
-            assert min(counts) >= 2 and tally.stderr > 0.0
-    total = sum(int(t.counts.sum()) for t in tallies)
+            spread = float(np.sqrt(np.sum((means - means.mean()) ** 2) / (replicates - 1)))
+            assert tally.stderr == pytest.approx(spread / math.sqrt(replicates), rel=1e-12)
+            assert tally.stderr > 0.0
+    total = sum(t.draws for t in tallies)
     assert total <= 3.42 * num_samples + 2 * len(levels)
     if num_samples == 2**18:
-        assert [(int(t.counts.sum()), t.strata) for t in tallies[:3]] == [
-            (262_144, 2**14), (185_364, 2**14), (131_072, 2**14)
+        assert [(t.draws, t.replicates, t.points) for t in tallies[:3]] == [
+            (262_144, 16, 16_384), (185_360, 16, 11_585), (131_072, 16, 8192)
         ]
         assert total < 3.42 * num_samples
 
 
-def test_merge_matches_direct_statistics():
-    """Chunks of 5000 draws, rounded up to whole rounds of each level's
-    strata, and short last chunks with part rounds merge to the
-    per-stratum count, sum and M2 computed directly from the oracle's
-    draws."""
-    levels = range(0, 5)
-    m = 3 * 4096 + 1000
-
-    def term(n, r, sigma):
-        return (n + 2) * r * sigma
-
-    tallies = accumulate_samples(12, m, levels, term, chunk_size=5000)
-    assert [t.strata for t in tallies] == [4096, 4096, 2048, 2048, 1024]
-    for row, (n, tally) in enumerate(zip(levels, tallies)):
-        totals = [(n + 2) * s.r * s.sigma for s in sample_level(12, n, row, m, chunk_size=5000)]
-        strata = np.arange(len(totals)) % tally.strata
-        assert tally.counts.tolist() == np.bincount(strata, minlength=tally.strata).tolist()
-        sums = np.bincount(strata, totals, tally.strata)
-        dev = np.asarray(totals) - (sums / tally.counts)[strata]
-        assert tally.sums == pytest.approx(sums, rel=1e-12)
-        assert tally.m2 == pytest.approx(
-            np.bincount(strata, dev * dev, tally.strata), rel=1e-9, abs=1e-15
-        )
-
-
 def test_floor_shift_is_uniform():
-    """At a single level the term sees the floor shift as drawn: its mean
-    is 1/2 and its variance 1/12, as for a uniform on [0, 1)."""
+    """At a single level the term sees the shift spread as drawn: the
+    means of sigma and sigma^2 are 1/2 and 1/3, as for a uniform on
+    [0, 1)."""
     m = 1 << 16
-    (tally,) = accumulate_samples(6, m, range(0, 1), lambda n, r, sigma: sigma, chunk_size=1 << 12)
-    _, m2 = pooled(tally)
-    assert tally.mean == pytest.approx(0.5, rel=0.01)
-    assert m2 / (m - 1) == pytest.approx(1.0 / 12.0, rel=0.05)
+    first, second = (
+        accumulate_samples(6, m, range(0, 1), term, chunk_size=1 << 12)[0].mean
+        for term in (lambda n, r, sigma: sigma, lambda n, r, sigma: sigma * sigma)
+    )
+    assert first == pytest.approx(0.5, rel=1e-3)
+    assert second - first**2 == pytest.approx(1.0 / 12.0, rel=1e-3)
 
 
 def test_stderr_shrinks_with_sample_count():
-    """At a fixed stratum count (2^14 on both levels from 50,000 floor draws
-    on), a hundred times the draws gives a tenth of the stderr."""
+    """A hundred times the draws on levels 0-1 cuts the stderr by more than
+    the tenfold of plain Monte Carlo: the shifted lattice's error falls
+    about as N^(-3/4) on this discontinuous integrand (measured 32-43 over
+    seeds 8-13), and never as fast as 1/N."""
     term = kernel_sum_terms(ONES, 0.9, 0.35)
     levels = range(0, 2)
 
     def stderr(m):
-        tallies = accumulate_samples(8, m, levels, term)
-        assert [t.strata for t in tallies] == [2**14, 2**14]
-        return math.hypot(*(t.stderr for t in tallies))
+        return math.hypot(*(t.stderr for t in accumulate_samples(8, m, levels, term)))
 
     ratio = stderr(50_000) / stderr(5_000_000)
-    assert 8.0 <= ratio <= 12.0
+    assert 20.0 <= ratio <= 100.0
 
 
 def test_variance_stable_far_from_zero():
-    """Totals sitting far from zero must keep their spread: for 1e8 + r the
-    sample variance is that of r, whose density is 1/(r ln 2) on [1, 2)."""
+    """Terms sitting far from zero must keep their spread: the stderr of
+    1e8 + r is that of r, to the rounding of 1e8 + r (measured within
+    5e-5 relative over seeds 4-9)."""
     m = 1 << 16
-    (tally,) = accumulate_samples(4, m, range(0, 1), lambda n, r, sigma: 1e8 + r, chunk_size=1 << 12)
-    _, m2 = pooled(tally)
-    ln2 = math.log(2.0)
-    want = 3.0 / (2.0 * ln2) - 1.0 / ln2**2
-    assert m2 / (m - 1) == pytest.approx(want, rel=0.05)
+
+    def stderr(offset):
+        term = lambda n, r, sigma: offset + r  # noqa: E731
+        (tally,) = accumulate_samples(4, m, range(0, 1), term, chunk_size=1 << 12)
+        return tally.stderr
+
+    assert stderr(1e8) == pytest.approx(stderr(0.0), rel=1e-3)
 
 
 def _wavy_table():
@@ -473,14 +489,14 @@ TERM_TABLES = {
 
 @pytest.mark.parametrize(
     "num_samples, chunk_size",
-    [(300, 1), (_TERM_BLOCK + 300, 1 << 17)],
-    ids=["one-draw-chunks", "beyond-one-term-block"],
+    [(300, 1), (DEFAULT_CHUNK + 300, DEFAULT_CHUNK)],
+    ids=["one-point-chunks", "grouped-replicates"],
 )
 @pytest.mark.parametrize("table_name", sorted(TERM_TABLES))
 @pytest.mark.parametrize("route", ["kernel-sum", "indicator", "triangle"])
 def test_level_term_matches_reference_bit_for_bit(route, table_name, num_samples, chunk_size):
     """The in-place level term computes what the plainly written reference
-    computes, draw by draw: (sum, M2) agree bit for bit."""
+    computes, point by point: the replicate sums agree bit for bit."""
     table = TERM_TABLES[table_name]
     levels = range(-6, 5)
     # x is 0.02 from a knot of either f, so cells short enough to read the
@@ -501,7 +517,8 @@ def test_level_term_matches_reference_bit_for_bit(route, table_name, num_samples
         )
 
 
-# 8192 floor draws fill 4096 floor strata with 2 draws each; 600 fill 256
+# 8192 floor draws make 16 replicates of 512 points at the floor, 600 make
+# 16 of 37 (the ids keep the stream-5 names of these cases)
 @pytest.mark.parametrize("num_samples", [8192, 600], ids=["2-per-stratum", "256-strata"])
 @pytest.mark.parametrize("route", ["kernel-sum", "indicator"])
 def test_stderr_matches_spread_over_seeds(route, num_samples):
@@ -524,17 +541,17 @@ def test_stderr_matches_spread_over_seeds(route, num_samples):
 
 
 def test_stream_contract_golden():
-    """Fixed-seed outputs of stream 5.  The draw order moves these by about
+    """Fixed-seed outputs of stream 6.  The draw order moves these by about
     a stderr (1e-2 relative); rounding differences between platforms stay
     far below the 1e-12 allowed here."""
     est = mc_estimate(ONES, 0.7, 0.1, num_samples=20_000, seed=2026)
     (op,) = apply_averaged(ONES, triangle_function(), [0.4], 20_000, seed=2026)
     message = "the draw order changed: bump `STREAM_VERSION` and update this value"
-    assert STREAM_VERSION == 5, message
-    assert est.record[0][:3] == (-1, 20_000, 8192), message
-    assert est.record[0].mean == pytest.approx(0.5304012381132677, rel=1e-12), message
+    assert STREAM_VERSION == 6, message
+    assert est.record[0][:3] == (-1, 20_000, 16), message
+    assert est.record[0].mean == pytest.approx(0.518644389702156, rel=1e-12), message
     assert (len(est.record), len(op.record)) == (20, 21), message
-    assert est.mean == pytest.approx(-0.6168623655725528, rel=1e-12), message
-    assert est.stderr == pytest.approx(0.006550213059526078, rel=1e-12), message
-    assert op.mean == pytest.approx(0.6517737393064759, rel=1e-12), message
-    assert op.stderr == pytest.approx(0.0026124449963056667, rel=1e-12), message
+    assert est.mean == pytest.approx(-0.6285458625302768, rel=1e-12), message
+    assert est.stderr == pytest.approx(0.003497105145958834, rel=1e-12), message
+    assert op.mean == pytest.approx(0.6509465134455558, rel=1e-12), message
+    assert op.stderr == pytest.approx(0.0022371265278676345, rel=1e-12), message
