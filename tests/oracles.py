@@ -383,8 +383,8 @@ def level_draws(num_samples: int, row: int) -> int:
 
 def level_lattice(draws: int) -> tuple[int, int]:
     """(replicates, points) of stream 6: a level of N draws evaluates
-    R = min(16, N) shifts of one lattice of floor(N / R) points."""
-    replicates = min(16, draws)
+    R = min(20, N) shifts of one lattice of floor(N / R) points."""
+    replicates = min(20, draws)
     return replicates, draws // replicates
 
 

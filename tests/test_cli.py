@@ -137,13 +137,13 @@ def test_mc_output_and_determinism(hilbert_base, capsys):
     first = capsys.readouterr().out
     payload = json.loads(first)
     assert payload["M"] == 2000
-    # the per-level record, from the floor up: 2000 floor draws make 16
-    # replicates of 125 points, 1415 above them 16 of 88, and every level
+    # the per-level record, from the floor up: 2000 floor draws make 20
+    # replicates of 100 points, 1415 above them 20 of 70, and every level
     # has its entry
     levels = payload["levels"]
     assert [entry["n"] for entry in levels] == list(range(payload["n_min"], payload["n_max"] + 1))
-    assert (levels[0]["draws"], levels[0]["replicates"]) == (2000, 16)
-    assert [entry["draws"] for entry in levels[:3]] == [2000, 1408, 992]
+    assert (levels[0]["draws"], levels[0]["replicates"]) == (2000, 20)
+    assert [entry["draws"] for entry in levels[:3]] == [2000, 1400, 1000]
     assert math.fsum(entry["mean"] for entry in levels) == pytest.approx(payload["mean"], rel=1e-12)
     assert math.fsum(e["stderr"] ** 2 for e in levels) == pytest.approx(payload["stderr"] ** 2)
     assert 0 < levels[0]["hits"] <= levels[0]["draws"]
@@ -246,8 +246,8 @@ def test_apply_writes_files(hilbert_base, tmp_path):
     # the per-level record of each probe; the CSV keeps its columns
     (probe,) = sidecar["probes"]
     assert probe["x"] == 2.0 and probe["M"] == 500
-    # 500 floor draws evaluate 16 replicates of 31 points
-    assert (probe["levels"][0]["draws"], probe["levels"][0]["replicates"]) == (496, 16)
+    # 500 floor draws evaluate 20 replicates of 25 points
+    assert (probe["levels"][0]["draws"], probe["levels"][0]["replicates"]) == (500, 20)
     assert math.fsum(entry["mean"] for entry in probe["levels"]) == pytest.approx(probe["mean"])
 
 

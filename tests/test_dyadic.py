@@ -294,11 +294,11 @@ def test_accumulate_rejects_samples_that_are_not_integers(num_samples):
     assert calls == []
 
 
-# replicates of 1,875 floor points, two to a chunk of 4096; one point per
-# chunk; at the floor each replicate of 32,830 points in two pieces
+# replicates of 1,500 floor points, two to a chunk of 4096; one point per
+# chunk; at the floor each replicate of 32,818 points in two pieces
 @pytest.mark.parametrize(
     "num_samples, chunk_size",
-    [(30_000, 1 << 12), (500, 1), (16 * DEFAULT_CHUNK + 1000, DEFAULT_CHUNK)],
+    [(30_000, 1 << 12), (500, 1), (20 * DEFAULT_CHUNK + 1000, DEFAULT_CHUNK)],
     ids=["grouped-replicates", "one-point-chunks", "replicates-in-pieces"],
 )
 def test_accumulate_deterministic_and_thread_invariant(num_samples, chunk_size):
@@ -315,7 +315,7 @@ def test_accumulate_deterministic_and_thread_invariant(num_samples, chunk_size):
 def test_estimates_thread_invariant(route):
     """mc_estimate and apply_averaged give the same bits, the per-level
     record included, at 1, 2 and 4 threads; 2^17 + 1000 floor draws make
-    replicates of 8254 points, six chunks of at most three at the floor."""
+    replicates of 6603 points, five chunks of four at the floor."""
     m = (1 << 17) + 1000
 
     def run(threads):
@@ -325,7 +325,7 @@ def test_estimates_thread_invariant(route):
 
     one, two, four = (run(t) for t in (1, 2, 4))
     assert one == two == four
-    assert [level.draws for level in one.record[:3]] == [132_064, 93_376, 66_032]
+    assert [level.draws for level in one.record[:3]] == [132_060, 93_380, 66_020]
 
 
 def _sorted_points(draws):
@@ -340,7 +340,7 @@ def _sorted_points(draws):
 def test_points_do_not_depend_on_chunks_or_threads():
     """Chunks of 1, 7 and 2^15 points, on 1, 2 and 4 threads, hand the term
     the same (r, sigma) at every level (300 floor draws make replicates of
-    18 points, so chunks of 7 cut them in pieces), and the Estimates agree
+    15 points, so chunks of 7 cut them in pieces), and the Estimates agree
     bit for bit at every thread count."""
     term = kernel_sum_terms(ONES, 0.7, 0.1)
     levels = range(-2, 6)
@@ -354,14 +354,14 @@ def test_points_do_not_depend_on_chunks_or_threads():
     assert one == two == four
 
 
-# 37 floor draws make 16 replicates of 2 points, then 16 of 1, down to 2
+# 41 floor draws make 20 replicates of 2 points, then 20 of 1, down to 2
 # of 1; chunks of one point, of whole replicates, and of 7 points cutting
-# 62-point replicates in pieces
+# 50-point replicates in pieces
 @pytest.mark.parametrize(
     "num_samples, levels, chunk_size",
     [
-        (37, range(-3, 9), 1),
-        (37, range(-3, 9), DEFAULT_CHUNK),
+        (41, range(-3, 9), 1),
+        (41, range(-3, 9), DEFAULT_CHUNK),
         (1000, range(-2, 2), 7),
     ],
     ids=["one-point-chunks", "whole-replicates", "replicates-in-pieces"],
@@ -391,7 +391,7 @@ def test_engine_matches_scalar_sampler(num_samples, levels, chunk_size):
 @pytest.mark.parametrize("num_samples", [1, 2, 3, 17, 2**18, 10**6])
 def test_draws_and_replicates_follow_the_rule(num_samples):
     """Level row l keeps N_l = ceil(M 2^(-l/2)) draws, at least min(M, 2),
-    and evaluates R_l = min(16, N_l) shifts of a floor(N_l / R_l)-point
+    and evaluates R_l = min(20, N_l) shifts of a floor(N_l / R_l)-point
     lattice.  A call of L levels makes at most 3.42 M + 2 L term
     evaluations, and the stderr, the replicate means' spread over
     sqrt(R_l), is NaN only for a single replicate (M = 1)."""
@@ -415,7 +415,7 @@ def test_draws_and_replicates_follow_the_rule(num_samples):
     assert total <= 3.42 * num_samples + 2 * len(levels)
     if num_samples == 2**18:
         assert [(t.draws, t.replicates, t.points) for t in tallies[:3]] == [
-            (262_144, 16, 16_384), (185_360, 16, 11_585), (131_072, 16, 8192)
+            (262_140, 20, 13_107), (185_360, 20, 9268), (131_060, 20, 6553)
         ]
         assert total < 3.42 * num_samples
 
@@ -517,8 +517,8 @@ def test_level_term_matches_reference_bit_for_bit(route, table_name, num_samples
         )
 
 
-# 8192 floor draws make 16 replicates of 512 points at the floor, 600 make
-# 16 of 37 (the ids keep the stream-5 names of these cases)
+# 8192 floor draws make 20 replicates of 409 points at the floor, 600 make
+# 20 of 30 (the ids keep the stream-5 names of these cases)
 @pytest.mark.parametrize("num_samples", [8192, 600], ids=["2-per-stratum", "256-strata"])
 @pytest.mark.parametrize("route", ["kernel-sum", "indicator"])
 def test_stderr_matches_spread_over_seeds(route, num_samples):
@@ -548,10 +548,10 @@ def test_stream_contract_golden():
     (op,) = apply_averaged(ONES, triangle_function(), [0.4], 20_000, seed=2026)
     message = "the draw order changed: bump `STREAM_VERSION` and update this value"
     assert STREAM_VERSION == 6, message
-    assert est.record[0][:3] == (-1, 20_000, 16), message
-    assert est.record[0].mean == pytest.approx(0.518644389702156, rel=1e-12), message
+    assert est.record[0][:3] == (-1, 20_000, 20), message
+    assert est.record[0].mean == pytest.approx(0.5260713161442868, rel=1e-12), message
     assert (len(est.record), len(op.record)) == (20, 21), message
-    assert est.mean == pytest.approx(-0.6285458625302768, rel=1e-12), message
-    assert est.stderr == pytest.approx(0.003497105145958834, rel=1e-12), message
-    assert op.mean == pytest.approx(0.6509465134455558, rel=1e-12), message
-    assert op.stderr == pytest.approx(0.0022371265278676345, rel=1e-12), message
+    assert est.mean == pytest.approx(-0.6206235415569886, rel=1e-12), message
+    assert est.stderr == pytest.approx(0.0035487999464347488, rel=1e-12), message
+    assert op.mean == pytest.approx(0.6511932003510991, rel=1e-12), message
+    assert op.stderr == pytest.approx(0.001843412758305952, rel=1e-12), message

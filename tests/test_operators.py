@@ -211,13 +211,13 @@ THREE_CELLS = TestFunction(
 def test_engine_matches_scalar_operator(hilbert_table, f):
     """At chunk size 1 the engine's replicate sums must match apply_shift
     summed over the oracle's shifted lattices of each level; 40 floor draws
-    give 16 replicates of 2 points at the floor, then 16 of 1, down to 2
+    give 20 replicates of 2 points at the floor, then 20 of 1, down to 2
     of 1."""
     x = 0.37
     lv = range(-3, 9)
     m = 40
     tallies = accumulate_samples(5, m, lv, _operator_terms(hilbert_table, f, x), chunk_size=1)
-    assert (tallies[0].replicates, tallies[0].points) == (16, 2)
+    assert (tallies[0].replicates, tallies[0].points) == (20, 2)
     for row, (n, tally) in enumerate(zip(lv, tallies)):
         want = [
             math.fsum(apply_shift(s, hilbert_table, f, x, range(n, n + 1)) for s in replicate)
@@ -255,7 +255,7 @@ def test_apply_averaged_hilbert_indicator(hilbert_table):
     assert set(d) == {"x", "mean", "stderr", "tail_bound", "M", "seed", "n_min", "n_max", "levels"}
     assert [entry["n"] for entry in d["levels"]] == list(range(d["n_min"], d["n_max"] + 1))
     first = d["levels"][0]
-    assert (first["n"], first["draws"], first["replicates"]) == (0, 40_000, 16)
+    assert (first["n"], first["draws"], first["replicates"]) == (0, 40_000, 20)
     assert math.fsum(entry["mean"] for entry in d["levels"]) == pytest.approx(d["mean"], rel=1e-12)
 
 
