@@ -234,7 +234,7 @@ def accumulate_samples(
     the thread count, and no sum on the thread count.  Rounding takes r to
     2 only with probability below 2^-46 per point.
     """
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 128):
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 128):
         raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
     if isinstance(num_samples, bool) or not (
         isinstance(num_samples, numbers.Integral) and num_samples >= 1

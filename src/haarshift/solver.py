@@ -20,16 +20,18 @@ dominant term writes the same solution as the fixed point of
                     + 7 c(u - ln(4/3)) - m(u - ln(4/3)) ],
 
 whose linear part has norm 31/33 (`CONTRACTION_RATIO`).  Its Neumann
-series is a sum over words of steps, each ln 3 up or ln(4/3) down at most,
-and bounds c by (8/99)/(1 - 31/33) = 4/3 (`NORM_CONSTANT`) times the sup
-of the source.  That expansion certifies the spectral solve:
+series bounds c by (8/99)/(1 - 31/33) = 4/3 (`NORM_CONSTANT`) times the
+sup of the source, and certifies the spectral solve:
 
-- reach: the words of k or more steps carry at most (31/33)^k, and the
-  shorter ones read the source within k ln(4/3) below and k ln 3 above the
-  window.  `solve_c` samples it over that reach, with the smallest k for
-  which (31/33)^k <= tol, tapers it to 0 past the reach over a fixed
-  margin, and makes the transform long enough that its periodic images
-  lie past the reach too.
+- reach: for 0 < beta < 1 the map also contracts in the norm
+  sup |c(u)| e^(-beta u), by q(beta) = 1 + (8/99) (3/4)^beta a(-i beta)
+  (Combes-Thomas), so source changed only past D right of the window
+  moves c there by at most C(beta) e^(-beta D) times its sup, with
+  C(beta) = -1 / a(-i beta); on the left beta changes sign.
+  `weighted_reach` takes per side the least such D within (2/3) tol over
+  a fixed set of beta, about 22 at tol 1e-8.  `solve_c` samples the
+  source over it, tapers it to 0 past it over a fixed margin, and makes
+  the transform long enough that its periodic images lie past it too.
 - trim: it solves c = b + d, with b a logistic step between the constant
   solutions m/a(0) at the two ends and d = irfft(rfft(f) / a(omega)) for
   the rest of the source, f = m - sum w b(u + shift).  Where |f| <= (3/4)
@@ -64,6 +66,7 @@ __all__ = [
     "a_of_omega",
     "write_table",
     "read_table",
+    "weighted_reach",
     "RECURSION",
     "CONTRACTION_RATIO",
     "NORM_CONSTANT",
@@ -78,20 +81,18 @@ _TERMS = [
 # (shift, weight) pairs of the recursion m(u) = sum w c(u + shift)
 RECURSION = tuple((math.log(q), float(w)) for q, w in _TERMS)
 
-# isolating the dominant term leaves the others at exact ratios q of its
-# shift: one word step reads ln(max q) up or ln(1 / min q) down
-_DOM_Q, _DOM_W = max(_TERMS, key=lambda term: abs(term[1]))
-_OTHERS = [(q / _DOM_Q, w) for q, w in _TERMS if q != _DOM_Q]
-_RATIO = sum(abs(w) for _, w in _OTHERS) / abs(_DOM_W)
-_REACH_UP = math.log(max(q for q, _ in _OTHERS))
-_REACH_DOWN = math.log(1 / min(q for q, _ in _OTHERS))
-
-# operator norm of the fixed-point map's linear part: (8/99)(1/8 + 9/2 + 7) = 31/33
-CONTRACTION_RATIO = float(_RATIO)
-# (8/99) / (1 - 31/33) = 4/3, the explicit sup-norm constant
-NORM_CONSTANT = float(1 / abs(_DOM_W) / (1 - _RATIO))
+# operator norm of the fixed-point map's linear part, the dominant term
+# isolated: (8/99)(1/8 + 9/2 + 7) = 31/33
+CONTRACTION_RATIO = float(sum(abs(w) for _, w in _TERMS) / max(abs(w) for _, w in _TERMS) - 1)
+# (8/99) / (1 - 31/33) = -1 / a(0) = 4/3, the explicit sup-norm constant
+NORM_CONSTANT = float(-1 / sum(w for _, w in _TERMS))
 # value of the symbol at frequency zero: 1/8 + 9/2 - 99/8 + 7
 _A_ZERO = float(sum(w for _, w in _TERMS))
+# the reach's fixed betas, and ln C(beta) = -ln(-a(+-i beta)) left, then right
+_BETA = np.arange(1, 128) / 128
+_LOG_C = np.array([
+    -np.log(-sum(w * np.exp(side * _BETA * shift) for shift, w in RECURSION)) for side in (-1, 1)
+])
 # log-axis width over which the kept source is tapered to 0
 _TAPER = 4.0
 
@@ -115,6 +116,13 @@ def _fft_length(n: int) -> int:
     odd = (3**j * 5**k for j in range(n.bit_length()) for k in range(n.bit_length()))
     # each odd part times the smallest power of two that reaches n
     return min(p << (-(-n // p) - 1).bit_length() for p in odd)
+
+
+def weighted_reach(tol: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(beta, D) left, then right: source past D moves c by at most (2/3) tol times its sup."""
+    reach = (_LOG_C - math.log(0.5 * NORM_CONSTANT * tol)) / _BETA
+    best = reach.argmin(axis=1)
+    return tuple((float(_BETA[i]), max(0.0, float(row[i]))) for row, i in zip(reach, best))
 
 
 class SolverError(RuntimeError):
@@ -256,18 +264,18 @@ def solve_c(
         step^2 times the curvature of c.
     tol : float
         Accuracy target, at least 2^-52.  Dropping the source where
-        |f| <= (3/4) tol moves c by at most tol, and the grid is padded so
-        far that the source beyond it (and the taper and periodic images
-        put there) moves c by at most (4/3) tol times its sup.
+        |f| <= (3/4) tol moves c by at most tol, and padding each side by
+        its `weighted_reach(tol)` keeps the effect of the source beyond
+        (and the taper and periodic images put there) to (2/3) tol times
+        its sup per side.
 
     Raises
     ------
     SolverError
         If the source term breaks the paper's hypothesis that x^3 K''(x)
-        is bounded: m is not finite on the padded window, or the grid
-        passes the generic route's guard (|u| > GENERIC_GUARD, a kernel
-        without m_eval) and m has not settled there to the limit that the
-        route holds beyond it.
+        is bounded: m is not finite on the padded window, or the kernel
+        has no m_eval and m has not settled at +-GENERIC_GUARD, beyond
+        which the generic route holds it, whatever the window.
     """
     u_min, u_max = float(window[0]), float(window[1])
     if not -math.inf < u_min < u_max < math.inf:
@@ -281,32 +289,24 @@ def solve_c(
         )
 
     mfun = partial(m_of, spec)
-    # reach: words of k or more steps carry at most ratio^k <= tol of the
-    # source; the shorter ones read it within k steps down and up
-    k = max(0, math.ceil(math.log(tol) / math.log(CONTRACTION_RATIO)))
     margin = max(1, math.ceil(_TAPER / step))
-    n_left = math.ceil(k * _REACH_DOWN / step) + margin
+    n_left, n_right = (math.ceil(reach / step) + margin for _, reach in weighted_reach(tol))
     n_window = round((u_max - u_min) / step)
-    n_right = math.ceil(k * _REACH_UP / step) + margin
     grid = u_min + step * np.arange(-n_left, n_window + n_right + 1)
-    window_grid = grid[n_left : n_left + n_window + 1]
 
     m = np.asarray(mfun(grid), dtype=float)
     if not np.all(np.isfinite(m)):
         raise SolverError(f"source term m is not finite on the padded window: {_HYPOTHESIS}")
-
-    # the generic route holds m at its value at the guard beyond it, so
-    # where the grid passes the guard the tail is read there and must be flat
-    reach = GENERIC_GUARD if spec.m_eval is None else math.inf
-    edge_l, edge_r = max(grid[0], -reach), min(grid[-1], reach)
-    flat_l, m_left = _detect_tail(mfun, edge_l, direction=-1)
-    flat_r, m_right = _detect_tail(mfun, edge_r, direction=+1)
-    if not (flat_l or edge_l == grid[0]) or not (flat_r or edge_r == grid[-1]):
+    # the generic route holds m at its value at the guard, wherever the grid ends
+    if spec.m_eval is None and not all(
+        _detect_tail(mfun, side * GENERIC_GUARD, side)[0] for side in (-1, 1)
+    ):
         raise SolverError(
-            f"m(u) = x^3 K''(x) at x = e^u has not settled by |u| = {reach:g}, the "
-            f"generic route's guard, which the padded window passes: {_HYPOTHESIS}, "
-            "with a limit the generic route reaches; supply m_eval"
+            f"m(u) = x^3 K''(x) at x = e^u has not settled by |u| = {GENERIC_GUARD:g}, beyond "
+            f"which the generic route holds it: {_HYPOTHESIS}, with a limit there; supply m_eval"
         )
+    flat_l, m_left = _detect_tail(mfun, grid[0], direction=-1)
+    flat_r, m_right = _detect_tail(mfun, grid[-1], direction=+1)
     # b steps between the solutions for constant m, m / a(0) = -(4/3) m
     b_left, b_right = m_left / _A_ZERO, m_right / _A_ZERO
     centre = 0.5 * (u_min + u_max)
@@ -315,7 +315,7 @@ def solve_c(
         f -= (b_right - b_left) * _weighted_sum(
             RECURSION, lambda shift: _logistic(grid + shift - centre)
         )
-    samples = b_left + (b_right - b_left) * _logistic(window_grid - centre)
+    samples = b_left + (b_right - b_left) * _logistic(grid[n_left : n_left + n_window + 1] - centre)
 
     # trim: the source kept runs from the first to the last |f| above
     # tol / NORM_CONSTANT, and at least over the window

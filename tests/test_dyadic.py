@@ -273,10 +273,10 @@ def test_accumulate_rejects_empty():
             accumulate_samples(0, 10, levels, lambda n, r, sigma: r)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**128, 1.5])
+@pytest.mark.parametrize("seed", [-1, 2**128, 1.5, True, False])
 def test_accumulate_rejects_seed_outside_the_key_range(seed):
-    """The Philox key takes integers in [0, 2^128): any other seed is
-    refused before a single draw."""
+    """The Philox key takes integers in [0, 2^128): any other seed, a bool
+    standing for 1 or 0 included, is refused before a single draw."""
     calls = []
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^128\)"):
         accumulate_samples(seed, 10, range(0, 2), lambda n, r, sigma: calls.append(n) or r)

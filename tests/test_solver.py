@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from haarshift import (
     NORM_CONSTANT,
+    RECURSION,
     CoefficientTable,
     KernelSpec,
     SolverError,
@@ -323,6 +324,30 @@ def test_solver_rejects_source_outside_hypothesis(spec):
         solve_c(spec, step=2.0**-7)
 
 
+@pytest.mark.parametrize("window", [(-14.0, 14.0), (-1.0, 1.0)], ids=["default", "narrow"])
+@pytest.mark.parametrize("tol", [1e-2, 1e-8, 2.0**-52])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        KernelSpec(name="cubic", k=None, k2=lambda x: np.ones_like(np.asarray(x, dtype=float))),
+        cos_log_kernel(),
+        KernelSpec(
+            name="cos-log-left",
+            k=None,
+            k2=lambda x: np.where(x < 1.0, np.cos(np.log(x)), 1.0) / np.asarray(x) ** 3,
+        ),
+    ],
+    ids=["x3k2-is-x3", "cos-log-by-k2", "cos-log-left-only"],
+)
+def test_solver_checks_the_guard_wherever_the_grid_ends(spec, tol, window):
+    """The generic route holds m at its value at -GENERIC_GUARD and
+    +GENERIC_GUARD whatever the grid, so a source that has not settled at
+    either is refused at every tol and window, also when the padded grid
+    stops far inside the guard."""
+    with pytest.raises(SolverError, match=HYPOTHESIS):
+        solve_c(spec, window=window, step=2.0**-7, tol=tol)
+
+
 def test_cos_log_kernel_with_exact_m_solves():
     """The same source through its exact m_eval has no guard: it solves,
     and with no limit at the right end the tail is the last sample."""
@@ -380,6 +405,53 @@ def test_cosine_source_matches_closed_form(amplitude, omega, phase, offset):
     want = (amplitude * np.exp(1j * (omega * u + phase)) / a_of_omega(omega)).real
     want += offset / a_of_omega(0.0).real
     assert float(np.max(np.abs(table.samples - want))) <= 1e-10
+
+
+@pytest.mark.parametrize("tol", [1e-2, 1e-8, 2.0**-52])
+def test_weighted_reach_certifies_each_side(tol):
+    """Recomputed from RECURSION: isolating the dominant term leaves steps s
+    with weights |w_s| / |w_dom|, and the source enters at -shift_dom.  On
+    each side, at the solver's (beta, D), the map's ratio in the weighted
+    norm is below 1 and C(beta) e^(-beta D) is within (2/3) tol (up to
+    rounding), D is within 1% of the best over a fine scan of beta, and the
+    solve samples the source past D on that side of the window."""
+    dom_shift, dom_w = max(RECURSION, key=lambda term: abs(term[1]))
+    steps = [(shift - dom_shift, abs(w / dom_w)) for shift, w in RECURSION if shift != dom_shift]
+
+    def certificate(side, beta):
+        q = sum(w * np.exp(side * beta * s) for s, w in steps)
+        return q, np.exp(-side * beta * dom_shift) / abs(dom_w) / (1 - q)
+
+    seen = []
+    spec = KernelSpec("zero", None, None, m_eval=lambda u: seen.append(u) or np.zeros(np.shape(u)))
+    table = solve_c(spec, step=2.0**-4, tol=tol)
+    fine = np.linspace(0.0, 1.0, 10001)[1:-1]
+    bound = 2.0 / 3.0 * tol
+    for side, (beta, reach) in zip((-1, 1), solver.weighted_reach(tol)):
+        assert 0 < beta < 1 and reach > 0
+        q, c = certificate(side, beta)
+        assert q < 1
+        assert c * math.exp(-beta * reach) <= bound * (1 + 1e-12)
+        q_fine, c_fine = certificate(side, fine)
+        assert np.all(q_fine < 1)
+        assert reach <= 1.01 * float(np.min(np.log(c_fine / bound) / fine))
+    (_, left), (_, right) = solver.weighted_reach(tol)
+    assert min(float(np.min(u)) for u in seen) < table.u_min - left
+    assert max(float(np.max(u)) for u in seen) > table.u_max + right
+
+
+@pytest.mark.parametrize("omega, phase", [(0.05, 3.0), (1.0, 2.0), (10.0, 0.5)])
+def test_cosine_source_within_the_certified_bound(omega, phase):
+    """m = cos(omega u + phi) has no limit, so the source dropped past the
+    reach is of order 1 at tol 1e-4.  The solve promises at most tol from
+    the trim and (4/3) tol sup|f| from the reach, and sup|f| <= 2 sup|m|:
+    f = m - sum w b(u + shift), with b a step between m / a(0) at the grid
+    ends, and the sum stays between those ends' values of m."""
+    tol = 1e-4
+    spec = KernelSpec("cosine", None, None, m_eval=lambda u: np.cos(omega * np.asarray(u) + phase))
+    table = solve_c(spec, step=2.0**-5, tol=tol)
+    want = (np.exp(1j * (omega * table.grid + phase)) / a_of_omega(omega)).real
+    assert float(np.max(np.abs(table.samples - want))) <= tol + NORM_CONSTANT * tol * 2.0
 
 
 def test_tent_solution_matches_word_expansion(tent_table):
