@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -81,9 +82,33 @@ REPLICATES = 20
 # the golden-ratio conjugate, the Kronecker lattice's step in sigma
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# lattice points per term_fn call: small enough that the allocator reuses the
-# level temporaries instead of refaulting them, large enough to amortise a call
+# lattice points per term_fn call, large enough to amortise a call; a task's
+# temporaries are chunk-sized arrays that its workspace keeps (see `scratch`)
 DEFAULT_CHUNK = 1 << 15
+
+
+class _Workspace(dict):
+    """Named scratch arrays of one engine task, kept for later tasks: freed,
+    glibc would unmap them and they would fault in again on the next task."""
+
+
+# workspaces between tasks, no more than the last call's thread count
+_SPARES: list[_Workspace] = []
+# the workspace of the engine task running on each thread
+_TASK = threading.local()
+
+
+def scratch(name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """Array `name` of the engine task on this thread, which the next request
+    for `name` reuses, or a new array outside a task; contents undefined."""
+    ws = getattr(_TASK, "ws", None)
+    if ws is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    if len(ws.get(name, ())) < size:
+        # a default chunk at once: arrays outgrown in steps leave resident holes
+        ws[name] = np.empty(max(size, DEFAULT_CHUNK), dtype)
+    return ws[name][:size].reshape(shape)
 
 
 class LevelRecord(NamedTuple):
@@ -232,7 +257,9 @@ def accumulate_samples(
     replicate's points in consecutive pieces, whose sums add in order.  The
     calls run through one thread pool; no point depends on chunk_size or
     the thread count, and no sum on the thread count.  Rounding takes r to
-    2 only with probability below 2^-46 per point.
+    2 only with probability below 2^-46 per point.  r and sigma are views of
+    the task's workspace, valid only during the call, and the term may return
+    one too (see `scratch`); a call keeps at most `threads` workspaces.
     """
     if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 128):
         raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
@@ -258,24 +285,38 @@ def accumulate_samples(
 
     def run_chunk(task: tuple[int, int, int, int, int]) -> tuple[np.ndarray, int]:
         row, first, count, start, stop = task
-        points = plan[row][1]
-        shift = shifts[row][first : first + count]
-        i = np.arange(start, stop, dtype=float)
-        lattice = i * _PHI
-        lattice -= np.floor(lattice)
-        # a row per replicate; sums lie in [0, 2), so mod 1 is an exact -1 or 0
-        log2_r = (i + 0.5) / points + shift[:, :1]
-        log2_r -= log2_r >= 1.0
-        sigma = lattice + shift[:, 1:]
-        sigma -= sigma >= 1.0
-        terms = term_fn(levels[row], np.exp2(log2_r).ravel(), sigma.ravel())
-        return terms.reshape(count, -1).sum(axis=1), int(np.count_nonzero(terms))
+        try:
+            ws = _TASK.ws = _SPARES.pop()
+        except IndexError:
+            ws = _TASK.ws = _Workspace()
+        try:
+            points, n = plan[row][1], stop - start
+            shift = shifts[row][first : first + count]
+            if len(ws.get("ramp", ())) < n:
+                ws["ramp"] = np.arange(max(n, DEFAULT_CHUNK), dtype=float)
+            i = np.add(ws["ramp"][:n], start, out=scratch("lattice", (n,)))
+            offset = np.add(i, 0.5, out=scratch("offset", (n,)))
+            offset /= points
+            # a row per replicate; sums lie in [0, 2), so mod 1 is an exact -1 or 0
+            r = np.add(offset, shift[:, :1], out=scratch("r", (count, n)))
+            r -= np.greater_equal(r, 1.0, out=scratch("mask", r.shape, bool))
+            np.exp2(r, out=r)
+            lattice = np.multiply(i, _PHI, out=i)
+            lattice -= np.floor(lattice, out=offset)
+            sigma = np.add(lattice, shift[:, 1:], out=scratch("sigma", (count, n)))
+            sigma -= np.greater_equal(sigma, 1.0, out=scratch("mask", r.shape, bool))
+            terms = term_fn(levels[row], r.ravel(), sigma.ravel())
+            return terms.reshape(count, -1).sum(axis=1), int(np.count_nonzero(terms))
+        finally:
+            _TASK.ws = None
+            _SPARES.append(ws)
 
     if threads is not None and threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(run_chunk, tasks))
     else:
         partials = [run_chunk(task) for task in tasks]
+    del _SPARES[max(1, threads or 1) :]
     sums = [np.zeros(replicates) for replicates, _ in plan]
     hits = [0] * len(plan)
     for (row, first, count, _, _), (chunk_sums, chunk_hits) in zip(tasks, partials):
@@ -328,15 +369,19 @@ def shift_terms(table, x: float, pairing: Callable) -> Callable:
     """
 
     def term(n: int, r: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        length = r * 2.0**n
-        px = x / length
+        length = np.multiply(r, 2.0**n, out=scratch("length", r.shape))
+        # log(length), then the cell coordinate of x
+        px = np.log(length, out=scratch("px", r.shape))
+        vals = table.c_at(px, out=scratch("vals", r.shape))
+        np.divide(x, length, out=px)
         px -= sigma
-        k = np.floor(px)
+        k = np.floor(px, out=scratch("k", r.shape))
         # 4 (px - k) is exact and lies in [0, 4): truncation is h's quarter
         px -= k
         px *= 4.0
-        vals = table.c_at(np.log(length))
-        vals *= _H_VALUES[px.astype(np.intp)]
+        index = scratch("index", r.shape, np.intp)
+        np.copyto(index, px, casting="unsafe")
+        vals *= np.take(_H_VALUES, index, out=px, mode="clip")
         vals *= pairing(k, sigma, length)
         vals /= length
         return vals
@@ -356,13 +401,15 @@ def kernel_sum_terms(table, x: float, y: float) -> Callable:
     def pairing(k: np.ndarray, sigma: np.ndarray, length: np.ndarray) -> np.ndarray:
         # floor(4 py) - 4k, exact, is g's quarter when y shares x's cell,
         # negative or >= 4 when not; clipped, it reads the padding's 0
-        quarter = y / length
+        quarter = np.divide(y, length, out=scratch("quarter", k.shape))
         quarter -= sigma
         quarter *= 4.0
         np.floor(quarter, out=quarter)
-        quarter -= 4.0 * k
+        quarter -= np.multiply(k, 4.0, out=scratch("pairing", k.shape))
         np.clip(quarter, -1.0, 4.0, out=quarter)
         quarter += 1.0
-        return _G_PADDED[quarter.astype(np.intp)]
+        index = scratch("index", k.shape, np.intp)
+        np.copyto(index, quarter, casting="unsafe")
+        return np.take(_G_PADDED, index, out=scratch("pairing", k.shape), mode="clip")
 
     return shift_terms(table, x, pairing)

@@ -93,25 +93,27 @@ class TestFunction:
             zip(ks[:-1].tolist(), widths.tolist(), vals.tolist(), half_slopes.tolist())
         )
 
-    def antiderivative(self, t):
+    def antiderivative(self, t, out=None):
         """F(t) = integral of f from the left support edge to t, vectorized.
 
         F(t) = sum_j d_j (v_j + (s_j/2) d_j) with d_j = clip(t - k_j, 0, h_j):
         segment j contributes nothing left of k_j and its whole integral
         right of k_j + h_j.  No search: the cost is one pass over t per
         segment, and the built-in f (the CLI offers only these) have one
-        (indicator) and two (triangle) segments.
+        (indicator) and two (triangle) segments.  Given `out`, an array of
+        t's shape other than t, F is written there and `out` is returned.
         """
         t = np.asarray(t, dtype=float)
-        out = None
-        for k, h, v, half_slope in self._segments:
-            d = np.clip(t - k, 0.0, h)
-            term = d * (v + half_slope * d)
-            if out is None:
-                out = term
-            else:
-                out += term
-        return out if out.ndim else float(out)
+        total = np.empty(t.shape) if out is None else out
+        for j, (k, h, v, half_slope) in enumerate(self._segments):
+            d = np.subtract(t, k, out=dyadic.scratch("F.d", t.shape))
+            np.clip(d, 0.0, h, out=d)
+            term = np.multiply(d, half_slope, out=dyadic.scratch("F.term", t.shape) if j else total)
+            term += v
+            term *= d
+            if j:
+                total += term
+        return float(total) if out is None and not t.ndim else total
 
 
 def indicator_function() -> TestFunction:
@@ -134,13 +136,16 @@ def _operator_terms(table: CoefficientTable, f: TestFunction, x: float) -> Calla
     F = f.antiderivative
 
     def pairing(k: np.ndarray, sigma: np.ndarray, length: np.ndarray) -> np.ndarray:
-        a = (k + sigma) * length
-        return (
-            F(a)
-            - 2.0 * F(a + 0.25 * length)
-            + 2.0 * F(a + 0.75 * length)
-            - F(a + length)
-        )
+        a = np.add(k, sigma, out=dyadic.scratch("cell", k.shape))
+        a *= length
+        total = F(a, out=dyadic.scratch("pairing", k.shape))
+        # a + 1.0 L is a + L, and adding -w F is subtracting w F, bit for bit
+        for frac, weight in ((0.25, -2.0), (0.75, 2.0), (1.0, -1.0)):
+            point = np.multiply(length, frac, out=dyadic.scratch("point", k.shape))
+            point += a
+            value = F(point, out=dyadic.scratch("F", k.shape))
+            total += np.multiply(value, weight, out=value)
+        return total
 
     return dyadic.shift_terms(table, x, pairing)
 

@@ -55,6 +55,7 @@ from typing import Callable, get_type_hints
 
 import numpy as np
 
+from .dyadic import scratch
 from .kernels import GENERIC_GUARD, KernelSpec, m_of
 from .piecewise import kernel_profile, second_derivative_atoms
 
@@ -189,7 +190,7 @@ class CoefficientTable:
             float(np.max(np.abs(self.samples))), abs(self.tail_left), abs(self.tail_right)
         )
 
-    def c_at(self, u):
+    def c_at(self, u, out=None):
         """c(u) by linear interpolation, constant tails outside the window.
 
         The cell is found by index arithmetic on the uniform grid, not by
@@ -204,7 +205,8 @@ class CoefficientTable:
         left/right do; NaN gives NaN, and a scalar gives a float.  The
         clip comes before any product, so +-inf reads a tail with no
         inf * 0, and the tail selection runs only when some u lies
-        outside the window or is NaN.
+        outside the window or is NaN.  Given `out`, an array of u's shape
+        other than u, c is written there and `out` is returned.
 
         Away from underflow, the result is within
 
@@ -215,23 +217,22 @@ class CoefficientTable:
         2^-52 n cells, and the lerp itself adds a few roundings.
         """
         u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        if scalar:
-            u = u.reshape(1)
         grid = self.grid
         # False when some u is NaN, as min and max propagate it
         inside = not u.size or (u.min() >= grid[0] and u.max() <= grid[-1])
-        t = u - self.u_min
+        t = np.subtract(u, self.u_min, out=np.empty(u.shape) if out is None else out)
         t /= self.step
         np.clip(t, 0.0, len(self.samples) - 1, out=t)
+        j, gathered = scratch("c_at.j", u.shape, np.intp), scratch("c_at.gathered", u.shape)
         # fmax sends a NaN to index 0; t - j keeps the NaN
-        j = (t if inside else np.fmax(t, 0.0)).astype(np.intp)
+        np.copyto(j, t if inside else np.fmax(t, 0.0, out=gathered), casting="unsafe")
         t -= j
-        t *= self._rises[j]
-        t += self.samples[j]
+        t *= np.take(self._rises, j, out=gathered, mode="clip")
+        t += np.take(self.samples, j, out=gathered, mode="clip")
         if not inside:
-            t = np.where(u < grid[0], self.tail_left, np.where(u > grid[-1], self.tail_right, t))
-        return float(t[0]) if scalar else t
+            np.putmask(t, u < grid[0], self.tail_left)
+            np.putmask(t, u > grid[-1], self.tail_right)
+        return float(t) if out is None and not u.ndim else t
 
 
 def _detect_tail(mfun, u_edge: float, direction: int) -> tuple[bool, float]:
@@ -404,8 +405,12 @@ def write_table(table: CoefficientTable, base_path: str | Path, extra: dict | No
 
     Floats are written with .17g, byte-identical to csv.writer, so a
     read-back compares exactly equal.  `extra` entries are merged into the
-    sidecar (used by the CLI for provenance).
+    sidecar (used by the CLI for provenance); a key that names a table
+    field raises `ValueError`, since it would change the table read back.
     """
+    clash = sorted({f.name for f in _sidecar_fields()} & set(extra or ()))
+    if clash:
+        raise ValueError(f"extra sidecar keys {clash} would overwrite table fields")
     base = Path(base_path)
     csv_path = base.with_suffix(".csv")
     json_path = base.with_suffix(".json")
@@ -414,8 +419,7 @@ def write_table(table: CoefficientTable, base_path: str | Path, extra: dict | No
     with open(csv_path, "w", newline="") as fh:
         fh.write("u,c\r\n" + "%.17g,%.17g\r\n" * len(table.samples) % tuple(values))
     meta = {f.name: getattr(table, f.name) for f in _sidecar_fields()}
-    if extra:
-        meta.update(extra)
+    meta.update(extra or {})
     with open(json_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from haarshift import (
     tail_bound_value,
     triangle_function,
 )
+from haarshift import dyadic
 from haarshift.dyadic import DEFAULT_CHUNK, kernel_sum_terms
 from haarshift.operators import _operator_terms
 
@@ -515,6 +517,61 @@ def test_level_term_matches_reference_bit_for_bit(route, table_name, num_samples
         assert tally_bits(got) == tally_bits(
             accumulate_samples(17, num_samples, levels, want, chunk_size=chunk_size)
         )
+
+
+def test_workspaces_are_private_to_their_task():
+    """At 4 threads, a term that sleeps (releasing the interpreter lock)
+    while it holds the engine's r and sigma finds them unchanged when it
+    wakes: no other task writes to its workspace."""
+
+    def sleepy(n, r, sigma):
+        before = r.copy(), sigma.copy()
+        time.sleep(1e-3)
+        assert np.array_equal(r, before[0]) and np.array_equal(sigma, before[1])
+        return r * sigma
+
+    levels = range(0, 6)
+    got = accumulate_samples(3, 4000, levels, sleepy, threads=4, chunk_size=256)
+    want = accumulate_samples(3, 4000, levels, lambda n, r, sigma: r * sigma, chunk_size=256)
+    assert tally_bits(got) == tally_bits(want)
+
+
+def test_engine_reuses_its_workspaces(monkeypatch):
+    """A repeat call makes no workspace, at 1 thread and at 2; a call keeps
+    no more spares than its thread count; a term called outside the engine
+    leaves the spares alone and returns an array of its own."""
+    made = []
+
+    class Counting(dyadic._Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(dyadic, "_Workspace", Counting)
+    monkeypatch.setattr(dyadic, "_SPARES", [])
+    term = kernel_sum_terms(ONES, 0.7, 0.1)
+
+    def sleepy(n, r, sigma):
+        # so that both pool threads hold a task at once
+        time.sleep(1e-3)
+        return term(n, r, sigma)
+
+    def run(threads):
+        accumulate_samples(5, 3000, range(0, 4), sleepy, threads=threads, chunk_size=512)
+        return len(made)
+
+    for threads in (1, 2):
+        first = run(threads)
+        assert run(threads) == first
+    assert len(made) == 2
+    run(4)
+    run(1)
+    assert len(dyadic._SPARES) == 1
+    spares = [id(ws) for ws in dyadic._SPARES]
+    r, sigma = np.full(5, 1.5), np.linspace(0.0, 0.9, 5)
+    a, b = term(0, r, sigma), term(0, r, sigma)
+    assert not np.shares_memory(a, b) and np.array_equal(a, b)
+    assert [id(ws) for ws in dyadic._SPARES] == spares
 
 
 # 8192 floor draws make 20 replicates of 409 points at the floor, 600 make

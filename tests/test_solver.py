@@ -144,6 +144,35 @@ def lerp_tables(draw):
     )
 
 
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(table=lerp_tables(), data=st.data())
+def test_c_at_into_out_matches_c_at(table, data):
+    """c_at(u, out=buf) writes into buf what c_at(u) returns, bit for bit,
+    and returns buf: inside the window, in both tails, at NaN and +-inf,
+    for an empty u and for a scalar."""
+    grid = table.grid
+    probe = st.floats(grid[0] - 2.0, grid[-1] + 2.0) | st.sampled_from(
+        [math.nan, math.inf, -math.inf, grid[0], grid[-1]]
+    )
+    u = np.array(data.draw(st.lists(probe, max_size=40)), dtype=float)
+    cases = [
+        u,
+        u[(u >= grid[0]) & (u <= grid[-1])],
+        np.array([grid[0] - 1.0, grid[-1] + 1.0, math.nan, math.inf, -math.inf, grid[0]]),
+        np.empty(0),
+        np.array(data.draw(probe)),
+    ]
+    for case in cases:
+        buf = np.full(case.shape, 12345.0)
+        got = table.c_at(case, out=buf)
+        assert got is buf
+        assert np.array_equal(bits(got), bits(table.c_at(case)))
+
+
 def exact_lerp(table, u: float) -> Fraction:
     """The linear interpolant through (u_min + j step, s[j]) at u, in exact
     rational arithmetic."""
@@ -535,6 +564,15 @@ def csv_writer_bytes(table) -> bytes:
     for u, v in zip(table.grid, table.samples):
         writer.writerow([format(u, ".17g"), format(v, ".17g")])
     return buf.getvalue().encode()
+
+
+def test_write_table_refuses_extra_keys_that_name_fields(tmp_path, hilbert_table):
+    """An `extra` key that is also a sidecar field would change the table
+    read back (tail_left 5.0 in place of -8/3): write_table raises, naming
+    the key, and writes nothing."""
+    with pytest.raises(ValueError, match="tail_left"):
+        write_table(hilbert_table, tmp_path / "h", extra={"tail_left": 5.0, "note": "ok"})
+    assert not list(tmp_path.iterdir())
 
 
 def test_write_table_full_size_is_csv_writer_bytes(tmp_path, cp_fine_table):
