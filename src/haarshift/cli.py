@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import json
 import math
-import os
 import platform
 import sys
 from pathlib import Path
@@ -35,9 +32,11 @@ from .reconstruct import compare_report, mc_estimate
 from .solver import (
     SolverError,
     a_of_omega,
+    json_text,
     modulus_chunks,
     read_table,
     solve_c,
+    write_csv,
     write_table,
 )
 
@@ -112,14 +111,8 @@ def _probe_spec(text: str) -> np.ndarray:
 
 
 def _provenance(args: argparse.Namespace) -> dict:
-    flags = {
-        k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")
-    }
-    for key, value in flags.items():
-        if isinstance(value, np.ndarray):
-            flags[key] = [float(v) for v in value]
     return {
-        "flags": flags,
+        "flags": {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")},
         "versions": {
             "haarshift": __version__,
             "numpy": np.__version__,
@@ -130,22 +123,11 @@ def _provenance(args: argparse.Namespace) -> dict:
 
 
 def _emit(payload: dict, out: str | Path | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json_text(payload)
     if out:
-        Path(out).write_text(text + "\n")
+        Path(out).write_text(text)
     else:
-        print(text)
-
-
-def _estimate_payload(est) -> dict:
-    """`Estimate.to_dict` as JSON: a NaN stderr (one draw) becomes null,
-    and `stderr_defined` says whether the estimate has one."""
-    payload = est.to_dict()
-    for entry in [payload, *payload["levels"]]:
-        if math.isnan(entry["stderr"]):
-            entry["stderr"] = None
-    payload["stderr_defined"] = payload["stderr"] is not None
-    return payload
+        sys.stdout.write(text)
 
 
 def _cmd_solve(args) -> int:
@@ -186,7 +168,7 @@ def _cmd_mc(args) -> int:
         seed=args.seed,
         threads=args.threads,
     )
-    payload = _estimate_payload(est)
+    payload = est.to_dict()
     payload["y"] = args.y
     payload.update(_provenance(args))
     _emit(payload, args.out)
@@ -206,26 +188,17 @@ def _cmd_apply(args) -> int:
         tol_tail=args.tail_tol,
         threads=args.threads,
     )
-    lines = [["x", "averaged", "stderr", "direct", "abs_err"]]
-    for row in rows:
-        direct = direct_pv(spec, f, row.x)
-        lines.append(
-            [
-                format(row.x, ".17g"),
-                format(row.mean, ".17g"),
-                format(row.stderr, ".17g"),
-                format(direct, ".17g"),
-                format(abs(row.mean - direct), ".17g"),
-            ]
-        )
+    x, mean, stderr = np.array([(row.x, row.mean, row.stderr) for row in rows]).T
+    direct = np.array([direct_pv(spec, f, probe) for probe in x])
+    header = ("x", "averaged", "stderr", "direct", "abs_err")
+    columns = (x, mean, stderr, direct, np.abs(mean - direct))
     if args.out:
         with open(args.out, "w", newline="") as fh:
-            csv.writer(fh).writerows(lines)
-        sidecar = {"probes": [_estimate_payload(row) for row in rows], **_provenance(args)}
+            write_csv(fh, header, *columns)
+        sidecar = {"probes": [row.to_dict() for row in rows], **_provenance(args)}
         _emit(sidecar, Path(args.out).with_suffix(".json"))
     else:
-        for line in lines:
-            print(",".join(line))
+        write_csv(sys.stdout, header, *columns, newline="\n")
     return 0
 
 
@@ -237,16 +210,13 @@ def _cmd_adiag(args) -> int:
         )
     count = int(round(count))
     best = math.inf
+    header = ("omega", "abs_a")
     with open(args.out, "w", newline="") if args.out else contextlib.nullcontext() as fh:
-        if fh:
-            writer = csv.writer(fh)
-            writer.writerow(["omega", "abs_a"])
         for omega, mod in modulus_chunks(2 * count + 1, lambda k: (k - count) * args.step):
             best = min(best, float(mod.min()))
             if fh:
-                writer.writerows(
-                    (format(w, ".17g"), format(m, ".17g")) for w, m in zip(omega, mod)
-                )
+                write_csv(fh, header, omega, mod)
+                header = ()
     a0 = a_of_omega(0.0)
     print(f"min |a(omega)| over [{-args.omega_max:g}, {args.omega_max:g}] "
           f"step {args.step:g}: {best:.9f}")
@@ -275,7 +245,8 @@ def build_parser() -> _Parser:
                              "about 1/sqrt(2) as many as the one below")
     monte_carlo.add_argument("--seed", type=_seed, default=0)
     monte_carlo.add_argument("--tail-tol", type=_positive_float, default=1e-4)
-    monte_carlo.add_argument("--threads", type=_positive_int, default=os.cpu_count())
+    monte_carlo.add_argument("--threads", type=_positive_int, default=1,
+                             help="engine threads; outputs are byte-identical at any count")
 
     p = sub.add_parser("solve", parents=[kernel], help="solve the coefficient recursion")
     p.add_argument("--window", nargs=2, type=float, default=[-14.0, 14.0],

@@ -38,8 +38,7 @@ names it; the CLI records it as `versions.stream` in its JSON outputs.
 Stream 6 takes the shift (U, U') of replicate j of level row l from its own
 Philox counter block, keyed by (seed, l, j); point i of that replicate has
 log2 r = ((i + 1/2) / n_l + U) mod 1 and sigma = ((i phi mod 1) + U') mod 1.
-Stream 5 drew N_l points per level, a uniform pair each, stratified on
-(log2 r, sigma) in up to 2^14 strata; README lists the earlier streams.
+README lists the earlier streams.
 """
 
 from __future__ import annotations
@@ -87,13 +86,10 @@ _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_CHUNK = 1 << 15
 
 
-class _Workspace(dict):
-    """Named scratch arrays of one engine task, kept for later tasks: freed,
-    glibc would unmap them and they would fault in again on the next task."""
-
-
-# workspaces between tasks, no more than the last call's thread count
-_SPARES: list[_Workspace] = []
+# workspaces between tasks, no more than the last call's thread count; a
+# workspace holds one task's named scratch arrays, kept because glibc would
+# unmap them freed and they would fault in again on the next task
+_SPARES: list[dict] = []
 # the workspace of the engine task running on each thread
 _TASK = threading.local()
 
@@ -138,16 +134,25 @@ class Estimate:
     record: list[LevelRecord]  # one entry per admitted level, from the floor up
 
     def to_dict(self) -> dict:
+        """The estimate as JSON: a NaN stderr (one draw) is None, at the top
+        and per level, and `stderr_defined` says whether there is one."""
+
+        def defined(stderr):
+            return None if math.isnan(stderr) else stderr
+
         return {
             "x": self.x,
             "mean": self.mean,
-            "stderr": self.stderr,
+            "stderr": defined(self.stderr),
+            "stderr_defined": not math.isnan(self.stderr),
             "tail_bound": self.tail_bound,
             "M": self.num_samples,
             "seed": self.seed,
             "n_min": self.levels.start,
             "n_max": self.levels[-1],
-            "levels": [level._asdict() for level in self.record],
+            "levels": [
+                {**level._asdict(), "stderr": defined(level.stderr)} for level in self.record
+            ],
         }
 
 
@@ -288,7 +293,7 @@ def accumulate_samples(
         try:
             ws = _TASK.ws = _SPARES.pop()
         except IndexError:
-            ws = _TASK.ws = _Workspace()
+            ws = _TASK.ws = {}
         try:
             points, n = plan[row][1], stop - start
             shift = shifts[row][first : first + count]

@@ -193,8 +193,9 @@ def direct_pv(spec: KernelSpec, f: TestFunction, x: float) -> float:
     is 0 past the largest, d_max) and at d_min 2^j from j = -52 to d_max,
     not below 2^-1000 nor within a relative 2^-40 of a knot's distance: f
     is polynomial on both sides of a panel, and [a, 2a] resolves K, which
-    x^3 K'' bounded lets vary only on the scale of s.  10-node Gauss-Legendre on every panel, one call of K and of f per
-    side for all nodes, math.fsum over the panel sums.  OperatorError where
+    x^3 K'' bounded lets vary only on the scale of s.  10-node
+    Gauss-Legendre on every panel, one call of K and of f per side for all
+    nodes, math.fsum over the panel sums.  OperatorError where
     f jumps at x; ValueError for x non-finite or within 2^-1000 of a knot.
     """
     x = float(x)

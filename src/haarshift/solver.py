@@ -65,6 +65,8 @@ __all__ = [
     "solve_c",
     "residual",
     "a_of_omega",
+    "write_csv",
+    "json_text",
     "write_table",
     "read_table",
     "weighted_reach",
@@ -138,12 +140,12 @@ class CoefficientTable:
     """Sampled coefficient function c on a uniform log-axis grid.
 
     gamma(r) = c(ln r); outside [u_min, u_max] the table extends by the
-    constant tails.  `iterations` and `max_change_ratio` record the sweeps
-    of a contraction solve and the largest observed ratio of successive
-    sup-changes, a direct measurement of the contraction factor; `solve_c`
-    runs no sweep and records 0 and 0.0.  These fields are the table's
-    file format: `write_table` puts `samples` in the CSV and every other
-    field in the JSON sidecar.
+    constant tails, u_max being the last sample's grid point.  `iterations`
+    and `max_change_ratio` record the sweeps of a contraction solve and the
+    largest observed ratio of successive sup-changes, a direct measurement
+    of the contraction factor; `solve_c` runs no sweep and records 0 and
+    0.0.  These fields are the table's file format: `write_table` puts
+    `samples` in the CSV and every other field in the JSON sidecar.
     """
 
     u_min: float
@@ -167,11 +169,12 @@ class CoefficientTable:
         for name in ("tail_left", "tail_right", "samples"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
-        expected = round((self.u_max - self.u_min) / self.step) + 1
-        if len(self.samples) != expected:
+        # u_max is the last grid point, up to rounding in u_min, step and u_max
+        last = self.u_min + (len(self.samples) - 1) * self.step
+        if not abs(self.u_max - last) <= 2.0**-48 * (abs(self.u_min) + abs(self.u_max)):
             raise ValueError(
-                f"sample count {len(self.samples)} does not match window/step "
-                f"(expected {expected})"
+                f"u_max {self.u_max!r} is not the last grid point u_min + (n - 1) step = "
+                f"{last!r} of the {len(self.samples)} samples"
             )
 
     @cached_property
@@ -257,7 +260,9 @@ def solve_c(
     spec : KernelSpec
         Kernel whose source term m drives the recursion.
     window : (u_min, u_max)
-        Log-axis range on which the returned table is sampled.
+        Log-axis range on which the returned table is sampled, from u_min
+        in whole steps to the grid point nearest u_max; the table records
+        that point as its u_max.
     step : float
         Uniform grid step.  The transform solves exactly for the
         trigonometric interpolant of the sampled source; the returned
@@ -341,7 +346,7 @@ def solve_c(
 
     table = CoefficientTable(
         u_min=u_min,
-        u_max=u_max,
+        u_max=u_min + n_window * step,
         step=step,
         samples=samples,
         tail_left=b_left if flat_l else float(samples[0]),
@@ -392,7 +397,30 @@ def modulus_chunks(size: int, omega_at: Callable[[np.ndarray], np.ndarray]):
 
 
 # ---------------------------------------------------------------------------
-# serialization: CSV table plus JSON sidecar
+# serialization: the one CSV and the one JSON format of every output
+
+# rows `write_csv` formats at once, so a file of any length takes bounded
+# memory: adiag's default scan of 2,000,001 rows peaks at 72 MB
+_CSV_ROWS = 1 << 12
+
+
+def write_csv(fh, header, *columns, newline: str = "\r\n") -> None:
+    """Write float `columns` under `header` (no header line if empty) to `fh`,
+    each float .17g so it reads back exactly: the bytes csv.writer writes,
+    rows ending in `newline`, CRLF as csv.writer's default or "\n" for a
+    terminal."""
+    if header:
+        fh.write(",".join(header) + newline)
+    row = ",".join(["%.17g"] * len(columns)) + newline
+    for start in range(0, len(columns[0]), _CSV_ROWS):
+        piece = np.column_stack([column[start : start + _CSV_ROWS] for column in columns])
+        fh.write(row * len(piece) % tuple(piece.ravel().tolist()))
+
+
+def json_text(payload) -> str:
+    """`payload` as JSON: two-space indent, sorted keys, one trailing
+    newline, numpy arrays as lists."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
 def _sidecar_fields():
@@ -403,26 +431,20 @@ def _sidecar_fields():
 def write_table(table: CoefficientTable, base_path: str | Path, extra: dict | None = None) -> tuple[Path, Path]:
     """Write `<base>.csv` (columns u, c) and `<base>.json` (metadata).
 
-    Floats are written with .17g, byte-identical to csv.writer, so a
-    read-back compares exactly equal.  `extra` entries are merged into the
-    sidecar (used by the CLI for provenance); a key that names a table
-    field raises `ValueError`, since it would change the table read back.
+    `extra` entries are merged into the sidecar (the CLI's provenance); a
+    key that names a table field raises `ValueError`, since it would change
+    the table read back.
     """
     clash = sorted({f.name for f in _sidecar_fields()} & set(extra or ()))
     if clash:
         raise ValueError(f"extra sidecar keys {clash} would overwrite table fields")
     base = Path(base_path)
-    csv_path = base.with_suffix(".csv")
-    json_path = base.with_suffix(".json")
-    # the bytes csv.writer would write: no field needs quoting, rows end in CRLF
-    values = np.column_stack((table.grid, table.samples)).ravel().tolist()
+    csv_path, json_path = base.with_suffix(".csv"), base.with_suffix(".json")
     with open(csv_path, "w", newline="") as fh:
-        fh.write("u,c\r\n" + "%.17g,%.17g\r\n" * len(table.samples) % tuple(values))
+        write_csv(fh, ("u", "c"), table.grid, table.samples)
     meta = {f.name: getattr(table, f.name) for f in _sidecar_fields()}
     meta.update(extra or {})
-    with open(json_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    json_path.write_text(json_text(meta))
     return csv_path, json_path
 
 

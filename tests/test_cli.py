@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -310,6 +312,26 @@ def test_adiag_scan(tmp_path, capsys):
         assert m == pytest.approx(mods[-w], abs=1e-12)
 
 
+def test_adiag_out_over_two_chunks_is_csv_writer_bytes(tmp_path, capsys):
+    """A scan of 524,401 frequencies spans two 2^19-row chunks: the file
+    has its header once, one row per frequency on the scan grid, and is
+    exactly what csv.writer writes for those floats."""
+    out = tmp_path / "sym.csv"
+    assert cli.main(["adiag", "--omega-max", "2622", "--step", "0.01", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    header, body = data.split(b"\r\n", 1)
+    assert header == b"omega,abs_a" and b"omega" not in body
+    values = np.loadtxt(io.StringIO(body.decode()), delimiter=",")
+    assert values.shape[0] == 524_401 > 1 << 19
+    assert np.array_equal(values[:, 0], (np.arange(524_401) - 262_200) * 0.01)
+    assert values[:, 1].min() >= 0.75 - 1e-12
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["omega", "abs_a"])
+    writer.writerows((format(w, ".17g"), format(m, ".17g")) for w, m in values.tolist())
+    assert data == buf.getvalue().encode()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -407,6 +429,8 @@ def test_sidecar_not_an_object_is_numeric_error(hilbert_base, command, text, cap
         ("iterations", 2.7, "field 'iterations' must be of type int"),
         ("kernel_name", [1], "field 'kernel_name' must be of type str"),
         ("tail_left", True, "field 'tail_left' must be of type float"),
+        # the samples end at 14, not half a step on
+        ("u_max", 14.00390625, "is not the last grid point"),
     ],
 )
 def test_sidecar_bad_field_is_numeric_error(hilbert_base, field, value, message, capsys):

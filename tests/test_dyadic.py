@@ -540,18 +540,13 @@ def test_engine_reuses_its_workspaces(monkeypatch):
     """A repeat call makes no workspace, at 1 thread and at 2; a call keeps
     no more spares than its thread count; a term called outside the engine
     leaves the spares alone and returns an array of its own."""
-    made = []
-
-    class Counting(dyadic._Workspace):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
-
-    monkeypatch.setattr(dyadic, "_Workspace", Counting)
+    # every workspace a task has run in, held so that no id is reused
+    made = {}
     monkeypatch.setattr(dyadic, "_SPARES", [])
     term = kernel_sum_terms(ONES, 0.7, 0.1)
 
     def sleepy(n, r, sigma):
+        made.setdefault(id(dyadic._TASK.ws), dyadic._TASK.ws)
         # so that both pool threads hold a task at once
         time.sleep(1e-3)
         return term(n, r, sigma)
@@ -575,15 +570,14 @@ def test_engine_reuses_its_workspaces(monkeypatch):
 
 
 # 8192 floor draws make 20 replicates of 409 points at the floor, 600 make
-# 20 of 30 (the ids keep the stream-5 names of these cases)
-@pytest.mark.parametrize("num_samples", [8192, 600], ids=["2-per-stratum", "256-strata"])
+# 20 of 30
+@pytest.mark.parametrize("num_samples", [8192, 600], ids=["20x409-points", "20x30-points"])
 @pytest.mark.parametrize("route", ["kernel-sum", "indicator"])
 def test_stderr_matches_spread_over_seeds(route, num_samples):
     """The reported stderr is honest: over 128 seeds, the spread of the
-    stratified estimates is within a factor 1.25 of their mean stderr
-    (the spread's own sampling error is about 6%; measured 0.93-1.08).
-    An M2/n_h in place of M2/(n_h - 1) reads 1.25-1.43 and fails three of
-    the four cases."""
+    estimates is within a factor 1.25 of their mean reported stderr, which
+    comes from the spread of each level's 20 replicate means (the spread's
+    own sampling error is about 6%; measured 0.96-1.09)."""
     if route == "kernel-sum":
         ests = [mc_estimate(ONES, 0.7, 0.1, num_samples=num_samples, seed=s) for s in range(128)]
     else:

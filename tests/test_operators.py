@@ -252,7 +252,10 @@ def test_apply_averaged_hilbert_indicator(hilbert_table):
     assert abs(est.mean - want) <= 3 * est.stderr + est.tail_bound
     assert est.stderr < 0.05
     d = est.to_dict()
-    assert set(d) == {"x", "mean", "stderr", "tail_bound", "M", "seed", "n_min", "n_max", "levels"}
+    assert set(d) == {
+        "x", "mean", "stderr", "stderr_defined", "tail_bound", "M", "seed", "n_min", "n_max",
+        "levels",
+    }
     assert [entry["n"] for entry in d["levels"]] == list(range(d["n_min"], d["n_max"] + 1))
     first = d["levels"][0]
     assert (first["n"], first["draws"], first["replicates"]) == (0, 40_000, 20)

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -334,3 +335,12 @@ def test_mc_scaling_equivariance():
     two = mc_estimate(table, 1.6, 0.6, num_samples=40_000, seed=7)
     band = 3 * (0.5 * one.stderr + two.stderr) + 1.5 * one.tail_bound
     assert abs(two.mean - 0.5 * one.mean) <= band
+
+
+def test_one_draw_estimate_is_strict_json(hilbert_table):
+    """A one-draw estimate has no stderr: its JSON form holds None there, at
+    the top and in every level, so it serializes with NaN refused."""
+    est = mc_estimate(hilbert_table, 0.9, 0.1, num_samples=1, seed=0)
+    payload = json.loads(json.dumps(est.to_dict(), allow_nan=False))
+    assert payload["stderr"] is None and payload["stderr_defined"] is False
+    assert [level["stderr"] for level in payload["levels"]] == [None] * len(est.record)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -23,6 +24,7 @@ from haarshift import (
     read_table,
     residual,
     solve_c,
+    write_csv,
     write_table,
 )
 from haarshift import solver
@@ -556,14 +558,19 @@ def test_table_round_trip_exact(tmp_path, cp_table):
     assert back.max_change_ratio == cp_table.max_change_ratio
 
 
-def csv_writer_bytes(table) -> bytes:
-    """The table CSV as csv.writer renders it, each float with format(v, ".17g")."""
+def csv_writer_bytes(header, *columns, newline="\r\n") -> bytes:
+    """Float columns as csv.writer renders them, each float with format(v, ".17g")."""
     buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(["u", "c"])
-    for u, v in zip(table.grid, table.samples):
-        writer.writerow([format(u, ".17g"), format(v, ".17g")])
+    writer = csv.writer(buf, lineterminator=newline)
+    if header:
+        writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([format(v, ".17g") for v in row])
     return buf.getvalue().encode()
+
+
+def table_csv_bytes(table) -> bytes:
+    return csv_writer_bytes(["u", "c"], table.grid, table.samples)
 
 
 def test_write_table_refuses_extra_keys_that_name_fields(tmp_path, hilbert_table):
@@ -580,7 +587,7 @@ def test_write_table_full_size_is_csv_writer_bytes(tmp_path, cp_fine_table):
     conjugate-poisson at 2^-11 it still writes what csv.writer writes."""
     assert len(cp_fine_table.samples) == 57_345
     csv_path, _ = write_table(cp_fine_table, tmp_path / "cp")
-    assert csv_path.read_bytes() == csv_writer_bytes(cp_fine_table)
+    assert csv_path.read_bytes() == table_csv_bytes(cp_fine_table)
 
 
 def same_bits(a, b) -> bool:
@@ -623,7 +630,7 @@ def test_table_round_trip_property(
     )
     with tempfile.TemporaryDirectory() as tmp:
         csv_path, _ = write_table(table, Path(tmp) / "t")
-        assert csv_path.read_bytes() == csv_writer_bytes(table)
+        assert csv_path.read_bytes() == table_csv_bytes(table)
         back = read_table(Path(tmp) / "t")
     assert back.samples.tobytes() == table.samples.tobytes()
     for name in ("u_min", "u_max", "step", "tail_left", "tail_right", "residual_sup",
@@ -631,6 +638,39 @@ def test_table_round_trip_property(
         assert same_bits(getattr(back, name), getattr(table, name)), name
     assert back.iterations == iterations
     assert back.kernel_name == kernel_name
+
+
+# every float the CSV must spell as csv.writer does: NaN, +-inf, -0.0 and
+# subnormals among them
+CSV_FLOATS = st.one_of(EDGE_FLOATS, st.sampled_from([math.nan, math.inf, -math.inf]), st.floats())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    columns=st.integers(0, 30).flatmap(
+        lambda n: st.lists(st.lists(CSV_FLOATS, min_size=n, max_size=n), min_size=1, max_size=4)
+    ),
+    header=st.booleans(),
+    newline=st.sampled_from(["\r\n", "\n"]),
+)
+def test_write_csv_is_csv_writer_bytes(columns, header, newline):
+    """write_csv writes what csv.writer writes for the same columns, with
+    CRLF rows or the LF rows of the terminal, with or without a header."""
+    names = ["a", "b", "c", "d"][: len(columns)] if header else []
+    buf = io.StringIO(newline="")
+    write_csv(buf, names, *columns, newline=newline)
+    assert buf.getvalue().encode() == csv_writer_bytes(names, *columns, newline=newline)
+
+
+def test_solve_c_records_its_last_grid_point_as_u_max():
+    """At step 0.3 the window (-14, 14) holds 94 samples, the last at
+    u = 13.9: the table records that point as u_max, not 14, so no residual
+    probe reads past the samples, and a table that claims 14 is refused."""
+    table = solve_c(get_kernel("conjugate-poisson"), window=(-14.0, 14.0), step=0.3)
+    assert len(table.samples) == 94
+    assert table.u_max == table.grid[-1] == pytest.approx(13.9, abs=1e-12)
+    with pytest.raises(ValueError, match="not the last grid point"):
+        dataclasses.replace(table, u_max=14.0)
 
 
 def test_read_table_rejects_foreign_header(tmp_path):
