@@ -6,7 +6,7 @@ Under the grid law r is log-uniform and every sigma_n is uniform on [0, 1).
 What is estimated here is a sum over levels of a level term, so by
 linearity its average is the sum over levels of the term's averages, and
 each of those is an integral over the unit square of (log2 r, sigma_n).
-The engine (`accumulate_samples`) therefore treats every level on its own
+The engine (`accumulate_probes`) therefore treats every level on its own
 and never builds a lattice of cells.
 
 Level row l = n - n_min keeps N_l = ceil(M 2^(-l/2)) draws, and never
@@ -38,6 +38,9 @@ names it; the CLI records it as `versions.stream` in its JSON outputs.
 Stream 6 takes the shift (U, U') of replicate j of level row l from its own
 Philox counter block, keyed by (seed, l, j); point i of that replicate has
 log2 r = ((i + 1/2) / n_l + U) mod 1 and sigma = ((i phi mod 1) + U') mod 1.
+Neither key holds the probe, so the probes of one call share each row's
+shifts and lattice, and `accumulate_probes` draws them once for all of
+them; that leaves the draws as they were, and `STREAM_VERSION` stays 6.
 README lists the earlier streams.
 """
 
@@ -48,7 +51,7 @@ import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,6 +87,9 @@ _PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # lattice points per term_fn call, large enough to amortise a call; a task's
 # temporaries are chunk-sized arrays that its workspace keeps (see `scratch`)
 DEFAULT_CHUNK = 1 << 15
+
+# least probe-to-feature distance: nearer, the floor level's r 2^n heads for subnormals
+MIN_DISTANCE = 2.0**-40
 
 
 # workspaces between tasks, no more than the last call's thread count; a
@@ -255,7 +261,8 @@ def accumulate_samples(
 ) -> list[Tally]:
     """One `Tally` per level of ``levels`` (a nonempty range of consecutive
     levels), from the floor up, each level on its own randomly shifted
-    lattices (stream `STREAM_VERSION`, described in the module docstring).
+    lattices (stream `STREAM_VERSION`, described in the module docstring):
+    the one-probe case of `accumulate_probes`.
 
     term_fn(n, r, sigma), pure and vectorized over the points, gets at most
     chunk_size points a call: whole replicates of a level, or one
@@ -263,20 +270,37 @@ def accumulate_samples(
     calls run through one thread pool; no point depends on chunk_size or
     the thread count, and no sum on the thread count.  Rounding takes r to
     2 only with probability below 2^-46 per point.  r and sigma are views of
-    the task's workspace, valid only during the call, and the term may return
-    one too (see `scratch`); a call keeps at most `threads` workspaces.
+    the task's workspace, read-only and valid only during the call, and the
+    term may return one too (see `scratch`); a call keeps at most `threads`
+    workspaces.
     """
+    return accumulate_probes(seed, num_samples, [(levels, term_fn)], threads, chunk_size)[0]
+
+
+def accumulate_probes(
+    seed: int,
+    num_samples: int,
+    probes: Sequence[tuple[range, Callable[[int, np.ndarray, np.ndarray], np.ndarray]]],
+    threads: int | None = None,
+    chunk_size: int = DEFAULT_CHUNK,
+) -> list[list[Tally]]:
+    """`accumulate_samples` for each (levels, term_fn) of ``probes``, with the
+    bits it gives alone, in one pass: each task draws row l's points once,
+    for the term of every probe with a row l."""
     if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 128):
         raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
     if isinstance(num_samples, bool) or not (
         isinstance(num_samples, numbers.Integral) and num_samples >= 1
     ):
         raise ValueError(f"num_samples must be a positive integer, got {num_samples!r}")
-    if not levels or levels.step != 1:
-        raise ValueError(f"need a nonempty range of consecutive levels, got {levels!r}")
-    # per level row: (replicates, lattice points)
-    draws = [_level_draws(int(num_samples), row) for row in range(len(levels))]
+    for levels, _ in probes:
+        if not levels or levels.step != 1:
+            raise ValueError(f"need a nonempty range of consecutive levels, got {levels!r}")
+    rows = max((len(levels) for levels, _ in probes), default=0)
+    # per level row: (replicates, lattice points), and the probes that reach it
+    draws = [_level_draws(int(num_samples), row) for row in range(rows)]
     plan = [(min(REPLICATES, d), d // min(REPLICATES, d)) for d in draws]
+    live = [[p for p, (levels, _) in enumerate(probes) if row < len(levels)] for row in range(rows)]
     # drawn before the pool starts, since a generator holds the interpreter lock
     shifts = [_shifts(seed, row, replicates) for row, (replicates, _) in enumerate(plan)]
     # (row, first replicate, replicates, first point, end point)
@@ -288,7 +312,7 @@ def accumulate_samples(
                 stop = min(start + chunk_size, points)
                 tasks.append((row, first, min(group, replicates - first), start, stop))
 
-    def run_chunk(task: tuple[int, int, int, int, int]) -> tuple[np.ndarray, int]:
+    def run_chunk(task: tuple[int, int, int, int, int]) -> list[tuple[np.ndarray, int]]:
         row, first, count, start, stop = task
         try:
             ws = _TASK.ws = _SPARES.pop()
@@ -302,16 +326,18 @@ def accumulate_samples(
             i = np.add(ws["ramp"][:n], start, out=scratch("lattice", (n,)))
             offset = np.add(i, 0.5, out=scratch("offset", (n,)))
             offset /= points
-            # a row per replicate; sums lie in [0, 2), so mod 1 is an exact -1 or 0
+            # a row per replicate; sums lie in [0, 2), so taking off the floor is exact
             r = np.add(offset, shift[:, :1], out=scratch("r", (count, n)))
-            r -= np.greater_equal(r, 1.0, out=scratch("mask", r.shape, bool))
+            r -= np.floor(r, out=scratch("floor", r.shape))
             np.exp2(r, out=r)
             lattice = np.multiply(i, _PHI, out=i)
             lattice -= np.floor(lattice, out=offset)
             sigma = np.add(lattice, shift[:, 1:], out=scratch("sigma", (count, n)))
-            sigma -= np.greater_equal(sigma, 1.0, out=scratch("mask", r.shape, bool))
-            terms = term_fn(levels[row], r.ravel(), sigma.ravel())
-            return terms.reshape(count, -1).sum(axis=1), int(np.count_nonzero(terms))
+            sigma -= np.floor(sigma, out=scratch("floor", r.shape))
+            r, sigma = r.ravel(), sigma.ravel()
+            # each live probe's term at its own level, lazily: reduced before the next runs
+            terms = (probes[p][1](probes[p][0][row], r, sigma) for p in live[row])
+            return [(t.reshape(count, -1).sum(axis=1), int(np.count_nonzero(t))) for t in terms]
         finally:
             _TASK.ws = None
             _SPARES.append(ws)
@@ -322,24 +348,20 @@ def accumulate_samples(
     else:
         partials = [run_chunk(task) for task in tasks]
     del _SPARES[max(1, threads or 1) :]
-    sums = [np.zeros(replicates) for replicates, _ in plan]
-    hits = [0] * len(plan)
-    for (row, first, count, _, _), (chunk_sums, chunk_hits) in zip(tasks, partials):
-        sums[row][first : first + count] += chunk_sums
-        hits[row] += chunk_hits
-    return [Tally(points, s, h) for (_, points), s, h in zip(plan, sums, hits)]
+    sums = [[np.zeros(replicates) for replicates, _ in plan[: len(levels)]] for levels, _ in probes]
+    hits = [[0] * len(levels) for levels, _ in probes]
+    for (row, first, count, _, _), partial in zip(tasks, partials):
+        for p, (chunk_sums, chunk_hits) in zip(live[row], partial):
+            sums[p][row][first : first + count] += chunk_sums
+            hits[p][row] += chunk_hits
+    return [list(map(Tally, (points for _, points in plan), s, h)) for s, h in zip(sums, hits)]
 
 
 def estimate(
-    x: float,
-    term_fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
-    levels: range,
-    gamma_sup: float,
-    num_samples: int,
-    seed: int = 0,
-    threads: int | None = None,
+    x: float, levels: range, tallies: list[Tally], gamma_sup: float, num_samples: int, seed: int
 ) -> Estimate:
-    """Average the level terms of `term_fn` over per-level shifted lattices.
+    """The estimate at x from the `tallies` of ``levels`` that the engine
+    drew with `num_samples` and `seed`.
 
     The estimate is ln 2 times the sum of the level means (the dilation is
     drawn with density 1/(r ln 2), compensating the unnormalized dr/r
@@ -347,7 +369,6 @@ def estimate(
     level stderrs, and the bound on the levels above `levels`.  stderr is
     NaN for a single draw.
     """
-    tallies = accumulate_samples(seed, num_samples, levels, term_fn, threads=threads)
     ln2 = math.log(2.0)
     return Estimate(
         x=x,

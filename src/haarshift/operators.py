@@ -90,7 +90,7 @@ class TestFunction:
         else:
             half_slopes = 0.5 * (np.diff(vals) / widths)
         return tuple(
-            zip(ks[:-1].tolist(), widths.tolist(), vals.tolist(), half_slopes.tolist())
+            zip(ks[:-1].tolist(), widths.tolist(), (vals + 0.0).tolist(), half_slopes.tolist())
         )
 
     def antiderivative(self, t, out=None):
@@ -108,9 +108,12 @@ class TestFunction:
         for j, (k, h, v, half_slope) in enumerate(self._segments):
             d = np.subtract(t, k, out=dyadic.scratch("F.d", t.shape))
             np.clip(d, 0.0, h, out=d)
-            term = np.multiply(d, half_slope, out=dyadic.scratch("F.term", t.shape) if j else total)
-            term += v
-            term *= d
+            # a zero slope takes v d, the bits of (d 0 + v) d as v is never -0.0
+            out_j = dyadic.scratch("F.term", t.shape) if j else total
+            term = np.multiply(d, half_slope or v, out=out_j)
+            if half_slope:
+                term += v
+                term *= d
             if j:
                 total += term
         return float(total) if out is None and not t.ndim else total
@@ -139,12 +142,13 @@ def _operator_terms(table: CoefficientTable, f: TestFunction, x: float) -> Calla
         a = np.add(k, sigma, out=dyadic.scratch("cell", k.shape))
         a *= length
         total = F(a, out=dyadic.scratch("pairing", k.shape))
-        # a + 1.0 L is a + L, and adding -w F is subtracting w F, bit for bit
-        for frac, weight in ((0.25, -2.0), (0.75, 2.0), (1.0, -1.0)):
+        for frac, weight in ((0.25, -2.0), (0.75, 2.0)):
             point = np.multiply(length, frac, out=dyadic.scratch("point", k.shape))
             point += a
             value = F(point, out=dyadic.scratch("F", k.shape))
             total += np.multiply(value, weight, out=value)
+        point = np.add(length, a, out=dyadic.scratch("point", k.shape))
+        total -= F(point, out=dyadic.scratch("F", k.shape))
         return total
 
     return dyadic.shift_terms(table, x, pairing)
@@ -164,23 +168,27 @@ def apply_averaged(
     The level floor adapts per probe: cells shorter than the distance from
     the probe to the nearest knot of f pair to zero (f is affine on them),
     so they are excluded a priori.  The ceiling comes from the requested
-    tail tolerance.
+    tail tolerance.  Every probe is checked before the first draw, and one
+    engine pass serves them all (`dyadic.accumulate_probes`).
     """
     gamma_sup = table.sup_norm()
-    out = []
-    for x in xs:
-        x = float(x)
+    probes = []
+    for x in map(float, xs):
+        if not math.isfinite(x):
+            raise ValueError(f"probe x = {x!r} is not finite")
         dist = min(abs(x - float(k)) for k in f.knots)
-        if dist < 2.0**-40:
+        if dist < dyadic.MIN_DISTANCE:
             raise ValueError(
-                "probe coincides with a knot of f; the level range is unbounded there"
+                f"probe x = {x!r} is {dist:g} from a knot of f, within {dyadic.MIN_DISTANCE:g}; "
+                "the level range is unbounded there"
             )
-        lv = dyadic.levels_for_distance(dist, gamma_sup, tol_tail)
-        term = _operator_terms(table, f, x)
-        out.append(
-            dyadic.estimate(x, term, lv, gamma_sup, num_samples, seed=seed, threads=threads)
-        )
-    return out
+        probes.append((x, dyadic.levels_for_distance(dist, gamma_sup, tol_tail)))
+    terms = [(lv, _operator_terms(table, f, x)) for x, lv in probes]
+    tallies = dyadic.accumulate_probes(seed, num_samples, terms, threads=threads)
+    return [
+        dyadic.estimate(x, lv, t, gamma_sup, num_samples, seed)
+        for (x, lv), t in zip(probes, tallies)
+    ]
 
 
 _PV_GL_NODES, _PV_GL_WEIGHTS = np.polynomial.legendre.leggauss(10)

@@ -139,11 +139,12 @@ def mc_estimate(
     stderr and tail bound.
     """
     term = dyadic.kernel_sum_terms(table, x, y)
+    if abs(x - y) < dyadic.MIN_DISTANCE:
+        raise ValueError(f"separation |x - y| = {abs(x - y)!r} is below {dyadic.MIN_DISTANCE!r}")
     gamma_sup = table.sup_norm()
     levels = dyadic.levels_for_distance(abs(x - y), gamma_sup, tol_tail)
-    return dyadic.estimate(
-        x, term, levels, gamma_sup, num_samples, seed=seed, threads=threads
-    )
+    tallies = dyadic.accumulate_samples(seed, num_samples, levels, term, threads=threads)
+    return dyadic.estimate(x, levels, tallies, gamma_sup, num_samples, seed)
 
 
 def compare_report(

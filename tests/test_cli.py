@@ -198,6 +198,27 @@ def test_mc_diagonal_is_numeric_error(hilbert_base, capsys):
     assert "haarshift:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x", ["1e-310", "9e-13"])
+def test_mc_separation_below_two_to_the_minus_40_is_numeric_error(hilbert_base, x, capsys):
+    """Nearer than 2^-40 the floor level heads for the subnormal range,
+    where the cell arithmetic overflows; at 2^-40 the estimate runs."""
+    rc = cli.main(["mc", "--table", hilbert_base, "--x", x, "--y", "0", "--samples", "10"])
+    assert rc == 2
+    message = f"separation |x - y| = {float(x)!r} is below {2.0**-40!r}"
+    assert message in capsys.readouterr().err
+    argv = ["mc", "--table", hilbert_base, "--x", repr(2.0**-40), "--y", "0", "--samples", "10"]
+    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_apply_non_finite_probe_is_numeric_error(hilbert_base, x, capsys):
+    argv = ["apply", "--table", hilbert_base, "--kernel", "hilbert", f"--x=2,{x}"]
+    assert cli.main([*argv, "--samples", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"probe x = {float(x)!r} is not finite" in err
+
+
 def test_apply_prints_csv(hilbert_base, capsys):
     rc = cli.main(
         [

@@ -352,7 +352,10 @@ def test_points_do_not_depend_on_chunks_or_threads():
         for threads in (1, 2, 4)
     ]
     assert all(points == seen[0] for points in seen[1:])
-    one, two, four = (estimate(0.7, term, levels, 1.0, 300, seed=5, threads=t) for t in (1, 2, 4))
+    one, two, four = (
+        estimate(0.7, levels, accumulate_samples(5, 300, levels, term, threads=t), 1.0, 300, 5)
+        for t in (1, 2, 4)
+    )
     assert one == two == four
 
 
@@ -597,6 +600,8 @@ def test_stream_contract_golden():
     far below the 1e-12 allowed here."""
     est = mc_estimate(ONES, 0.7, 0.1, num_samples=20_000, seed=2026)
     (op,) = apply_averaged(ONES, triangle_function(), [0.4], 20_000, seed=2026)
+    # two probes of different floors on one pass: the first keeps its bits
+    pair = apply_averaged(ONES, triangle_function(), [0.4, -1.5], 20_000, seed=2026)
     message = "the draw order changed: bump `STREAM_VERSION` and update this value"
     assert STREAM_VERSION == 6, message
     assert est.record[0][:3] == (-1, 20_000, 20), message
@@ -606,3 +611,7 @@ def test_stream_contract_golden():
     assert est.stderr == pytest.approx(0.0035487999464347488, rel=1e-12), message
     assert op.mean == pytest.approx(0.6511932003510991, rel=1e-12), message
     assert op.stderr == pytest.approx(0.001843412758305952, rel=1e-12), message
+    assert pair[0] == op
+    assert (pair[1].levels, pair[1].record[0][:3]) == (range(0, 19), (0, 20_000, 20)), message
+    assert pair[1].mean == pytest.approx(0.15569360489222522, rel=1e-12), message
+    assert pair[1].stderr == pytest.approx(0.0010857848192019194, rel=1e-12), message

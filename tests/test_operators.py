@@ -28,7 +28,7 @@ from haarshift import (
     make_g,
     triangle_function,
 )
-from haarshift.dyadic import accumulate_samples, estimate
+from haarshift.dyadic import accumulate_probes, accumulate_samples, estimate
 from haarshift.operators import _operator_terms
 from haarshift.piecewise import (
     PiecewiseLinear,
@@ -246,6 +246,41 @@ def test_operator_accumulate_thread_invariant(
     assert a == b == c == d
 
 
+# floors 0, -2, 0 and 2 for the indicator, 0, -2, -1 and 1 for the triangle
+PROBES = (-1.0, 0.25, 2.5, 5.0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "f", [indicator_function(), triangle_function()], ids=["indicator", "triangle"]
+)
+def test_apply_probes_together_match_one_at_a_time(hilbert_table, f, threads):
+    """One engine pass serves every probe of a call, and each probe gets
+    the mean, stderr and level records it gets alone."""
+    together = apply_averaged(hilbert_table, f, PROBES, 3000, seed=11, threads=threads)
+    alone = [
+        apply_averaged(hilbert_table, f, [x], 3000, seed=11, threads=threads)[0] for x in PROBES
+    ]
+    assert len({len(est.levels) for est in together}) > 1
+    assert together == alone
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_accumulate_probes_match_one_at_a_time(hilbert_table, threads):
+    """As above on the engine, with chunks of 7 points cutting the 50-point
+    replicates of 1000 floor draws in pieces."""
+    f = triangle_function()
+    probes = [
+        (range(n, 6), _operator_terms(hilbert_table, f, x))
+        for x, n in zip(PROBES, (0, -2, -1, 1))
+    ]
+    together = accumulate_probes(5, 1000, probes, threads=threads, chunk_size=7)
+    alone = [
+        accumulate_samples(5, 1000, lv, term, threads=threads, chunk_size=7) for lv, term in probes
+    ]
+    assert [tally_bits(t) for t in together] == [tally_bits(t) for t in alone]
+
+
 def test_apply_averaged_hilbert_indicator(hilbert_table):
     (est,) = apply_averaged(hilbert_table, indicator_function(), [2.0], 40_000, seed=3)
     want = math.log(2.0)
@@ -283,7 +318,7 @@ def test_apply_averaged_explicit_levels(hilbert_table):
     lv = range(-2, 7)
     sup = hilbert_table.sup_norm()
     term = _operator_terms(hilbert_table, indicator_function(), 2.0)
-    est = estimate(2.0, term, lv, sup, 50, seed=0)
+    est = estimate(2.0, lv, accumulate_samples(0, 50, lv, term), sup, 50, 0)
     assert est.levels == lv
     assert (est.to_dict()["n_min"], est.to_dict()["n_max"]) == (-2, 6)
     assert est.tail_bound == pytest.approx(14.0 * sup * 2.0**-6, rel=1e-12)
