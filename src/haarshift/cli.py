@@ -246,7 +246,8 @@ def build_parser() -> _Parser:
     monte_carlo.add_argument("--seed", type=_seed, default=0)
     monte_carlo.add_argument("--tail-tol", type=_positive_float, default=1e-4)
     monte_carlo.add_argument("--threads", type=_positive_int, default=1,
-                             help="engine threads; outputs are byte-identical at any count")
+                             help="engine worker processes: N > 1 forks N - 1 (no more "
+                             "than the cores); outputs are byte-identical at any N")
 
     p = sub.add_parser("solve", parents=[kernel], help="solve the coefficient recursion")
     p.add_argument("--window", nargs=2, type=float, default=[-14.0, 14.0],

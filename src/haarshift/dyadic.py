@@ -7,7 +7,10 @@ What is estimated here is a sum over levels of a level term, so by
 linearity its average is the sum over levels of the term's averages, and
 each of those is an integral over the unit square of (log2 r, sigma_n).
 The engine (`accumulate_probes`) therefore treats every level on its own
-and never builds a lattice of cells.
+and never builds a lattice of cells.  Its tasks are independent: with
+`threads` N > 1 they run in N worker processes, this one and N - 1 forked
+children, and their sums merge in task order, so every output is
+byte-identical at any N.
 
 Level row l = n - n_min keeps N_l = ceil(M 2^(-l/2)) draws, and never
 fewer than min(M, 2), where M is the `num_samples` of the call (the CLI's
@@ -48,8 +51,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import pickle
+import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
+# unused here; bench/spans.py patches this name (ROADMAP item 1)
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -92,25 +99,25 @@ DEFAULT_CHUNK = 1 << 15
 MIN_DISTANCE = 2.0**-40
 
 
-# workspaces between tasks, no more than the last call's thread count; a
-# workspace holds one task's named scratch arrays, kept because glibc would
-# unmap them freed and they would fault in again on the next task
-_SPARES: list[dict] = []
-# the workspace of the engine task running on each thread
-_TASK = threading.local()
+# the engine's named scratch arrays (see `scratch`), kept between passes
+# because glibc would unmap them freed and they would fault in again; a
+# worker process has its own copy-on-write copy
+_WORKSPACE: dict[str, np.ndarray] = {}
+# one pass at a time uses the workspace, on the thread named by _owner
+_PASS = threading.Lock()
+_owner: int | None = None
 
 
 def scratch(name: str, shape: tuple, dtype=float) -> np.ndarray:
-    """Array `name` of the engine task on this thread, which the next request
-    for `name` reuses, or a new array outside a task; contents undefined."""
-    ws = getattr(_TASK, "ws", None)
-    if ws is None:
+    """Array `name` of the running engine pass, which the next request for
+    `name` reuses, or a new array outside a pass; contents undefined."""
+    if _owner != threading.get_ident():
         return np.empty(shape, dtype)
     size = math.prod(shape)
-    if len(ws.get(name, ())) < size:
+    if len(_WORKSPACE.get(name, ())) < size:
         # a default chunk at once: arrays outgrown in steps leave resident holes
-        ws[name] = np.empty(max(size, DEFAULT_CHUNK), dtype)
-    return ws[name][:size].reshape(shape)
+        _WORKSPACE[name] = np.empty(max(size, DEFAULT_CHUNK), dtype)
+    return _WORKSPACE[name][:size].reshape(shape)
 
 
 class LevelRecord(NamedTuple):
@@ -162,16 +169,36 @@ class Estimate:
         }
 
 
-def _shifts(seed: int, row: int, replicates: int) -> np.ndarray:
-    """Each replicate j's shift (U, U'): the first two uniforms of its Philox
-    counter block, (row << 128) + (j << 70) under the seed key."""
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=row << 128))
-    shifts = np.empty((replicates, 2))
-    for j in range(replicates):
-        shifts[j] = rng.random(2)
-        # two uniforms take one step of the counter: move on to block j + 1
-        rng.bit_generator.advance((1 << 70) - 1)
-    return shifts
+# Philox4x64-10's round multipliers and key increments (Salmon et al., 2011)
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], np.uint64)
+
+
+def _mulhilo(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64-bit words of a * b, on 32-bit halves."""
+    a0, a1, b0, b1 = a & 0xFFFFFFFF, a >> 32, b & 0xFFFFFFFF, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & 0xFFFFFFFF) + (p10 & 0xFFFFFFFF)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), a * b
+
+
+def _shifts(seed: int, replicates: list[int]) -> list[np.ndarray]:
+    """Per level row l, each of its replicates j's shift (U, U'): the first
+    two uniforms that numpy's Philox draws from counter block (l << 128) +
+    (j << 70) under the seed key, for all rows in one vectorized pass."""
+    pairs = [(row, j) for row, count in enumerate(replicates) for j in range(count)]
+    # counter words, low first; the generator steps the counter before a block
+    ctr = np.zeros((4, len(pairs)), np.uint64)
+    ctr[2], ctr[1] = np.array(pairs, np.uint64).reshape(-1, 2).T
+    ctr[0], ctr[1] = 1, ctr[1] << 6
+    key = np.array([[seed & ((1 << 64) - 1)], [seed >> 64]], np.uint64)
+    for _ in range(10):
+        hi, lo = _mulhilo(_PHILOX_M, ctr[::2])
+        ctr = np.stack([hi[1] ^ ctr[1] ^ key[0], lo[1], hi[0] ^ ctr[3] ^ key[1], lo[0]])
+        key += _PHILOX_W
+    # a uniform is the top 53 bits of a word
+    uniforms = (ctr[:2].T >> 11) * 2.0**-53
+    return np.split(uniforms, np.cumsum(replicates)[:-1])
 
 
 def cutoff_for_tolerance(gamma_sup: float, tol: float) -> int:
@@ -266,13 +293,14 @@ def accumulate_samples(
 
     term_fn(n, r, sigma), pure and vectorized over the points, gets at most
     chunk_size points a call: whole replicates of a level, or one
-    replicate's points in consecutive pieces, whose sums add in order.  The
-    calls run through one thread pool; no point depends on chunk_size or
-    the thread count, and no sum on the thread count.  Rounding takes r to
-    2 only with probability below 2^-46 per point.  r and sigma are views of
-    the task's workspace, read-only and valid only during the call, and the
-    term may return one too (see `scratch`); a call keeps at most `threads`
-    workspaces.
+    replicate's points in consecutive pieces, whose sums add in order.  With
+    `threads` N > 1 the calls run in N worker processes, this one and N - 1
+    forked children (no more than the tasks or the cores, and none beside
+    other threads), so a term's side effects in a child are lost; no point
+    depends on chunk_size or N, and no sum on N.  Rounding takes r to 2
+    only with probability below 2^-46 per point.  r and sigma are views of
+    the engine's workspace, read-only and valid only during the call, and
+    the term may return one too (see `scratch`).
     """
     return accumulate_probes(seed, num_samples, [(levels, term_fn)], threads, chunk_size)[0]
 
@@ -289,10 +317,10 @@ def accumulate_probes(
     for the term of every probe with a row l."""
     if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 128):
         raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
-    if isinstance(num_samples, bool) or not (
-        isinstance(num_samples, numbers.Integral) and num_samples >= 1
-    ):
-        raise ValueError(f"num_samples must be a positive integer, got {num_samples!r}")
+    threads = 1 if threads is None else threads
+    for name, value in (("num_samples", num_samples), ("threads", threads)):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     for levels, _ in probes:
         if not levels or levels.step != 1:
             raise ValueError(f"need a nonempty range of consecutive levels, got {levels!r}")
@@ -301,8 +329,8 @@ def accumulate_probes(
     draws = [_level_draws(int(num_samples), row) for row in range(rows)]
     plan = [(min(REPLICATES, d), d // min(REPLICATES, d)) for d in draws]
     live = [[p for p, (levels, _) in enumerate(probes) if row < len(levels)] for row in range(rows)]
-    # drawn before the pool starts, since a generator holds the interpreter lock
-    shifts = [_shifts(seed, row, replicates) for row, (replicates, _) in enumerate(plan)]
+    # drawn before any fork, so that no worker draws them again
+    shifts = _shifts(seed, [replicates for replicates, _ in plan])
     # (row, first replicate, replicates, first point, end point)
     tasks = []
     for row, (replicates, points) in enumerate(plan):
@@ -314,47 +342,106 @@ def accumulate_probes(
 
     def run_chunk(task: tuple[int, int, int, int, int]) -> list[tuple[np.ndarray, int]]:
         row, first, count, start, stop = task
-        try:
-            ws = _TASK.ws = _SPARES.pop()
-        except IndexError:
-            ws = _TASK.ws = {}
-        try:
-            points, n = plan[row][1], stop - start
-            shift = shifts[row][first : first + count]
-            if len(ws.get("ramp", ())) < n:
-                ws["ramp"] = np.arange(max(n, DEFAULT_CHUNK), dtype=float)
-            i = np.add(ws["ramp"][:n], start, out=scratch("lattice", (n,)))
-            offset = np.add(i, 0.5, out=scratch("offset", (n,)))
-            offset /= points
-            # a row per replicate; sums lie in [0, 2), so taking off the floor is exact
-            r = np.add(offset, shift[:, :1], out=scratch("r", (count, n)))
-            r -= np.floor(r, out=scratch("floor", r.shape))
-            np.exp2(r, out=r)
-            lattice = np.multiply(i, _PHI, out=i)
-            lattice -= np.floor(lattice, out=offset)
-            sigma = np.add(lattice, shift[:, 1:], out=scratch("sigma", (count, n)))
-            sigma -= np.floor(sigma, out=scratch("floor", r.shape))
-            r, sigma = r.ravel(), sigma.ravel()
-            # each live probe's term at its own level, lazily: reduced before the next runs
-            terms = (probes[p][1](probes[p][0][row], r, sigma) for p in live[row])
-            return [(t.reshape(count, -1).sum(axis=1), int(np.count_nonzero(t))) for t in terms]
-        finally:
-            _TASK.ws = None
-            _SPARES.append(ws)
+        points, n = plan[row][1], stop - start
+        shift = shifts[row][first : first + count]
+        if len(_WORKSPACE.get("ramp", ())) < n:
+            _WORKSPACE["ramp"] = np.arange(max(n, DEFAULT_CHUNK), dtype=float)
+        i = np.add(_WORKSPACE["ramp"][:n], start, out=scratch("lattice", (n,)))
+        offset = np.add(i, 0.5, out=scratch("offset", (n,)))
+        offset /= points
+        # a row per replicate; sums lie in [0, 2), so taking off the floor is exact
+        r = np.add(offset, shift[:, :1], out=scratch("r", (count, n)))
+        r -= np.floor(r, out=scratch("floor", r.shape))
+        np.exp2(r, out=r)
+        lattice = np.multiply(i, _PHI, out=i)
+        lattice -= np.floor(lattice, out=offset)
+        sigma = np.add(lattice, shift[:, 1:], out=scratch("sigma", (count, n)))
+        sigma -= np.floor(sigma, out=scratch("floor", r.shape))
+        r, sigma = r.ravel(), sigma.ravel()
+        # each live probe's term at its own level, lazily: reduced before the next runs
+        terms = (probes[p][1](probes[p][0][row], r, sigma) for p in live[row])
+        return [(t.reshape(count, -1).sum(axis=1), int(np.count_nonzero(t))) for t in terms]
 
-    if threads is not None and threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run_chunk, tasks))
-    else:
-        partials = [run_chunk(task) for task in tasks]
-    del _SPARES[max(1, threads or 1) :]
+    # each worker's share of the tasks, balanced by points times live probes
+    costs = [count * (stop - start) * len(live[row]) for row, _, count, start, stop in tasks]
+    # no fork without os.fork, nor beside other threads, whose locks a child inherits held
+    safe = hasattr(os, "fork") and threading.active_count() == 1
+    shares = _split(costs, max(1, min(threads, len(tasks), os.cpu_count() or 1)) if safe else 1)
+    global _owner
+    with _PASS:
+        _owner = threading.get_ident()
+        try:
+            done = _in_workers(lambda share: [run_chunk(tasks[t]) for t in share], shares)
+        finally:
+            _owner = None
+    partials = {t: partial for share, got in zip(shares, done) for t, partial in zip(share, got)}
     sums = [[np.zeros(replicates) for replicates, _ in plan[: len(levels)]] for levels, _ in probes]
     hits = [[0] * len(levels) for levels, _ in probes]
-    for (row, first, count, _, _), partial in zip(tasks, partials):
-        for p, (chunk_sums, chunk_hits) in zip(live[row], partial):
+    for t, (row, first, count, _, _) in enumerate(tasks):
+        for p, (chunk_sums, chunk_hits) in zip(live[row], partials[t]):
             sums[p][row][first : first + count] += chunk_sums
             hits[p][row] += chunk_hits
     return [list(map(Tally, (points for _, points in plan), s, h)) for s, h in zip(sums, hits)]
+
+
+def _split(costs: list[int], workers: int) -> list[list[int]]:
+    """Task indices in `workers` shares, each in task order: costliest task
+    first, each to the share with the least cost so far (ties to the first)."""
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for t in sorted(range(len(costs)), key=lambda t: -costs[t]):
+        least = loads.index(min(loads))
+        shares[least].append(t)
+        loads[least] += costs[t]
+    return [sorted(share) for share in shares]
+
+
+def _in_workers(work: Callable[[list[int]], list], shares: list[list[int]]) -> list[list]:
+    """[work(share) for share in shares], share 0 here and each other in a
+    forked child that pickles back its result or exception (raised here), or
+    here if the fork fails.  Every child is reaped before this returns."""
+    results, children = [None] * len(shares), []
+    try:
+        for s in range(1, len(shares)):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                results[s] = work(shares[s])
+                continue
+            if pid == 0:  # the child ends here, whatever happens
+                try:
+                    try:
+                        reply = work(shares[s])
+                    except BaseException as exc:
+                        reply = exc
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((s, pid, os.fdopen(read, "rb")))
+        results[0] = work(shares[0])
+        payloads = [pipe.read() for _, _, pipe in children]
+    except BaseException:
+        for _, pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = []
+        for _, pid, pipe in children:
+            pipe.close()
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (s, pid, _), code, payload in zip(children, codes, payloads):
+        if code:
+            how = f"died on signal {-code}" if code < 0 else f"exited with status {code}"
+            raise RuntimeError(f"engine worker {pid} {how} before sending its tallies")
+        results[s] = pickle.loads(payload)
+        if isinstance(results[s], BaseException):
+            raise results[s]
+    return results
 
 
 def estimate(

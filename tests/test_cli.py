@@ -288,22 +288,25 @@ def test_apply_out_that_is_its_own_sidecar_is_usage_error(hilbert_base, tmp_path
 
 @pytest.mark.parametrize("command", ["mc", "apply"])
 def test_outputs_do_not_depend_on_threads(hilbert_base, tmp_path, command):
-    """Fixed-seed outputs are byte-identical at 1 and 2 threads, but for the
-    recorded flag; 2^17 + 1000 floor draws make two chunks at the floor."""
+    """Fixed-seed outputs are byte-identical at 1, 2 and 4 workers, but for
+    the recorded flag, and no worker process outlives the call; 2^17 + 1000
+    floor draws make two chunks at the floor."""
     texts = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "4"):
         out = tmp_path / f"{command}{threads}.csv"
         argv = [command, "--table", hilbert_base, "--samples", str(2**17 + 1000),
                 "--seed", "9", "--threads", threads, "--out", str(out)]
         argv += ["--x", "0.9", "--y", "0.1"] if command == "mc" else ["--kernel", "hilbert",
                                                                       "--x", "2.0,-1.0"]
         assert cli.main(argv) == 0
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
         sidecar = out if command == "mc" else out.with_suffix(".json")
         meta = json.loads(sidecar.read_text())
         assert meta["flags"].pop("threads") == int(threads)
         meta["flags"].pop("out")
         texts.append((json.dumps(meta), out.read_text() if command == "apply" else ""))
-    assert texts[0] == texts[1]
+    assert texts[0] == texts[1] == texts[2]
 
 
 def test_apply_requires_probes(hilbert_base):

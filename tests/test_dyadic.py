@@ -1,4 +1,7 @@
 import math
+import os
+import signal
+import threading
 import time
 
 import numpy as np
@@ -134,19 +137,17 @@ def test_sample_grid_deterministic():
     assert c.r != a.r or not np.array_equal(c.bits, a.bits)
 
 
-def _recorded_draws(seed, num_samples, levels, chunk_size=DEFAULT_CHUNK, term=None, threads=None):
-    """Run the engine with a term that records the (n, r, sigma) it is
-    handed, in call order; returns the tallies and, per level, its r and
-    sigma in call order (replicate by replicate on one thread)."""
+def _recorded_draws(seed, num_samples, levels, chunk_size=DEFAULT_CHUNK, term=None):
+    """Run the engine at one worker with a term that records the (n, r,
+    sigma) it is handed, in call order; returns the tallies and, per level,
+    its r and sigma in call order (replicate by replicate)."""
     calls = []
 
     def recording(n, r, sigma):
         calls.append((n, r.copy(), sigma.copy()))
         return np.zeros_like(r) if term is None else term(n, r, sigma)
 
-    tallies = accumulate_samples(
-        seed, num_samples, levels, recording, threads=threads, chunk_size=chunk_size
-    )
+    tallies = accumulate_samples(seed, num_samples, levels, recording, chunk_size=chunk_size)
     draws = {
         n: tuple(np.concatenate([c[i] for c in calls if c[0] == n]) for i in (1, 2)) for n in levels
     }
@@ -339,24 +340,158 @@ def _sorted_points(draws):
     return points
 
 
-def test_points_do_not_depend_on_chunks_or_threads():
-    """Chunks of 1, 7 and 2^15 points, on 1, 2 and 4 threads, hand the term
-    the same (r, sigma) at every level (300 floor draws make replicates of
-    15 points, so chunks of 7 cut them in pieces), and the Estimates agree
-    bit for bit at every thread count."""
+def test_points_do_not_depend_on_chunks_or_threads(monkeypatch):
+    """Chunks of 1, 7 and 2^15 points hand the term the same (r, sigma) at
+    every level (300 floor draws make replicates of 15 points, so chunks of
+    7 cut them in pieces), and the tallies and Estimates agree bit for bit
+    at 1, 2 and 4 workers.  The points are recorded at 1 worker: a term's
+    calls in a forked worker are lost to this process."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     term = kernel_sum_terms(ONES, 0.7, 0.1)
     levels = range(-2, 6)
     seen = [
-        _sorted_points(_recorded_draws(5, 300, levels, chunk_size, term, threads)[1])
+        _sorted_points(_recorded_draws(5, 300, levels, chunk_size, term)[1])
         for chunk_size in (1, 7, 1 << 15)
-        for threads in (1, 2, 4)
     ]
     assert all(points == seen[0] for points in seen[1:])
+    for chunk_size in (1, 7, 1 << 15):
+        one, two, four = (
+            tally_bits(accumulate_samples(5, 300, levels, term, threads=t, chunk_size=chunk_size))
+            for t in (1, 2, 4)
+        )
+        assert one == two == four
     one, two, four = (
         estimate(0.7, levels, accumulate_samples(5, 300, levels, term, threads=t), 1.0, 300, 5)
         for t in (1, 2, 4)
     )
     assert one == two == four
+
+
+def _generator_shifts(seed, row, replicates):
+    """Row `row`'s shifts as numpy's own Philox generator draws them: two
+    uniforms from each replicate j's counter block (row << 128) + (j << 70)."""
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=row << 128))
+    shifts = np.empty((replicates, 2))
+    for j in range(replicates):
+        shifts[j] = rng.random(2)
+        # two uniforms take one step of the counter: move on to block j + 1
+        rng.bit_generator.advance((1 << 70) - 1)
+    return shifts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 + 5, 2**128 - 1])
+def test_shifts_match_numpy_philox(seed):
+    """The engine's vectorized Philox4x64-10 gives numpy's bits at rows 0 to
+    40, for 20 replicates down to 1 and at both ends of the key range."""
+    replicates = [max(1, 20 - row // 2) for row in range(41)]
+    got = dyadic._shifts(seed, replicates)
+    assert len(got) == 41
+    for row, count in enumerate(replicates):
+        assert np.array_equal(got[row], _generator_shifts(seed, row, count)), row
+
+
+def _forks(monkeypatch, cpus):
+    """Count the engine's forks with `cpus` cores; each fork fails, so its
+    share runs in the caller and no process starts."""
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError("no fork in this test")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return forks
+
+
+def test_workers_are_capped_by_tasks_and_cores(monkeypatch):
+    """`threads` asks for workers, but a pass forks no more than its tasks
+    and its cores allow, one worker being the caller; a fork that raises
+    OSError runs its share in the caller, with the same bits."""
+    calls = []
+    term = kernel_sum_terms(ONES, 0.7, 0.1)
+
+    def counting(n, r, sigma):
+        calls.append(n)
+        return term(n, r, sigma)
+
+    want = tally_bits(accumulate_samples(5, 300, range(0, 6), counting, chunk_size=7))
+    tasks = len(calls)
+    assert tasks > 10
+    for cpus, forked in ((10**6, tasks - 1), (3, 2), (None, 0)):
+        forks = _forks(monkeypatch, cpus)
+        got = accumulate_samples(5, 300, range(0, 6), term, threads=100_000, chunk_size=7)
+        assert (len(forks), tally_bits(got)) == (forked, want)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_fork_without_fork_or_beside_threads(monkeypatch):
+    """A pass runs in the caller alone where os.fork is missing, or while
+    another thread runs, whose locks a child would inherit held."""
+    term = kernel_sum_terms(ONES, 0.7, 0.1)
+    want = tally_bits(accumulate_samples(5, 300, range(0, 6), term, chunk_size=7))
+    forks = _forks(monkeypatch, 4)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        got = accumulate_samples(5, 300, range(0, 6), term, threads=4, chunk_size=7)
+    finally:
+        release.set()
+        other.join()
+    assert (forks, tally_bits(got)) == ([], want)
+    monkeypatch.delattr(os, "fork")
+    got = accumulate_samples(5, 300, range(0, 6), term, threads=4, chunk_size=7)
+    assert tally_bits(got) == want
+
+
+@pytest.mark.parametrize("threads", [0, -1, True, 1.5, "2"])
+def test_accumulate_rejects_threads_that_are_not_positive_integers(threads):
+    with pytest.raises(ValueError, match="threads must be a positive integer"):
+        accumulate_samples(0, 10, range(0, 2), lambda n, r, sigma: r, threads=threads)
+
+
+def _in_worker(action):
+    """A level term that runs `action` when called in a forked worker, and
+    is the kernel sum's term in the caller."""
+    caller = os.getpid()
+    term = kernel_sum_terms(ONES, 0.7, 0.1)
+
+    def term_fn(n, r, sigma):
+        if os.getpid() != caller:
+            action()
+        return term(n, r, sigma)
+
+    return term_fn
+
+
+def _raise():
+    raise ValueError("the level term failed in a worker")
+
+
+@pytest.mark.parametrize(
+    "action, error, message",
+    [
+        (_raise, ValueError, "the level term failed in a worker"),
+        (lambda: os._exit(3), RuntimeError, "exited with status 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), RuntimeError, "died on signal 9"),
+    ],
+    ids=["raises", "exits-nonzero", "killed"],
+)
+def test_worker_failures_surface_and_leave_no_child(monkeypatch, action, error, message):
+    """A worker's exception is raised in the caller with its message; a
+    worker that exits nonzero or dies on a signal raises RuntimeError naming
+    its status; no tallies come back, and no child is left, on failure or
+    on success."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(error, match=message):
+        accumulate_samples(5, 3000, range(0, 4), _in_worker(action), threads=2, chunk_size=512)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    accumulate_samples(5, 3000, range(0, 4), _in_worker(lambda: None), threads=2, chunk_size=512)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # 41 floor draws make 20 replicates of 2 points, then 20 of 1, down to 2
@@ -522,10 +657,11 @@ def test_level_term_matches_reference_bit_for_bit(route, table_name, num_samples
         )
 
 
-def test_workspaces_are_private_to_their_task():
-    """At 4 threads, a term that sleeps (releasing the interpreter lock)
-    while it holds the engine's r and sigma finds them unchanged when it
-    wakes: no other task writes to its workspace."""
+def test_workspaces_are_private_to_their_task(monkeypatch):
+    """At 4 workers, a term that sleeps while it holds the engine's r and
+    sigma finds them unchanged when it wakes: no other task writes to its
+    workspace."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
     def sleepy(n, r, sigma):
         before = r.copy(), sigma.copy()
@@ -540,36 +676,26 @@ def test_workspaces_are_private_to_their_task():
 
 
 def test_engine_reuses_its_workspaces(monkeypatch):
-    """A repeat call makes no workspace, at 1 thread and at 2; a call keeps
-    no more spares than its thread count; a term called outside the engine
-    leaves the spares alone and returns an array of its own."""
-    # every workspace a task has run in, held so that no id is reused
-    made = {}
-    monkeypatch.setattr(dyadic, "_SPARES", [])
+    """A repeat call, at 1 worker or at 2, allocates no workspace array;
+    a term called outside the engine leaves the workspace alone and
+    returns an array of its own."""
+    monkeypatch.setattr(dyadic, "_WORKSPACE", {})
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     term = kernel_sum_terms(ONES, 0.7, 0.1)
 
-    def sleepy(n, r, sigma):
-        made.setdefault(id(dyadic._TASK.ws), dyadic._TASK.ws)
-        # so that both pool threads hold a task at once
-        time.sleep(1e-3)
-        return term(n, r, sigma)
+    def arrays():
+        return {name: id(array) for name, array in dyadic._WORKSPACE.items()}
 
-    def run(threads):
-        accumulate_samples(5, 3000, range(0, 4), sleepy, threads=threads, chunk_size=512)
-        return len(made)
-
-    for threads in (1, 2):
-        first = run(threads)
-        assert run(threads) == first
-    assert len(made) == 2
-    run(4)
-    run(1)
-    assert len(dyadic._SPARES) == 1
-    spares = [id(ws) for ws in dyadic._SPARES]
+    accumulate_samples(5, 3000, range(0, 4), term, chunk_size=512)
+    first = arrays()
+    assert {"ramp", "r", "sigma", "length", "vals", "pairing"} <= first.keys()
+    for threads in (1, 2, 1):
+        accumulate_samples(5, 3000, range(0, 4), term, threads=threads, chunk_size=512)
+        assert arrays() == first
     r, sigma = np.full(5, 1.5), np.linspace(0.0, 0.9, 5)
     a, b = term(0, r, sigma), term(0, r, sigma)
     assert not np.shares_memory(a, b) and np.array_equal(a, b)
-    assert [id(ws) for ws in dyadic._SPARES] == spares
+    assert arrays() == first
 
 
 # 8192 floor draws make 20 replicates of 409 points at the floor, 600 make
