@@ -43,12 +43,15 @@ Philox counter block, keyed by (seed, l, j); point i of that replicate has
 log2 r = ((i + 1/2) / n_l + U) mod 1 and sigma = ((i phi mod 1) + U') mod 1.
 Neither key holds the probe, so the probes of one call share each row's
 shifts and lattice, and `accumulate_probes` draws them once for all of
-them; that leaves the draws as they were, and `STREAM_VERSION` stays 6.
-README lists the earlier streams.
+them.  Stream 7 draws the same points, and hands each term log2 r beside
+r = exp2(log2 r): the Haar shift's term reads gamma at that lattice
+coordinate (`shift_terms`), which moves gamma's argument in its last bits
+on a table that is not constant.  README lists the earlier streams.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 import os
@@ -82,7 +85,7 @@ _H_VALUES = np.array(make_h().values)
 _G_PADDED = np.concatenate([[0.0], make_g().values, [0.0]])
 
 # version of the draw order; bump it whenever the same seed draws differently
-STREAM_VERSION = 6
+STREAM_VERSION = 7
 
 # shifted replicates per level, whose spread gives the stderr R - 1 degrees of freedom:
 # at 2^18 draws the stderr's quartiles over seeds lay 10% apart with 20, 20% with 16
@@ -90,6 +93,8 @@ REPLICATES = 20
 
 # the golden-ratio conjugate, the Kronecker lattice's step in sigma
 _PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+_LN2 = math.log(2.0)
 
 # lattice points per term_fn call, large enough to amortise a call; a task's
 # temporaries are chunk-sized arrays that its workspace keeps (see `scratch`)
@@ -282,7 +287,7 @@ def accumulate_samples(
     seed: int,
     num_samples: int,
     levels: range,
-    term_fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
+    term_fn: Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     threads: int | None = None,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> list[Tally]:
@@ -291,30 +296,42 @@ def accumulate_samples(
     lattices (stream `STREAM_VERSION`, described in the module docstring):
     the one-probe case of `accumulate_probes`.
 
-    term_fn(n, r, sigma), pure and vectorized over the points, gets at most
-    chunk_size points a call: whole replicates of a level, or one
-    replicate's points in consecutive pieces, whose sums add in order.  With
+    term_fn(n, r, sigma, log2r), pure and vectorized over the points, gets
+    the lattice coordinate log2r in [0, 1) with r = exp2(log2r) bit for
+    bit, and at most chunk_size points a call: whole replicates of a level,
+    or one replicate's points in consecutive pieces, whose sums add in
+    order.  A term_fn that cannot take four arguments is called as
+    term_fn(n, r, sigma): `bench/spans.py` wraps terms so (ROADMAP item 1).  With
     `threads` N > 1 the calls run in N worker processes, this one and N - 1
     forked children (no more than the tasks or the cores, and none beside
     other threads), so a term's side effects in a child are lost; no point
     depends on chunk_size or N, and no sum on N.  Rounding takes r to 2
-    only with probability below 2^-46 per point.  r and sigma are views of
-    the engine's workspace, read-only and valid only during the call, and
-    the term may return one too (see `scratch`).
+    only with probability below 2^-46 per point.  r, sigma and log2r are
+    views of the engine's workspace, read-only and valid only during the
+    call, and the term may return one too (see `scratch`).
     """
+    try:
+        inspect.signature(term_fn).bind(0, None, None, None)
+    except TypeError:
+        plain = term_fn
+
+        def term_fn(n, r, sigma, log2r):
+            return plain(n, r, sigma)
+
     return accumulate_probes(seed, num_samples, [(levels, term_fn)], threads, chunk_size)[0]
 
 
 def accumulate_probes(
     seed: int,
     num_samples: int,
-    probes: Sequence[tuple[range, Callable[[int, np.ndarray, np.ndarray], np.ndarray]]],
+    probes: Sequence[tuple[range, Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]]],
     threads: int | None = None,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> list[list[Tally]]:
-    """`accumulate_samples` for each (levels, term_fn) of ``probes``, with the
-    bits it gives alone, in one pass: each task draws row l's points once,
-    for the term of every probe with a row l."""
+    """`accumulate_samples` for each (levels, term_fn) of ``probes``, every
+    term_fn taking (n, r, sigma, log2r), with the bits it gives alone, in
+    one pass: each task draws row l's points once, for the term of every
+    probe with a row l."""
     if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 128):
         raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
     threads = 1 if threads is None else threads
@@ -350,16 +367,16 @@ def accumulate_probes(
         offset = np.add(i, 0.5, out=scratch("offset", (n,)))
         offset /= points
         # a row per replicate; sums lie in [0, 2), so taking off the floor is exact
-        r = np.add(offset, shift[:, :1], out=scratch("r", (count, n)))
-        r -= np.floor(r, out=scratch("floor", r.shape))
-        np.exp2(r, out=r)
+        log2r = np.add(offset, shift[:, :1], out=scratch("log2r", (count, n)))
+        log2r -= np.floor(log2r, out=scratch("floor", log2r.shape))
+        r = np.exp2(log2r, out=scratch("r", log2r.shape))
         lattice = np.multiply(i, _PHI, out=i)
         lattice -= np.floor(lattice, out=offset)
         sigma = np.add(lattice, shift[:, 1:], out=scratch("sigma", (count, n)))
         sigma -= np.floor(sigma, out=scratch("floor", r.shape))
-        r, sigma = r.ravel(), sigma.ravel()
+        r, sigma, log2r = r.ravel(), sigma.ravel(), log2r.ravel()
         # each live probe's term at its own level, lazily: reduced before the next runs
-        terms = (probes[p][1](probes[p][0][row], r, sigma) for p in live[row])
+        terms = (probes[p][1](probes[p][0][row], r, sigma, log2r) for p in live[row])
         return [(t.reshape(count, -1).sum(axis=1), int(np.count_nonzero(t))) for t in terms]
 
     # each worker's share of the tasks, balanced by points times live probes
@@ -477,16 +494,34 @@ def shift_terms(table, x: float, pairing: Callable) -> Callable:
 
     Returned callable matches the `accumulate_samples` contract and computes
     gamma(|I|) h_I(x) <g_I, f> for the cell I = [(k + sigma) L, (k + sigma
-    + 1) L) containing x, gamma(L) = c(ln L) read from the table.
+    + 1) L) containing x, gamma(L) = c(ln L) read from the table at
+    ln L = (n + log2r) ln 2, whose grid coordinate is t = log2r (ln 2 /
+    step) + (n ln 2 - u_min) / step, so no point takes a log; called
+    without log2r, the term takes log2(r).
     ``pairing(k, sigma, L)`` returns sqrt(L) <g_I, f>.
     """
+    scale, last = _LN2 / table.step, len(table.samples) - 1
 
-    def term(n: int, r: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    def term(n: int, r: np.ndarray, sigma: np.ndarray, log2r=None) -> np.ndarray:
         length = np.multiply(r, 2.0**n, out=scratch("length", r.shape))
-        # log(length), then the cell coordinate of x
-        px = np.log(length, out=scratch("px", r.shape))
-        vals = table.c_at(px, out=scratch("vals", r.shape))
-        np.divide(x, length, out=px)
+        if log2r is None:
+            log2r = np.log2(r, out=scratch("log2r.term", r.shape))
+        start = (n * _LN2 - table.u_min) / table.step
+        vals = np.multiply(log2r, scale, out=scratch("vals", r.shape))
+        vals += start
+        # log2r in [0, 1) keeps t in [start, start + scale]: only a level
+        # whose range leaves [0, last] reads a tail
+        tails = not (0.0 <= start and start + scale <= last)
+        if tails:
+            left = np.less(vals, 0.0, out=scratch("left", r.shape, bool))
+            right = np.greater(vals, last, out=scratch("right", r.shape, bool))
+            np.clip(vals, 0.0, last, out=vals)
+        table._lerp(vals)
+        if tails:
+            np.putmask(vals, left, table.tail_left)
+            np.putmask(vals, right, table.tail_right)
+        # the cell coordinate of x
+        px = np.divide(x, length, out=scratch("px", r.shape))
         px -= sigma
         k = np.floor(px, out=scratch("k", r.shape))
         # 4 (px - k) is exact and lies in [0, 4): truncation is h's quarter

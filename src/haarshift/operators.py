@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dyadic
 from .kernels import KernelSpec, kernel_value
-from .piecewise import PiecewiseLinear, StepFunction
+from .piecewise import PiecewiseLinear, StepFunction, gauss_legendre
 from .solver import CoefficientTable
 
 __all__ = [
@@ -106,14 +106,17 @@ class TestFunction:
         t = np.asarray(t, dtype=float)
         total = np.empty(t.shape) if out is None else out
         for j, (k, h, v, half_slope) in enumerate(self._segments):
-            d = np.subtract(t, k, out=dyadic.scratch("F.d", t.shape))
-            np.clip(d, 0.0, h, out=d)
-            # a zero slope takes v d, the bits of (d 0 + v) d as v is never -0.0
-            out_j = dyadic.scratch("F.term", t.shape) if j else total
-            term = np.multiply(d, half_slope or v, out=out_j)
+            term = dyadic.scratch("F.term", t.shape) if j else total
+            d = dyadic.scratch("F.d", t.shape) if half_slope else term
+            # t - 0 and d 1 are exact and skipped: the indicator's F is one clip
+            np.clip(np.subtract(t, k, out=d) if k else t, 0.0, h, out=d)
             if half_slope:
+                np.multiply(d, half_slope, out=term)
                 term += v
                 term *= d
+            elif v != 1.0:
+                # a zero slope takes v d, the bits of (d 0 + v) d as v is never -0.0
+                term *= v
             if j:
                 total += term
         return float(total) if out is None and not t.ndim else total
@@ -191,9 +194,6 @@ def apply_averaged(
     ]
 
 
-_PV_GL_NODES, _PV_GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
 def direct_pv(spec: KernelSpec, f: TestFunction, x: float) -> float:
     """The principal value at x, as the integral over s > 0 above.
 
@@ -228,6 +228,7 @@ def direct_pv(spec: KernelSpec, f: TestFunction, x: float) -> float:
         d *= 2.0
     cuts = np.array(sorted(edges))
     half = 0.5 * np.diff(cuts)
-    s = (cuts[:-1] + half)[:, None] + half[:, None] * _PV_GL_NODES
+    nodes, weights = gauss_legendre(10)
+    s = (cuts[:-1] + half)[:, None] + half[:, None] * nodes
     vals = kernel_value(spec, s) * (f(x - s) - f(x + s))
-    return math.fsum((half * (vals @ _PV_GL_WEIGHTS)).tolist())
+    return math.fsum((half * (vals @ weights)).tolist())

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -189,10 +189,22 @@ def convolve_steps(f: StepFunction, k: StepFunction) -> PiecewiseLinear:
     return PiecewiseLinear(knots, values)
 
 
+@cache
 def kernel_profile() -> PiecewiseLinear:
     """The odd piecewise-linear profile: convolution of the two generators
-    (the second reflected)."""
+    (the second reflected), built once."""
     return convolve_steps(make_h(), reflect(make_g()))
+
+
+@cache
+def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `nodes`-point Gauss-Legendre nodes and weights on [-1, 1], made on
+    first use (numpy.polynomial takes milliseconds to import), read-only as
+    every caller shares them."""
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
 
 
 def second_derivative_atoms(

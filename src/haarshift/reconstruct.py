@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dyadic
 from .kernels import KernelSpec
-from .piecewise import kernel_profile
+from .piecewise import gauss_legendre, kernel_profile
 from .solver import CoefficientTable
 
 __all__ = [
@@ -35,9 +35,6 @@ __all__ = [
     "mc_estimate",
     "compare_report",
 ]
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
 
 # pending panels past which reconstruct_at revises its scale; solved tables
 # of the built-in kernels keep a few hundred at most
@@ -53,9 +50,10 @@ def _panels(table: CoefficientTable, log_x: np.ndarray, a: np.ndarray, b: np.nda
     at log probes log_x, with one table lookup for all the panels."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    s = mid[:, None] + half[:, None] * _GL_NODES
+    nodes, weights = gauss_legendre(8)
+    s = mid[:, None] + half[:, None] * nodes
     vals = table.c_at(log_x[:, None] - np.log(s)) * _PROFILE(s)
-    return half * (vals @ _GL_WEIGHTS)
+    return half * (vals @ weights)
 
 
 def reconstruct_at(table: CoefficientTable, x, rtol: float = 1e-8):

@@ -193,6 +193,17 @@ class CoefficientTable:
             float(np.max(np.abs(self.samples))), abs(self.tail_left), abs(self.tail_right)
         )
 
+    def _lerp(self, t: np.ndarray, finite: bool = True) -> np.ndarray:
+        """s[j] + (t - j) (s[j+1] - s[j]) with j = t truncated, written over
+        t and returned, at grid coordinates t = (u - u_min) / step in
+        [0, n - 1]; unless `finite`, a NaN reads index 0 and stays NaN."""
+        j, gathered = scratch("c_at.j", t.shape, np.intp), scratch("c_at.gathered", t.shape)
+        np.copyto(j, t if finite else np.fmax(t, 0.0, out=gathered), casting="unsafe")
+        t -= j
+        t *= np.take(self._rises, j, out=gathered, mode="clip")
+        t += np.take(self.samples, j, out=gathered, mode="clip")
+        return t
+
     def c_at(self, u, out=None):
         """c(u) by linear interpolation, constant tails outside the window.
 
@@ -226,12 +237,7 @@ class CoefficientTable:
         t = np.subtract(u, self.u_min, out=np.empty(u.shape) if out is None else out)
         t /= self.step
         np.clip(t, 0.0, len(self.samples) - 1, out=t)
-        j, gathered = scratch("c_at.j", u.shape, np.intp), scratch("c_at.gathered", u.shape)
-        # fmax sends a NaN to index 0; t - j keeps the NaN
-        np.copyto(j, t if inside else np.fmax(t, 0.0, out=gathered), casting="unsafe")
-        t -= j
-        t *= np.take(self._rises, j, out=gathered, mode="clip")
-        t += np.take(self.samples, j, out=gathered, mode="clip")
+        self._lerp(t, finite=inside)
         if not inside:
             np.putmask(t, u < grid[0], self.tail_left)
             np.putmask(t, u > grid[-1], self.tail_right)
@@ -377,11 +383,19 @@ def residual(table: CoefficientTable, spec: KernelSpec) -> float:
     return float(np.max(np.abs(m_vals - lhs)))
 
 
+def _unit_wave(x) -> np.ndarray:
+    """e^(i x) as cos x and sin x written into its parts: np.exp's bits, faster."""
+    out = np.empty(np.shape(x), complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
 def a_of_omega(omega):
     """The trigonometric symbol of the recursion at frequency omega."""
     w = np.asarray(omega, dtype=float)
     # e^(i omega 0) = 1: the zero shift adds its weight, with no exp
-    out = _weighted_sum(RECURSION, lambda shift: np.exp(1j * (w * shift)) if shift else 1.0)
+    out = _weighted_sum(RECURSION, lambda shift: _unit_wave(w * shift) if shift else 1.0)
     return out if out.ndim else complex(out)
 
 
@@ -428,6 +442,11 @@ def _sidecar_fields():
     return [f for f in fields(CoefficientTable) if f.name != "samples"]
 
 
+def _table_paths(base_path: str | Path) -> tuple[Path, Path]:
+    """`<base>.csv` and `<base>.json`, appended: a dotted base keeps its last part."""
+    return Path(f"{base_path}.csv"), Path(f"{base_path}.json")
+
+
 def write_table(table: CoefficientTable, base_path: str | Path, extra: dict | None = None) -> tuple[Path, Path]:
     """Write `<base>.csv` (columns u, c) and `<base>.json` (metadata).
 
@@ -438,8 +457,7 @@ def write_table(table: CoefficientTable, base_path: str | Path, extra: dict | No
     clash = sorted({f.name for f in _sidecar_fields()} & set(extra or ()))
     if clash:
         raise ValueError(f"extra sidecar keys {clash} would overwrite table fields")
-    base = Path(base_path)
-    csv_path, json_path = base.with_suffix(".csv"), base.with_suffix(".json")
+    csv_path, json_path = _table_paths(base_path)
     with open(csv_path, "w", newline="") as fh:
         write_csv(fh, ("u", "c"), table.grid, table.samples)
     meta = {f.name: getattr(table, f.name) for f in _sidecar_fields()}
@@ -456,8 +474,7 @@ def read_table(base_path: str | Path) -> CoefficientTable:
     field a str.  A field with a default may be missing.  A missing or
     wrongly typed field raises `ValueError` naming it.
     """
-    base = Path(base_path)
-    json_path = base.with_suffix(".json")
+    csv_path, json_path = _table_paths(base_path)
     with open(json_path) as fh:
         meta = json.load(fh)
     if not isinstance(meta, dict):
@@ -481,9 +498,10 @@ def read_table(base_path: str | Path) -> CoefficientTable:
                 f"table sidecar {json_path} field {f.name!r} must be of type {kind.__name__}, "
                 f"got {value!r}"
             ) from None
-    with open(base.with_suffix(".csv")) as fh:
+    with open(csv_path) as fh:
         header = fh.readline().rstrip("\r\n").split(",")
-        if header[:2] != ["u", "c"]:
-            raise ValueError(f"unexpected table header {header!r}")
-        samples = np.loadtxt(fh, delimiter=",", usecols=1, ndmin=1)
+    if header[:2] != ["u", "c"]:
+        raise ValueError(f"unexpected table header {header!r}")
+    # from the path, which loadtxt reads faster than an open handle
+    samples = np.loadtxt(csv_path, delimiter=",", usecols=1, ndmin=1, skiprows=1)
     return CoefficientTable(samples=samples, **values)

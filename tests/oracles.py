@@ -388,10 +388,9 @@ def level_lattice(draws: int) -> tuple[int, int]:
     return replicates, draws // replicates
 
 
-def sample_level(seed: int, n: int, row: int, num_samples: int) -> list[list[GridSample]]:
-    """Every point of level row `row` (level n) of a `num_samples`-draw call
-    in stream 6, replicate by replicate, each as a grid whose level-n
-    lattice is {r 2^n (sigma + k)}.
+def level_points(seed: int, row: int, num_samples: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(log2 r, sigma) of every point of level row `row` of a
+    `num_samples`-draw call since stream 6, replicate by replicate.
 
     Replicate j takes its shift (U, U') from the first two uniforms of the
     Philox counter block at (row << 128) + (j << 70) under the seed key.
@@ -404,24 +403,31 @@ def sample_level(seed: int, n: int, row: int, num_samples: int) -> list[list[Gri
     for j in range(replicates):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=(row << 128) + (j << 70)))
         u, v = rng.random(2).tolist()
-        rs = np.exp2([((i + 0.5) / points + u) % 1.0 for i in range(points)]).tolist()
+        log2rs = [((i + 0.5) / points + u) % 1.0 for i in range(points)]
         sigmas = [((i * phi) % 1.0 + v) % 1.0 for i in range(points)]
-        out.append(
-            [
-                GridSample(r=r, sigma=sigma, bits=np.zeros(1), i_min=n, n_max=n + 1, seed=seed)
-                for r, sigma in zip(rs, sigmas)
-            ]
-        )
+        out.append((np.array(log2rs), np.array(sigmas)))
     return out
 
 
-def replicate_sums(term, n: int, replicates: list[list[GridSample]], chunk_size: int):
-    """(sums, hits) of `term` over each replicate's points as stream 6 adds
-    them: np.sum over consecutive pieces of at most chunk_size points, the
-    pieces added in order."""
+def sample_level(seed: int, n: int, row: int, num_samples: int) -> list[list[GridSample]]:
+    """The points of `level_points`, each as a grid whose level-n lattice
+    is {r 2^n (sigma + k)}, r = 2^(log2 r)."""
+    return [
+        [
+            GridSample(r=r, sigma=sigma, bits=np.zeros(1), i_min=n, n_max=n + 1, seed=seed)
+            for r, sigma in zip(np.exp2(log2rs).tolist(), sigmas.tolist())
+        ]
+        for log2rs, sigmas in level_points(seed, row, num_samples)
+    ]
+
+
+def replicate_sums(term, n: int, replicates: list[tuple[np.ndarray, np.ndarray]], chunk_size: int):
+    """(sums, hits) of `term` over each replicate's (log2 r, sigma) points
+    as stream 6 adds them: np.sum over consecutive pieces of at most
+    chunk_size points, the pieces added in order."""
     sums, hits = [], 0
-    for grids in replicates:
-        values = term(n, np.array([s.r for s in grids]), np.array([s.sigma for s in grids]))
+    for log2rs, sigmas in replicates:
+        values = term(n, np.exp2(log2rs), sigmas, log2rs)
         hits += int(np.count_nonzero(values))
         pieces = range(0, len(values), chunk_size)
         sums.append(sum(float(np.sum(values[k : k + chunk_size])) for k in pieces))
@@ -546,30 +552,27 @@ def _quarter_index(t: np.ndarray) -> np.ndarray:
     return np.minimum((t * 4.0).astype(np.int64), 3)
 
 
-def reference_c_at(table, u: np.ndarray) -> np.ndarray:
-    """c(u): t = (u - u_min) / step clipped to [0, n - 1], j = floor(t),
-    s[j] + (t - j) (s[j+1] - s[j]), then the tails by comparing u with the
-    first and last grid nodes."""
-    s = table.samples
-    u = np.asarray(u, dtype=float)
-    t = np.minimum(np.maximum((u - table.u_min) / table.step, 0.0), len(s) - 1)
-    left = np.floor(t)
-    j = np.fmax(left, 0.0).astype(np.intp)
-    rises = np.diff(s, append=s[-1])
-    c = s[j] + (t - left) * rises[j]
-    first, last = table.u_min, table.u_min + table.step * (len(s) - 1)
-    return np.where(u < first, table.tail_left, np.where(u > last, table.tail_right, c))
-
-
 def reference_shift_terms(table, x: float, pairing):
     """Level term gamma(|I|) h_I(x) <g_I, f> for the `accumulate_samples`
     contract, given pairing(k, sigma, L) = sqrt(L) <g_I, f>."""
+    ln2, s = math.log(2.0), table.samples
+    rises = np.diff(s, append=s[-1])
 
-    def term(n, r, sigma):
+    def term(n, r, sigma, log2r):
         length = r * 2.0**n
         px = x / length - sigma
         k = np.floor(px)
-        vals = reference_c_at(table, np.log(length)) * _H_ARRAY[_quarter_index(px - k)]
+        # gamma at u = (n + log2 r) ln 2: its grid coordinate t = (u - u_min) / step,
+        # clipped to [0, m - 1], reads s[j] + (t - j) (s[j+1] - s[j]) at j = floor(t),
+        # and the tails apply where t leaves [0, m - 1]
+        t = log2r * (ln2 / table.step) + (n * ln2 - table.u_min) / table.step
+        inner = np.minimum(np.maximum(t, 0.0), len(s) - 1)
+        j = np.floor(inner)
+        index = j.astype(np.intp)
+        gamma = s[index] + (inner - j) * rises[index]
+        gamma = np.where(t > len(s) - 1, table.tail_right, gamma)
+        gamma = np.where(t < 0.0, table.tail_left, gamma)
+        vals = gamma * _H_ARRAY[_quarter_index(px - k)]
         return vals * pairing(k, sigma, length) / length
 
     return term

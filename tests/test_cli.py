@@ -40,6 +40,40 @@ def test_solve_writes_table(tmp_path, capsys):
     assert float(np.max(np.abs(table.samples + 8.0 / 3.0))) <= 1e-6
 
 
+def test_dotted_table_bases_keep_their_last_part(tmp_path, capsys):
+    """--out tab.v1 and --out tab.v2 write four files, not one tab.csv and
+    tab.json that the second solve overwrites, and verify reads each base's
+    own table."""
+    for name, kernel in (("tab.v1", "hilbert"), ("tab.v2", "conjugate-poisson")):
+        argv = ["solve", "--kernel", kernel, "--step", str(2.0**-7), "--out", str(tmp_path / name)]
+        assert cli.main(argv) == 0
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == ["tab.v1.csv", "tab.v1.json", "tab.v2.csv", "tab.v2.json"]
+    for name, kernel in (("tab.v1", "hilbert"), ("tab.v2", "conjugate-poisson")):
+        assert read_table(tmp_path / name).kernel_name == kernel
+        capsys.readouterr()
+        assert cli.main(["verify", "--table", str(tmp_path / name), "--kernel", kernel]) == 0
+        assert json.loads(capsys.readouterr().out)["max_rel_err"] <= 1e-3
+
+
+def test_solve_and_mc_do_not_import_numpy_polynomial(tmp_path):
+    """The quadrature rules are made on first use, so a solve and an mc run
+    leave numpy.polynomial unimported, which takes milliseconds."""
+    base = str(tmp_path / "h")
+    script = (
+        "import sys; from haarshift import cli; "
+        f"cli.main(['solve', '--kernel', 'hilbert', '--out', {base!r}]); "
+        f"cli.main(['mc', '--table', {base!r}, '--x', '1', '--y', '0', '--samples', '64']); "
+        "print('numpy.polynomial' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(haarshift.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_solve_unknown_kernel(capsys):
     rc = cli.main(["solve", "--kernel", "nosuch"])
     assert rc == 64

@@ -17,6 +17,7 @@ from oracles import (
     interval_containing,
     level_draws,
     level_lattice,
+    level_points,
     level_offset,
     reference_kernel_pairing,
     reference_operator_pairing,
@@ -139,17 +140,18 @@ def test_sample_grid_deterministic():
 
 def _recorded_draws(seed, num_samples, levels, chunk_size=DEFAULT_CHUNK, term=None):
     """Run the engine at one worker with a term that records the (n, r,
-    sigma) it is handed, in call order; returns the tallies and, per level,
-    its r and sigma in call order (replicate by replicate)."""
+    sigma, log2r) it is handed, in call order; returns the tallies and, per
+    level, its r, sigma and log2r in call order (replicate by replicate)."""
     calls = []
 
-    def recording(n, r, sigma):
-        calls.append((n, r.copy(), sigma.copy()))
-        return np.zeros_like(r) if term is None else term(n, r, sigma)
+    def recording(n, r, sigma, log2r):
+        calls.append((n, r.copy(), sigma.copy(), log2r.copy()))
+        return np.zeros_like(r) if term is None else term(n, r, sigma, log2r)
 
     tallies = accumulate_samples(seed, num_samples, levels, recording, chunk_size=chunk_size)
     draws = {
-        n: tuple(np.concatenate([c[i] for c in calls if c[0] == n]) for i in (1, 2)) for n in levels
+        n: tuple(np.concatenate([c[i] for c in calls if c[0] == n]) for i in (1, 2, 3))
+        for n in levels
     }
     return tallies, draws
 
@@ -160,7 +162,7 @@ def test_level_draws_follow_the_grid_law():
     uniform on [0, 1), whatever the level's draw count."""
     _, draws = _recorded_draws(2024, 100_000, range(0, 12))
     for n in (0, 5, 11):
-        rs, sigmas = draws[n]
+        rs, sigmas, _ = draws[n]
         assert np.all((1.0 <= rs) & (rs < 2.0)) and np.all((0.0 <= sigmas) & (sigmas < 1.0))
         assert abs(np.mean(np.log(rs)) - math.log(2.0) / 2) <= 0.003
         # r's CDF is log2
@@ -268,12 +270,12 @@ def test_level_floor_needs_positive_finite_distance(dist):
 
 def test_accumulate_rejects_empty():
     with pytest.raises(ValueError, match="num_samples must be a positive integer, got 0"):
-        accumulate_samples(0, 0, range(0, 2), lambda n, r, sigma: r)
+        accumulate_samples(0, 0, range(0, 2), lambda n, r, sigma, log2r: r)
     # a level's draw count follows its row above the floor, so the levels
     # must be consecutive
     for levels in (range(2, 2), range(0, 6, 2)):
         with pytest.raises(ValueError, match="consecutive levels"):
-            accumulate_samples(0, 10, levels, lambda n, r, sigma: r)
+            accumulate_samples(0, 10, levels, lambda n, r, sigma, log2r: r)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, True, False])
@@ -282,7 +284,7 @@ def test_accumulate_rejects_seed_outside_the_key_range(seed):
     standing for 1 or 0 included, is refused before a single draw."""
     calls = []
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^128\)"):
-        accumulate_samples(seed, 10, range(0, 2), lambda n, r, sigma: calls.append(n) or r)
+        accumulate_samples(seed, 10, range(0, 2), lambda n, r, sigma, log2r: calls.append(n) or r)
     assert calls == []
 
 
@@ -293,7 +295,9 @@ def test_accumulate_rejects_samples_that_are_not_integers(num_samples):
     calls = []
     message = f"num_samples must be a positive integer, got {num_samples!r}"
     with pytest.raises(ValueError, match=message):
-        accumulate_samples(0, num_samples, range(0, 2), lambda n, r, sigma: calls.append(n) or r)
+        accumulate_samples(
+            0, num_samples, range(0, 2), lambda n, r, sigma, log2r: calls.append(n) or r
+        )
     assert calls == []
 
 
@@ -334,7 +338,7 @@ def test_estimates_thread_invariant(route):
 def _sorted_points(draws):
     """Per level, its (r, sigma) pairs in lexicographic order."""
     points = {}
-    for n, (r, sigma) in draws.items():
+    for n, (r, sigma, _) in draws.items():
         order = np.lexsort((sigma, r))
         points[n] = (r[order].tolist(), sigma[order].tolist())
     return points
@@ -411,9 +415,9 @@ def test_workers_are_capped_by_tasks_and_cores(monkeypatch):
     calls = []
     term = kernel_sum_terms(ONES, 0.7, 0.1)
 
-    def counting(n, r, sigma):
+    def counting(n, r, sigma, log2r):
         calls.append(n)
-        return term(n, r, sigma)
+        return term(n, r, sigma, log2r)
 
     want = tally_bits(accumulate_samples(5, 300, range(0, 6), counting, chunk_size=7))
     tasks = len(calls)
@@ -449,7 +453,7 @@ def test_no_fork_without_fork_or_beside_threads(monkeypatch):
 @pytest.mark.parametrize("threads", [0, -1, True, 1.5, "2"])
 def test_accumulate_rejects_threads_that_are_not_positive_integers(threads):
     with pytest.raises(ValueError, match="threads must be a positive integer"):
-        accumulate_samples(0, 10, range(0, 2), lambda n, r, sigma: r, threads=threads)
+        accumulate_samples(0, 10, range(0, 2), lambda n, r, sigma, log2r: r, threads=threads)
 
 
 def _in_worker(action):
@@ -458,10 +462,10 @@ def _in_worker(action):
     caller = os.getpid()
     term = kernel_sum_terms(ONES, 0.7, 0.1)
 
-    def term_fn(n, r, sigma):
+    def term_fn(n, r, sigma, log2r):
         if os.getpid() != caller:
             action()
-        return term(n, r, sigma)
+        return term(n, r, sigma, log2r)
 
     return term_fn
 
@@ -507,19 +511,22 @@ def test_worker_failures_surface_and_leave_no_child(monkeypatch, action, error, 
     ids=["one-point-chunks", "whole-replicates", "replicates-in-pieces"],
 )
 def test_engine_matches_scalar_sampler(num_samples, levels, chunk_size):
-    """Level by level the engine hands its term, bit for bit, the r and
-    sigma of the oracle's shifted lattices, and adds each replicate's sum
-    as the oracle does; each sum equals the scalar kernel sums over the
-    oracle's explicitly built level-n lattices."""
+    """Level by level the engine hands its term, bit for bit, the log2 r,
+    r = exp2(log2 r) and sigma of the oracle's shifted lattices, and adds
+    each replicate's sum as the oracle does; each sum equals the scalar
+    kernel sums over the oracle's explicitly built level-n lattices."""
     x, y = 0.73, 0.21
     term = kernel_sum_terms(ONES, x, y)
     tallies, draws = _recorded_draws(31, num_samples, levels, chunk_size=chunk_size, term=term)
     for row, (n, tally) in enumerate(zip(levels, tallies)):
+        points = level_points(31, row, num_samples)
         replicates = sample_level(31, n, row, num_samples)
         grids = [s for replicate in replicates for s in replicate]
         assert draws[n][0].tolist() == [s.r for s in grids]
         assert draws[n][1].tolist() == [s.sigma for s in grids]
-        sums, hits = replicate_sums(term, n, replicates, chunk_size)
+        assert draws[n][2].tolist() == np.concatenate([p[0] for p in points]).tolist()
+        assert np.array_equal(np.exp2(draws[n][2]), draws[n][0])
+        sums, hits = replicate_sums(term, n, points, chunk_size)
         assert (tally.sums.tolist(), tally.hits) == (sums, hits)
         manual = [
             math.fsum(shift_kernel_sum(s, ONES, x, y, range(n, n + 1)) for s in replicate)
@@ -536,7 +543,7 @@ def test_draws_and_replicates_follow_the_rule(num_samples):
     evaluations, and the stderr, the replicate means' spread over
     sqrt(R_l), is NaN only for a single replicate (M = 1)."""
     levels = range(-2, 20)
-    tallies = accumulate_samples(3, num_samples, levels, lambda n, r, sigma: r * sigma)
+    tallies = accumulate_samples(3, num_samples, levels, lambda n, r, sigma, log2r: r * sigma)
     for row, tally in enumerate(tallies):
         draws = level_draws(num_samples, row)
         replicates, points = level_lattice(draws)
@@ -567,7 +574,7 @@ def test_floor_shift_is_uniform():
     m = 1 << 16
     first, second = (
         accumulate_samples(6, m, range(0, 1), term, chunk_size=1 << 12)[0].mean
-        for term in (lambda n, r, sigma: sigma, lambda n, r, sigma: sigma * sigma)
+        for term in (lambda n, r, sigma, log2r: sigma, lambda n, r, sigma, log2r: sigma * sigma)
     )
     assert first == pytest.approx(0.5, rel=1e-3)
     assert second - first**2 == pytest.approx(1.0 / 12.0, rel=1e-3)
@@ -595,7 +602,7 @@ def test_variance_stable_far_from_zero():
     m = 1 << 16
 
     def stderr(offset):
-        term = lambda n, r, sigma: offset + r  # noqa: E731
+        term = lambda n, r, sigma, log2r: offset + r  # noqa: E731
         (tally,) = accumulate_samples(4, m, range(0, 1), term, chunk_size=1 << 12)
         return tally.stderr
 
@@ -657,21 +664,36 @@ def test_level_term_matches_reference_bit_for_bit(route, table_name, num_samples
         )
 
 
+def test_three_parameter_terms_get_r_and_sigma():
+    """accumulate_samples calls a term that takes no log2r as term(n, r,
+    sigma), with the bits of a four-parameter term; the library's term,
+    called so, reads gamma at log2(r), within an ulp of log2r."""
+    term = kernel_sum_terms(TERM_TABLES["wavy"], 0.7, 0.1)
+    levels = range(-3, 4)
+    four = accumulate_samples(5, 3000, levels, lambda n, r, sigma, log2r: r * sigma)
+    three = accumulate_samples(5, 3000, levels, lambda n, r, sigma: r * sigma)
+    assert tally_bits(three) == tally_bits(four)
+    got = accumulate_samples(5, 3000, levels, lambda n, r, sigma: term(n, r, sigma))
+    want = accumulate_samples(5, 3000, levels, term)
+    for a, b in zip(got, want):
+        assert a.sums == pytest.approx(b.sums, rel=1e-12, abs=1e-15)
+
+
 def test_workspaces_are_private_to_their_task(monkeypatch):
     """At 4 workers, a term that sleeps while it holds the engine's r and
     sigma finds them unchanged when it wakes: no other task writes to its
     workspace."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
-    def sleepy(n, r, sigma):
-        before = r.copy(), sigma.copy()
+    def sleepy(n, r, sigma, log2r):
+        before = r.copy(), sigma.copy(), log2r.copy()
         time.sleep(1e-3)
-        assert np.array_equal(r, before[0]) and np.array_equal(sigma, before[1])
+        assert all(map(np.array_equal, (r, sigma, log2r), before))
         return r * sigma
 
     levels = range(0, 6)
     got = accumulate_samples(3, 4000, levels, sleepy, threads=4, chunk_size=256)
-    want = accumulate_samples(3, 4000, levels, lambda n, r, sigma: r * sigma, chunk_size=256)
+    want = accumulate_samples(3, 4000, levels, lambda n, r, sigma, log2r: r * sigma, chunk_size=256)
     assert tally_bits(got) == tally_bits(want)
 
 
@@ -688,12 +710,13 @@ def test_engine_reuses_its_workspaces(monkeypatch):
 
     accumulate_samples(5, 3000, range(0, 4), term, chunk_size=512)
     first = arrays()
-    assert {"ramp", "r", "sigma", "length", "vals", "pairing"} <= first.keys()
+    assert {"ramp", "log2r", "r", "sigma", "length", "vals", "pairing"} <= first.keys()
     for threads in (1, 2, 1):
         accumulate_samples(5, 3000, range(0, 4), term, threads=threads, chunk_size=512)
         assert arrays() == first
-    r, sigma = np.full(5, 1.5), np.linspace(0.0, 0.9, 5)
-    a, b = term(0, r, sigma), term(0, r, sigma)
+    log2r, sigma = np.linspace(0.0, 0.9, 5), np.linspace(0.0, 0.9, 5)
+    r = np.exp2(log2r)
+    a, b = term(0, r, sigma, log2r), term(0, r, sigma, log2r)
     assert not np.shares_memory(a, b) and np.array_equal(a, b)
     assert arrays() == first
 
@@ -721,7 +744,7 @@ def test_stderr_matches_spread_over_seeds(route, num_samples):
 
 
 def test_stream_contract_golden():
-    """Fixed-seed outputs of stream 6.  The draw order moves these by about
+    """Fixed-seed outputs of stream 7.  The draw order moves these by about
     a stderr (1e-2 relative); rounding differences between platforms stay
     far below the 1e-12 allowed here."""
     est = mc_estimate(ONES, 0.7, 0.1, num_samples=20_000, seed=2026)
@@ -729,7 +752,7 @@ def test_stream_contract_golden():
     # two probes of different floors on one pass: the first keeps its bits
     pair = apply_averaged(ONES, triangle_function(), [0.4, -1.5], 20_000, seed=2026)
     message = "the draw order changed: bump `STREAM_VERSION` and update this value"
-    assert STREAM_VERSION == 6, message
+    assert STREAM_VERSION == 7, message
     assert est.record[0][:3] == (-1, 20_000, 20), message
     assert est.record[0].mean == pytest.approx(0.5260713161442868, rel=1e-12), message
     assert (len(est.record), len(op.record)) == (20, 21), message
