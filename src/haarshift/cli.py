@@ -87,15 +87,6 @@ def _float_list(text: str) -> list[float]:
     return probes
 
 
-def _csv_path(text: str) -> str:
-    """`apply`'s CSV path, which must differ from its JSON sidecar's path."""
-    if Path(text).with_suffix(".json") == Path(text):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is also the path of its JSON sidecar: give the CSV another suffix"
-        )
-    return text
-
-
 def _probe_spec(text: str) -> np.ndarray:
     """Either 'log:A:B:N' (N log-spaced points) or a comma list, not empty."""
     if not text.startswith("log:"):
@@ -196,7 +187,7 @@ def _cmd_apply(args) -> int:
         with open(args.out, "w", newline="") as fh:
             write_csv(fh, header, *columns)
         sidecar = {"probes": [row.to_dict() for row in rows], **_provenance(args)}
-        _emit(sidecar, Path(args.out).with_suffix(".json"))
+        _emit(sidecar, args.out.removesuffix(".csv") + ".json")
     else:
         write_csv(sys.stdout, header, *columns, newline="\n")
     return 0
@@ -276,8 +267,8 @@ def build_parser() -> _Parser:
     p.add_argument("--f", choices=["indicator", "triangle"], default="indicator")
     p.add_argument("--x", type=_float_list, required=True,
                    help="comma-separated probe points")
-    p.add_argument("--out", type=_csv_path,
-                   help="CSV path (JSON provenance sidecar alongside, suffix .json)")
+    p.add_argument("--out", help="CSV path; the JSON provenance sidecar is this path "
+                   "with a trailing .csv swapped for .json, or with .json appended")
     p.set_defaults(func=_cmd_apply)
 
     p = sub.add_parser("adiag", help="scan the modulus of the recursion symbol")

@@ -9,8 +9,8 @@ each of those is an integral over the unit square of (log2 r, sigma_n).
 The engine (`accumulate_probes`) therefore treats every level on its own
 and never builds a lattice of cells.  Its tasks are independent: with
 `threads` N > 1 they run in N worker processes, this one and N - 1 forked
-children, and their sums merge in task order, so every output is
-byte-identical at any N.
+children, worker s taking tasks s, s + N, s + 2N, ..., and their sums
+merge in task order, so every output is byte-identical at any N.
 
 Level row l = n - n_min keeps N_l = ceil(M 2^(-l/2)) draws, and never
 fewer than min(M, 2), where M is the `num_samples` of the call (the CLI's
@@ -288,7 +288,7 @@ def accumulate_samples(
     num_samples: int,
     levels: range,
     term_fn: Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    threads: int | None = None,
+    threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> list[Tally]:
     """One `Tally` per level of ``levels`` (a nonempty range of consecutive
@@ -304,11 +304,12 @@ def accumulate_samples(
     term_fn(n, r, sigma): `bench/spans.py` wraps terms so (ROADMAP item 1).  With
     `threads` N > 1 the calls run in N worker processes, this one and N - 1
     forked children (no more than the tasks or the cores, and none beside
-    other threads), so a term's side effects in a child are lost; no point
-    depends on chunk_size or N, and no sum on N.  Rounding takes r to 2
-    only with probability below 2^-46 per point.  r, sigma and log2r are
-    views of the engine's workspace, read-only and valid only during the
-    call, and the term may return one too (see `scratch`).
+    other threads), worker s taking tasks s, s + N, s + 2N, ...; a term's
+    side effects in a child are lost.  No point depends on chunk_size or N,
+    and no sum on N.  Rounding takes r to 2 only with probability below
+    2^-46 per point.  r, sigma and log2r are views of the engine's
+    workspace, read-only and valid only during the call, and the term may
+    return one too (see `scratch`).
     """
     try:
         inspect.signature(term_fn).bind(0, None, None, None)
@@ -325,7 +326,7 @@ def accumulate_probes(
     seed: int,
     num_samples: int,
     probes: Sequence[tuple[range, Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]]],
-    threads: int | None = None,
+    threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> list[list[Tally]]:
     """`accumulate_samples` for each (levels, term_fn) of ``probes``, every
@@ -334,7 +335,6 @@ def accumulate_probes(
     probe with a row l."""
     if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 128):
         raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
-    threads = 1 if threads is None else threads
     for name, value in (("num_samples", num_samples), ("threads", threads)):
         if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -379,58 +379,47 @@ def accumulate_probes(
         terms = (probes[p][1](probes[p][0][row], r, sigma, log2r) for p in live[row])
         return [(t.reshape(count, -1).sum(axis=1), int(np.count_nonzero(t))) for t in terms]
 
-    # each worker's share of the tasks, balanced by points times live probes
-    costs = [count * (stop - start) * len(live[row]) for row, _, count, start, stop in tasks]
     # no fork without os.fork, nor beside other threads, whose locks a child inherits held
     safe = hasattr(os, "fork") and threading.active_count() == 1
-    shares = _split(costs, max(1, min(threads, len(tasks), os.cpu_count() or 1)) if safe else 1)
+    workers = max(1, min(threads, len(tasks), os.cpu_count() or 1)) if safe else 1
     global _owner
     with _PASS:
         _owner = threading.get_ident()
         try:
-            done = _in_workers(lambda share: [run_chunk(tasks[t]) for t in share], shares)
+            done = _in_workers(lambda s: list(map(run_chunk, tasks[s::workers])), workers)
         finally:
             _owner = None
-    partials = {t: partial for share, got in zip(shares, done) for t, partial in zip(share, got)}
+    partials = [None] * len(tasks)
+    for s, got in enumerate(done):
+        partials[s::workers] = got
     sums = [[np.zeros(replicates) for replicates, _ in plan[: len(levels)]] for levels, _ in probes]
     hits = [[0] * len(levels) for levels, _ in probes]
-    for t, (row, first, count, _, _) in enumerate(tasks):
-        for p, (chunk_sums, chunk_hits) in zip(live[row], partials[t]):
+    for (row, first, count, _, _), partial in zip(tasks, partials):
+        for p, (chunk_sums, chunk_hits) in zip(live[row], partial):
             sums[p][row][first : first + count] += chunk_sums
             hits[p][row] += chunk_hits
     return [list(map(Tally, (points for _, points in plan), s, h)) for s, h in zip(sums, hits)]
 
 
-def _split(costs: list[int], workers: int) -> list[list[int]]:
-    """Task indices in `workers` shares, each in task order: costliest task
-    first, each to the share with the least cost so far (ties to the first)."""
-    shares, loads = [[] for _ in range(workers)], [0] * workers
-    for t in sorted(range(len(costs)), key=lambda t: -costs[t]):
-        least = loads.index(min(loads))
-        shares[least].append(t)
-        loads[least] += costs[t]
-    return [sorted(share) for share in shares]
-
-
-def _in_workers(work: Callable[[list[int]], list], shares: list[list[int]]) -> list[list]:
-    """[work(share) for share in shares], share 0 here and each other in a
+def _in_workers(work: Callable[[int], list], workers: int) -> list[list]:
+    """[work(s) for s in range(workers)], worker 0 here and each other in a
     forked child that pickles back its result or exception (raised here), or
     here if the fork fails.  Every child is reaped before this returns."""
-    results, children = [None] * len(shares), []
+    results, children = [None] * workers, []
     try:
-        for s in range(1, len(shares)):
+        for s in range(1, workers):
             read, write = os.pipe()
             try:
                 pid = os.fork()
             except OSError:
                 os.close(read)
                 os.close(write)
-                results[s] = work(shares[s])
+                results[s] = work(s)
                 continue
             if pid == 0:  # the child ends here, whatever happens
                 try:
                     try:
-                        reply = work(shares[s])
+                        reply = work(s)
                     except BaseException as exc:
                         reply = exc
                     with os.fdopen(write, "wb") as pipe:
@@ -440,7 +429,7 @@ def _in_workers(work: Callable[[list[int]], list], shares: list[list[int]]) -> l
                     os._exit(1)
             os.close(write)
             children.append((s, pid, os.fdopen(read, "rb")))
-        results[0] = work(shares[0])
+        results[0] = work(0)
         payloads = [pipe.read() for _, _, pipe in children]
     except BaseException:
         for _, pid, _ in children:
@@ -473,17 +462,16 @@ def estimate(
     level stderrs, and the bound on the levels above `levels`.  stderr is
     NaN for a single draw.
     """
-    ln2 = math.log(2.0)
     return Estimate(
         x=x,
-        mean=ln2 * math.fsum(t.mean for t in tallies),
-        stderr=ln2 * math.sqrt(math.fsum(t.stderr**2 for t in tallies)),
+        mean=_LN2 * math.fsum(t.mean for t in tallies),
+        stderr=_LN2 * math.sqrt(math.fsum(t.stderr**2 for t in tallies)),
         tail_bound=tail_bound_value(gamma_sup, levels.stop),
         num_samples=num_samples,
         seed=seed,
         levels=levels,
         record=[
-            LevelRecord(n, t.draws, t.replicates, ln2 * t.mean, ln2 * t.stderr, t.hits)
+            LevelRecord(n, t.draws, t.replicates, _LN2 * t.mean, _LN2 * t.stderr, t.hits)
             for n, t in zip(levels, tallies)
         ],
     )

@@ -164,7 +164,7 @@ def apply_averaged(
     num_samples: int,
     seed: int = 0,
     tol_tail: float = 1e-4,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> list[dyadic.Estimate]:
     """Average the operator over grid draws at each probe.
 

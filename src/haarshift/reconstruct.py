@@ -128,7 +128,7 @@ def mc_estimate(
     num_samples: int,
     tol_tail: float = 1e-4,
     seed: int = 0,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> dyadic.Estimate:
     """Estimate K(x - y) by averaging truncated lattice sums over draws.
 

@@ -204,7 +204,7 @@ class CoefficientTable:
         t += np.take(self.samples, j, out=gathered, mode="clip")
         return t
 
-    def c_at(self, u, out=None):
+    def c_at(self, u):
         """c(u) by linear interpolation, constant tails outside the window.
 
         The cell is found by index arithmetic on the uniform grid, not by
@@ -219,8 +219,7 @@ class CoefficientTable:
         left/right do; NaN gives NaN, and a scalar gives a float.  The
         clip comes before any product, so +-inf reads a tail with no
         inf * 0, and the tail selection runs only when some u lies
-        outside the window or is NaN.  Given `out`, an array of u's shape
-        other than u, c is written there and `out` is returned.
+        outside the window or is NaN.
 
         Away from underflow, the result is within
 
@@ -234,14 +233,14 @@ class CoefficientTable:
         grid = self.grid
         # False when some u is NaN, as min and max propagate it
         inside = not u.size or (u.min() >= grid[0] and u.max() <= grid[-1])
-        t = np.subtract(u, self.u_min, out=np.empty(u.shape) if out is None else out)
+        t = np.subtract(u, self.u_min, out=np.empty(u.shape))
         t /= self.step
         np.clip(t, 0.0, len(self.samples) - 1, out=t)
         self._lerp(t, finite=inside)
         if not inside:
             np.putmask(t, u < grid[0], self.tail_left)
             np.putmask(t, u > grid[-1], self.tail_right)
-        return float(t) if out is None and not u.ndim else t
+        return t if u.ndim else float(t)
 
 
 def _detect_tail(mfun, u_edge: float, direction: int) -> tuple[bool, float]:

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import math
@@ -308,16 +309,45 @@ def test_apply_writes_files(hilbert_base, tmp_path):
     assert math.fsum(entry["mean"] for entry in probe["levels"]) == pytest.approx(probe["mean"])
 
 
-def test_apply_out_that_is_its_own_sidecar_is_usage_error(hilbert_base, tmp_path, capsys):
-    """The sidecar is the CSV path with suffix .json: an --out ending in
-    .json would be overwritten by it, so it is refused before any work."""
-    out = tmp_path / "res.json"
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["apply", "--table", hilbert_base, "--kernel", "hilbert", "--x", "2.0",
-                  "--samples", "50", "--out", str(out)])
-    assert exc.value.code == 64
-    assert "is also the path of its JSON sidecar" in capsys.readouterr().err
-    assert not out.exists()
+def test_apply_sidecar_swaps_a_csv_suffix_or_appends_json(hilbert_base, tmp_path):
+    """The sidecar is --out with a trailing .csv swapped for .json, or with
+    .json appended: x.csv writes x.json, and run.v1 and run.v2 keep their
+    own sidecars."""
+    sidecars = {"x.csv": "x.json", "run.v1": "run.v1.json", "run.v2": "run.v2.json"}
+    folder = tmp_path / "out"
+    folder.mkdir()
+    for name in sidecars:
+        assert cli.main(["apply", "--table", hilbert_base, "--kernel", "hilbert", "--x", "2.0",
+                         "--samples", "50", "--out", str(folder / name)]) == 0
+    assert sorted(path.name for path in folder.iterdir()) == sorted([*sidecars, *sidecars.values()])
+    for name, sidecar in sidecars.items():
+        assert json.loads((folder / sidecar).read_text())["flags"]["out"] == str(folder / name)
+
+
+def test_benchmark_tracer_runs_on_the_package(tmp_path, monkeypatch):
+    """bench/spans.py installs on the loaded package and reaches into it by
+    name (ROADMAP item 1): a traced solve, mc and apply --threads 2 exit 0
+    and record level-term calls."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    spans = importlib.import_module("spans")
+    tracer = spans.Tracer("tests")
+    tracer.install()
+    try:
+        tracer.active = True
+        table = str(tmp_path / "h")
+        assert cli.main(["solve", "--kernel", "hilbert", "--step", str(2.0**-7),
+                         "--out", table]) == 0
+        assert cli.main(["mc", "--table", table, "--x", "0.9", "--y", "0.1", "--samples",
+                         "2000", "--out", str(tmp_path / "mc.json")]) == 0
+        assert cli.main(["apply", "--table", table, "--kernel", "hilbert", "--x", "2.0,-1.0",
+                         "--samples", "2000", "--threads", "2",
+                         "--out", str(tmp_path / "apply.csv")]) == 0
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+        sys.modules.pop("spans", None)
+    assert spans.layer_metrics(tracer.spans, 1)["dyadic.term.calls"] > 0
 
 
 @pytest.mark.parametrize("command", ["mc", "apply"])

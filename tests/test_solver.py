@@ -146,35 +146,6 @@ def lerp_tables(draw):
     )
 
 
-def bits(values) -> np.ndarray:
-    return np.asarray(values, dtype=float).view(np.int64)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(table=lerp_tables(), data=st.data())
-def test_c_at_into_out_matches_c_at(table, data):
-    """c_at(u, out=buf) writes into buf what c_at(u) returns, bit for bit,
-    and returns buf: inside the window, in both tails, at NaN and +-inf,
-    for an empty u and for a scalar."""
-    grid = table.grid
-    probe = st.floats(grid[0] - 2.0, grid[-1] + 2.0) | st.sampled_from(
-        [math.nan, math.inf, -math.inf, grid[0], grid[-1]]
-    )
-    u = np.array(data.draw(st.lists(probe, max_size=40)), dtype=float)
-    cases = [
-        u,
-        u[(u >= grid[0]) & (u <= grid[-1])],
-        np.array([grid[0] - 1.0, grid[-1] + 1.0, math.nan, math.inf, -math.inf, grid[0]]),
-        np.empty(0),
-        np.array(data.draw(probe)),
-    ]
-    for case in cases:
-        buf = np.full(case.shape, 12345.0)
-        got = table.c_at(case, out=buf)
-        assert got is buf
-        assert np.array_equal(bits(got), bits(table.c_at(case)))
-
-
 def exact_lerp(table, u: float) -> Fraction:
     """The linear interpolant through (u_min + j step, s[j]) at u, in exact
     rational arithmetic."""
@@ -219,6 +190,7 @@ def test_c_at_matches_np_interp(table, data):
     # probes all inside the window skip the tail selection, same values
     inner = ~(nan | below | above)
     assert np.array_equal(table.c_at(probes[inner]), got[inner])
+    assert table.c_at(np.empty(0)).shape == (0,)
 
     if table.step in DYADIC_STEPS and table.u_min == round(table.u_min * 16) / 16:
         assert np.array_equal(table.c_at(grid), s)
