@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import math
 import platform
+import re
 import sys
 from pathlib import Path
 
@@ -48,7 +49,12 @@ ADIAG_MAX_COUNT = 1 << 29
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the BSD convention for usage errors."""
+    """argparse with the BSD convention for usage errors, and negative
+    numbers with an exponent (-1e-3) read as values, not options."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -101,6 +107,18 @@ def _probe_spec(text: str) -> np.ndarray:
     return probes
 
 
+def _table_for(args: argparse.Namespace):
+    """The table at --table, refused when its sidecar names a kernel other
+    than --kernel; a sidecar with no kernel name reads for any."""
+    table = read_table(args.table)
+    if table.kernel_name and table.kernel_name != args.kernel:
+        raise ValueError(
+            f"table {args.table} was solved for kernel {table.kernel_name!r}, "
+            f"not for --kernel {args.kernel!r}"
+        )
+    return table
+
+
 def _provenance(args: argparse.Namespace) -> dict:
     return {
         "flags": {k: v for k, v in vars(args).items() if k != "func" and not k.startswith("_")},
@@ -141,7 +159,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = get_kernel(args.kernel)
-    table = read_table(args.table)
+    table = _table_for(args)
     payload = compare_report(spec, table, args.probes, rtol=args.rtol)
     payload.update(_provenance(args))
     _emit(payload, args.out)
@@ -167,8 +185,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    table = read_table(args.table)
     spec = get_kernel(args.kernel)
+    table = _table_for(args)
     f = indicator_function() if args.f == "indicator" else triangle_function()
     rows = apply_averaged(
         table,

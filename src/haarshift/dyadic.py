@@ -46,7 +46,10 @@ shifts and lattice, and `accumulate_probes` draws them once for all of
 them.  Stream 7 draws the same points, and hands each term log2 r beside
 r = exp2(log2 r): the Haar shift's term reads gamma at that lattice
 coordinate (`shift_terms`), which moves gamma's argument in its last bits
-on a table that is not constant.  README lists the earlier streams.
+on a table that is not constant.  Stream 8 draws the points of stream 7
+and reads gamma through the table's piecewise cubic (`CoefficientTable.c_at`)
+where stream 7 interpolated linearly, which moves every output on a table
+that is not constant.  README lists the earlier streams.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ _H_VALUES = np.array(make_h().values)
 _G_PADDED = np.concatenate([[0.0], make_g().values, [0.0]])
 
 # version of the draw order; bump it whenever the same seed draws differently
-STREAM_VERSION = 7
+STREAM_VERSION = 8
 
 # shifted replicates per level, whose spread gives the stderr R - 1 degrees of freedom:
 # at 2^18 draws the stderr's quartiles over seeds lay 10% apart with 20, 20% with 16
@@ -277,10 +280,27 @@ class Tally(NamedTuple):
     @property
     def stderr(self) -> float:
         """The replicate means' sample standard deviation over sqrt(R); NaN
-        for a single replicate."""
+        for a single replicate.  The means are scaled to order 1 by a power
+        of two, which is exact, so the squares of means of order 1e-160 do
+        not underflow."""
         if self.replicates < 2:
             return math.nan
-        return float(np.std(self.sums / self.points, ddof=1)) / math.sqrt(self.replicates)
+        means = self.sums / self.points
+        e = _exponent(means.tolist())
+        spread = math.ldexp(float(np.std(np.ldexp(means, -e), ddof=1)), e)
+        return spread / math.sqrt(self.replicates)
+
+
+def _exponent(values: list[float]) -> int:
+    """A binary exponent of order the largest |value|: 0 for none or zeros,
+    and any exponent where a NaN or an infinity leaves the spread NaN."""
+    return math.frexp(max(map(abs, values), default=0.0))[1]
+
+
+def _root_sum_squares(values: list[float]) -> float:
+    """sqrt(sum of squares), scaled as `Tally.stderr` scales, for the same reason."""
+    e = _exponent(values)
+    return math.ldexp(math.sqrt(math.fsum(math.ldexp(v, -e) ** 2 for v in values)), e)
 
 
 def accumulate_samples(
@@ -377,7 +397,11 @@ def accumulate_probes(
         r, sigma, log2r = r.ravel(), sigma.ravel(), log2r.ravel()
         # each live probe's term at its own level, lazily: reduced before the next runs
         terms = (probes[p][1](probes[p][0][row], r, sigma, log2r) for p in live[row])
-        return [(t.reshape(count, -1).sum(axis=1), int(np.count_nonzero(t))) for t in terms]
+        return [
+            (t.reshape(count, -1).sum(axis=1),
+             int(np.count_nonzero(np.not_equal(t, 0.0, out=scratch("hits", t.shape, bool)))))
+            for t in terms
+        ]
 
     # no fork without os.fork, nor beside other threads, whose locks a child inherits held
     safe = hasattr(os, "fork") and threading.active_count() == 1
@@ -465,7 +489,7 @@ def estimate(
     return Estimate(
         x=x,
         mean=_LN2 * math.fsum(t.mean for t in tallies),
-        stderr=_LN2 * math.sqrt(math.fsum(t.stderr**2 for t in tallies)),
+        stderr=_LN2 * _root_sum_squares([t.stderr for t in tallies]),
         tail_bound=tail_bound_value(gamma_sup, levels.stop),
         num_samples=num_samples,
         seed=seed,
@@ -482,10 +506,10 @@ def shift_terms(table, x: float, pairing: Callable) -> Callable:
 
     Returned callable matches the `accumulate_samples` contract and computes
     gamma(|I|) h_I(x) <g_I, f> for the cell I = [(k + sigma) L, (k + sigma
-    + 1) L) containing x, gamma(L) = c(ln L) read from the table at
-    ln L = (n + log2r) ln 2, whose grid coordinate is t = log2r (ln 2 /
-    step) + (n ln 2 - u_min) / step, so no point takes a log; called
-    without log2r, the term takes log2(r).
+    + 1) L) containing x, gamma(L) = c(ln L) read through the table's
+    cubic at ln L = (n + log2r) ln 2, whose grid coordinate is t = log2r
+    (ln 2 / step) + (n ln 2 - u_min) / step, so no point takes a log;
+    called without log2r, the term takes log2(r).
     ``pairing(k, sigma, L)`` returns sqrt(L) <g_I, f>.
     """
     scale, last = _LN2 / table.step, len(table.samples) - 1
@@ -504,7 +528,7 @@ def shift_terms(table, x: float, pairing: Callable) -> Callable:
             left = np.less(vals, 0.0, out=scratch("left", r.shape, bool))
             right = np.greater(vals, last, out=scratch("right", r.shape, bool))
             np.clip(vals, 0.0, last, out=vals)
-        table._lerp(vals)
+        table._cubic(vals)
         if tails:
             np.putmask(vals, left, table.tail_left)
             np.putmask(vals, right, table.tail_right)

@@ -70,10 +70,10 @@ def reconstruct_at(table: CoefficientTable, x, rtol: float = 1e-8):
     has more than 4096 panels pending: a first estimate that misses a
     narrow feature of the table would otherwise split without end.  Each
     probe keeps its own scale and panel order, so it gets the same bits
-    alone or in any batch.  The integrand's only roughness is the kink
-    chain the table's linear interpolation imprints on gamma(x/s), which
-    bisection resolves.  rtol must be at least the double-precision
-    epsilon 2^-52.
+    alone or in any batch.  The integrand's only roughness is the chain of
+    cell joins the table's piecewise cubic imprints on gamma(x/s): it is
+    continuous there and its slope jumps by O(step^3), which bisection
+    resolves.  rtol must be at least the double-precision epsilon 2^-52.
     """
     xs = np.asarray(x, dtype=float)
     probes = xs.ravel()

@@ -139,7 +139,8 @@ _HYPOTHESIS = "the representation needs x^3 K''(x) bounded"
 class CoefficientTable:
     """Sampled coefficient function c on a uniform log-axis grid.
 
-    gamma(r) = c(ln r); outside [u_min, u_max] the table extends by the
+    gamma(r) = c(ln r), read between the samples through one piecewise
+    cubic (`c_at`); outside [u_min, u_max] the table extends by the
     constant tails, u_max being the last sample's grid point.  `iterations`
     and `max_change_ratio` record the sweeps of a contraction solve and the
     largest observed ratio of successive sup-changes, a direct measurement
@@ -184,50 +185,105 @@ class CoefficientTable:
         return self.u_min + self.step * np.arange(len(self.samples))
 
     @cached_property
-    def _rises(self) -> np.ndarray:
-        # s[j+1] - s[j], and 0 after the last sample, which c_at reads there
-        return np.diff(self.samples, append=self.samples[-1])
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Horner coefficients (s[j], a1, a2, a3) of each cell's cubic
+        s[j] + x (a1 + x (a2 + x a3)), x = t - j in [0, 1].
+
+        Cell j's cubic is the Lagrange cubic through samples j - 1 .. j + 2;
+        the first and last cells take the one-sided stencils 0 .. 3 and
+        n - 4 .. n - 1, and a table of fewer than 4 samples the polynomial
+        through all of them.  From the first differences d, the second e
+        and the third f: a3 = f / 6 of the cell's stencil, a2 half the
+        second difference centred on node j (at node 0 the stencil's,
+        e[0] - f[0]) and a1 = d[j] - a2 - a3, so the cubic meets s[j + 1] at
+        x = 1 and a run of equal samples has exact zeros.  A last cell of
+        zeros after sample n - 1 reads it there.  The differences are
+        written in place, into rows of one array.
+        """
+        s = self.samples
+        n = len(s)
+        linear, square, cubic = np.zeros((3, n))
+        d = np.subtract(s[1:], s[:-1], out=linear[:-1])
+        # e[j - 1] is centred on node j, so it lands in cell j
+        e = np.subtract(d[1:], d[:-1], out=square[1:-1])
+        if n > 3:
+            np.subtract(e[1:], e[:-1], out=cubic[1:-2])
+            cubic[0], cubic[-2] = cubic[1], cubic[-3]
+        if n > 2:
+            square[0] = square[1] - cubic[0]
+        cubic /= 6
+        square /= 2
+        linear[:-1] -= square[:-1]
+        linear[:-1] -= cubic[:-1]
+        return s, linear, square, cubic
 
     def sup_norm(self) -> float:
-        return max(
-            float(np.max(np.abs(self.samples))), abs(self.tail_left), abs(self.tail_right)
-        )
+        """sup |c| over the whole axis: the samples, the tails and each
+        cell's cubic at its interior critical points, the roots of
+        a1 + 2 a2 x + 3 a3 x^2 in (0, 1).  Only a cell whose |coefficients|
+        add up past the rest can rise above it, so a constant table gives
+        its constant."""
+        s, a1, a2, a3 = self._cells
+        top = max(float(np.max(np.abs(s))), abs(self.tail_left), abs(self.tail_right))
+        j = np.flatnonzero(np.abs(s) + np.abs(a1) + np.abs(a2) + np.abs(a3) > top)
+        s, a1, a2, a3 = s[j], a1[j], a2[j], a3[j]
+        disc = a2 * a2 - 3.0 * a3 * a1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the stable pair of roots; a3 = 0 leaves the linear one, -a1 / (2 a2)
+            q = -(a2 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), a2))
+            roots = (q / (3.0 * a3), a1 / q)
+        for x in roots:
+            k = np.flatnonzero((disc >= 0.0) & (x > 0.0) & (x < 1.0))
+            x = x[k]
+            critical = s[k] + x * (a1[k] + x * (a2[k] + x * a3[k]))
+            top = max(top, float(np.max(np.abs(critical), initial=0.0)))
+        return top
 
-    def _lerp(self, t: np.ndarray, finite: bool = True) -> np.ndarray:
-        """s[j] + (t - j) (s[j+1] - s[j]) with j = t truncated, written over
-        t and returned, at grid coordinates t = (u - u_min) / step in
-        [0, n - 1]; unless `finite`, a NaN reads index 0 and stays NaN."""
-        j, gathered = scratch("c_at.j", t.shape, np.intp), scratch("c_at.gathered", t.shape)
+    def _cubic(self, t: np.ndarray, finite: bool = True) -> np.ndarray:
+        """The cell cubic at grid coordinates t = (u - u_min) / step in
+        [0, n - 1], cell j = t truncated, written over t and returned;
+        unless `finite`, a NaN reads cell 0 and stays NaN."""
+        j = scratch("c_at.j", t.shape, np.intp)
+        acc, gathered = scratch("c_at.acc", t.shape), scratch("c_at.gathered", t.shape)
         np.copyto(j, t if finite else np.fmax(t, 0.0, out=gathered), casting="unsafe")
         t -= j
-        t *= np.take(self._rises, j, out=gathered, mode="clip")
-        t += np.take(self.samples, j, out=gathered, mode="clip")
+        s, a1, a2, a3 = self._cells
+        np.take(a3, j, out=acc, mode="clip")
+        acc *= t
+        acc += np.take(a2, j, out=gathered, mode="clip")
+        acc *= t
+        acc += np.take(a1, j, out=gathered, mode="clip")
+        t *= acc
+        t += np.take(s, j, out=gathered, mode="clip")
         return t
 
     def c_at(self, u):
-        """c(u) by linear interpolation, constant tails outside the window.
+        """c(u) by piecewise cubic interpolation, constant tails outside the
+        window.
 
         The cell is found by index arithmetic on the uniform grid, not by
         a search: with t = (u - u_min) / step clipped to [0, n - 1] and
-        j = t truncated,
-
-            c = s[j] + (t - j) (s[j+1] - s[j]),
-
-        the rise after the last sample taken as 0, so every grid node
-        reads its sample exactly when u_min and step are dyadic.  Below
-        grid[0] and above grid[-1] the tails apply, as np.interp's
-        left/right do; NaN gives NaN, and a scalar gives a float.  The
-        clip comes before any product, so +-inf reads a tail with no
-        inf * 0, and the tail selection runs only when some u lies
+        j = t truncated, c is cell j's Lagrange cubic through samples
+        j - 1 .. j + 2 (one-sided in the first and last cells; see
+        `_cells`) at x = t - j, in Horner form.  The interpolant is
+        continuous, and its error is of order step^4 times the fourth
+        derivative of c.  Every grid node reads its sample exactly when
+        u_min and step are dyadic, and a constant table reads its constant
+        everywhere.  Below grid[0] and above grid[-1] the tails apply, as
+        np.interp's left/right do; NaN gives NaN, and a scalar gives a
+        float.  The clip comes before any product, so +-inf reads a tail
+        with no inf * 0, and the tail selection runs only when some u lies
         outside the window or is NaN.
 
         Away from underflow, the result is within
 
-            2 * 2^-52 * (n max|s[j+1] - s[j]| + max|s|)
+            2^-52 * (16 (n + 4) max|s[j+1] - s[j]| + 4 max|s|)
 
-        of the exact linear interpolant through (u_min + j step, s[j]), n
+        of the exact piecewise cubic through (u_min + j step, s[j]), n
         being the sample count: the rounding of t moves it by at most
-        2^-52 n cells, and the lerp itself adds a few roundings.
+        2^-52 n cells, along which the cubic's slope is below 13 times the
+        largest first difference, and the coefficients and the Horner
+        steps add a few roundings of the differences and of |s|.
         """
         u = np.asarray(u, dtype=float)
         grid = self.grid
@@ -236,7 +292,7 @@ class CoefficientTable:
         t = np.subtract(u, self.u_min, out=np.empty(u.shape))
         t /= self.step
         np.clip(t, 0.0, len(self.samples) - 1, out=t)
-        self._lerp(t, finite=inside)
+        self._cubic(t, finite=inside)
         if not inside:
             np.putmask(t, u < grid[0], self.tail_left)
             np.putmask(t, u > grid[-1], self.tail_right)
@@ -271,8 +327,8 @@ def solve_c(
     step : float
         Uniform grid step.  The transform solves exactly for the
         trigonometric interpolant of the sampled source; the returned
-        residual carries the table's linear-interpolation term, of order
-        step^2 times the curvature of c.
+        residual carries the table's cubic-interpolation term, of order
+        step^4 times the fourth derivative of c.
     tol : float
         Accuracy target, at least 2^-52.  Dropping the source where
         |f| <= (3/4) tol moves c by at most tol, and padding each side by
@@ -370,7 +426,9 @@ def residual(table: CoefficientTable, spec: KernelSpec) -> float:
     Substitutes the interpolated table into the four-term equation at the
     window grid points whose largest shifted read, u + ln 4, stays inside
     the window, so tails never mask the defect; a window narrower than
-    ln 4 has no such point, and the defect reads 0.0.
+    ln 4 has no such point, and the defect reads 0.0.  The shifted reads
+    fall between grid points, where `c_at`'s cubic adds an error of order
+    step^4, so the defect is that term plus the solve's own error.
     """
     grid = table.grid
     reach = max(shift for shift, _ in RECURSION)

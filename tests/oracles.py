@@ -552,24 +552,50 @@ def _quarter_index(t: np.ndarray) -> np.ndarray:
     return np.minimum((t * 4.0).astype(np.int64), 3)
 
 
+def cubic_cells(s) -> np.ndarray:
+    """Per cell j of samples s, one row (s[j], a1, a2, a3) of the cubic
+    s[j] + x (a1 + x (a2 + x a3)), x in [0, 1], through the four samples of
+    the cell's stencil (j - 1 .. j + 2, one-sided at the ends, all samples
+    when fewer than 4), from the stencil's own differences, one cell at a
+    time; after the last sample a row (s[-1], 0, 0, 0)."""
+    n = len(s)
+    rows = []
+    for j in range(n - 1):
+        b = min(max(j - 1, 0), max(n - 4, 0))
+        p = [float(v) for v in s[b : b + 4]]
+        d = [q - r for r, q in zip(p, p[1:])]
+        e = [q - r for r, q in zip(d, d[1:])]
+        f = [q - r for r, q in zip(e, e[1:])]
+        f0 = f[0] if f else 0.0
+        a3 = f0 / 6
+        if j - b >= 1:
+            a2 = e[j - b - 1] / 2
+        else:
+            a2 = ((e[0] if e else 0.0) - f0) / 2
+        rows.append((p[j - b], d[j - b] - a2 - a3, a2, a3))
+    rows.append((float(s[-1]), 0.0, 0.0, 0.0))
+    return np.array(rows)
+
+
 def reference_shift_terms(table, x: float, pairing):
     """Level term gamma(|I|) h_I(x) <g_I, f> for the `accumulate_samples`
     contract, given pairing(k, sigma, L) = sqrt(L) <g_I, f>."""
     ln2, s = math.log(2.0), table.samples
-    rises = np.diff(s, append=s[-1])
+    cells = cubic_cells(s)
 
     def term(n, r, sigma, log2r):
         length = r * 2.0**n
         px = x / length - sigma
         k = np.floor(px)
         # gamma at u = (n + log2 r) ln 2: its grid coordinate t = (u - u_min) / step,
-        # clipped to [0, m - 1], reads s[j] + (t - j) (s[j+1] - s[j]) at j = floor(t),
-        # and the tails apply where t leaves [0, m - 1]
+        # clipped to [0, m - 1], reads cell j = floor(t)'s cubic at t - j, and the
+        # tails apply where t leaves [0, m - 1]
         t = log2r * (ln2 / table.step) + (n * ln2 - table.u_min) / table.step
         inner = np.minimum(np.maximum(t, 0.0), len(s) - 1)
         j = np.floor(inner)
-        index = j.astype(np.intp)
-        gamma = s[index] + (inner - j) * rises[index]
+        c0, a1, a2, a3 = cells[j.astype(np.intp)].T
+        w = inner - j
+        gamma = c0 + w * (a1 + w * (a2 + w * a3))
         gamma = np.where(t > len(s) - 1, table.tail_right, gamma)
         gamma = np.where(t < 0.0, table.tail_left, gamma)
         vals = gamma * _H_ARRAY[_quarter_index(px - k)]

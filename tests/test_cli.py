@@ -87,7 +87,7 @@ def test_solve_conjugate_poisson_sidecar(tmp_path, capsys):
     assert rc == 0
     meta = json.loads(base.with_suffix(".json").read_text())
     # the solve meets --tol, but the stored residual also carries the
-    # table's interpolation error, measured near 4e-6 at the default step
+    # table's interpolation error, measured near 1.6e-11 at the default step
     assert meta["residual_sup"] <= 1e-4
     # no sweep runs
     assert meta["iterations"] == 0
@@ -531,6 +531,49 @@ def test_sidecar_bad_field_is_numeric_error(hilbert_base, field, value, message,
     sidecar.write_text(json.dumps(meta))
     assert cli.main(["mc", "--table", hilbert_base, "--x", "1", "--y", "0"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "apply"])
+def test_table_of_another_kernel_is_numeric_error(hilbert_base, command, capsys):
+    """A hilbert table checked against conjugate-poisson is refused, both
+    kernels named: unchecked, verify reported max_rel_err 1.0 with exit 0."""
+    argv = [command, "--table", hilbert_base, "--kernel", "conjugate-poisson"]
+    argv += ["--x", "2", "--samples", "64"] if command == "apply" else ["--probes", "1"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "solved for kernel 'hilbert', not for --kernel 'conjugate-poisson'" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "apply"])
+def test_table_with_no_kernel_name_reads_for_any_kernel(hilbert_base, command, capsys):
+    sidecar = Path(hilbert_base).with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    meta["kernel_name"] = ""
+    sidecar.write_text(json.dumps(meta))
+    argv = [command, "--table", hilbert_base, "--kernel", "conjugate-poisson"]
+    argv += ["--x", "2", "--samples", "64"] if command == "apply" else ["--probes", "1"]
+    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "text, value", [("-1e-3", -1e-3), ("-2.5E+2", -250.0), ("-.5e1", -5.0), ("-3.", -3.0)]
+)
+def test_negative_number_with_an_exponent_is_a_value(text, value):
+    """argparse's own pattern for a negative number has no exponent, so
+    `--x -1e-3` read as an option and failed with "expected one argument"."""
+    args = cli.build_parser().parse_args(["mc", "--table", "t", "--x", text, "--y", text])
+    assert (args.x, args.y) == (value, value)
+
+
+def test_mc_and_solve_take_negative_exponents(hilbert_base, tmp_path, capsys):
+    argv = ["mc", "--table", hilbert_base, "--x", "-1e-3", "--y", "0", "--samples", "64"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["x"] == -1e-3
+    base = tmp_path / "w"
+    argv = ["solve", "--kernel", "hilbert", "--window", "-1e1", "1e1", "--step", "0.125",
+            "--out", str(base)]
+    assert cli.main(argv) == 0
+    assert (read_table(base).u_min, read_table(base).u_max) == (-10.0, 10.0)
 
 
 def test_apply_probe_next_to_a_kink(hilbert_base, capsys):

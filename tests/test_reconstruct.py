@@ -102,6 +102,15 @@ def test_reconstruct_conjugate_poisson(cp_table):
         assert got == pytest.approx(want, rel=7e-3)
 
 
+def test_cubic_table_verifies_to_1e9_at_step_2_to_minus_11(cp_fine_table):
+    """The table's cubic read leaves verify's error at the solve's and the
+    quadrature's level: conjugate-poisson at step 2^-11 on the benchmark's
+    probes reads max_rel_err 1.4e-10, where the linear read gave 8.9e-8."""
+    probes = _probe_spec("log:0.001:1000:200")
+    report = compare_report(get_kernel("conjugate-poisson"), cp_fine_table, probes)
+    assert report["max_rel_err"] <= 1e-9
+
+
 @pytest.mark.parametrize("fixture", ["cp_table", "smoothed_table"])
 def test_breadth_first_matches_depth_first(fixture, request):
     """The batched bisection accepts the panels the one-at-a-time route
@@ -325,6 +334,19 @@ def test_mc_antisymmetric(hilbert_table):
     rev = mc_estimate(hilbert_table, 0.2, 0.9, num_samples=40_000, seed=22)
     band = 3 * (fwd.stderr + rev.stderr) + 2 * fwd.tail_bound
     assert abs(fwd.mean + rev.mean) <= band
+
+
+def test_mc_stderr_survives_large_separations(hilbert_table):
+    """At x - y = 1e160 the replicate means are about 1e-160, whose squares
+    underflow: the stderr is their spread scaled back, exactly 2^-400 times
+    the stderr at 2^-400 times the separation, where only the floor level
+    is admitted as well."""
+    far = mc_estimate(hilbert_table, 1e160, 0.0, num_samples=4096, seed=3)
+    near = mc_estimate(hilbert_table, math.ldexp(1e160, -400), 0.0, num_samples=4096, seed=3)
+    assert len(far.levels) == len(near.levels) == 1 and far.record[0].hits == 302
+    assert far.mean == math.ldexp(near.mean, -400)
+    assert far.stderr == math.ldexp(near.stderr, -400) > 0.0
+    assert far.record[0].stderr == math.ldexp(near.record[0].stderr, -400)
 
 
 def test_mc_scaling_equivariance():

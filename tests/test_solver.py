@@ -117,7 +117,7 @@ DYADIC_STEPS = (2.0**-9, 2.0**-3, 0.5)
 
 
 @st.composite
-def lerp_tables(draw):
+def random_tables(draw):
     """Random tables: a dyadic or a non-dyadic step and window start, rough
     or smooth samples, tails apart from the end samples."""
     n = draw(st.integers(1, 200))
@@ -146,26 +146,45 @@ def lerp_tables(draw):
     )
 
 
-def exact_lerp(table, u: float) -> Fraction:
-    """The linear interpolant through (u_min + j step, s[j]) at u, in exact
-    rational arithmetic."""
+def exact_cubic(table, u: float) -> Fraction:
+    """The piecewise cubic through (u_min + j step, s[j]) at u, in exact
+    rational arithmetic: on cell j, t = (u - u_min) / step in [j, j + 1],
+    the Lagrange polynomial through samples j - 1 .. j + 2, or through the
+    four end samples in the first and last cells, or through all of them
+    when there are fewer than four."""
     s = table.samples
+    n = len(s)
     t = (Fraction(u) - Fraction(table.u_min)) / Fraction(table.step)
-    t = min(max(t, Fraction(0)), Fraction(len(s) - 1))
-    j = min(math.floor(t), len(s) - 2)
+    t = min(max(t, Fraction(0)), Fraction(n - 1))
+    j = min(math.floor(t), n - 2)
     if j < 0:
         return Fraction(s[0])
-    return Fraction(s[j]) + (t - j) * (Fraction(s[j + 1]) - Fraction(s[j]))
+    base = min(max(j - 1, 0), max(n - 4, 0))
+    nodes = range(base, min(base + 4, n))
+    total = Fraction(0)
+    for i in nodes:
+        weight = Fraction(s[i])
+        for k in nodes:
+            if k != i:
+                weight *= (t - k) / (i - k)
+        total += weight
+    return total
+
+
+def cubic_bound(table) -> float:
+    """The rounding bound the c_at docstring states."""
+    s = table.samples
+    rise = float(np.max(np.abs(np.diff(s)))) if len(s) > 1 else 0.0
+    return EPS * (16 * (len(s) + 4) * rise + 4 * float(np.max(np.abs(s))))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(table=lerp_tables(), data=st.data())
-def test_c_at_matches_np_interp(table, data):
-    """The index-arithmetic lerp against np.interp and the exact lerp: the
-    tails and NaN exactly, the grid nodes bit for bit on a dyadic grid,
-    and everything else within the bound the c_at docstring states."""
+@given(table=random_tables(), data=st.data())
+def test_c_at_matches_exact_cubic(table, data):
+    """The index-arithmetic cubic against the exact rational one: the tails
+    and NaN exactly, the grid nodes bit for bit on a dyadic grid, and
+    everything else within the bound the c_at docstring states."""
     grid, s = table.grid, table.samples
-    n = len(s)
     inside = st.floats(grid[0], grid[-1])
     around = st.floats(grid[0] - 2.0, grid[-1] + 2.0)
     probes = np.array(
@@ -179,14 +198,12 @@ def test_c_at_matches_np_interp(table, data):
         # NaN and the infinities pass the index cast without a RuntimeWarning
         warnings.simplefilter("error")
         got = table.c_at(probes)
-    want = np.interp(probes, grid, s, left=table.tail_left, right=table.tail_right)
 
     nan = np.isnan(probes)
     assert np.all(np.isnan(got[nan]))
     below, above = probes < grid[0], probes > grid[-1]
     assert np.all(got[below] == table.tail_left)
     assert np.all(got[above] == table.tail_right)
-    assert np.array_equal(got[below | above], want[below | above])
     # probes all inside the window skip the tail selection, same values
     inner = ~(nan | below | above)
     assert np.array_equal(table.c_at(probes[inner]), got[inner])
@@ -194,19 +211,10 @@ def test_c_at_matches_np_interp(table, data):
 
     if table.step in DYADIC_STEPS and table.u_min == round(table.u_min * 16) / 16:
         assert np.array_equal(table.c_at(grid), s)
-        assert np.array_equal(table.c_at(grid), np.interp(grid, grid, s))
 
-    rise = float(np.max(np.abs(np.diff(s)))) if n > 1 else 0.0
-    bound = 2 * EPS * (n * rise + float(np.max(np.abs(s))))
-    # np.interp measures from its own rounded grid node, off by up to
-    # 2^-52 |u| / step cells
-    interp_bound = 4 * EPS * ((n + float(np.max(np.abs(grid))) / table.step) * rise
-                              + float(np.max(np.abs(s))))
-    for u, c, c_ref in zip(probes, got, want):
-        if not grid[0] <= u <= grid[-1]:
-            continue
-        assert abs(Fraction(float(c)) - exact_lerp(table, float(u))) <= bound
-        assert abs(c - c_ref) <= bound + interp_bound
+    bound = cubic_bound(table)
+    for u, c in zip(probes[inner], got[inner]):
+        assert abs(Fraction(float(c)) - exact_cubic(table, float(u))) <= bound
 
     for u in (grid[0], float(probes[-1]), table.u_max, math.nan):
         one = table.c_at(u)
@@ -214,6 +222,80 @@ def test_c_at_matches_np_interp(table, data):
         assert type(table.c_at(np.float64(u))) is float
         assert type(table.c_at(np.array(u))) is float
         assert one == table.c_at(np.array([u]))[0] or (math.isnan(one) and math.isnan(u))
+
+
+def _table(samples, u_min=0.0, step=0.5, tails=(0.0, 0.0)) -> CoefficientTable:
+    samples = np.asarray(samples, dtype=float)
+    return CoefficientTable(
+        u_min=u_min,
+        u_max=u_min + (len(samples) - 1) * step,
+        step=step,
+        samples=samples,
+        tail_left=tails[0],
+        tail_right=tails[1],
+        residual_sup=0.0,
+        iterations=0,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40])
+def test_constant_table_reads_its_constant_bit_for_bit(n):
+    """A run of equal samples has exact zero coefficients: every u in the
+    window reads the constant, and sup_norm is its modulus."""
+    value = -8.0 / 3.0
+    table = _table(np.full(n, value), u_min=-1.3, step=1.0 / 3.0, tails=(value, value))
+    u = np.linspace(table.u_min - 1.0, table.u_max + 1.0, 2001)
+    assert np.all(table.c_at(u) == value)
+    assert table.sup_norm() == abs(value)
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 64])
+def test_cells_reproduce_a_cubic(n):
+    """Samples of a cubic polynomial read back as that polynomial in every
+    cell, the one-sided end cells too, within the c_at rounding bound."""
+    step, u_min = 0.25, -0.875
+    poly = np.polynomial.Polynomial([0.3, -1.7, 0.45, 0.11])
+    grid = u_min + step * np.arange(n)
+    table = _table(poly(grid), u_min=u_min, step=step)
+    u = np.linspace(grid[0], grid[-1], 40 * n + 1)
+    got = table.c_at(u)
+    bound = cubic_bound(table)
+    for point, c in zip(u.tolist(), got.tolist()):
+        exact = sum(Fraction(a) * Fraction(point) ** i for i, a in enumerate(poly.coef))
+        assert abs(Fraction(c) - exact) <= bound + EPS * abs(float(exact))
+    assert np.array_equal(table.c_at(grid), table.samples)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_short_tables_read_the_polynomial_through_all_samples(n):
+    samples = [0.5, -1.25, 2.0][:n]
+    table = _table(samples)
+    for u in np.linspace(0.0, table.u_max, 17).tolist():
+        assert abs(Fraction(table.c_at(u)) - exact_cubic(table, u)) <= cubic_bound(table)
+    if n == 3:
+        # the parabola through (0, 0.5), (0.5, -1.25), (1, 2) at u = 0.25
+        assert table.c_at(0.25) == -1.0
+
+
+def test_sup_norm_bounds_the_interpolant_between_samples():
+    """Samples 0, 1, 1, 0: the cubic overshoots to 9/8 at the middle of the
+    middle cell, which sup_norm reports, and the tails count too."""
+    table = _table([0.0, 1.0, 1.0, 0.0])
+    assert table.c_at(0.75) == 1.125
+    assert table.sup_norm() == 1.125
+    assert _table([0.0, 1.0, 1.0, 0.0], tails=(0.0, -1.5)).sup_norm() == 1.5
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(table=random_tables())
+def test_sup_norm_is_at_least_c_at_everywhere(table):
+    """sup_norm bounds |c_at| on a dense probe of the window and past both
+    ends, up to c_at's rounding; it is at least every |sample| and |tail|."""
+    sup = table.sup_norm()
+    u = np.linspace(table.grid[0] - 1.0, table.grid[-1] + 1.0, 64 * len(table.samples) + 1)
+    assert float(np.max(np.abs(table.c_at(u)))) <= sup + cubic_bound(table)
+    assert sup >= float(np.max(np.abs(table.samples)))
+    assert sup >= max(abs(table.tail_left), abs(table.tail_right))
 
 
 def test_symbol_at_zero():
