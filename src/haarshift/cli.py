@@ -250,7 +250,8 @@ def build_parser() -> _Parser:
     table.add_argument("--table", required=True, help="table base path from `solve`")
     monte_carlo = _Parser(add_help=False, parents=[table])
     monte_carlo.add_argument("--samples", type=_positive_int, default=100000,
-                             help="draws at the floor level; each level above takes "
+                             help="draws at the floor level, for mc sigma points whose "
+                             "dilation is integrated exactly; each level above takes "
                              "about 1/sqrt(2) as many as the one below")
     monte_carlo.add_argument("--seed", type=_seed, default=0)
     monte_carlo.add_argument("--tail-tol", type=_positive_float, default=1e-4)

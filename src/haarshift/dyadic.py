@@ -24,17 +24,23 @@ Each level is integrated over a randomly shifted rank-1 lattice (Cranley
 and Patterson, 1976): R_l = min(20, N_l) replicates of the
 n_l = floor(N_l / R_l)-point Kronecker lattice ((i + 1/2) / n_l, {i phi})
 in (log2 r, sigma), phi the golden-ratio conjugate, each moved modulo 1 by
-its own uniform shift (U, U').  Every replicate mean is unbiased; the level
+its own uniform shift (U, U').  A term that integrates over the dilation
+itself (`exact_dilation`, the two-point kernel sum's) needs sigma alone:
+it gets the rule's first coordinate, ((i + 1/2) / n_l + U) mod 1, as
+sigma, with no exp2 and no Kronecker coordinate.  This is preintegration,
+or conditional Monte Carlo (Griebel, Kuo and Sloan, 2013): the dilation's
+share of the variance is gone.  Every replicate mean is unbiased; the level
 mean is the mean of the R_l replicate means and its stderr their sample
 standard deviation over sqrt(R_l), NaN when R_l = 1 (M = 1).
 
 `estimate` is the one Monte-Carlo estimator: ln 2 times the sum of the
 level means, ln 2 times the root of the summed squared level stderrs, the
 bound on the discarded coarse levels, and a record of each level's share
-(`LevelRecord`).  `shift_terms` is the one level term of the Haar shift,
-given its pairing with f: the averaged shift operator (`operators`) pairs
-with a test function, and the two-point kernel sum (`kernel_sum_terms`) is
-the shift applied to a unit mass at y.
+(`LevelRecord`).  `shift_terms` is the level term of the Haar shift on the
+lattice, given its pairing with f, which the averaged shift operator
+(`operators`) pairs with a test function; `kernel_sum_terms`, the shift
+applied to a unit mass at y, integrates its level term over the dilation
+in closed form.
 
 Draw order is part of the reproducibility contract, and `STREAM_VERSION`
 names it; the CLI records it as `versions.stream` in its JSON outputs.
@@ -49,11 +55,14 @@ coordinate (`shift_terms`), which moves gamma's argument in its last bits
 on a table that is not constant.  Stream 8 draws the points of stream 7
 and reads gamma through the table's piecewise cubic (`CoefficientTable.c_at`)
 where stream 7 interpolated linearly, which moves every output on a table
-that is not constant.  README lists the earlier streams.
+that is not constant.  Stream 9 keeps stream 8 for `apply` and gives `mc`
+the exact-dilation rule and term: the same shifts U, and sigma at the
+points where stream 8 had log2 r.  README lists the earlier streams.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import numbers
@@ -84,11 +93,15 @@ __all__ = [
 
 # quarter values of the two generating step functions, as lookup arrays
 _H_VALUES = np.array(make_h().values)
-# g's quarter values with a 0 at each end, for points outside the cell
-_G_PADDED = np.concatenate([[0.0], make_g().values, [0.0]])
+# g's quarter values and the first again, read at 4 - 4 sigma in (0, 4]
+_G_WRAPPED = np.array([*make_g().values, make_g().values[0]])
+# equal cells of [1/2, 1] on which `kernel_sum_terms` tabulates its antiderivative
+OMEGA_CELLS = 1 << 10
+_OMEGA = 0.5 + np.arange(OMEGA_CELLS + 1) / (2 * OMEGA_CELLS)
+_LOG_OMEGA = np.log(_OMEGA)
 
 # version of the draw order; bump it whenever the same seed draws differently
-STREAM_VERSION = 8
+STREAM_VERSION = 9
 
 # shifted replicates per level, whose spread gives the stderr R - 1 degrees of freedom:
 # at 2^18 draws the stderr's quartiles over seeds lay 10% apart with 20, 20% with 16
@@ -131,7 +144,9 @@ def scratch(name: str, shape: tuple, dtype=float) -> np.ndarray:
 class LevelRecord(NamedTuple):
     """One level's share of an estimate, on its scale: the means add up to
     its mean and the squared stderrs to its squared stderr.  `hits` counts
-    the draws whose level term is nonzero."""
+    the draws whose level term is nonzero: for `mc`, whose term integrates
+    over the dilation, the sigma points with a nonzero integral, those
+    where some dilation puts x and y in one cell."""
 
     n: int
     draws: int
@@ -307,9 +322,10 @@ def accumulate_samples(
     seed: int,
     num_samples: int,
     levels: range,
-    term_fn: Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    term_fn: Callable[..., np.ndarray],
     threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
+    exact_dilation: bool = False,
 ) -> list[Tally]:
     """One `Tally` per level of ``levels`` (a nonempty range of consecutive
     levels), from the floor up, each level on its own randomly shifted
@@ -330,29 +346,37 @@ def accumulate_samples(
     2^-46 per point.  r, sigma and log2r are views of the engine's
     workspace, read-only and valid only during the call, and the term may
     return one too (see `scratch`).
+
+    With `exact_dilation` the term integrates over the dilation itself:
+    the engine draws sigma alone, on the one-dimensional rule of the module
+    docstring, and calls term_fn(n, sigma); a term_fn that cannot take two
+    arguments gets sigma twice, as term_fn(n, sigma, sigma).
     """
     try:
-        inspect.signature(term_fn).bind(0, None, None, None)
+        inspect.signature(term_fn).bind(0, *[None] * (1 if exact_dilation else 3))
     except TypeError:
         plain = term_fn
 
-        def term_fn(n, r, sigma, log2r):
-            return plain(n, r, sigma)
+        def term_fn(n, *points):
+            # the three-parameter form (n, r, sigma)
+            return plain(n, points[0], points[0 if exact_dilation else 1])
 
-    return accumulate_probes(seed, num_samples, [(levels, term_fn)], threads, chunk_size)[0]
+    probes = [(levels, term_fn)]
+    return accumulate_probes(seed, num_samples, probes, threads, chunk_size, exact_dilation)[0]
 
 
 def accumulate_probes(
     seed: int,
     num_samples: int,
-    probes: Sequence[tuple[range, Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]]],
+    probes: Sequence[tuple[range, Callable[..., np.ndarray]]],
     threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
+    exact_dilation: bool = False,
 ) -> list[list[Tally]]:
     """`accumulate_samples` for each (levels, term_fn) of ``probes``, every
-    term_fn taking (n, r, sigma, log2r), with the bits it gives alone, in
-    one pass: each task draws row l's points once, for the term of every
-    probe with a row l."""
+    term_fn taking (n, r, sigma, log2r), or (n, sigma) with
+    `exact_dilation`, with the bits it gives alone, in one pass: each task
+    draws row l's points once, for the term of every probe with a row l."""
     if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 128):
         raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
     for name, value in (("num_samples", num_samples), ("threads", threads)):
@@ -389,14 +413,18 @@ def accumulate_probes(
         # a row per replicate; sums lie in [0, 2), so taking off the floor is exact
         log2r = np.add(offset, shift[:, :1], out=scratch("log2r", (count, n)))
         log2r -= np.floor(log2r, out=scratch("floor", log2r.shape))
-        r = np.exp2(log2r, out=scratch("r", log2r.shape))
-        lattice = np.multiply(i, _PHI, out=i)
-        lattice -= np.floor(lattice, out=offset)
-        sigma = np.add(lattice, shift[:, 1:], out=scratch("sigma", (count, n)))
-        sigma -= np.floor(sigma, out=scratch("floor", r.shape))
-        r, sigma, log2r = r.ravel(), sigma.ravel(), log2r.ravel()
+        if exact_dilation:
+            # the same coordinate, read as sigma
+            points = (log2r.ravel(),)
+        else:
+            r = np.exp2(log2r, out=scratch("r", log2r.shape))
+            lattice = np.multiply(i, _PHI, out=i)
+            lattice -= np.floor(lattice, out=offset)
+            sigma = np.add(lattice, shift[:, 1:], out=scratch("sigma", (count, n)))
+            sigma -= np.floor(sigma, out=scratch("floor", r.shape))
+            points = (r.ravel(), sigma.ravel(), log2r.ravel())
         # each live probe's term at its own level, lazily: reduced before the next runs
-        terms = (probes[p][1](probes[p][0][row], r, sigma, log2r) for p in live[row])
+        terms = (probes[p][1](probes[p][0][row], *points) for p in live[row])
         return [
             (t.reshape(count, -1).sum(axis=1),
              int(np.count_nonzero(np.not_equal(t, 0.0, out=scratch("hits", t.shape, bool)))))
@@ -549,27 +577,115 @@ def shift_terms(table, x: float, pairing: Callable) -> Callable:
     return term
 
 
-def kernel_sum_terms(table, x: float, y: float) -> Callable:
-    """Level-term function for the two-point kernel sum.
+def kernel_sum_terms(table, x: float, y: float, levels: range) -> Callable:
+    """Level-term function for the two-point kernel sum at the levels
+    ``levels``, its dilation integrated exactly, for `accumulate_samples`
+    with `exact_dilation`: term(n, sigma) is the mean over u = log2 r in
+    [0, 1) of gamma(L) h_I(x) g_I(y), L = 2^(n + u), at the shift sigma of
+    the level-n lattice translated by -y, which leaves sigma uniform and
+    so the level's mean unchanged.
 
-    The shift at x applied to a unit mass at y: the pairing is g_I(y),
-    zero when y falls in a different cell than x.
+    Then y = 0 lies at 1 - sigma in its cell [(sigma - 1) L, sigma L),
+    where g is G[q_y], q_y = floor(4 - 4 sigma), and x = d = x - y shares
+    the cell while w = d / L lies in [sigma - 1, sigma), in h's quarter q
+    on [sigma - 1 + q/4, sigma - 1 + (q + 1)/4).  (sigma = 0 is read as its
+    limit from above, a single point of the integral: the lattice term's
+    cell there is [0, L).)  In omega = 2^-u on [1/2, 1], w = d omega / 2^n,
+    so h's breakpoint p sits at omega_p = (p/4 - rho) S, S = 2^n / |d|,
+    rho = 1 - sigma for d > 0 and sigma for d < 0, in the order of h's
+    quarters either way (h is odd about its centre).  Across a piece
+    [a, b] of omega the mean over u of c(ln L) / L is T(b) - T(a), with
+    T(omega) = sign(d) omega Q(n ln 2 - ln omega) / (2^n ln 2) and Q the
+    table's `q_at`, so
+
+        term = G[q_y] sum_p H[p] (T(omega_(p+1)) - T(omega_p)),
+
+    omega_p clipped to [1/2, 1] and H zero outside its quarters.  With
+    y' = 4 rho + 2/S, the breakpoints inside are p = floor(y') + 1 at
+    omega = 1/2 + (1 - z) S/4, z = y' - floor(y'), and when S < 2 the next
+    one; the others read T(1/2) or T(1).  So per level the sum is
+    tabulated once, as a function of floor(y') and that omega, H and T
+    folded in, on OMEGA_CELLS equal cells of [1/2, 1] read linearly: no
+    point takes a log or an exp2.
+
+    Each read of T is within (1 / (2 OMEGA_CELLS))^2 sup |T''| / 8 of T,
+    T'' = -c' / omega, plus a quarter cell times a jump of T' = c where a
+    table's tail leaves its end sample, and H's jumps add up to 32; so the
+    term is within (2 sup |c'| / OMEGA_CELLS^2 + 4 jumps / OMEGA_CELLS) /
+    (2^n ln 2) of the exact mean, to rounding.  A point where x misses the
+    cell for every u gives exactly 0, so the engine's hits count the sigma
+    whose cells hold x and y together for some u.
     """
     if x == y:
-        raise ValueError("the kernel sum is undefined on the diagonal x = y")
+        raise ValueError(f"the kernel sum is undefined on the diagonal x = y = {x!r}")
+    if not levels or levels.step != 1:
+        raise ValueError(f"need a nonempty range of consecutive levels, got {levels!r}")
+    d = x - y
+    n = np.arange(levels.start, levels.stop)
+    # stretch S = 2^n / |d|, and y' = 4 rho + 2/S - floor(2/S) = slope sigma + offset
+    stretch = np.ldexp(1.0, n) / abs(d)
+    low = np.floor(2.0 / stretch)
+    offset = 2.0 / stretch - low + (4.0 if d > 0 else 0.0)
+    slope = -4.0 if d > 0 else 4.0
+    # T on the omega grid, a row per level
+    t = table.q_at((n * _LN2)[:, None] - _LOG_OMEGA)
+    t *= _OMEGA
+    t *= np.copysign(np.ldexp(1.0 / _LN2, -n), d)[:, None]
+    rises = np.zeros_like(t)
+    np.subtract(t[:, 1:], t[:, :-1], out=rises[:, :-1])
+    # per level and block f = floor(y') in 0 .. 4: H at p = f + floor(2/S) and the next two
+    p = low.astype(np.intp)[:, None] + np.arange(7)
+    h = np.where(p < 4, _H_VALUES[np.minimum(p, 3)], 0.0)[:, :, None]
 
-    def pairing(k: np.ndarray, sigma: np.ndarray, length: np.ndarray) -> np.ndarray:
-        # floor(4 py) - 4k, exact, is g's quarter when y shares x's cell,
-        # negative or >= 4 when not; clipped, it reads the padding's 0
-        quarter = np.divide(y, length, out=scratch("quarter", k.shape))
-        quarter -= sigma
-        quarter *= 4.0
-        np.floor(quarter, out=quarter)
-        quarter -= np.multiply(k, 4.0, out=scratch("pairing", k.shape))
-        np.clip(quarter, -1.0, 4.0, out=quarter)
-        quarter += 1.0
-        index = scratch("index", k.shape, np.intp)
-        np.copyto(index, quarter, casting="unsafe")
-        return np.take(_G_PADDED, index, out=scratch("pairing", k.shape), mode="clip")
+    @functools.lru_cache(maxsize=1)
+    def tables(row: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per lookup, the values and rises of level row `row`'s read, block
+        by block: the first inside breakpoint's weight with the sum's fixed
+        part, then the next one's weight, which only reads T(1) when
+        S >= 2.  The engine runs a worker's tasks in row order, so one row
+        is kept at a time."""
+        h0, h1, h2 = h[row, :5], h[row, 1:6], h[row, 2:]
+        first, second = h0 - h1, h1 - h2
+        fixed = h2 * t[row, -1] - h0 * t[row, 0]
+        if stretch[row] >= 2.0:
+            return [((first * t[row] + (fixed + second * t[row, -1])).ravel(),
+                     (first * rises[row]).ravel())]
+        return [((first * t[row] + fixed).ravel(), (first * rises[row]).ravel()),
+                ((second * t[row]).ravel(), (second * rises[row]).ravel())]
 
-    return shift_terms(table, x, pairing)
+    def term(n: int, sigma: np.ndarray, *_) -> np.ndarray:
+        row = n - levels.start
+        half = stretch[row] * OMEGA_CELLS / 2.0
+        shape = sigma.shape
+        index = scratch("index", shape, np.intp)
+        rise = scratch("rise", shape)
+        # g at y, 1 - sigma into its cell: the quarter floor(4 - 4 sigma) in 0 .. 4
+        quarters = np.multiply(sigma, -4.0, out=scratch("quarters", shape))
+        quarters += 4.0
+        np.copyto(index, quarters, casting="unsafe")
+        g = np.take(_G_WRAPPED, index, out=scratch("g", shape), mode="clip")
+        # y', then z = y' - floor(y')
+        np.multiply(sigma, slope, out=quarters)
+        quarters += offset[row]
+        block = np.floor(quarters, out=scratch("block", shape))
+        quarters -= block
+        block *= OMEGA_CELLS + 1
+        out = scratch("vals", shape)
+        for k, (values, steps) in enumerate(tables(row)):
+            # omega's grid coordinate (k + 1 - z) S K / 2, clipped to K
+            at = np.multiply(quarters, -half, out=scratch("at", shape))
+            at += (k + 1) * half
+            np.minimum(at, OMEGA_CELLS, out=at)
+            at += block
+            np.copyto(index, at, casting="unsafe")
+            at -= index
+            # the indices are in range: clip mode only skips the check
+            read = np.take(steps, index, out=rise if k else out, mode="clip")
+            read *= at
+            read += np.take(values, index, out=at, mode="clip")
+            if k:
+                out += read
+        out *= g
+        return out
+
+    return term

@@ -136,12 +136,16 @@ def mc_estimate(
     stop at the cutoff for `tol_tail`; `dyadic.estimate` gives the mean,
     stderr and tail bound.
     """
-    term = dyadic.kernel_sum_terms(table, x, y)
+    if x == y:
+        raise ValueError(f"the kernel sum is undefined on the diagonal x = y = {x!r}")
     if abs(x - y) < dyadic.MIN_DISTANCE:
         raise ValueError(f"separation |x - y| = {abs(x - y)!r} is below {dyadic.MIN_DISTANCE!r}")
     gamma_sup = table.sup_norm()
     levels = dyadic.levels_for_distance(abs(x - y), gamma_sup, tol_tail)
-    tallies = dyadic.accumulate_samples(seed, num_samples, levels, term, threads=threads)
+    term = dyadic.kernel_sum_terms(table, x, y, levels)
+    tallies = dyadic.accumulate_samples(
+        seed, num_samples, levels, term, threads=threads, exact_dilation=True
+    )
     return dyadic.estimate(x, levels, tallies, gamma_sup, num_samples, seed)
 
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from haarshift import RECURSION, CoefficientTable, m_of, residual
+from haarshift.dyadic import scratch, shift_terms
 from haarshift.piecewise import PiecewiseLinear, StepFunction, kernel_profile, make_g, make_h
 from haarshift.solver import _detect_tail
 
@@ -93,55 +94,28 @@ def neumann_tail_bound(m_sup: float, depth: int) -> float:
     return (8.0 / 99.0) * m_sup * RATIO ** (depth + 1) / (1.0 - RATIO)
 
 
-def sweep_solve(spec, window=(-14.0, 14.0), step=2.0**-9, tol=1e-8, max_iter=600):
-    """Coefficient table by the contraction sweep, started from the tails.
+def sweeps_needed(first_change: float, tol: float) -> int:
+    """The sweeps the stop rule of `sweep_solve` can need: each sweep
+    contracts the sup-change by 31/33 at least, so it falls below
+    tol (1 - 31/33) by sweep k once (31/33)^(k - 1) first_change does."""
+    stop = tol * (1.0 - RATIO)
+    if first_change < stop:
+        return 1
+    return 2 + math.floor(math.log(stop / first_change) / math.log(RATIO))
 
-    Iterates the fixed-point map
 
-        c(u) = W_UP3 c(u + ln 3) + W_UP32 c(u + ln(3/2)) + W_DOWN43 c(u - ln(4/3))
-               - (8/99) m(u - ln(4/3))
-
-    on a uniform grid padded by max_iter * (ln(4/3), ln 3), so that nothing
-    from beyond the padding reaches the window within the sweep budget.
-    Shifted reads interpolate linearly between grid points; beyond the grid
-    the iterate is extended by the constant tails (the library's tail
-    detection, so both routes share their tails) or clamped where m has no
-    flat limit.  The sweeps start from those tails and stop once the
-    sup-change drops below tol (1 - 31/33), which bounds the remaining
-    geometric tail by tol.  The table records the sweep count and the
-    largest ratio of successive sup-changes, the observed contraction
-    factor; an exhausted budget fails the calling test.
-    """
-    u_min, u_max = float(window[0]), float(window[1])
-
-    def mfun(u):
-        return m_of(spec, u)
-
-    n_left = int(np.ceil(max_iter * LN43 / step))
-    n_right = int(np.ceil((u_max - u_min + max_iter * LN3) / step))
-    grid = (u_min - n_left * step) + step * np.arange(n_left + n_right + 1)
+def _sweeper(grid, source, tail_left, tail_right, c, step):
+    """One sweep of the fixed-point map per call, in place: returns the
+    sup-change and the new iterate.  Shifted reads interpolate linearly
+    between grid points; beyond the grid the iterate is extended by the
+    tails, or clamped where m has no flat limit."""
     n = len(grid)
-    source = (8.0 / 99.0) * np.asarray(mfun(grid - LN43), dtype=float)
-
-    # fixed point of the map with m frozen at its limit: c = -(4/3) m
-    flat_l, m_left = _detect_tail(mfun, grid[0], direction=-1)
-    flat_r, m_right = _detect_tail(mfun, grid[-1], direction=+1)
-    tail_left = -(4.0 / 3.0) * m_left if flat_l else None
-    tail_right = -(4.0 / 3.0) * m_right if flat_r else None
-    c = np.where(
-        grid < 0.5 * (grid[0] + grid[-1]),
-        tail_left if tail_left is not None else 0.0,
-        tail_right if tail_right is not None else 0.0,
-    ).astype(float)
-
     # one pad block per side for the slice reads; ln3 is the widest shift
     pad = int(np.ceil(LN3 / step)) + 2
-
     # the iterate lives inside a padded copy, and each sweep writes the next
     # one inside a second copy: the two swap, and the sweep runs in place
-    c_ext, new_ext = np.empty(n + 2 * pad), np.empty(n + 2 * pad)
-    c_ext[pad : pad + n] = c
-    c = c_ext[pad : pad + n]
+    state = [np.empty(n + 2 * pad), np.empty(n + 2 * pad)]
+    state[0][pad : pad + n] = c
     lerp, part = np.empty(n), np.empty(n)
 
     def shifted(c_ext, offset, out):
@@ -153,34 +127,91 @@ def sweep_solve(spec, window=(-14.0, 14.0), step=2.0**-9, tol=1e-8, max_iter=600
         np.multiply(c_ext[i0 + 1 : i0 + 1 + n], w, out=part)
         out += part
 
-    stop = tol * (1.0 - RATIO)
-    prev_change = None
-    max_ratio = 0.0
-    for sweeps in range(1, max_iter + 1):
+    def sweep():
+        c_ext, new_ext = state
+        c = c_ext[pad : pad + n]
         c_ext[:pad] = tail_left if tail_left is not None else c[0]
         c_ext[pad + n :] = tail_right if tail_right is not None else c[-1]
         c_new = new_ext[pad : pad + n]
         shifted(c_ext, LN3, c_new)
         c_new *= W_UP3
         shifted(c_ext, LN32, lerp)
-        lerp *= W_UP32
+        np.multiply(lerp, W_UP32, out=lerp)
         c_new += lerp
         shifted(c_ext, -LN43, lerp)
-        lerp *= W_DOWN43
+        np.multiply(lerp, W_DOWN43, out=lerp)
         c_new += lerp
         c_new -= source
         np.subtract(c_new, c, out=lerp)
-        change = float(np.abs(lerp, out=lerp).max())
-        if prev_change is not None and prev_change > 0:
+        state.reverse()
+        return float(np.abs(lerp, out=lerp).max()), c_new
+
+    return sweep
+
+
+def sweep_solve(spec, window=(-14.0, 14.0), step=2.0**-9, tol=1e-8):
+    """Coefficient table by the contraction sweep, started from the tails.
+
+    Iterates the fixed-point map
+
+        c(u) = W_UP3 c(u + ln 3) + W_UP32 c(u + ln(3/2)) + W_DOWN43 c(u - ln(4/3))
+               - (8/99) m(u - ln(4/3))
+
+    on a uniform grid padded by k (ln(4/3), ln 3), k the sweeps the stop
+    rule can need (`sweeps_needed`), so that nothing from beyond the
+    padding reaches the window within them.  k follows from the first
+    sweep's sup-change, measured on a grid padded for a first guess of 64
+    sweeps and again on each grid it grows to.  Shifted reads interpolate
+    linearly between grid points; beyond the grid the iterate is extended
+    by the constant tails (the library's tail detection, so both routes
+    share their tails) or clamped where m has no flat limit.  The sweeps
+    start from those tails and stop once the sup-change drops below
+    tol (1 - 31/33), which bounds the remaining geometric tail by tol.
+    The table records the sweep count and the largest ratio of successive
+    sup-changes, the observed contraction factor; a sweep count past k
+    fails the calling test.
+    """
+    u_min, u_max = float(window[0]), float(window[1])
+
+    def mfun(u):
+        return m_of(spec, u)
+
+    budget = 64
+    while True:
+        n_left = int(np.ceil(budget * LN43 / step))
+        n_right = int(np.ceil((u_max - u_min + budget * LN3) / step))
+        grid = (u_min - n_left * step) + step * np.arange(n_left + n_right + 1)
+        source = (8.0 / 99.0) * np.asarray(mfun(grid - LN43), dtype=float)
+
+        # fixed point of the map with m frozen at its limit: c = -(4/3) m
+        flat_l, m_left = _detect_tail(mfun, grid[0], direction=-1)
+        flat_r, m_right = _detect_tail(mfun, grid[-1], direction=+1)
+        tail_left = -(4.0 / 3.0) * m_left if flat_l else None
+        tail_right = -(4.0 / 3.0) * m_right if flat_r else None
+        c = np.where(
+            grid < 0.5 * (grid[0] + grid[-1]),
+            tail_left if tail_left is not None else 0.0,
+            tail_right if tail_right is not None else 0.0,
+        ).astype(float)
+        sweep = _sweeper(grid, source, tail_left, tail_right, c, step)
+        first, c = sweep()
+        need = sweeps_needed(first, tol)
+        if need <= budget:
+            break
+        budget = need
+
+    stop = tol * (1.0 - RATIO)
+    prev_change, change, max_ratio, sweeps = first, first, 0.0, 1
+    while change >= stop:
+        if sweeps == budget:
+            raise AssertionError(
+                f"sweep: no convergence in {budget} sweeps (last sup-change {change:.3e})"
+            )
+        change, c = sweep()
+        sweeps += 1
+        if prev_change > 0:
             max_ratio = max(max_ratio, change / prev_change)
         prev_change = change
-        c_ext, new_ext, c = new_ext, c_ext, c_new
-        if change < stop:
-            break
-    else:
-        raise AssertionError(
-            f"sweep: no convergence in {max_iter} sweeps (last sup-change {prev_change:.3e})"
-        )
 
     samples = c[n_left : n_left + round((u_max - u_min) / step) + 1].copy()
     table = CoefficientTable(
@@ -604,6 +635,37 @@ def reference_shift_terms(table, x: float, pairing):
     return term
 
 
+# g's quarter values with a 0 at each end, for points outside the cell
+_G_PADDED = np.concatenate([[0.0], _G_QUARTERS, [0.0]])
+
+
+def lattice_kernel_sum_terms(table, x: float, y: float):
+    """The two-point kernel sum's level term on the (log2 r, sigma)
+    lattice, as streams 3 to 8 drew it: the shift at x applied to a unit
+    mass at y, whose pairing is g_I(y), zero when y falls in a different
+    cell than x.  In place, through the library's `shift_terms`; it serves
+    the engine tests as a four-parameter term and the exact-dilation term's
+    tests as the integrand it integrates over u."""
+    if x == y:
+        raise ValueError("the kernel sum is undefined on the diagonal x = y")
+
+    def pairing(k, sigma, length):
+        # floor(4 py) - 4k, exact, is g's quarter when y shares x's cell,
+        # negative or >= 4 when not; clipped, it reads the padding's 0
+        quarter = np.divide(y, length, out=scratch("quarter", k.shape))
+        quarter -= sigma
+        quarter *= 4.0
+        np.floor(quarter, out=quarter)
+        quarter -= np.multiply(k, 4.0, out=scratch("pairing", k.shape))
+        np.clip(quarter, -1.0, 4.0, out=quarter)
+        quarter += 1.0
+        index = scratch("index", k.shape, np.intp)
+        np.copyto(index, quarter, casting="unsafe")
+        return np.take(_G_PADDED, index, out=scratch("pairing", k.shape), mode="clip")
+
+    return shift_terms(table, x, pairing)
+
+
 def reference_kernel_pairing(y: float):
     """g_I(y), zero when y falls in another cell than the one indexed k."""
 
@@ -624,3 +686,32 @@ def reference_operator_pairing(f):
         return F(a) - 2.0 * F(a + 0.25 * length) + 2.0 * F(a + 0.75 * length) - F(a + length)
 
     return pairing
+
+
+def dilation_integral(table, d: float, n: int, sigma: float) -> float:
+    """The mean over u = log2 r in [0, 1) of the lattice level term at
+    level n for the pair x = d, y = 0 and the shift sigma, by
+    scipy.integrate.quad over u, split where x's quarter or the shared
+    cell changes and where ln L crosses the table's window; the value the
+    exact-dilation term (`dyadic.kernel_sum_terms`) computes in closed
+    form."""
+    from scipy.integrate import quad
+
+    term = lattice_kernel_sum_terms(table, d, 0.0)
+
+    def at(u):
+        u = np.array([u])
+        return float(term(n, np.exp2(u), np.array([sigma]), u)[0])
+
+    # w = d / 2^(n + u) meets sigma - 1 + q/4 at u = log2(d / (2^n w)) - n
+    cuts = {0.0, 1.0}
+    for q in range(5):
+        w = sigma - 1.0 + q / 4.0
+        if w != 0.0 and d / w > 0.0:
+            cuts.add(math.log2(d / w) - n)
+    for edge in (table.u_min, table.u_max):
+        cuts.add(edge / math.log(2.0) - n)
+    cuts = sorted(u for u in cuts if 0.0 <= u <= 1.0)
+    return math.fsum(
+        quad(at, a, b, epsabs=1e-15, epsrel=1e-12, limit=200)[0] for a, b in zip(cuts, cuts[1:])
+    )

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import importlib
 import io
@@ -11,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import haarshift
 from haarshift import STREAM_VERSION, __version__, read_table, write_table
-from haarshift import cli
+from haarshift import cli, dyadic
 
 
 @pytest.fixture()
@@ -230,7 +233,62 @@ def test_mc_largest_seed(hilbert_base, capsys):
 def test_mc_diagonal_is_numeric_error(hilbert_base, capsys):
     rc = cli.main(["mc", "--table", hilbert_base, "--x", "0.5", "--y", "0.5"])
     assert rc == 2
-    assert "haarshift:" in capsys.readouterr().err
+    assert "haarshift: the kernel sum is undefined on the diagonal x = y = 0.5" in (
+        capsys.readouterr().err)
+
+
+@pytest.fixture(scope="module")
+def scan_base(tmp_path_factory, hilbert_table):
+    base = tmp_path_factory.mktemp("scan") / "hilb"
+    write_table(hilbert_table, base)
+    return str(base)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    separation=st.one_of(
+        st.floats(2.0**-40, 1e160),
+        st.sampled_from([2.0**-40, math.nextafter(2.0**-40, 0.0), 1e160, 2.0**19, 0.3]),
+    ),
+    sign=st.sampled_from([-1.0, 1.0]),
+    y=st.one_of(
+        st.floats(-1e3, 1e3).filter(lambda v: v != 0.0),
+        st.sampled_from([5e-324, -1e-300, 1e160, -3e159, 1e300]),
+    ),
+    samples=st.one_of(st.integers(1, 4096), st.sampled_from([1, 2, 20, 21, 4096])),
+)
+def test_mc_input_scan(scan_base, separation, sign, y, samples):
+    """`mc` over separations from 2^-40 to 1e160 of both signs, points y
+    other than 0 and --samples from 1 to 4096 either exits 0 with a finite
+    mean and tail bound, and a stderr that is positive whenever some
+    level's replicate sums differ (absent only for one draw), or exits 2
+    with a message naming the input: the diagonal x = y, or a separation
+    below 2^-40, where x = y + separation rounds so."""
+    x = y + sign * separation
+    argv = ["mc", "--table", scan_base, f"--x={x!r}", f"--y={y!r}", "--samples", str(samples),
+            "--seed", "5"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    if rc != 0:
+        assert rc in (2, 64)
+        assert (f"the diagonal x = y = {x!r}" in err.getvalue()
+                or f"separation |x - y| = {abs(x - y)!r} is below" in err.getvalue()), err.getvalue()
+        return
+    payload = json.loads(out.getvalue())
+    assert math.isfinite(payload["mean"]) and math.isfinite(payload["tail_bound"])
+    table = read_table(scan_base)
+    levels = dyadic.levels_for_distance(abs(x - y), table.sup_norm(), 1e-4)
+    tallies = dyadic.accumulate_samples(
+        5, samples, levels, dyadic.kernel_sum_terms(table, x, y, levels), exact_dilation=True
+    )
+    if samples == 1:
+        assert payload["stderr"] is None
+    elif any(np.ptp(t.sums) > 0.0 for t in tallies):
+        assert payload["stderr"] > 0.0
 
 
 @pytest.mark.parametrize("x", ["1e-310", "9e-13"])
@@ -348,6 +406,33 @@ def test_benchmark_tracer_runs_on_the_package(tmp_path, monkeypatch):
         tracer.uninstall()
         sys.modules.pop("spans", None)
     assert spans.layer_metrics(tracer.spans, 1)["dyadic.term.calls"] > 0
+
+
+def test_traced_mc_prints_the_untraced_estimate(hilbert_base, tmp_path, monkeypatch):
+    """bench/spans.py wraps the mc term as term(n, r, sigma); the engine
+    hands such a term sigma twice under the exact-dilation rule, so a
+    traced mc prints the mean, stderr and levels of an untraced one."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    spans = importlib.import_module("spans")
+    argv = ["mc", "--table", hilbert_base, "--x", "0.9", "--y", "-0.4", "--samples", "3000",
+            "--seed", "8"]
+    assert cli.main([*argv, "--out", str(tmp_path / "plain.json")]) == 0
+    tracer = spans.Tracer("tests")
+    tracer.install()
+    try:
+        tracer.active = True
+        assert cli.main([*argv, "--out", str(tmp_path / "traced.json")]) == 0
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+        sys.modules.pop("spans", None)
+    plain, traced = (json.loads((tmp_path / f"{name}.json").read_text())
+                     for name in ("plain", "traced"))
+    assert [plain[k] for k in ("mean", "stderr", "levels")] == [
+        traced[k] for k in ("mean", "stderr", "levels")]
+    metrics = spans.layer_metrics(tracer.spans, 1)
+    assert metrics["dyadic.term.evals"] == sum(level["draws"] for level in plain["levels"])
 
 
 @pytest.mark.parametrize("command", ["mc", "apply"])
