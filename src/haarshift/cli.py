@@ -46,6 +46,8 @@ NUMERIC_EXIT = 2
 
 # largest omega_max / step `adiag` scans: 2^30 + 1 frequencies, minutes of work
 ADIAG_MAX_COUNT = 1 << 29
+# most probes `verify` takes (4 s, 0.28 GB), 328 times the benchmark's largest verify
+VERIFY_MAX_PROBES = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,17 +96,22 @@ def _float_list(text: str) -> list[float]:
 
 
 def _probe_spec(text: str) -> np.ndarray:
-    """Either 'log:A:B:N' (N log-spaced points) or a comma list, not empty."""
+    """Either 'log:A:B:N' (N log-spaced points, A and B positive and finite,
+    N at most VERIFY_MAX_PROBES before any array is made) or a comma list,
+    not empty."""
     if not text.startswith("log:"):
         return np.asarray(_float_list(text))
     try:
         _, a, b, n = text.split(":")
-        probes = np.logspace(math.log10(float(a)), math.log10(float(b)), int(n))
-    except (ValueError, TypeError):
+        ends, count = [math.log10(_positive_float(v)) for v in (a, b)], int(n)
+    except (ValueError, TypeError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(f"bad probe spec {text!r}")
-    if not probes.size:
+    if count > VERIFY_MAX_PROBES:
+        raise argparse.ArgumentTypeError(
+            f"{count} probes in {text!r}, above the bound 2^16 = {VERIFY_MAX_PROBES}")
+    if count < 1:
         raise argparse.ArgumentTypeError(f"no probes in {text!r}")
-    return probes
+    return np.logspace(*ends, count)
 
 
 def _table_for(args: argparse.Namespace):
@@ -160,7 +167,13 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     spec = get_kernel(args.kernel)
     table = _table_for(args)
-    payload = compare_report(spec, table, args.probes, rtol=args.rtol)
+    # near 0 a K of order 1/x overflows, and a non-finite error is refused below
+    with np.errstate(over="ignore"):
+        payload = compare_report(spec, table, args.probes, rtol=args.rtol)
+    for row in payload["probes"]:
+        if not math.isfinite(row["rel_err"]):
+            raise ValueError("probe x = {x!r}: K = {K!r}, Khat = {Khat!r}, rel_err {rel_err!r}"
+                             .format(**row))
     payload.update(_provenance(args))
     _emit(payload, args.out)
     return 0

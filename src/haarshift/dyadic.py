@@ -27,7 +27,7 @@ in (log2 r, sigma), phi the golden-ratio conjugate, each moved modulo 1 by
 its own uniform shift (U, U').  A term that integrates over the dilation
 itself (`exact_dilation`, the two-point kernel sum's) needs sigma alone:
 it gets the rule's first coordinate, ((i + 1/2) / n_l + U) mod 1, as
-sigma, with no exp2 and no Kronecker coordinate.  This is preintegration,
+sigma, with no Kronecker coordinate.  This is preintegration,
 or conditional Monte Carlo (Griebel, Kuo and Sloan, 2013): the dilation's
 share of the variance is gone.  Every replicate mean is unbiased; the level
 mean is the mean of the R_l replicate means and its stderr their sample
@@ -36,11 +36,10 @@ standard deviation over sqrt(R_l), NaN when R_l = 1 (M = 1).
 `estimate` is the one Monte-Carlo estimator: ln 2 times the sum of the
 level means, ln 2 times the root of the summed squared level stderrs, the
 bound on the discarded coarse levels, and a record of each level's share
-(`LevelRecord`).  `shift_terms` is the level term of the Haar shift on the
-lattice, given its pairing with f, which the averaged shift operator
-(`operators`) pairs with a test function; `kernel_sum_terms`, the shift
-applied to a unit mass at y, integrates its level term over the dilation
-in closed form.
+(`LevelRecord`).  Every level term is called as term(n, u, v) (see
+`accumulate_probes`): the averaged shift operator's (`operators`) on the
+lattice, and `kernel_sum_terms`, the shift applied to a unit mass at y,
+whose level term integrates over the dilation in closed form.
 
 Draw order is part of the reproducibility contract, and `STREAM_VERSION`
 names it; the CLI records it as `versions.stream` in its JSON outputs.
@@ -49,21 +48,20 @@ Philox counter block, keyed by (seed, l, j); point i of that replicate has
 log2 r = ((i + 1/2) / n_l + U) mod 1 and sigma = ((i phi mod 1) + U') mod 1.
 Neither key holds the probe, so the probes of one call share each row's
 shifts and lattice, and `accumulate_probes` draws them once for all of
-them.  Stream 7 draws the same points, and hands each term log2 r beside
-r = exp2(log2 r): the Haar shift's term reads gamma at that lattice
-coordinate (`shift_terms`), which moves gamma's argument in its last bits
-on a table that is not constant.  Stream 8 draws the points of stream 7
-and reads gamma through the table's piecewise cubic (`CoefficientTable.c_at`)
-where stream 7 interpolated linearly, which moves every output on a table
-that is not constant.  Stream 9 keeps stream 8 for `apply` and gives `mc`
-the exact-dilation rule and term: the same shifts U, and sigma at the
-points where stream 8 had log2 r.  README lists the earlier streams.
+them.  Stream 7 draws the same points, and the Haar shift's term reads
+gamma at the lattice coordinate log2 r, not at log2(exp2(log2 r)), which
+moves gamma's argument in its last bits on a table that is not constant.
+Stream 8 draws the points of stream 7 and reads gamma through the table's
+piecewise cubic (`CoefficientTable.c_at_level`) where stream 7 interpolated
+linearly, which moves every output on a table that is not constant.
+Stream 9 keeps stream 8 for `apply` and gives `mc` the exact-dilation rule
+and term: the same shifts U, and sigma at the points where stream 8 had
+log2 r.  README lists the earlier streams.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 import numbers
 import os
@@ -92,7 +90,7 @@ __all__ = [
 ]
 
 # quarter values of the two generating step functions, as lookup arrays
-_H_VALUES = np.array(make_h().values)
+H_VALUES = np.array(make_h().values)
 # g's quarter values and the first again, read at 4 - 4 sigma in (0, 4]
 _G_WRAPPED = np.array([*make_g().values, make_g().values[0]])
 # equal cells of [1/2, 1] on which `kernel_sum_terms` tabulates its antiderivative
@@ -118,6 +116,8 @@ DEFAULT_CHUNK = 1 << 15
 
 # least probe-to-feature distance: nearer, the floor level's r 2^n heads for subnormals
 MIN_DISTANCE = 2.0**-40
+# bound on distances and cell lengths, so that the ends of the cell at x stay finite
+MAX_DISTANCE = 2.0**1022
 
 
 # the engine's named scratch arrays (see `scratch`), kept between passes
@@ -230,13 +230,17 @@ def cutoff_for_tolerance(gamma_sup: float, tol: float) -> int:
     Levels with cell length below 2^N are kept (n <= N - 1); the discarded
     remainder is bounded by the returned tolerance because at most one cell
     per level contains a given point and sum of 1/length over those cells
-    telescopes to at most 2^(1-N).
+    telescopes to at most 2^(1-N).  N past 1022, cells reach MAX_DISTANCE:
+    ValueError.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if gamma_sup == 0:
         return 1
-    return 1 + max(0, math.ceil(math.log2(14.0 * gamma_sup / tol)))
+    ratio = 14.0 * gamma_sup / tol
+    if not ratio <= MAX_DISTANCE / 2.0:
+        raise ValueError(f"tolerance {tol!r} for sup |gamma| = {gamma_sup:g} admits 2^1022 cells")
+    return 1 + max(0, math.ceil(math.log2(ratio)))
 
 
 def tail_bound_value(gamma_sup: float, n_cutoff: int) -> float:
@@ -252,8 +256,8 @@ def levels_for_distance(dist: float, gamma_sup: float, tol_tail: float) -> range
     shorter than 2^n_min <= dist and contributes nothing.  The levels stop
     below the cutoff for `tol_tail`, and hold at least the floor.
     """
-    if not 0.0 < dist < math.inf:
-        raise ValueError(f"need a positive finite distance, got {dist!r}")
+    if not 0.0 < dist < MAX_DISTANCE:
+        raise ValueError(f"need a positive finite distance below 2^1022, got {dist!r}")
     n_cut = cutoff_for_tolerance(gamma_sup, tol_tail)
     # dist = m 2^e with m in [1/2, 1)
     n_min = math.frexp(dist)[1] - 1
@@ -322,45 +326,13 @@ def accumulate_samples(
     seed: int,
     num_samples: int,
     levels: range,
-    term_fn: Callable[..., np.ndarray],
+    term_fn: Callable[[int, np.ndarray, np.ndarray | None], np.ndarray],
     threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
     exact_dilation: bool = False,
 ) -> list[Tally]:
     """One `Tally` per level of ``levels`` (a nonempty range of consecutive
-    levels), from the floor up, each level on its own randomly shifted
-    lattices (stream `STREAM_VERSION`, described in the module docstring):
-    the one-probe case of `accumulate_probes`.
-
-    term_fn(n, r, sigma, log2r), pure and vectorized over the points, gets
-    the lattice coordinate log2r in [0, 1) with r = exp2(log2r) bit for
-    bit, and at most chunk_size points a call: whole replicates of a level,
-    or one replicate's points in consecutive pieces, whose sums add in
-    order.  A term_fn that cannot take four arguments is called as
-    term_fn(n, r, sigma): `bench/spans.py` wraps terms so (ROADMAP item 1).  With
-    `threads` N > 1 the calls run in N worker processes, this one and N - 1
-    forked children (no more than the tasks or the cores, and none beside
-    other threads), worker s taking tasks s, s + N, s + 2N, ...; a term's
-    side effects in a child are lost.  No point depends on chunk_size or N,
-    and no sum on N.  Rounding takes r to 2 only with probability below
-    2^-46 per point.  r, sigma and log2r are views of the engine's
-    workspace, read-only and valid only during the call, and the term may
-    return one too (see `scratch`).
-
-    With `exact_dilation` the term integrates over the dilation itself:
-    the engine draws sigma alone, on the one-dimensional rule of the module
-    docstring, and calls term_fn(n, sigma); a term_fn that cannot take two
-    arguments gets sigma twice, as term_fn(n, sigma, sigma).
-    """
-    try:
-        inspect.signature(term_fn).bind(0, *[None] * (1 if exact_dilation else 3))
-    except TypeError:
-        plain = term_fn
-
-        def term_fn(n, *points):
-            # the three-parameter form (n, r, sigma)
-            return plain(n, points[0], points[0 if exact_dilation else 1])
-
+    levels), from the floor up: the one-probe case of `accumulate_probes`."""
     probes = [(levels, term_fn)]
     return accumulate_probes(seed, num_samples, probes, threads, chunk_size, exact_dilation)[0]
 
@@ -368,15 +340,29 @@ def accumulate_samples(
 def accumulate_probes(
     seed: int,
     num_samples: int,
-    probes: Sequence[tuple[range, Callable[..., np.ndarray]]],
+    probes: Sequence[tuple[range, Callable[[int, np.ndarray, np.ndarray | None], np.ndarray]]],
     threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
     exact_dilation: bool = False,
 ) -> list[list[Tally]]:
-    """`accumulate_samples` for each (levels, term_fn) of ``probes``, every
-    term_fn taking (n, r, sigma, log2r), or (n, sigma) with
-    `exact_dilation`, with the bits it gives alone, in one pass: each task
-    draws row l's points once, for the term of every probe with a row l."""
+    """Per (levels, term_fn) of ``probes``, one `Tally` per level of
+    ``levels`` (a nonempty range of consecutive levels), from the floor up,
+    on the randomly shifted lattices of stream `STREAM_VERSION` (module
+    docstring), in one pass: each task draws row l's points once, for every
+    probe with a row l, and every term gets the bits it would get alone.
+
+    Every term is called one way, term_fn(n, u, v), pure and vectorized
+    over the points: on the lattice u = log2 r in [0, 1) and v = sigma;
+    with `exact_dilation`, for a term that integrates over the dilation
+    itself, u = sigma on the one-dimensional rule and v = None.  A call
+    gets whole replicates of a level, or one replicate's points in pieces
+    whose sums add in order, at most chunk_size points.  With `threads`
+    N > 1 the calls run in N worker processes (no more than the tasks or
+    the cores, and none beside other threads), where a term's side effects
+    are lost.  No point depends on chunk_size or N, and no sum on N.  u and
+    v are read-only views of the engine's workspace, valid only during the
+    call, and the term may return one too (see `scratch`).
+    """
     if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 128):
         raise ValueError(f"seed must be an integer in [0, 2^128), got {seed!r}")
     for name, value in (("num_samples", num_samples), ("threads", threads)):
@@ -413,18 +399,16 @@ def accumulate_probes(
         # a row per replicate; sums lie in [0, 2), so taking off the floor is exact
         log2r = np.add(offset, shift[:, :1], out=scratch("log2r", (count, n)))
         log2r -= np.floor(log2r, out=scratch("floor", log2r.shape))
-        if exact_dilation:
-            # the same coordinate, read as sigma
-            points = (log2r.ravel(),)
-        else:
-            r = np.exp2(log2r, out=scratch("r", log2r.shape))
+        # under exact_dilation the first coordinate is read as sigma, and there is no other
+        u, v = log2r.ravel(), None
+        if not exact_dilation:
             lattice = np.multiply(i, _PHI, out=i)
             lattice -= np.floor(lattice, out=offset)
             sigma = np.add(lattice, shift[:, 1:], out=scratch("sigma", (count, n)))
-            sigma -= np.floor(sigma, out=scratch("floor", r.shape))
-            points = (r.ravel(), sigma.ravel(), log2r.ravel())
+            sigma -= np.floor(sigma, out=scratch("floor", sigma.shape))
+            v = sigma.ravel()
         # each live probe's term at its own level, lazily: reduced before the next runs
-        terms = (probes[p][1](probes[p][0][row], *points) for p in live[row])
+        terms = (probes[p][1](probes[p][0][row], u, v) for p in live[row])
         return [
             (t.reshape(count, -1).sum(axis=1),
              int(np.count_nonzero(np.not_equal(t, 0.0, out=scratch("hits", t.shape, bool)))))
@@ -529,58 +513,10 @@ def estimate(
     )
 
 
-def shift_terms(table, x: float, pairing: Callable) -> Callable:
-    """Vectorized level-term function of the Haar shift at x.
-
-    Returned callable matches the `accumulate_samples` contract and computes
-    gamma(|I|) h_I(x) <g_I, f> for the cell I = [(k + sigma) L, (k + sigma
-    + 1) L) containing x, gamma(L) = c(ln L) read through the table's
-    cubic at ln L = (n + log2r) ln 2, whose grid coordinate is t = log2r
-    (ln 2 / step) + (n ln 2 - u_min) / step, so no point takes a log;
-    called without log2r, the term takes log2(r).
-    ``pairing(k, sigma, L)`` returns sqrt(L) <g_I, f>.
-    """
-    scale, last = _LN2 / table.step, len(table.samples) - 1
-
-    def term(n: int, r: np.ndarray, sigma: np.ndarray, log2r=None) -> np.ndarray:
-        length = np.multiply(r, 2.0**n, out=scratch("length", r.shape))
-        if log2r is None:
-            log2r = np.log2(r, out=scratch("log2r.term", r.shape))
-        start = (n * _LN2 - table.u_min) / table.step
-        vals = np.multiply(log2r, scale, out=scratch("vals", r.shape))
-        vals += start
-        # log2r in [0, 1) keeps t in [start, start + scale]: only a level
-        # whose range leaves [0, last] reads a tail
-        tails = not (0.0 <= start and start + scale <= last)
-        if tails:
-            left = np.less(vals, 0.0, out=scratch("left", r.shape, bool))
-            right = np.greater(vals, last, out=scratch("right", r.shape, bool))
-            np.clip(vals, 0.0, last, out=vals)
-        table._cubic(vals)
-        if tails:
-            np.putmask(vals, left, table.tail_left)
-            np.putmask(vals, right, table.tail_right)
-        # the cell coordinate of x
-        px = np.divide(x, length, out=scratch("px", r.shape))
-        px -= sigma
-        k = np.floor(px, out=scratch("k", r.shape))
-        # 4 (px - k) is exact and lies in [0, 4): truncation is h's quarter
-        px -= k
-        px *= 4.0
-        index = scratch("index", r.shape, np.intp)
-        np.copyto(index, px, casting="unsafe")
-        vals *= np.take(_H_VALUES, index, out=px, mode="clip")
-        vals *= pairing(k, sigma, length)
-        vals /= length
-        return vals
-
-    return term
-
-
 def kernel_sum_terms(table, x: float, y: float, levels: range) -> Callable:
     """Level-term function for the two-point kernel sum at the levels
     ``levels``, its dilation integrated exactly, for `accumulate_samples`
-    with `exact_dilation`: term(n, sigma) is the mean over u = log2 r in
+    with `exact_dilation`: term(n, sigma, None) is the mean over u = log2 r in
     [0, 1) of gamma(L) h_I(x) g_I(y), L = 2^(n + u), at the shift sigma of
     the level-n lattice translated by -y, which leaves sigma uniform and
     so the level's mean unchanged.
@@ -635,7 +571,7 @@ def kernel_sum_terms(table, x: float, y: float, levels: range) -> Callable:
     np.subtract(t[:, 1:], t[:, :-1], out=rises[:, :-1])
     # per level and block f = floor(y') in 0 .. 4: H at p = f + floor(2/S) and the next two
     p = low.astype(np.intp)[:, None] + np.arange(7)
-    h = np.where(p < 4, _H_VALUES[np.minimum(p, 3)], 0.0)[:, :, None]
+    h = np.where(p < 4, H_VALUES[np.minimum(p, 3)], 0.0)[:, :, None]
 
     @functools.lru_cache(maxsize=1)
     def tables(row: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -653,7 +589,7 @@ def kernel_sum_terms(table, x: float, y: float, levels: range) -> Callable:
         return [((first * t[row] + fixed).ravel(), (first * rises[row]).ravel()),
                 ((second * t[row]).ravel(), (second * rises[row]).ravel())]
 
-    def term(n: int, sigma: np.ndarray, *_) -> np.ndarray:
+    def term(n: int, sigma: np.ndarray, _=None) -> np.ndarray:
         row = n - levels.start
         half = stretch[row] * OMEGA_CELLS / 2.0
         shape = sigma.shape

@@ -133,28 +133,46 @@ def triangle_function() -> TestFunction:
 
 
 def _operator_terms(table: CoefficientTable, f: TestFunction, x: float) -> Callable:
-    """Level-term function of the averaged operator at x.
-
-    The pairing against the quarter-split cell I = [a, a + L) collapses to
-    a four-point combination of the antiderivative:
+    """Level-term function of the averaged operator at x: term(n, log2r,
+    sigma) is gamma(|I|) h_I(x) <g_I, f> for the cell I = [a, a + L) that
+    holds x, a = (k + sigma) L, L = exp2(log2r) 2^n, gamma read at the
+    lattice coordinate (`CoefficientTable.c_at_level`).  The pairing
+    against the quarter-split cell collapses to a four-point combination
+    of the antiderivative:
     sqrt(L) <g_I, f> = F(a) - 2 F(a + L/4) + 2 F(a + 3L/4) - F(a + L).
     """
     F = f.antiderivative
 
-    def pairing(k: np.ndarray, sigma: np.ndarray, length: np.ndarray) -> np.ndarray:
-        a = np.add(k, sigma, out=dyadic.scratch("cell", k.shape))
+    def term(n: int, log2r: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        shape = log2r.shape
+        length = np.exp2(log2r, out=dyadic.scratch("length", shape))
+        length *= 2.0**n
+        vals = table.c_at_level(n, log2r)
+        # the cell coordinate of x
+        px = np.divide(x, length, out=dyadic.scratch("px", shape))
+        px -= sigma
+        k = np.floor(px, out=dyadic.scratch("k", shape))
+        # 4 (px - k) is exact and lies in [0, 4): truncation is h's quarter
+        px -= k
+        px *= 4.0
+        index = dyadic.scratch("index", shape, np.intp)
+        np.copyto(index, px, casting="unsafe")
+        vals *= np.take(dyadic.H_VALUES, index, out=px, mode="clip")
+        a = np.add(k, sigma, out=dyadic.scratch("cell", shape))
         a *= length
-        total = F(a, out=dyadic.scratch("pairing", k.shape))
+        pairing = F(a, out=dyadic.scratch("pairing", shape))
         for frac, weight in ((0.25, -2.0), (0.75, 2.0)):
-            point = np.multiply(length, frac, out=dyadic.scratch("point", k.shape))
+            point = np.multiply(length, frac, out=dyadic.scratch("point", shape))
             point += a
-            value = F(point, out=dyadic.scratch("F", k.shape))
-            total += np.multiply(value, weight, out=value)
-        point = np.add(length, a, out=dyadic.scratch("point", k.shape))
-        total -= F(point, out=dyadic.scratch("F", k.shape))
-        return total
+            value = F(point, out=dyadic.scratch("F", shape))
+            pairing += np.multiply(value, weight, out=value)
+        point = np.add(length, a, out=dyadic.scratch("point", shape))
+        pairing -= F(point, out=dyadic.scratch("F", shape))
+        vals *= pairing
+        vals /= length
+        return vals
 
-    return dyadic.shift_terms(table, x, pairing)
+    return term
 
 
 def apply_averaged(
@@ -180,10 +198,10 @@ def apply_averaged(
         if not math.isfinite(x):
             raise ValueError(f"probe x = {x!r} is not finite")
         dist = min(abs(x - float(k)) for k in f.knots)
-        if dist < dyadic.MIN_DISTANCE:
+        if not dyadic.MIN_DISTANCE <= dist < dyadic.MAX_DISTANCE:
             raise ValueError(
-                f"probe x = {x!r} is {dist:g} from a knot of f, within {dyadic.MIN_DISTANCE:g}; "
-                "the level range is unbounded there"
+                f"probe x = {x!r} is {dist:g} from a knot of f, outside [2^-40, 2^1022): "
+                "the level range is unbounded there, or its cells overflow"
             )
         probes.append((x, dyadic.levels_for_distance(dist, gamma_sup, tol_tail)))
     terms = [(lv, _operator_terms(table, f, x)) for x, lv in probes]

@@ -98,6 +98,9 @@ _LOG_C = np.array([
 ])
 # log-axis width over which the kept source is tapered to 0
 _TAPER = 4.0
+# most padded grid points `solve_c` takes (0.3 GB), 25 times its tests' and benchmark's largest
+MAX_GRID_POINTS = 1 << 22
+_LN2 = math.log(2.0)
 
 
 def _weighted_sum(terms, read):
@@ -376,6 +379,26 @@ class CoefficientTable:
             np.putmask(t, u > grid[-1], self.tail_right)
         return t if u.ndim else float(t)
 
+    def c_at_level(self, n: int, log2r: np.ndarray) -> np.ndarray:
+        """gamma(2^n r) = c((n + log2r) ln 2) for log2r in [0, 1): `c_at`'s
+        cubic at grid coordinate t = log2r (ln 2 / step) + (n ln 2 - u_min)
+        / step, with no log; only a level whose t leave [0, n - 1] clips and
+        reads a tail.  In an engine pass, a workspace array (`scratch`)."""
+        scale, last = _LN2 / self.step, len(self.samples) - 1
+        start = (n * _LN2 - self.u_min) / self.step
+        t = np.multiply(log2r, scale, out=scratch("gamma", log2r.shape))
+        t += start
+        tails = not (0.0 <= start and start + scale <= last)
+        if tails:
+            left = np.less(t, 0.0, out=scratch("left", t.shape, bool))
+            right = np.greater(t, last, out=scratch("right", t.shape, bool))
+            np.clip(t, 0.0, last, out=t)
+        self._cubic(t)
+        if tails:
+            np.putmask(t, left, self.tail_left)
+            np.putmask(t, right, self.tail_right)
+        return t
+
 
 def _detect_tail(mfun, u_edge: float, direction: int) -> tuple[bool, float]:
     """Probe m for a flat limit just inside u_edge."""
@@ -416,6 +439,9 @@ def solve_c(
 
     Raises
     ------
+    ValueError
+        If the window, step or tol is out of range, or the padded grid
+        would pass MAX_GRID_POINTS, before any array is made.
     SolverError
         If the source term breaks the paper's hypothesis that x^3 K''(x)
         is bounded: m is not finite on the padded window, or the kernel
@@ -433,9 +459,15 @@ def solve_c(
             "the padding grows like log(1/tol)"
         )
 
+    reach = [d for _, d in weighted_reach(tol)]
+    # in floats, which overflow to inf where the count has no int
+    points = (u_max - u_min + sum(reach) + 2.0 * _TAPER) / step
+    if not points <= MAX_GRID_POINTS:
+        raise ValueError(f"window ({u_min:g}, {u_max:g}) at step {step:g} pads to about "
+                         f"{points:.3g} grid points, above the bound 2^22 = {MAX_GRID_POINTS}")
     mfun = partial(m_of, spec)
     margin = max(1, math.ceil(_TAPER / step))
-    n_left, n_right = (math.ceil(reach / step) + margin for _, reach in weighted_reach(tol))
+    n_left, n_right = (math.ceil(d / step) + margin for d in reach)
     n_window = round((u_max - u_min) / step)
     grid = u_min + step * np.arange(-n_left, n_window + n_right + 1)
 

@@ -19,7 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 from haarshift import RECURSION, CoefficientTable, m_of, residual
-from haarshift.dyadic import scratch, shift_terms
 from haarshift.piecewise import PiecewiseLinear, StepFunction, kernel_profile, make_g, make_h
 from haarshift.solver import _detect_tail
 
@@ -453,12 +452,12 @@ def sample_level(seed: int, n: int, row: int, num_samples: int) -> list[list[Gri
 
 
 def replicate_sums(term, n: int, replicates: list[tuple[np.ndarray, np.ndarray]], chunk_size: int):
-    """(sums, hits) of `term` over each replicate's (log2 r, sigma) points
-    as stream 6 adds them: np.sum over consecutive pieces of at most
-    chunk_size points, the pieces added in order."""
+    """(sums, hits) of term(n, log2 r, sigma) over each replicate's
+    (log2 r, sigma) points as stream 6 adds them: np.sum over consecutive
+    pieces of at most chunk_size points, the pieces added in order."""
     sums, hits = [], 0
     for log2rs, sigmas in replicates:
-        values = term(n, np.exp2(log2rs), sigmas, log2rs)
+        values = term(n, log2rs, sigmas)
         hits += int(np.count_nonzero(values))
         pieces = range(0, len(values), chunk_size)
         sums.append(sum(float(np.sum(values[k : k + chunk_size])) for k in pieces))
@@ -609,13 +608,14 @@ def cubic_cells(s) -> np.ndarray:
 
 
 def reference_shift_terms(table, x: float, pairing):
-    """Level term gamma(|I|) h_I(x) <g_I, f> for the `accumulate_samples`
-    contract, given pairing(k, sigma, L) = sqrt(L) <g_I, f>."""
+    """Level term gamma(|I|) h_I(x) <g_I, f> on the lattice, called as the
+    engine calls it, term(n, log2 r, sigma), given pairing(k, sigma, L) =
+    sqrt(L) <g_I, f>."""
     ln2, s = math.log(2.0), table.samples
     cells = cubic_cells(s)
 
-    def term(n, r, sigma, log2r):
-        length = r * 2.0**n
+    def term(n, log2r, sigma):
+        length = np.exp2(log2r) * 2.0**n
         px = x / length - sigma
         k = np.floor(px)
         # gamma at u = (n + log2 r) ln 2: its grid coordinate t = (u - u_min) / step,
@@ -635,35 +635,15 @@ def reference_shift_terms(table, x: float, pairing):
     return term
 
 
-# g's quarter values with a 0 at each end, for points outside the cell
-_G_PADDED = np.concatenate([[0.0], _G_QUARTERS, [0.0]])
-
-
 def lattice_kernel_sum_terms(table, x: float, y: float):
     """The two-point kernel sum's level term on the (log2 r, sigma)
     lattice, as streams 3 to 8 drew it: the shift at x applied to a unit
     mass at y, whose pairing is g_I(y), zero when y falls in a different
-    cell than x.  In place, through the library's `shift_terms`; it serves
-    the engine tests as a four-parameter term and the exact-dilation term's
-    tests as the integrand it integrates over u."""
+    cell than x.  It serves the engine tests as a lattice term and the
+    exact-dilation term's tests as the integrand it integrates over u."""
     if x == y:
         raise ValueError("the kernel sum is undefined on the diagonal x = y")
-
-    def pairing(k, sigma, length):
-        # floor(4 py) - 4k, exact, is g's quarter when y shares x's cell,
-        # negative or >= 4 when not; clipped, it reads the padding's 0
-        quarter = np.divide(y, length, out=scratch("quarter", k.shape))
-        quarter -= sigma
-        quarter *= 4.0
-        np.floor(quarter, out=quarter)
-        quarter -= np.multiply(k, 4.0, out=scratch("pairing", k.shape))
-        np.clip(quarter, -1.0, 4.0, out=quarter)
-        quarter += 1.0
-        index = scratch("index", k.shape, np.intp)
-        np.copyto(index, quarter, casting="unsafe")
-        return np.take(_G_PADDED, index, out=scratch("pairing", k.shape), mode="clip")
-
-    return shift_terms(table, x, pairing)
+    return reference_shift_terms(table, x, reference_kernel_pairing(y))
 
 
 def reference_kernel_pairing(y: float):
@@ -701,7 +681,7 @@ def dilation_integral(table, d: float, n: int, sigma: float) -> float:
 
     def at(u):
         u = np.array([u])
-        return float(term(n, np.exp2(u), np.array([sigma]), u)[0])
+        return float(term(n, u, np.array([sigma]))[0])
 
     # w = d / 2^(n + u) meets sigma - 1 + q/4 at u = log2(d / (2^n w)) - n
     cuts = {0.0, 1.0}

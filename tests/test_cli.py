@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -244,6 +245,29 @@ def scan_base(tmp_path_factory, hilbert_table):
     return str(base)
 
 
+@pytest.fixture(scope="module")
+def cp_scan_base(tmp_path_factory, cp_table):
+    base = tmp_path_factory.mktemp("scan") / "cp"
+    write_table(cp_table, base)
+    return str(base)
+
+
+def _run(argv):
+    """cli.main(argv) with its output captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+# non-finite floats, signed zeros and the ends of the double range
+EXTREME_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.7e308,
+                  -1.7e308]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     separation=st.one_of(
@@ -265,20 +289,14 @@ def test_mc_input_scan(scan_base, separation, sign, y, samples):
     with a message naming the input: the diagonal x = y, or a separation
     below 2^-40, where x = y + separation rounds so."""
     x = y + sign * separation
-    argv = ["mc", "--table", scan_base, f"--x={x!r}", f"--y={y!r}", "--samples", str(samples),
-            "--seed", "5"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = cli.main(argv)
-        except SystemExit as exc:
-            rc = exc.code
+    rc, out, err = _run(["mc", "--table", scan_base, f"--x={x!r}", f"--y={y!r}",
+                         "--samples", str(samples), "--seed", "5"])
     if rc != 0:
         assert rc in (2, 64)
-        assert (f"the diagonal x = y = {x!r}" in err.getvalue()
-                or f"separation |x - y| = {abs(x - y)!r} is below" in err.getvalue()), err.getvalue()
+        assert (f"the diagonal x = y = {x!r}" in err
+                or f"separation |x - y| = {abs(x - y)!r} is below" in err), err
         return
-    payload = json.loads(out.getvalue())
+    payload = json.loads(out)
     assert math.isfinite(payload["mean"]) and math.isfinite(payload["tail_bound"])
     table = read_table(scan_base)
     levels = dyadic.levels_for_distance(abs(x - y), table.sup_norm(), 1e-4)
@@ -291,6 +309,101 @@ def test_mc_input_scan(scan_base, separation, sign, y, samples):
         assert payload["stderr"] > 0.0
 
 
+# a knot of the indicator or the tent, moved by an offset either way
+NEAR_KNOTS = st.builds(
+    lambda knot, offset, sign: knot + sign * offset,
+    st.sampled_from([0.0, 1.0, 2.0]),
+    st.sampled_from([0.0, 5e-324, 1e-300, 2.0**-41, 2.0**-40, 2.0**-30, 1e-3]),
+    st.sampled_from([-1.0, 1.0]),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    f=st.sampled_from(["indicator", "triangle"]),
+    x=st.one_of(st.floats(), st.sampled_from(EXTREME_FLOATS), NEAR_KNOTS,
+                NEAR_KNOTS.map(lambda v: math.nextafter(v, math.inf))),
+    samples=st.sampled_from([1, 2, 21, 64]),
+)
+def test_apply_input_scan(scan_base, f, x, samples):
+    """`apply` at any float probe, the extreme and non-finite ones and
+    points at and near f's knots included, either exits 0 with a finite
+    average, direct value and error, and a finite stderr past one draw, or
+    exits 2 or 64 with a message that names the probe."""
+    rc, out, err = _run(["apply", "--table", scan_base, "--kernel", "hilbert", "--f", f,
+                         f"--x={x!r}", "--samples", str(samples), "--seed", "3"])
+    if rc != 0:
+        assert rc in (2, 64) and f"x = {x!r}" in err, err
+        return
+    (_, row) = csv.reader(io.StringIO(out))
+    probe, averaged, stderr, direct, abs_err = map(float, row)
+    assert probe == x
+    assert all(map(math.isfinite, (averaged, direct, abs_err)))
+    assert math.isnan(stderr) if samples == 1 else math.isfinite(stderr)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kernel=st.sampled_from(["hilbert", "conjugate-poisson"]),
+    probes=st.one_of(
+        st.lists(st.one_of(st.floats(), st.sampled_from(EXTREME_FLOATS)), min_size=1, max_size=3)
+        .map(lambda xs: ",".join(map(repr, xs))),
+        st.lists(st.one_of(st.floats(5e-324, 1.7e308), st.sampled_from([5e-324, 1e-308, 1.7e308])),
+                 min_size=1, max_size=3).map(lambda xs: ",".join(map(repr, xs))),
+        st.builds(
+            lambda a, b, n: f"log:{a!r}:{b!r}:{n}",
+            st.sampled_from([1e-300, 1e-3, 1.0, 1e300, 0.0, -1.0, math.inf, math.nan]),
+            st.sampled_from([1e-300, 10.0, 1e300, 1.7e308]),
+            st.sampled_from([-1, 0, 1, 3, cli.VERIFY_MAX_PROBES + 1, 10**9]),
+        ),
+        st.sampled_from(["log:1:10:1000000000", "log:1:10", "log:a:1:3", "1,,x"]),
+    ),
+)
+def test_verify_input_scan(scan_base, cp_scan_base, kernel, probes):
+    """`verify` at any float probes, or log specs from the extreme to the
+    malformed, over more probes than its bound included, either exits 0
+    with finite values and errors throughout, or exits 64 naming the
+    --probes text, or 2 naming a probe."""
+    table = scan_base if kernel == "hilbert" else cp_scan_base
+    rc, out, err = _run(["verify", "--table", table, "--kernel", kernel, f"--probes={probes}"])
+    if rc == 64:
+        assert "argument --probes: " in err and repr(probes) in err, err
+        return
+    if rc != 0:
+        assert rc == 2 and ("x = " in err or "0 < x < inf, got" in err), err
+        return
+    payload = json.loads(out)
+    values = [row[k] for row in payload["probes"] for k in ("x", "K", "Khat", "rel_err")]
+    assert all(map(math.isfinite, [*values, payload["max_rel_err"]]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kernel=st.sampled_from(["hilbert", "conjugate-poisson"]),
+    step=st.one_of(st.floats(2.0**-4, 1e6),
+                   st.sampled_from([1e-12, 1e-300, 5e-324, 2.0**-10, 2.0**20, 1e308])),
+    window=st.one_of(
+        st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        st.sampled_from([(-1e6, 1e6), (-1e308, 1e308), (-1.7e308, -1e308), (0.0, 0.0),
+                         (1.0, -1.0), (-14.0, 14.0), (math.nan, 1.0), (-math.inf, math.inf)]),
+    ),
+)
+def test_solve_input_scan(tmp_path_factory, kernel, step, window):
+    """`solve` at any step from the subnormal to 1e308 and any window, the
+    empty, reversed, non-finite and too wide included, either exits 0 and
+    writes a finite table (which `read_table` checks) with a finite
+    residual, or exits 2 or 64 with a message that names the step or the
+    window."""
+    base = tmp_path_factory.getbasetemp() / "solve-scan"
+    rc, _, err = _run(["solve", "--kernel", kernel, f"--step={step!r}", "--window",
+                       repr(window[0]), repr(window[1]), "--out", str(base)])
+    if rc != 0:
+        assert rc in (2, 64) and ("step" in err or "window" in err), err
+        return
+    table = read_table(base)
+    assert math.isfinite(table.residual_sup)
+
+
 @pytest.mark.parametrize("x", ["1e-310", "9e-13"])
 def test_mc_separation_below_two_to_the_minus_40_is_numeric_error(hilbert_base, x, capsys):
     """Nearer than 2^-40 the floor level heads for the subnormal range,
@@ -301,6 +414,17 @@ def test_mc_separation_below_two_to_the_minus_40_is_numeric_error(hilbert_base, 
     assert message in capsys.readouterr().err
     argv = ["mc", "--table", hilbert_base, "--x", repr(2.0**-40), "--y", "0", "--samples", "10"]
     assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("command", ["mc", "apply"])
+@pytest.mark.parametrize("tol", ["1e-307", "5e-324"])
+def test_tail_tolerance_whose_cells_overflow_is_numeric_error(hilbert_base, command, tol, capsys):
+    """A --tail-tol so small that the kept levels' cells reach 2^1022
+    exits 2 naming it, before any draw."""
+    argv = [command, "--table", hilbert_base, "--x", "2", "--samples", "10", "--tail-tol", tol]
+    argv += ["--y", "0"] if command == "mc" else ["--kernel", "hilbert"]
+    assert cli.main(argv) == 2
+    assert f"tolerance {float(tol)!r} for sup |gamma|" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
@@ -409,9 +533,9 @@ def test_benchmark_tracer_runs_on_the_package(tmp_path, monkeypatch):
 
 
 def test_traced_mc_prints_the_untraced_estimate(hilbert_base, tmp_path, monkeypatch):
-    """bench/spans.py wraps the mc term as term(n, r, sigma); the engine
-    hands such a term sigma twice under the exact-dilation rule, so a
-    traced mc prints the mean, stderr and levels of an untraced one."""
+    """bench/spans.py wraps the mc term as term(n, r, sigma), which passes
+    the engine's three arguments through, so a traced mc prints the mean,
+    stderr and levels of an untraced one."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
     spans = importlib.import_module("spans")
@@ -541,6 +665,38 @@ def test_adiag_scan_count_overflow_is_numeric_error(capsys):
     # both flags are positive and finite, their ratio is not
     assert cli.main(["adiag", "--omega-max", "1e200", "--step", "1e-200"]) == 2
     assert "scan count" in capsys.readouterr().err
+
+
+def _cap_address_space():
+    # 1 GB: enough for the interpreter and numpy, far below the 7.5 GB a lost bound asks for
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        ("solve --kernel hilbert --step 1e-12", 2, "8.11e+13 grid points, above the bound 2^22"),
+        ("solve --kernel hilbert --window -1e6 1e6", 2, "1.02e+09 grid points, above the bound"),
+        ("solve --kernel hilbert --step 1e-300", 2, "8.11e+301 grid points, above the bound"),
+        ("verify --table t --kernel hilbert --probes log:1:10:1000000000", 64,
+         "argument --probes: 1000000000 probes in 'log:1:10:1000000000', above the bound 2^16"),
+    ],
+    ids=["solve-step", "solve-window", "solve-step-1e-300", "verify-probes"],
+)
+def test_array_sizes_are_bounded_before_any_array(tmp_path, argv, code, message):
+    """`solve` and `verify` count the grid points and probes they are asked
+    for before making an array, and refuse counts past their bounds with a
+    message naming the flag and the bound.  The run is a child capped at
+    1 GB of address space, so a lost bound fails instead of asking the
+    machine for gigabytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(haarshift.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "haarshift.cli", *argv.split(), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert message in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_adiag_huge_scan_count_is_numeric_error():

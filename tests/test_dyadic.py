@@ -22,7 +22,6 @@ from oracles import (
     level_lattice,
     level_points,
     level_offset,
-    reference_kernel_pairing,
     reference_operator_pairing,
     reference_shift_terms,
     replicate_sums,
@@ -144,18 +143,18 @@ def test_sample_grid_deterministic():
 
 
 def _recorded_draws(seed, num_samples, levels, chunk_size=DEFAULT_CHUNK, term=None):
-    """Run the engine at one worker with a term that records the (n, r,
-    sigma, log2r) it is handed, in call order; returns the tallies and, per
-    level, its r, sigma and log2r in call order (replicate by replicate)."""
+    """Run the engine at one worker with a term that records the (n, log2r,
+    sigma) it is handed, in call order; returns the tallies and, per level,
+    its log2r and sigma in call order (replicate by replicate)."""
     calls = []
 
-    def recording(n, r, sigma, log2r):
-        calls.append((n, r.copy(), sigma.copy(), log2r.copy()))
-        return np.zeros_like(r) if term is None else term(n, r, sigma, log2r)
+    def recording(n, log2r, sigma):
+        calls.append((n, log2r.copy(), sigma.copy()))
+        return np.zeros_like(log2r) if term is None else term(n, log2r, sigma)
 
     tallies = accumulate_samples(seed, num_samples, levels, recording, chunk_size=chunk_size)
     draws = {
-        n: tuple(np.concatenate([c[i] for c in calls if c[0] == n]) for i in (1, 2, 3))
+        n: tuple(np.concatenate([c[i] for c in calls if c[0] == n]) for i in (1, 2))
         for n in levels
     }
     return tallies, draws
@@ -167,7 +166,8 @@ def test_level_draws_follow_the_grid_law():
     uniform on [0, 1), whatever the level's draw count."""
     _, draws = _recorded_draws(2024, 100_000, range(0, 12))
     for n in (0, 5, 11):
-        rs, sigmas, _ = draws[n]
+        log2rs, sigmas = draws[n]
+        rs = np.exp2(log2rs)
         assert np.all((1.0 <= rs) & (rs < 2.0)) and np.all((0.0 <= sigmas) & (sigmas < 1.0))
         assert abs(np.mean(np.log(rs)) - math.log(2.0) / 2) <= 0.003
         # r's CDF is log2
@@ -252,6 +252,21 @@ def test_cutoff_for_tolerance():
             cutoff_for_tolerance(1.0, tol)
 
 
+def test_cells_stay_shorter_than_max_distance():
+    """Levels whose cells reach 2^1022 (`MAX_DISTANCE`) are refused, from
+    the floor, at a distance of 2^1022, or from the cutoff, at a tolerance
+    so small that 14 sup / tol passes 2^1021: a probe's cell ends would
+    overflow.  Just inside, the levels stop at 1021."""
+    below = math.nextafter(2.0**1022, 0.0)
+    assert levels_for_distance(below, 1.0, 1e-4) == range(1021, 1022)
+    with pytest.raises(ValueError, match=r"below 2\^1022, got 4.49"):
+        levels_for_distance(2.0**1022, 1.0, 1e-4)
+    assert cutoff_for_tolerance(1.0, 14.0 * 2.0**-1021) == 1022
+    for tol in (math.nextafter(14.0 * 2.0**-1021, 0.0), 5e-324):
+        with pytest.raises(ValueError, match=f"tolerance {tol!r} for .* admits 2\\^1022 cells"):
+            cutoff_for_tolerance(1.0, tol)
+
+
 # powers of two, and their neighbours one ulp below and above
 POWERS_AND_NEIGHBOURS = st.tuples(st.integers(-1000, 1000), st.sampled_from((-1, 0, 1))).map(
     lambda p: math.nextafter(2.0 ** p[0], p[1] * math.inf) if p[1] else 2.0 ** p[0]
@@ -277,12 +292,12 @@ def test_level_floor_needs_positive_finite_distance(dist):
 
 def test_accumulate_rejects_empty():
     with pytest.raises(ValueError, match="num_samples must be a positive integer, got 0"):
-        accumulate_samples(0, 0, range(0, 2), lambda n, r, sigma, log2r: r)
+        accumulate_samples(0, 0, range(0, 2), lambda n, log2r, sigma: log2r)
     # a level's draw count follows its row above the floor, so the levels
     # must be consecutive
     for levels in (range(2, 2), range(0, 6, 2)):
         with pytest.raises(ValueError, match="consecutive levels"):
-            accumulate_samples(0, 10, levels, lambda n, r, sigma, log2r: r)
+            accumulate_samples(0, 10, levels, lambda n, log2r, sigma: log2r)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, True, False])
@@ -291,7 +306,7 @@ def test_accumulate_rejects_seed_outside_the_key_range(seed):
     standing for 1 or 0 included, is refused before a single draw."""
     calls = []
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^128\)"):
-        accumulate_samples(seed, 10, range(0, 2), lambda n, r, sigma, log2r: calls.append(n) or r)
+        accumulate_samples(seed, 10, range(0, 2), lambda n, log2r, sigma: calls.append(n) or log2r)
     assert calls == []
 
 
@@ -303,7 +318,7 @@ def test_accumulate_rejects_samples_that_are_not_integers(num_samples):
     message = f"num_samples must be a positive integer, got {num_samples!r}"
     with pytest.raises(ValueError, match=message):
         accumulate_samples(
-            0, num_samples, range(0, 2), lambda n, r, sigma, log2r: calls.append(n) or r
+            0, num_samples, range(0, 2), lambda n, log2r, sigma: calls.append(n) or log2r
         )
     assert calls == []
 
@@ -343,16 +358,16 @@ def test_estimates_thread_invariant(route):
 
 
 def _sorted_points(draws):
-    """Per level, its (r, sigma) pairs in lexicographic order."""
+    """Per level, its (log2 r, sigma) pairs in lexicographic order."""
     points = {}
-    for n, (r, sigma, _) in draws.items():
-        order = np.lexsort((sigma, r))
-        points[n] = (r[order].tolist(), sigma[order].tolist())
+    for n, (log2r, sigma) in draws.items():
+        order = np.lexsort((sigma, log2r))
+        points[n] = (log2r[order].tolist(), sigma[order].tolist())
     return points
 
 
 def test_points_do_not_depend_on_chunks_or_threads(monkeypatch):
-    """Chunks of 1, 7 and 2^15 points hand the term the same (r, sigma) at
+    """Chunks of 1, 7 and 2^15 points hand the term the same (log2 r, sigma) at
     every level (300 floor draws make replicates of 15 points, so chunks of
     7 cut them in pieces), and the tallies and Estimates agree bit for bit
     at 1, 2 and 4 workers.  The points are recorded at 1 worker: a term's
@@ -422,9 +437,9 @@ def test_workers_are_capped_by_tasks_and_cores(monkeypatch):
     calls = []
     term = lattice_kernel_sum_terms(ONES, 0.7, 0.1)
 
-    def counting(n, r, sigma, log2r):
+    def counting(n, log2r, sigma):
         calls.append(n)
-        return term(n, r, sigma, log2r)
+        return term(n, log2r, sigma)
 
     want = tally_bits(accumulate_samples(5, 300, range(0, 6), counting, chunk_size=7))
     tasks = len(calls)
@@ -460,7 +475,7 @@ def test_no_fork_without_fork_or_beside_threads(monkeypatch):
 @pytest.mark.parametrize("threads", [0, -1, True, 1.5, "2"])
 def test_accumulate_rejects_threads_that_are_not_positive_integers(threads):
     with pytest.raises(ValueError, match="threads must be a positive integer"):
-        accumulate_samples(0, 10, range(0, 2), lambda n, r, sigma, log2r: r, threads=threads)
+        accumulate_samples(0, 10, range(0, 2), lambda n, log2r, sigma: log2r, threads=threads)
 
 
 def _in_worker(action):
@@ -469,10 +484,10 @@ def _in_worker(action):
     caller = os.getpid()
     term = lattice_kernel_sum_terms(ONES, 0.7, 0.1)
 
-    def term_fn(n, r, sigma, log2r):
+    def term_fn(n, log2r, sigma):
         if os.getpid() != caller:
             action()
-        return term(n, r, sigma, log2r)
+        return term(n, log2r, sigma)
 
     return term_fn
 
@@ -518,10 +533,10 @@ def test_worker_failures_surface_and_leave_no_child(monkeypatch, action, error, 
     ids=["one-point-chunks", "whole-replicates", "replicates-in-pieces"],
 )
 def test_engine_matches_scalar_sampler(num_samples, levels, chunk_size):
-    """Level by level the engine hands its term, bit for bit, the log2 r,
-    r = exp2(log2 r) and sigma of the oracle's shifted lattices, and adds
-    each replicate's sum as the oracle does; each sum equals the scalar
-    kernel sums over the oracle's explicitly built level-n lattices."""
+    """Level by level the engine hands its term, bit for bit, the log2 r
+    and sigma of the oracle's shifted lattices, and adds each replicate's
+    sum as the oracle does; each sum equals the scalar kernel sums over the
+    oracle's explicitly built level-n lattices, r = exp2(log2 r)."""
     x, y = 0.73, 0.21
     term = lattice_kernel_sum_terms(ONES, x, y)
     tallies, draws = _recorded_draws(31, num_samples, levels, chunk_size=chunk_size, term=term)
@@ -529,10 +544,8 @@ def test_engine_matches_scalar_sampler(num_samples, levels, chunk_size):
         points = level_points(31, row, num_samples)
         replicates = sample_level(31, n, row, num_samples)
         grids = [s for replicate in replicates for s in replicate]
-        assert draws[n][0].tolist() == [s.r for s in grids]
+        assert draws[n][0].tolist() == np.concatenate([p[0] for p in points]).tolist()
         assert draws[n][1].tolist() == [s.sigma for s in grids]
-        assert draws[n][2].tolist() == np.concatenate([p[0] for p in points]).tolist()
-        assert np.array_equal(np.exp2(draws[n][2]), draws[n][0])
         sums, hits = replicate_sums(term, n, points, chunk_size)
         assert (tally.sums.tolist(), tally.hits) == (sums, hits)
         manual = [
@@ -547,12 +560,12 @@ def test_hits_count_nan_and_not_signed_zero():
     as np.count_nonzero counts them on the term itself."""
     values = np.array([math.nan, -0.0, 0.0, 1.0])
 
-    def term(n, r, sigma, log2r):
+    def term(n, log2r, sigma):
         return values[np.minimum((sigma * 4.0).astype(np.intp), 3)]
 
     for tally, row in zip(accumulate_samples(9, 3000, range(0, 3), term), range(3)):
         sigma = np.concatenate([p[1] for p in level_points(9, row, 3000)])
-        assert tally.hits == np.count_nonzero(term(0, None, sigma, None))
+        assert tally.hits == np.count_nonzero(term(0, None, sigma))
         assert 0 < tally.hits < tally.draws
 
 
@@ -564,7 +577,7 @@ def test_draws_and_replicates_follow_the_rule(num_samples):
     evaluations, and the stderr, the replicate means' spread over
     sqrt(R_l), is NaN only for a single replicate (M = 1)."""
     levels = range(-2, 20)
-    tallies = accumulate_samples(3, num_samples, levels, lambda n, r, sigma, log2r: r * sigma)
+    tallies = accumulate_samples(3, num_samples, levels, lambda n, log2r, sigma: np.exp2(log2r) * sigma)
     for row, tally in enumerate(tallies):
         draws = level_draws(num_samples, row)
         replicates, points = level_lattice(draws)
@@ -595,7 +608,7 @@ def test_floor_shift_is_uniform():
     m = 1 << 16
     first, second = (
         accumulate_samples(6, m, range(0, 1), term, chunk_size=1 << 12)[0].mean
-        for term in (lambda n, r, sigma, log2r: sigma, lambda n, r, sigma, log2r: sigma * sigma)
+        for term in (lambda n, log2r, sigma: sigma, lambda n, log2r, sigma: sigma * sigma)
     )
     assert first == pytest.approx(0.5, rel=1e-3)
     assert second - first**2 == pytest.approx(1.0 / 12.0, rel=1e-3)
@@ -623,7 +636,7 @@ def test_variance_stable_far_from_zero():
     m = 1 << 16
 
     def stderr(offset):
-        term = lambda n, r, sigma, log2r: offset + r  # noqa: E731
+        term = lambda n, log2r, sigma: offset + np.exp2(log2r)  # noqa: E731
         (tally,) = accumulate_samples(4, m, range(0, 1), term, chunk_size=1 << 12)
         return tally.stderr
 
@@ -661,7 +674,7 @@ TERM_TABLES = {
     ids=["one-point-chunks", "grouped-replicates"],
 )
 @pytest.mark.parametrize("table_name", sorted(TERM_TABLES))
-@pytest.mark.parametrize("route", ["kernel-sum", "indicator", "triangle"])
+@pytest.mark.parametrize("route", ["indicator", "triangle"])
 def test_level_term_matches_reference_bit_for_bit(route, table_name, num_samples, chunk_size):
     """The in-place level term computes what the plainly written reference
     computes, point by point: the replicate sums agree bit for bit."""
@@ -670,62 +683,52 @@ def test_level_term_matches_reference_bit_for_bit(route, table_name, num_samples
     # x is 0.02 from a knot of either f, so cells short enough to read the
     # left tail still pair to nonzero values
     x = 0.98
-    if route == "kernel-sum":
-        cases = [
-            (lattice_kernel_sum_terms(table, x, y), reference_kernel_pairing(y))
-            for y in (0.96, 0.21, -1.9)
-        ]
-    else:
-        f = indicator_function() if route == "indicator" else triangle_function()
-        cases = [(_operator_terms(table, f, x), reference_operator_pairing(f))]
-    for term, pairing in cases:
-        want = reference_shift_terms(table, x, pairing)
-        got = accumulate_samples(17, num_samples, levels, term, chunk_size=chunk_size)
-        assert tally_bits(got) == tally_bits(
-            accumulate_samples(17, num_samples, levels, want, chunk_size=chunk_size)
-        )
+    f = indicator_function() if route == "indicator" else triangle_function()
+    want = reference_shift_terms(table, x, reference_operator_pairing(f))
+    got = accumulate_samples(17, num_samples, levels, _operator_terms(table, f, x),
+                             chunk_size=chunk_size)
+    assert tally_bits(got) == tally_bits(
+        accumulate_samples(17, num_samples, levels, want, chunk_size=chunk_size)
+    )
 
 
-def test_three_parameter_terms_get_r_and_sigma():
-    """accumulate_samples calls a term that takes no log2r as term(n, r,
-    sigma), with the bits of a four-parameter term; the library's
-    `shift_terms`, called so, reads gamma at log2(r), within an ulp of
-    log2r.  With exact_dilation, a three-parameter term gets sigma twice,
-    with the bits of a two-parameter one."""
-    term = lattice_kernel_sum_terms(TERM_TABLES["wavy"], 0.7, 0.1)
+def test_terms_are_called_one_way():
+    """The engine calls every term as term(n, u, v): a pass-through
+    wrapper of three parameters, as the benchmark's tracer wraps terms,
+    gives the bits of the term it wraps on the lattice and under
+    exact_dilation, and there v is None."""
     levels = range(-3, 4)
-    four = accumulate_samples(5, 3000, levels, lambda n, r, sigma, log2r: r * sigma)
-    three = accumulate_samples(5, 3000, levels, lambda n, r, sigma: r * sigma)
-    assert tally_bits(three) == tally_bits(four)
-    got = accumulate_samples(5, 3000, levels, lambda n, r, sigma: term(n, r, sigma))
-    want = accumulate_samples(5, 3000, levels, term)
-    for a, b in zip(got, want):
-        assert a.sums == pytest.approx(b.sums, rel=1e-12, abs=1e-15)
-    exact = kernel_sum_terms(TERM_TABLES["wavy"], 0.7, 0.1, levels)
-    two = accumulate_samples(5, 3000, levels, exact, exact_dilation=True)
-    three = accumulate_samples(5, 3000, levels, lambda n, r, sigma: exact(n, sigma),
-                               exact_dilation=True)
+    table = TERM_TABLES["wavy"]
+    f = triangle_function()
+    for term, exact in (
+        (_operator_terms(table, f, 0.7), False),
+        (kernel_sum_terms(table, 0.7, 0.1, levels), True),
+    ):
+        want = accumulate_samples(5, 3000, levels, term, exact_dilation=exact)
+        got = accumulate_samples(5, 3000, levels, lambda n, u, v: term(n, u, v),
+                                 exact_dilation=exact)
+        assert tally_bits(got) == tally_bits(want)
     seen = []
-    accumulate_samples(5, 3000, levels, lambda n, r, sigma: seen.append(r is sigma) or sigma,
-                       exact_dilation=True)
-    assert tally_bits(three) == tally_bits(two) and seen and all(seen)
+    accumulate_samples(5, 3000, levels, lambda n, u, v: seen.append(v) or u, exact_dilation=True)
+    assert seen and all(v is None for v in seen)
 
 
 def test_workspaces_are_private_to_their_task(monkeypatch):
-    """At 4 workers, a term that sleeps while it holds the engine's r and
-    sigma finds them unchanged when it wakes: no other task writes to its
-    workspace."""
+    """At 4 workers, a term that sleeps while it holds the engine's log2r
+    and sigma finds them unchanged when it wakes: no other task writes to
+    its workspace."""
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
 
-    def sleepy(n, r, sigma, log2r):
-        before = r.copy(), sigma.copy(), log2r.copy()
+    def sleepy(n, log2r, sigma):
+        before = log2r.copy(), sigma.copy()
         time.sleep(1e-3)
-        assert all(map(np.array_equal, (r, sigma, log2r), before))
-        return r * sigma
+        assert all(map(np.array_equal, (log2r, sigma), before))
+        return log2r * sigma
 
     levels = range(0, 6)
     got = accumulate_samples(3, 4000, levels, sleepy, threads=4, chunk_size=256)
-    want = accumulate_samples(3, 4000, levels, lambda n, r, sigma, log2r: r * sigma, chunk_size=256)
+    want = accumulate_samples(3, 4000, levels, lambda n, log2r, sigma: log2r * sigma,
+                              chunk_size=256)
     assert tally_bits(got) == tally_bits(want)
 
 
@@ -735,20 +738,19 @@ def test_engine_reuses_its_workspaces(monkeypatch):
     returns an array of its own."""
     monkeypatch.setattr(dyadic, "_WORKSPACE", {})
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    term = lattice_kernel_sum_terms(ONES, 0.7, 0.1)
+    term = _operator_terms(ONES, indicator_function(), 0.7)
 
     def arrays():
         return {name: id(array) for name, array in dyadic._WORKSPACE.items()}
 
     accumulate_samples(5, 3000, range(0, 4), term, chunk_size=512)
     first = arrays()
-    assert {"ramp", "log2r", "r", "sigma", "length", "vals", "pairing"} <= first.keys()
+    assert {"ramp", "log2r", "sigma", "length", "gamma", "pairing"} <= first.keys()
     for threads in (1, 2, 1):
         accumulate_samples(5, 3000, range(0, 4), term, threads=threads, chunk_size=512)
         assert arrays() == first
     log2r, sigma = np.linspace(0.0, 0.9, 5), np.linspace(0.0, 0.9, 5)
-    r = np.exp2(log2r)
-    a, b = term(0, r, sigma, log2r), term(0, r, sigma, log2r)
+    a, b = term(0, log2r, sigma), term(0, log2r, sigma)
     assert not np.shares_memory(a, b) and np.array_equal(a, b)
     assert arrays() == first
 
