@@ -31,6 +31,7 @@ from .operators import (
 )
 from .reconstruct import compare_report, mc_estimate
 from .solver import (
+    RECURSION,
     SolverError,
     a_of_omega,
     json_text,
@@ -174,6 +175,10 @@ def _cmd_verify(args) -> int:
         if not math.isfinite(row["rel_err"]):
             raise ValueError("probe x = {x!r}: K = {K!r}, Khat = {Khat!r}, rel_err {rel_err!r}"
                              .format(**row))
+        if row["outside_window"]:
+            print(f"haarshift: probe x = {row['x']!r} lies outside [e^u_min, e^u_max] = "
+                  f"[{math.exp(table.u_min):.6g}, {math.exp(table.u_max):.6g}]: its rel_err "
+                  "measures the table's window, not the table", file=sys.stderr)
     payload.update(_provenance(args))
     _emit(payload, args.out)
     return 0
@@ -225,6 +230,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_adiag(args) -> int:
+    if not math.isfinite(args.omega_max * max(shift for shift, _ in RECURSION)):
+        raise ValueError(f"--omega-max {args.omega_max!r} overflows a(omega)'s phases omega shift")
     count = args.omega_max / args.step
     if not count <= ADIAG_MAX_COUNT:
         raise ValueError(
@@ -263,9 +270,9 @@ def build_parser() -> _Parser:
     table.add_argument("--table", required=True, help="table base path from `solve`")
     monte_carlo = _Parser(add_help=False, parents=[table])
     monte_carlo.add_argument("--samples", type=_positive_int, default=100000,
-                             help="draws at the floor level, for mc sigma points whose "
-                             "dilation is integrated exactly; each level above takes "
-                             "about 1/sqrt(2) as many as the one below")
+                             help="draws at the floor level: sigma points, at each of "
+                             "which mc and apply integrate the dilation exactly; each level "
+                             "above takes about 1/sqrt(2) as many as the one below")
     monte_carlo.add_argument("--seed", type=_seed, default=0)
     monte_carlo.add_argument("--tail-tol", type=_positive_float, default=1e-4)
     monte_carlo.add_argument("--threads", type=_positive_int, default=1,
@@ -322,6 +329,10 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     except (SolverError, OperatorError, ValueError, OSError) as exc:
         print(f"haarshift: {exc}", file=sys.stderr)
+        # the numbers a SolverError or OperatorError carries
+        if vars(exc):
+            print("haarshift: " + ", ".join(f"{k} = {v!r}" for k, v in vars(exc).items()),
+                  file=sys.stderr)
         return NUMERIC_EXIT
 
 

@@ -20,43 +20,32 @@ bounded by a multiple of sup |gamma| / 2^n and its variance falls about
 fourfold per level, so the higher levels carry little of the variance and
 get fewer draws.
 
-Each level is integrated over a randomly shifted rank-1 lattice (Cranley
-and Patterson, 1976): R_l = min(20, N_l) replicates of the
-n_l = floor(N_l / R_l)-point Kronecker lattice ((i + 1/2) / n_l, {i phi})
-in (log2 r, sigma), phi the golden-ratio conjugate, each moved modulo 1 by
-its own uniform shift (U, U').  A term that integrates over the dilation
-itself (`exact_dilation`, the two-point kernel sum's) needs sigma alone:
-it gets the rule's first coordinate, ((i + 1/2) / n_l + U) mod 1, as
-sigma, with no Kronecker coordinate.  This is preintegration,
-or conditional Monte Carlo (Griebel, Kuo and Sloan, 2013): the dilation's
-share of the variance is gone.  Every replicate mean is unbiased; the level
-mean is the mean of the R_l replicate means and its stderr their sample
-standard deviation over sqrt(R_l), NaN when R_l = 1 (M = 1).
+Every level term integrates over the dilation itself, in closed form, so
+the engine draws sigma alone (preintegration, or conditional Monte Carlo:
+Griebel, Kuo and Sloan, 2013): level row l takes R_l = min(20, N_l)
+replicates of the n_l = floor(N_l / R_l)-point equally spaced rule
+((i + 1/2) / n_l + U) mod 1, each moved by its own uniform shift U
+(Cranley and Patterson, 1976).  Every replicate mean is unbiased; the
+level mean is the mean of the R_l replicate means and its stderr their
+sample standard deviation over sqrt(R_l), NaN when R_l = 1 (M = 1).
 
 `estimate` is the one Monte-Carlo estimator: ln 2 times the sum of the
 level means, ln 2 times the root of the summed squared level stderrs, the
 bound on the discarded coarse levels, and a record of each level's share
-(`LevelRecord`).  Every level term is called as term(n, u, v) (see
-`accumulate_probes`): the averaged shift operator's (`operators`) on the
-lattice, and `kernel_sum_terms`, the shift applied to a unit mass at y,
-whose level term integrates over the dilation in closed form.
+(`LevelRecord`).  Every level term is called as term(n, sigma, None) (see
+`accumulate_probes`): `kernel_sum_terms`, the shift applied to a unit mass
+at y, and the averaged shift operator's (`operators`).
 
 Draw order is part of the reproducibility contract, and `STREAM_VERSION`
 names it; the CLI records it as `versions.stream` in its JSON outputs.
-Stream 6 takes the shift (U, U') of replicate j of level row l from its own
-Philox counter block, keyed by (seed, l, j); point i of that replicate has
-log2 r = ((i + 1/2) / n_l + U) mod 1 and sigma = ((i phi mod 1) + U') mod 1.
-Neither key holds the probe, so the probes of one call share each row's
-shifts and lattice, and `accumulate_probes` draws them once for all of
-them.  Stream 7 draws the same points, and the Haar shift's term reads
-gamma at the lattice coordinate log2 r, not at log2(exp2(log2 r)), which
-moves gamma's argument in its last bits on a table that is not constant.
-Stream 8 draws the points of stream 7 and reads gamma through the table's
-piecewise cubic (`CoefficientTable.c_at_level`) where stream 7 interpolated
-linearly, which moves every output on a table that is not constant.
-Stream 9 keeps stream 8 for `apply` and gives `mc` the exact-dilation rule
-and term: the same shifts U, and sigma at the points where stream 8 had
-log2 r.  README lists the earlier streams.
+Since stream 6 the shift of replicate j of level row l comes from its own
+Philox counter block, keyed by (seed, l, j) (`_shifts`); neither key holds
+the probe, so the probes of one call share each row's points, and
+`accumulate_probes` draws them once for all of them.  Stream 9 gave `mc`
+the one-dimensional rule and the exact-dilation term, with sigma at the
+points where stream 8 had log2 r; stream 10 gives `apply` the same rule and
+its own exact-dilation term, so every draw of both is that of stream 9's
+`mc`.  README lists the earlier streams.
 """
 
 from __future__ import annotations
@@ -99,14 +88,11 @@ _OMEGA = 0.5 + np.arange(OMEGA_CELLS + 1) / (2 * OMEGA_CELLS)
 _LOG_OMEGA = np.log(_OMEGA)
 
 # version of the draw order; bump it whenever the same seed draws differently
-STREAM_VERSION = 9
+STREAM_VERSION = 10
 
 # shifted replicates per level, whose spread gives the stderr R - 1 degrees of freedom:
 # at 2^18 draws the stderr's quartiles over seeds lay 10% apart with 20, 20% with 16
 REPLICATES = 20
-
-# the golden-ratio conjugate, the Kronecker lattice's step in sigma
-_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 _LN2 = math.log(2.0)
 
@@ -144,9 +130,11 @@ def scratch(name: str, shape: tuple, dtype=float) -> np.ndarray:
 class LevelRecord(NamedTuple):
     """One level's share of an estimate, on its scale: the means add up to
     its mean and the squared stderrs to its squared stderr.  `hits` counts
-    the draws whose level term is nonzero: for `mc`, whose term integrates
-    over the dilation, the sigma points with a nonzero integral, those
-    where some dilation puts x and y in one cell."""
+    the draws, sigma points, whose level term, integrated over the
+    dilation, is nonzero: for `mc` those where some dilation puts x and y
+    in one cell, for `apply` those where some dilation puts x and a knot
+    of f in one cell (on a level `apply` reads from a table in sigma, the
+    sigma whose cell of the table is not zero at both ends)."""
 
     n: int
     draws: int
@@ -193,8 +181,8 @@ class Estimate:
 
 
 # Philox4x64-10's round multipliers and key increments (Salmon et al., 2011)
-_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], np.uint64)
+_ROUND_MULTIPLIERS = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
+_KEY_STEPS = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], np.uint64)
 
 
 def _mulhilo(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,9 +194,10 @@ def _mulhilo(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _shifts(seed: int, replicates: list[int]) -> list[np.ndarray]:
-    """Per level row l, each of its replicates j's shift (U, U'): the first
-    two uniforms that numpy's Philox draws from counter block (l << 128) +
-    (j << 70) under the seed key, for all rows in one vectorized pass."""
+    """Per level row l, each of its replicates j's uniforms (U, U'): the
+    first two that numpy's Philox draws from counter block (l << 128) +
+    (j << 70) under the seed key, for all rows in one vectorized pass.  The
+    rule shifts its points by U."""
     pairs = [(row, j) for row, count in enumerate(replicates) for j in range(count)]
     # counter words, low first; the generator steps the counter before a block
     ctr = np.zeros((4, len(pairs)), np.uint64)
@@ -216,9 +205,9 @@ def _shifts(seed: int, replicates: list[int]) -> list[np.ndarray]:
     ctr[0], ctr[1] = 1, ctr[1] << 6
     key = np.array([[seed & ((1 << 64) - 1)], [seed >> 64]], np.uint64)
     for _ in range(10):
-        hi, lo = _mulhilo(_PHILOX_M, ctr[::2])
+        hi, lo = _mulhilo(_ROUND_MULTIPLIERS, ctr[::2])
         ctr = np.stack([hi[1] ^ ctr[1] ^ key[0], lo[1], hi[0] ^ ctr[3] ^ key[1], lo[0]])
-        key += _PHILOX_W
+        key += _KEY_STEPS
     # a uniform is the top 53 bits of a word
     uniforms = (ctr[:2].T >> 11) * 2.0**-53
     return np.split(uniforms, np.cumsum(replicates)[:-1])
@@ -326,41 +315,38 @@ def accumulate_samples(
     seed: int,
     num_samples: int,
     levels: range,
-    term_fn: Callable[[int, np.ndarray, np.ndarray | None], np.ndarray],
+    term_fn: Callable[[int, np.ndarray, None], np.ndarray],
     threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
-    exact_dilation: bool = False,
 ) -> list[Tally]:
     """One `Tally` per level of ``levels`` (a nonempty range of consecutive
     levels), from the floor up: the one-probe case of `accumulate_probes`."""
     probes = [(levels, term_fn)]
-    return accumulate_probes(seed, num_samples, probes, threads, chunk_size, exact_dilation)[0]
+    return accumulate_probes(seed, num_samples, probes, threads, chunk_size)[0]
 
 
 def accumulate_probes(
     seed: int,
     num_samples: int,
-    probes: Sequence[tuple[range, Callable[[int, np.ndarray, np.ndarray | None], np.ndarray]]],
+    probes: Sequence[tuple[range, Callable[[int, np.ndarray, None], np.ndarray]]],
     threads: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
-    exact_dilation: bool = False,
 ) -> list[list[Tally]]:
     """Per (levels, term_fn) of ``probes``, one `Tally` per level of
     ``levels`` (a nonempty range of consecutive levels), from the floor up,
-    on the randomly shifted lattices of stream `STREAM_VERSION` (module
+    on the randomly shifted rules of stream `STREAM_VERSION` (module
     docstring), in one pass: each task draws row l's points once, for every
     probe with a row l, and every term gets the bits it would get alone.
 
-    Every term is called one way, term_fn(n, u, v), pure and vectorized
-    over the points: on the lattice u = log2 r in [0, 1) and v = sigma;
-    with `exact_dilation`, for a term that integrates over the dilation
-    itself, u = sigma on the one-dimensional rule and v = None.  A call
-    gets whole replicates of a level, or one replicate's points in pieces
-    whose sums add in order, at most chunk_size points.  With `threads`
+    Every term is called one way, term_fn(n, sigma, None), pure and
+    vectorized over the sigma points, and returns the mean over the
+    dilation of the level-n term at each.  A call gets whole replicates of
+    a level, or one replicate's points in pieces whose sums add in order,
+    at most chunk_size points.  With `threads`
     N > 1 the calls run in N worker processes (no more than the tasks or
     the cores, and none beside other threads), where a term's side effects
-    are lost.  No point depends on chunk_size or N, and no sum on N.  u and
-    v are read-only views of the engine's workspace, valid only during the
+    are lost.  No point depends on chunk_size or N, and no sum on N.  sigma
+    is a read-only view of the engine's workspace, valid only during the
     call, and the term may return one too (see `scratch`).
     """
     if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 128):
@@ -372,7 +358,7 @@ def accumulate_probes(
         if not levels or levels.step != 1:
             raise ValueError(f"need a nonempty range of consecutive levels, got {levels!r}")
     rows = max((len(levels) for levels, _ in probes), default=0)
-    # per level row: (replicates, lattice points), and the probes that reach it
+    # per level row: (replicates, points per replicate), and the probes that reach it
     draws = [_level_draws(int(num_samples), row) for row in range(rows)]
     plan = [(min(REPLICATES, d), d // min(REPLICATES, d)) for d in draws]
     live = [[p for p, (levels, _) in enumerate(probes) if row < len(levels)] for row in range(rows)]
@@ -393,22 +379,14 @@ def accumulate_probes(
         shift = shifts[row][first : first + count]
         if len(_WORKSPACE.get("ramp", ())) < n:
             _WORKSPACE["ramp"] = np.arange(max(n, DEFAULT_CHUNK), dtype=float)
-        i = np.add(_WORKSPACE["ramp"][:n], start, out=scratch("lattice", (n,)))
-        offset = np.add(i, 0.5, out=scratch("offset", (n,)))
+        offset = np.add(_WORKSPACE["ramp"][:n], start + 0.5, out=scratch("offset", (n,)))
         offset /= points
         # a row per replicate; sums lie in [0, 2), so taking off the floor is exact
-        log2r = np.add(offset, shift[:, :1], out=scratch("log2r", (count, n)))
-        log2r -= np.floor(log2r, out=scratch("floor", log2r.shape))
-        # under exact_dilation the first coordinate is read as sigma, and there is no other
-        u, v = log2r.ravel(), None
-        if not exact_dilation:
-            lattice = np.multiply(i, _PHI, out=i)
-            lattice -= np.floor(lattice, out=offset)
-            sigma = np.add(lattice, shift[:, 1:], out=scratch("sigma", (count, n)))
-            sigma -= np.floor(sigma, out=scratch("floor", sigma.shape))
-            v = sigma.ravel()
+        sigma = np.add(offset, shift[:, :1], out=scratch("sigma", (count, n)))
+        sigma -= np.floor(sigma, out=scratch("floor", sigma.shape))
+        sigma = sigma.ravel()
         # each live probe's term at its own level, lazily: reduced before the next runs
-        terms = (probes[p][1](probes[p][0][row], u, v) for p in live[row])
+        terms = (probes[p][1](probes[p][0][row], sigma, None) for p in live[row])
         return [
             (t.reshape(count, -1).sum(axis=1),
              int(np.count_nonzero(np.not_equal(t, 0.0, out=scratch("hits", t.shape, bool)))))
@@ -515,8 +493,8 @@ def estimate(
 
 def kernel_sum_terms(table, x: float, y: float, levels: range) -> Callable:
     """Level-term function for the two-point kernel sum at the levels
-    ``levels``, its dilation integrated exactly, for `accumulate_samples`
-    with `exact_dilation`: term(n, sigma, None) is the mean over u = log2 r in
+    ``levels``, its dilation integrated exactly, for `accumulate_samples`:
+    term(n, sigma, None) is the mean over u = log2 r in
     [0, 1) of gamma(L) h_I(x) g_I(y), L = 2^(n + u), at the shift sigma of
     the level-n lattice translated by -y, which leaves sigma uniform and
     so the level's mean unchanged.

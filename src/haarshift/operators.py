@@ -21,16 +21,16 @@ stochastic error in the comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import dyadic
 from .kernels import KernelSpec, kernel_value
-from .piecewise import PiecewiseLinear, StepFunction, gauss_legendre
+from .piecewise import PiecewiseLinear, StepFunction, gauss_legendre, make_g
 from .solver import CoefficientTable
 
 __all__ = [
@@ -44,7 +44,12 @@ __all__ = [
 
 
 class OperatorError(RuntimeError):
-    """Raised for an operator input outside the hypotheses, such as a jump."""
+    """Raised for an operator input outside the hypotheses, such as a jump
+    of f at x: `x`, and f's values `left` and `right` of it."""
+
+    def __init__(self, message: str, x: float = None, left: float = None, right: float = None):
+        super().__init__(message)
+        self.x, self.left, self.right = x, left, right
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,7 @@ class TestFunction:
     """Bounded, compactly supported step or piecewise-linear function.
 
     The operator is applied to bounded f, so every value must be finite;
-    a NaN or infinite value is rejected at construction.  The pairings
-    against quarter-split cells reduce to four reads of the antiderivative
-    F per cell (see `antiderivative`).
+    a NaN or infinite value is rejected at construction.
     """
 
     # not a test case, despite the name pytest keys on
@@ -78,49 +81,6 @@ class TestFunction:
     def __call__(self, t):
         return self.base(t)
 
-    @cached_property
-    def _segments(self) -> tuple[tuple[float, float, float, float], ...]:
-        """(k_j, h_j, v_j, s_j/2) per segment: left knot, width, value at
-        the left knot and half the slope (0 for a step function)."""
-        ks = np.array([float(k) for k in self.knots])
-        widths = np.diff(ks)
-        vals = np.asarray(self.base.values, dtype=float)
-        if isinstance(self.base, StepFunction):
-            half_slopes = np.zeros_like(widths)
-        else:
-            half_slopes = 0.5 * (np.diff(vals) / widths)
-        return tuple(
-            zip(ks[:-1].tolist(), widths.tolist(), (vals + 0.0).tolist(), half_slopes.tolist())
-        )
-
-    def antiderivative(self, t, out=None):
-        """F(t) = integral of f from the left support edge to t, vectorized.
-
-        F(t) = sum_j d_j (v_j + (s_j/2) d_j) with d_j = clip(t - k_j, 0, h_j):
-        segment j contributes nothing left of k_j and its whole integral
-        right of k_j + h_j.  No search: the cost is one pass over t per
-        segment, and the built-in f (the CLI offers only these) have one
-        (indicator) and two (triangle) segments.  Given `out`, an array of
-        t's shape other than t, F is written there and `out` is returned.
-        """
-        t = np.asarray(t, dtype=float)
-        total = np.empty(t.shape) if out is None else out
-        for j, (k, h, v, half_slope) in enumerate(self._segments):
-            term = dyadic.scratch("F.term", t.shape) if j else total
-            d = dyadic.scratch("F.d", t.shape) if half_slope else term
-            # t - 0 and d 1 are exact and skipped: the indicator's F is one clip
-            np.clip(np.subtract(t, k, out=d) if k else t, 0.0, h, out=d)
-            if half_slope:
-                np.multiply(d, half_slope, out=term)
-                term += v
-                term *= d
-            elif v != 1.0:
-                # a zero slope takes v d, the bits of (d 0 + v) d as v is never -0.0
-                term *= v
-            if j:
-                total += term
-        return float(total) if out is None and not t.ndim else total
-
 
 def indicator_function() -> TestFunction:
     """The indicator of [0, 1]."""
@@ -132,45 +92,218 @@ def triangle_function() -> TestFunction:
     return TestFunction(PiecewiseLinear([0, 1, 2], [0.0, 1.0, 0.0]))
 
 
-def _operator_terms(table: CoefficientTable, f: TestFunction, x: float) -> Callable:
-    """Level-term function of the averaged operator at x: term(n, log2r,
-    sigma) is gamma(|I|) h_I(x) <g_I, f> for the cell I = [a, a + L) that
-    holds x, a = (k + sigma) L, L = exp2(log2r) 2^n, gamma read at the
-    lattice coordinate (`CoefficientTable.c_at_level`).  The pairing
-    against the quarter-split cell collapses to a four-point combination
-    of the antiderivative:
-    sqrt(L) <g_I, f> = F(a) - 2 F(a + L/4) + 2 F(a + 3L/4) - F(a + L).
-    """
-    F = f.antiderivative
+# equal cells of omega in [1/2, 1] on which the level functions are read, their ends and midpoints
+OMEGA_CELLS = 1 << 11
+_OMEGA_FINE = 0.5 + np.arange(2 * OMEGA_CELLS + 1) / (4 * OMEGA_CELLS)
+# equal cells of phi = 1 - sigma in [0, 1) on which a level with no knot nearer than
+# |D| = SIGMA_READ_D is read, the sigma at their ends, and h per cell
+SIGMA_CELLS = 1 << 14
+SIGMA_READ_D = 0.25
+_SIGMA_NODES = 1.0 - np.arange(SIGMA_CELLS + 1) / SIGMA_CELLS
+_H_CELLS = np.repeat(dyadic.H_VALUES, SIGMA_CELLS // 4)
+_LN2 = math.log(2.0)
+# G1(s) = integral_s^1 g = sum_p a_p (s - p/4)_+, p = 0 .. 4, a_p = g_(p-1) - g_p; per end
+# of the cell they are read from (left, then right: reversed), the a_p with zeros past
+# p = 4, and the sums over p <= f of a_p (p - f)^k, k = 0, 1, 2, per block f = 0 .. 4
+_G1_STEPS = -np.diff([0.0, *make_g().values, 0.0])
+_G1_WEIGHTS = [np.append(a, [0.0, 0.0, 0.0]) for a in (_G1_STEPS, _G1_STEPS[::-1])]
+_LAG = np.subtract.outer(np.arange(5.0), np.arange(5.0))
+_BLOCK_SUMS = [np.stack([((_LAG >= 0) * (-_LAG) ** k) @ a for k in range(3)])
+               for a in (_G1_STEPS, _G1_STEPS[::-1])]
 
-    def term(n: int, log2r: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        shape = log2r.shape
-        length = np.exp2(log2r, out=dyadic.scratch("length", shape))
-        length *= 2.0**n
-        vals = table.c_at_level(n, log2r)
-        # the cell coordinate of x
-        px = np.divide(x, length, out=dyadic.scratch("px", shape))
-        px -= sigma
-        k = np.floor(px, out=dyadic.scratch("k", shape))
-        # 4 (px - k) is exact and lies in [0, 4): truncation is h's quarter
-        px -= k
-        px *= 4.0
+
+def _level_moments(table: CoefficientTable, levels: range, ramps: bool) -> tuple:
+    """Per level n of `levels`, the reads (`_cells`) of Y1(w), the mean
+    over u in [0, 1) of gamma(L) (omega - w)_+, and for `ramps` of YS(w),
+    of gamma(L) L (omega - w)_+^2, omega = 2^-u, L = 2^n / omega; then the
+    moments M_k, the means of gamma omega^k, k = 0, 1, -1.  From the
+    table's exact antiderivatives of c, c e^-v and c e^v at v = ln L, a
+    level at a time, so that no temporary outgrows a level."""
+    w = _OMEGA_FINE if ramps else _OMEGA_FINE[::2]
+    log_w = np.log(w)
+    v0 = np.arange(levels.start, levels.stop) * _LN2
+    c0, q0 = table.c_integral(v0), table.q_at(v0)
+    p0 = table.p_at(v0) if ramps else None
+    y1, ys, mm1 = [], [], []
+    for i, n in enumerate(levels):
+        v = v0[i] - log_w
+        m0 = (table.c_integral(v) - c0[i]) / _LN2
+        m1 = (q0[i] - w * table.q_at(v)) / _LN2
+        y1.append(_cells(m1 - w * m0, ramps))
+        if ramps:
+            m = (table.p_at(v) / w - p0[i]) / _LN2
+            ys.append(_cells(np.ldexp(m1 - 2.0 * w * m0 + w * w * m, n), True))
+            mm1.append(m[0])
+    # the full moments, from omega = 1/2
+    full = (table.c_integral(v0 + _LN2) - c0) / _LN2, (q0 - table.q_at(v0 + _LN2) / 2.0) / _LN2
+    return levels.start, y1, ys, *full, np.asarray(mm1) if ramps else 0.0 * v0
+
+
+def _cells(y: np.ndarray, midpoints: bool) -> tuple:
+    """Values, rises and, given the `midpoints` between, the bends
+    2 (y_j + y_(j+1) - 2 y_mid) of a quadratic read, per cell."""
+    ends = y[::2] if midpoints else y
+    rises = np.append(np.diff(ends), 0.0)
+    if not midpoints:
+        return ends, rises, None
+    return ends, rises, np.append(2.0 * (ends[:-1] + ends[1:] - 2.0 * y[1::2]), 0.0)
+
+
+def _operator_terms(table: CoefficientTable, f: TestFunction, x: float, levels: range,
+                    moments: tuple | None = None) -> Callable:
+    """Level-term function of the averaged operator at x for `levels`:
+    term(n, sigma, None) is the mean over u = log2 r in [0, 1) of
+    gamma(L) h_I(x) <g_I, f>, L = 2^(n + u), I the cell that holds x in the
+    level-n lattice of shift sigma translated by -x, which leaves sigma
+    uniform (as `dyadic.kernel_sum_terms` translates by -y).  `moments` is
+    `_level_moments` over levels that hold `levels`, shared by probes.
+
+    x = 0 then sits at phi = 1 - sigma in its cell, in h's quarter
+    floor(4 phi) (sigma = 0 read as its limit from above), for every u.
+    With f = sum J 1(t >= k) + S (t - k)_+ over its knots, a knot at
+    d = k - x lies at s = phi + D omega in the cell, D = d / 2^n, omega =
+    2^-u, and h_I(x) <g_I, f> = H[q] sum (J G1(s) + S L G2(s)), G1(s) =
+    integral_s^1 g = sum_p a_p (s - p/4)_+, G2(s) = integral_s^1 (t - s)
+    g(t) dt = -sum_p (a_p / 2) (s - p/4)_+^2, both zero off [0, 1] (g has
+    zero mean and first moment), so a knot with |D| >= 2 never shares the
+    cell.  From the cell's right end (D < 0) rho = sigma replaces rho = phi,
+    the a_p reverse and G2's sign flips; with omega_p = (p/4 - rho) / |D|
+    the knot's mean over u is
+
+        sum_p a_p (J |D| Y1(omega_p) -+ S D^2 / 2 YS(omega_p)),
+
+    Y1 and YS (`_level_moments`) zero for omega_p >= 1 and polynomial in
+    omega_p below 1/2.  With y' = 4 rho + 2 |D| = f + z, omega_p = 1/2 +
+    (p - f - z) / (4 |D|): the p <= f add up to a polynomial in z, and at
+    most p = f + 1 and f + 2 lie inside, each one read of the level's
+    table, weighted by block f; from f = 4 on the knot has left the cell.
+    No point takes a log or an exp2.  A step's reads are linear, each
+    within sup |Y1''| / (32 OMEGA_CELLS^2) <= sup |c| / (16 OMEGA_CELLS^2
+    ln 2) times its weight |J a_p D| <= 4 |J|; a ramp's are quadratic,
+    through the cell's midpoint, to keep the second differences of f's
+    ramps, all that is left where the cell is much longer than f.
+
+    A level whose knots within |D| < 2 all lie at |D| >= SIGMA_READ_D is
+    read instead from its sum at SIGMA_CELLS + 1 equally spaced phi,
+    linearly between them, times H, constant on each cell of phi (phi = 1
+    is a cell of its own).  The sum's |second derivative| is at most
+    sum 8 |J| sup |c| / (|D| ln 2), so a point is within 28 sum |J| sup |c|
+    / (SIGMA_CELLS^2 ln 2) of the term at the nodes: 8e-7 on the
+    indicator on hilbert.
+    """
+    kn = [float(k) for k in f.knots]
+    values = np.asarray(f.base.values, dtype=float)
+    if isinstance(f.base, StepFunction):
+        jumps, ramps = np.diff([0.0, *values, 0.0]), 0.0 * values
+    else:
+        jumps = np.array([values[0], *([0.0] * (len(kn) - 2)), -values[-1]])
+        ramps = np.diff([0.0, *(np.diff(values) / np.diff(kn)), 0.0])
+    start, y1, ys, m0, m1, mm1 = moments or _level_moments(table, levels, bool(ramps.any()))
+    steps = [(k, j, False) for k, j in zip(kn, jumps) if j]
+    steps += [(k, r, True) for k, r in zip(kn, ramps) if r]
+
+    @functools.lru_cache(maxsize=1)
+    def level(row: int) -> tuple[list[tuple], tuple | None]:
+        """Per step or ramp that can share x's cell at level row `row`: the
+        slope and offset of y' - floor(2 |D|) in sigma, the step of omega_p
+        in cells per unit of z, the polynomial's coefficients of z^0, z^1,
+        z^2 and the reads' weights per block (indices past the end clip to
+        zeros) and the level's reads; then the sigma table, or None.  A
+        worker runs its tasks in row order, so one row is kept at a time."""
+        i = levels[row] - start
+        knots, dense = [], True
+        for k, scale, ramp in steps:
+            d = math.ldexp(k - x, -levels[row])
+            if not abs(d) < 2.0:
+                continue
+            dense &= abs(d) >= SIGMA_READ_D
+            right, low = d < 0, math.floor(2.0 * abs(d))
+            # alpha + beta t + gamma t^2, t = p - f - z, for the omega_p <= 1/2
+            if ramp:
+                big = math.ldexp(scale * (0.5 if right else -0.5), levels[row])
+                abc = (big * d * d * (m1[i] - m0[i] + mm1[i] / 4),
+                       big * abs(d) * (mm1[i] / 4 - m0[i] / 2), big * mm1[i] / 16)
+                weight, reads = big * d * d / 2.0 ** levels[row], ys[i]
+            else:
+                abc = (scale * abs(d) * (m1[i] - m0[i] / 2), -scale * m0[i] / 4, 0.0)
+                weight, reads = scale * abs(d), y1[i]
+            e0, e1, e2 = _BLOCK_SUMS[right][:, low:]
+            poly = (abc[0] * e0 + abc[1] * e1 + abc[2] * e2, -abc[1] * e0 - 2.0 * abc[2] * e1,
+                    abc[2] * e0)
+            weights = [weight * _G1_WEIGHTS[right][low + 1 + r : 6 + r]
+                       for r in range(1 if abs(d) <= 0.5 else 2)]
+            frac = 2.0 * abs(d) - low
+            knots.append((4.0 if right else -4.0, frac if right else 4.0 + frac,
+                          OMEGA_CELLS / (2.0 * abs(d)), poly, weights, reads))
+        if not dense:
+            return knots, None
+        sums = knot_sum(knots, _SIGMA_NODES)
+        return knots, (np.append(sums[:-1] * _H_CELLS, sums[-1] * _H_CELLS[-1]),
+                       np.append(np.diff(sums) * _H_CELLS, 0.0))
+
+    def knot_sum(knots: list[tuple], sigma: np.ndarray) -> np.ndarray:
+        """The sum over `knots` (`level`) at each sigma, before H."""
+        shape = sigma.shape
+        out = dyadic.scratch("vals", shape)
+        out.fill(0.0)
         index = dyadic.scratch("index", shape, np.intp)
-        np.copyto(index, px, casting="unsafe")
-        vals *= np.take(dyadic.H_VALUES, index, out=px, mode="clip")
-        a = np.add(k, sigma, out=dyadic.scratch("cell", shape))
-        a *= length
-        pairing = F(a, out=dyadic.scratch("pairing", shape))
-        for frac, weight in ((0.25, -2.0), (0.75, 2.0)):
-            point = np.multiply(length, frac, out=dyadic.scratch("point", shape))
-            point += a
-            value = F(point, out=dyadic.scratch("F", shape))
-            pairing += np.multiply(value, weight, out=value)
-        point = np.add(length, a, out=dyadic.scratch("point", shape))
-        pairing -= F(point, out=dyadic.scratch("F", shape))
-        vals *= pairing
-        vals /= length
-        return vals
+        block = dyadic.scratch("blocks", shape, np.intp)
+        cell = dyadic.scratch("cell", shape)
+        for slope, offset, step, poly, weights, (values, rises, bends) in knots:
+            # y' - floor(2 |D|), its block and z
+            z = np.multiply(sigma, slope, out=dyadic.scratch("z", shape))
+            z += offset
+            floor = np.floor(z, out=dyadic.scratch("floor", shape))
+            z -= floor
+            np.copyto(block, floor, casting="unsafe")
+            # the polynomial, Horner in z
+            acc = np.take(poly[2 if bends is not None else 1], block, out=floor, mode="clip")
+            for c in poly[1::-1] if bends is not None else poly[:1]:
+                acc *= z
+                acc += np.take(c, block, out=cell, mode="clip")
+            out += acc
+            # omega_(f+1)'s cell coordinate (1 - z) step, then omega_(f+2)'s
+            pos = np.multiply(z, -step, out=z)
+            pos += step
+            for k, weight in enumerate(weights):
+                if k:
+                    pos += step
+                at = np.minimum(pos, OMEGA_CELLS, out=acc)
+                np.copyto(index, at, casting="unsafe")
+                at -= index
+                # the indices are in range: clip mode only skips the check
+                read = np.take(rises, index, out=dyadic.scratch("read", shape), mode="clip")
+                if bends is not None:
+                    bent = np.take(bends, index, out=cell, mode="clip")
+                    bent *= np.subtract(at, 1.0, out=dyadic.scratch("at1", shape))
+                    read += bent
+                read *= at
+                read += np.take(values, index, out=at, mode="clip")
+                read *= np.take(weight, block, out=at, mode="clip")
+                out += read
+        return out
+
+    def term(n: int, sigma: np.ndarray, _=None) -> np.ndarray:
+        knots, cells = level(n - levels.start)
+        shape = sigma.shape
+        index = dyadic.scratch("index", shape, np.intp)
+        if cells is not None:
+            # phi's cell coordinate, in (0, SIGMA_CELLS]
+            pos = np.multiply(sigma, -SIGMA_CELLS, out=dyadic.scratch("z", shape))
+            pos += SIGMA_CELLS
+            np.copyto(index, pos, casting="unsafe")
+            pos -= index
+            out = np.take(cells[1], index, out=dyadic.scratch("vals", shape), mode="clip")
+            out *= pos
+            out += np.take(cells[0], index, out=pos, mode="clip")
+            return out
+        out = knot_sum(knots, sigma)
+        # h's quarter floor(4 - 4 sigma), the last for sigma = 0
+        quarter = np.multiply(sigma, -4.0, out=dyadic.scratch("z", shape))
+        quarter += 4.0
+        np.copyto(index, quarter, casting="unsafe")
+        out *= np.take(dyadic.H_VALUES, index, out=quarter, mode="clip")
+        return out
 
     return term
 
@@ -204,7 +337,9 @@ def apply_averaged(
                 "the level range is unbounded there, or its cells overflow"
             )
         probes.append((x, dyadic.levels_for_distance(dist, gamma_sup, tol_tail)))
-    terms = [(lv, _operator_terms(table, f, x)) for x, lv in probes]
+    union = range(min(lv.start for _, lv in probes), max(lv.stop for _, lv in probes))
+    moments = _level_moments(table, union, isinstance(f.base, PiecewiseLinear))
+    terms = [(lv, _operator_terms(table, f, x, lv, moments)) for x, lv in probes]
     tallies = dyadic.accumulate_probes(seed, num_samples, terms, threads=threads)
     return [
         dyadic.estimate(x, lv, t, gamma_sup, num_samples, seed)
@@ -232,7 +367,8 @@ def direct_pv(spec: KernelSpec, f: TestFunction, x: float) -> float:
     lo, hi = (v, v) if isinstance(f.base, StepFunction) else (v[1:], v[:-1])
     for k, left, right in zip(f.knots, [0.0] + lo, hi + [0.0]):
         if float(k) == x and left != right:
-            raise OperatorError(f"f jumps from {left:g} to {right:g} at x = {x!r}: the PV diverges")
+            raise OperatorError(f"f jumps from {left:g} to {right:g} at x = {x!r}: the PV diverges",
+                                x, left, right)
     dists = sorted({abs(x - float(k)) for k in f.knots} - {0.0})
     if dists[0] < 2.0**-1000:
         raise ValueError(f"x = {x!r} is within 2^-1000 of a knot of f, where 1/s overflows")

@@ -143,9 +143,7 @@ def mc_estimate(
     gamma_sup = table.sup_norm()
     levels = dyadic.levels_for_distance(abs(x - y), gamma_sup, tol_tail)
     term = dyadic.kernel_sum_terms(table, x, y, levels)
-    tallies = dyadic.accumulate_samples(
-        seed, num_samples, levels, term, threads=threads, exact_dilation=True
-    )
+    tallies = dyadic.accumulate_samples(seed, num_samples, levels, term, threads=threads)
     return dyadic.estimate(x, levels, tallies, gamma_sup, num_samples, seed)
 
 
@@ -155,7 +153,9 @@ def compare_report(
     """Reconstruct at each probe in (0, inf) and tabulate relative errors.
 
     Returns {"kernel", "probes", "max_rel_err"}, the rows of "probes" being
-    {"x", "K", "Khat", "rel_err"}: the report `verify` prints.
+    {"x", "K", "Khat", "rel_err", "outside_window"}: the report `verify`
+    prints.  A probe outside [e^u_min, e^u_max] reads c through a constant
+    tail, so its rel_err measures the table's window, not the table.
     """
     xs = np.asarray(probe_xs, dtype=float)
     rows = []
@@ -163,7 +163,8 @@ def compare_report(
     for x, k_hat in zip(xs.tolist(), reconstruct_at(table, xs, rtol=rtol).tolist()):
         k_true = float(spec.k(x))
         rel = abs(k_hat - k_true) / abs(k_true) if k_true != 0 else abs(k_hat)
-        rows.append({"x": x, "K": k_true, "Khat": k_hat, "rel_err": rel})
+        outside = not table.u_min <= math.log(x) <= table.u_max
+        rows.append({"x": x, "K": k_true, "Khat": k_hat, "rel_err": rel, "outside_window": outside})
     # np.max, unlike max, keeps a NaN relative error
     worst = float(np.max([row["rel_err"] for row in rows], initial=0.0))
     return {"kernel": spec.name, "probes": rows, "max_rel_err": worst}

@@ -154,7 +154,12 @@ def _exp_moments(z: float) -> list[float]:
 
 
 class SolverError(RuntimeError):
-    """Raised when the source term cannot be solved for."""
+    """Raised when the source term cannot be solved for: `u`, where m
+    fails to be finite or to settle, and m's `values` there."""
+
+    def __init__(self, message: str, u: float = None, values: list[float] = None):
+        super().__init__(message)
+        self.u, self.values = u, values
 
 
 _HYPOTHESIS = "the representation needs x^3 K''(x) bounded"
@@ -320,6 +325,40 @@ class CoefficientTable:
         out = np.where(t >= n - 1, self.tail_right, np.where(t < 0.0, below, inside))
         return out if out.ndim else float(out)
 
+    @cached_property
+    def _c_integral_cells(self) -> tuple[np.ndarray, ...]:
+        """Horner coefficients of each cell's integral of its cubic,
+        h x (s + x (a1/2 + x (a2/3 + x a3/4))), then its value at the cell's
+        start: the sum of the cells before."""
+        s, a1, a2, a3 = self._cells
+        h = self.step
+        b1, b2, b3, b4 = h * s, h * a1 / 2, h * a2 / 3, h * a3 / 4
+        return b1, b2, b3, b4, np.concatenate(([0.0], np.cumsum((b1 + b2 + b3 + b4)[:-1])))
+
+    def c_integral(self, v):
+        """integral_u_min^v c(t) dt, exactly for the piecewise cubic
+        (`_c_integral_cells`) and, outside the window, the constant tails."""
+        b1, b2, b3, b4, nodes = self._c_integral_cells
+        v = np.asarray(v, dtype=float)
+        past = v - self.u_min
+        t = np.clip(past / self.step, 0.0, len(nodes) - 1)
+        j = np.minimum(t, max(len(nodes) - 2, 0)).astype(np.intp)
+        x = t - j
+        out = nodes[j] + x * (b1[j] + x * (b2[j] + x * (b3[j] + x * b4[j])))
+        out += self.tail_left * np.minimum(past, 0.0)
+        return out + self.tail_right * np.maximum(v - self.u_max, 0.0)
+
+    @cached_property
+    def _mirror(self) -> CoefficientTable:
+        """The table reflected about u = 0."""
+        return CoefficientTable(-self.u_max, -self.u_min, self.step, self.samples[::-1],
+                                self.tail_right, self.tail_left, 0.0, 0)
+
+    def p_at(self, v):
+        """P(v) = e^-v integral_-inf^v c(t) e^t dt, the mirror image of
+        `q_at`: Q of the reflected table (`_mirror`) at -v."""
+        return self._mirror.q_at(-np.asarray(v, dtype=float))
+
     def _cubic(self, t: np.ndarray, finite: bool = True) -> np.ndarray:
         """The cell cubic at grid coordinates t = (u - u_min) / step in
         [0, n - 1], cell j = t truncated, written over t and returned;
@@ -379,33 +418,14 @@ class CoefficientTable:
             np.putmask(t, u > grid[-1], self.tail_right)
         return t if u.ndim else float(t)
 
-    def c_at_level(self, n: int, log2r: np.ndarray) -> np.ndarray:
-        """gamma(2^n r) = c((n + log2r) ln 2) for log2r in [0, 1): `c_at`'s
-        cubic at grid coordinate t = log2r (ln 2 / step) + (n ln 2 - u_min)
-        / step, with no log; only a level whose t leave [0, n - 1] clips and
-        reads a tail.  In an engine pass, a workspace array (`scratch`)."""
-        scale, last = _LN2 / self.step, len(self.samples) - 1
-        start = (n * _LN2 - self.u_min) / self.step
-        t = np.multiply(log2r, scale, out=scratch("gamma", log2r.shape))
-        t += start
-        tails = not (0.0 <= start and start + scale <= last)
-        if tails:
-            left = np.less(t, 0.0, out=scratch("left", t.shape, bool))
-            right = np.greater(t, last, out=scratch("right", t.shape, bool))
-            np.clip(t, 0.0, last, out=t)
-        self._cubic(t)
-        if tails:
-            np.putmask(t, left, self.tail_left)
-            np.putmask(t, right, self.tail_right)
-        return t
 
-
-def _detect_tail(mfun, u_edge: float, direction: int) -> tuple[bool, float]:
-    """Probe m for a flat limit just inside u_edge."""
+def _detect_tail(mfun, u_edge: float, direction: int) -> tuple[bool, list[float]]:
+    """Probe m for a flat limit just inside u_edge: whether it is flat, and
+    m at u_edge and 0.5, 1 and 2 inside."""
     probes = u_edge - direction * np.array([0.0, 0.5, 1.0, 2.0])
     vals = np.asarray(mfun(probes), dtype=float)
     flat = np.all(np.abs(vals - vals[0]) <= 1e-9 * (1.0 + np.abs(vals[0])))
-    return bool(flat), float(vals[0])
+    return bool(flat), vals.tolist()
 
 
 def solve_c(
@@ -472,18 +492,21 @@ def solve_c(
     grid = u_min + step * np.arange(-n_left, n_window + n_right + 1)
 
     m = np.asarray(mfun(grid), dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise SolverError(f"source term m is not finite on the padded window: {_HYPOTHESIS}")
+    bad = np.flatnonzero(~np.isfinite(m))
+    if bad.size:
+        u, value = float(grid[bad[0]]), float(m[bad[0]])
+        raise SolverError(f"source term m is not finite on the padded window, first at "
+                          f"u = {u!r}: {_HYPOTHESIS}", u, [value])
     # the generic route holds m at its value at the guard, wherever the grid ends
-    if spec.m_eval is None and not all(
-        _detect_tail(mfun, side * GENERIC_GUARD, side)[0] for side in (-1, 1)
-    ):
-        raise SolverError(
-            f"m(u) = x^3 K''(x) at x = e^u has not settled by |u| = {GENERIC_GUARD:g}, beyond "
-            f"which the generic route holds it: {_HYPOTHESIS}, with a limit there; supply m_eval"
-        )
-    flat_l, m_left = _detect_tail(mfun, grid[0], direction=-1)
-    flat_r, m_right = _detect_tail(mfun, grid[-1], direction=+1)
+    for side in (-1, 1) if spec.m_eval is None else ():
+        flat, values = _detect_tail(mfun, side * GENERIC_GUARD, side)
+        if not flat:
+            raise SolverError(
+                f"m(u) = x^3 K''(x) at x = e^u has not settled by u = {side * GENERIC_GUARD:g}, "
+                f"beyond which the generic route holds it: {_HYPOTHESIS}, with a limit there; "
+                "supply m_eval", side * GENERIC_GUARD, values)
+    (flat_l, (m_left, *_)), (flat_r, (m_right, *_)) = (
+        _detect_tail(mfun, grid[0], direction=-1), _detect_tail(mfun, grid[-1], direction=+1))
     # b steps between the solutions for constant m, m / a(0) = -(4/3) m
     b_left, b_right = m_left / _A_ZERO, m_right / _A_ZERO
     centre = 0.5 * (u_min + u_max)

@@ -183,8 +183,8 @@ def sweep_solve(spec, window=(-14.0, 14.0), step=2.0**-9, tol=1e-8):
         source = (8.0 / 99.0) * np.asarray(mfun(grid - LN43), dtype=float)
 
         # fixed point of the map with m frozen at its limit: c = -(4/3) m
-        flat_l, m_left = _detect_tail(mfun, grid[0], direction=-1)
-        flat_r, m_right = _detect_tail(mfun, grid[-1], direction=+1)
+        flat_l, (m_left, *_) = _detect_tail(mfun, grid[0], direction=-1)
+        flat_r, (m_right, *_) = _detect_tail(mfun, grid[-1], direction=+1)
         tail_left = -(4.0 / 3.0) * m_left if flat_l else None
         tail_right = -(4.0 / 3.0) * m_right if flat_r else None
         c = np.where(
@@ -412,56 +412,63 @@ def level_draws(num_samples: int, row: int) -> int:
 
 
 def level_lattice(draws: int) -> tuple[int, int]:
-    """(replicates, points) of stream 6: a level of N draws evaluates
-    R = min(20, N) shifts of one lattice of floor(N / R) points."""
+    """(replicates, points) since stream 6: a level of N draws evaluates
+    R = min(20, N) shifts of one rule of floor(N / R) points."""
     replicates = min(20, draws)
     return replicates, draws // replicates
 
 
-def level_points(seed: int, row: int, num_samples: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(log2 r, sigma) of every point of level row `row` of a
-    `num_samples`-draw call since stream 6, replicate by replicate.
+def level_points(seed: int, row: int, num_samples: int) -> list[np.ndarray]:
+    """sigma of every point of level row `row` of a `num_samples`-draw call
+    since stream 10 (stream 9 for the kernel sum), replicate by replicate.
 
-    Replicate j takes its shift (U, U') from the first two uniforms of the
-    Philox counter block at (row << 128) + (j << 70) under the seed key.
-    Its point i has log2 r = ((i + 1/2) / p + U) mod 1 and
-    sigma = ((i phi mod 1) + U') mod 1, for p points and phi = (sqrt 5 - 1) / 2.
+    Replicate j takes its shift U from the first uniform of the Philox
+    counter block at (row << 128) + (j << 70) under the seed key.  Its
+    point i has sigma = ((i + 1/2) / p + U) mod 1, for p points.
     """
     replicates, points = level_lattice(level_draws(num_samples, row))
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
     out = []
     for j in range(replicates):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=(row << 128) + (j << 70)))
-        u, v = rng.random(2).tolist()
-        log2rs = [((i + 0.5) / points + u) % 1.0 for i in range(points)]
-        sigmas = [((i * phi) % 1.0 + v) % 1.0 for i in range(points)]
-        out.append((np.array(log2rs), np.array(sigmas)))
+        u = float(rng.random(2)[0])
+        out.append(np.array([((i + 0.5) / points + u) % 1.0 for i in range(points)]))
     return out
 
 
-def sample_level(seed: int, n: int, row: int, num_samples: int) -> list[list[GridSample]]:
-    """The points of `level_points`, each as a grid whose level-n lattice
-    is {r 2^n (sigma + k)}, r = 2^(log2 r)."""
-    return [
-        [
-            GridSample(r=r, sigma=sigma, bits=np.zeros(1), i_min=n, n_max=n + 1, seed=seed)
-            for r, sigma in zip(np.exp2(log2rs).tolist(), sigmas.tolist())
-        ]
-        for log2rs, sigmas in level_points(seed, row, num_samples)
-    ]
-
-
-def replicate_sums(term, n: int, replicates: list[tuple[np.ndarray, np.ndarray]], chunk_size: int):
-    """(sums, hits) of term(n, log2 r, sigma) over each replicate's
-    (log2 r, sigma) points as stream 6 adds them: np.sum over consecutive
-    pieces of at most chunk_size points, the pieces added in order."""
+def replicate_sums(term, n: int, replicates: list[np.ndarray], chunk_size: int):
+    """(sums, hits) of term(n, sigma, None) over each replicate's sigma
+    points as the engine adds them: np.sum over consecutive pieces of at
+    most chunk_size points, the pieces added in order."""
     sums, hits = [], 0
-    for log2rs, sigmas in replicates:
-        values = term(n, log2rs, sigmas)
+    for sigmas in replicates:
+        values = term(n, sigmas, None)
         hits += int(np.count_nonzero(values))
         pieces = range(0, len(values), chunk_size)
         sums.append(sum(float(np.sum(values[k : k + chunk_size])) for k in pieces))
     return sums, hits
+
+
+def lattice_tallies(seed: int, num_samples: int, levels, term):
+    """Per level, (mean, stderr) of a lattice term term(n, log2 r, sigma)
+    on the rule of streams 6 to 8: R = min(20, N) replicates of the
+    p-point rank-1 lattice ((i + 1/2) / p, i phi mod 1) in (log2 r, sigma),
+    phi the golden-ratio conjugate, replicate j moved modulo 1 by the
+    shift (U, U') of its Philox counter block, as `level_points` draws U;
+    the stderr is the replicate means' spread over sqrt(R).  The reference
+    the exact-dilation terms' level means are checked against."""
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    out = []
+    for row, n in enumerate(levels):
+        replicates, points = level_lattice(level_draws(num_samples, row))
+        i = np.arange(points)
+        means = []
+        for j in range(replicates):
+            counter = (row << 128) + (j << 70)
+            u, v = np.random.Generator(np.random.Philox(key=seed, counter=counter)).random(2)
+            log2r, sigma = ((i + 0.5) / points + u) % 1.0, (i * phi % 1.0 + v) % 1.0
+            means.append(float(np.mean(term(n, log2r, sigma))))
+        out.append((float(np.mean(means)), float(np.std(means, ddof=1)) / math.sqrt(replicates)))
+    return out
 
 
 def sample_grid(seed: int, i_min: int, n_max: int, index: int = 0) -> GridSample:
@@ -657,41 +664,63 @@ def reference_kernel_pairing(y: float):
     return pairing
 
 
+def antiderivative(f, t):
+    """F(t) = integral of f from its left knot to t, vectorized: the sum
+    over segments j of d_j (v_j + (s_j / 2) d_j), d_j = clip(t - k_j, 0,
+    h_j), for the left knot k_j, width h_j, value v_j at k_j and slope s_j
+    (0 for a step function); a scalar t gives a float."""
+    ks = np.array([float(k) for k in f.knots])
+    widths = np.diff(ks)
+    vals = np.asarray(f.base.values, dtype=float)
+    half = 0.5 * np.diff(vals) / widths if isinstance(f.base, PiecewiseLinear) else 0.0 * widths
+    t = np.asarray(t, dtype=float)
+    d = np.clip(t[..., None] - ks[:-1], 0.0, widths)
+    out = np.sum(d * (vals[: len(widths)] + half * d), axis=-1)
+    return out if t.ndim else float(out)
+
+
 def reference_operator_pairing(f):
     """sqrt(L) <g_I, f> as the four-point antiderivative combination."""
-    F = f.antiderivative
 
     def pairing(k, sigma, length):
         a = (k + sigma) * length
-        return F(a) - 2.0 * F(a + 0.25 * length) + 2.0 * F(a + 0.75 * length) - F(a + length)
+        F = [antiderivative(f, a + frac * length) for frac in (0.0, 0.25, 0.75, 1.0)]
+        return F[0] - 2.0 * F[1] + 2.0 * F[2] - F[3]
 
     return pairing
 
 
-def dilation_integral(table, d: float, n: int, sigma: float) -> float:
-    """The mean over u = log2 r in [0, 1) of the lattice level term at
-    level n for the pair x = d, y = 0 and the shift sigma, by
-    scipy.integrate.quad over u, split where x's quarter or the shared
-    cell changes and where ln L crosses the table's window; the value the
-    exact-dilation term (`dyadic.kernel_sum_terms`) computes in closed
-    form."""
+def operator_lattice_terms(table, f, x: float):
+    """The averaged operator's level term at x on the (log2 r, sigma)
+    lattice, as streams 3 to 9 drew it, in the frame the exact-dilation
+    term uses: translated by -x, so x sits at 0 and f's knots at k - x."""
+    moved = type(f.base)([float(k) - x for k in f.knots], list(f.base.values))
+    return reference_shift_terms(table, 0.0, reference_operator_pairing(type(f)(moved)))
+
+
+def dilation_integral(table, term, n: int, sigma: float, distances) -> float:
+    """The mean over u = log2 r in [0, 1) of a lattice level term
+    term(n, log2 r, sigma) at level n, for a probe at 0 whose features (a
+    second point, the knots of f) lie at `distances` from it, by
+    scipy.integrate.quad over u, split where a feature crosses a quarter of
+    the cell that holds the probe and where ln L crosses the table's
+    window; the value an exact-dilation term computes in closed form."""
     from scipy.integrate import quad
 
-    term = lattice_kernel_sum_terms(table, d, 0.0)
-
     def at(u):
-        u = np.array([u])
-        return float(term(n, u, np.array([sigma]))[0])
+        return float(term(n, np.array([u]), np.array([sigma]))[0])
 
-    # w = d / 2^(n + u) meets sigma - 1 + q/4 at u = log2(d / (2^n w)) - n
+    # the probe sits at 1 - sigma in its cell; a feature at d sits at 1 - sigma + d / L,
+    # which meets the quarter q/4 where d / 2^(n + u) = sigma - 1 + q/4
     cuts = {0.0, 1.0}
-    for q in range(5):
-        w = sigma - 1.0 + q / 4.0
-        if w != 0.0 and d / w > 0.0:
-            cuts.add(math.log2(d / w) - n)
+    for d in distances:
+        for q in range(5):
+            w = sigma - 1.0 + q / 4.0
+            if w != 0.0 and d / w > 0.0:
+                cuts.add(math.log2(d / w) - n)
     for edge in (table.u_min, table.u_max):
         cuts.add(edge / math.log(2.0) - n)
     cuts = sorted(u for u in cuts if 0.0 <= u <= 1.0)
     return math.fsum(
-        quad(at, a, b, epsabs=1e-15, epsrel=1e-12, limit=200)[0] for a, b in zip(cuts, cuts[1:])
+        quad(at, a, b, epsabs=1e-12, epsrel=1e-10, limit=200)[0] for a, b in zip(cuts, cuts[1:])
     )

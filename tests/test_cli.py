@@ -301,7 +301,7 @@ def test_mc_input_scan(scan_base, separation, sign, y, samples):
     table = read_table(scan_base)
     levels = dyadic.levels_for_distance(abs(x - y), table.sup_norm(), 1e-4)
     tallies = dyadic.accumulate_samples(
-        5, samples, levels, dyadic.kernel_sum_terms(table, x, y, levels), exact_dilation=True
+        5, samples, levels, dyadic.kernel_sum_terms(table, x, y, levels)
     )
     if samples == 1:
         assert payload["stderr"] is None
@@ -402,6 +402,136 @@ def test_solve_input_scan(tmp_path_factory, kernel, step, window):
         return
     table = read_table(base)
     assert math.isfinite(table.residual_sup)
+
+
+# counts omega_max / step the scan can take, then counts past ADIAG_MAX_COUNT it refuses
+SMALL_COUNTS = [0.5, 1.0, 3.0, 1000.0]
+HUGE_COUNTS = [cli.ADIAG_MAX_COUNT + 1.0, 1e300, math.inf]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    count=st.sampled_from(SMALL_COUNTS + HUGE_COUNTS),
+    step=st.one_of(st.floats(), st.sampled_from(EXTREME_FLOATS)),
+)
+def test_adiag_input_scan(count, step):
+    """`adiag` at any float --step and an --omega-max of a small or a huge
+    multiple of it, the extreme and non-finite ones included, either exits
+    0 with a finite minimum of |a| and a(0), or exits 2 or 64 with a
+    message that names the flag.  (A count at or below 2^29 the scan would
+    run for minutes is not drawn.)"""
+    omega_max = count * step
+    rc, out, err = _run(["adiag", f"--omega-max={omega_max!r}", f"--step={step!r}"])
+    if rc != 0:
+        assert rc in (2, 64) and ("--omega-max" in err or "--step" in err
+                                  or "omega_max / step" in err), err
+        return
+    assert count in SMALL_COUNTS or omega_max / step <= cli.ADIAG_MAX_COUNT
+    smallest, a0 = out.splitlines()
+    assert math.isfinite(float(smallest.rsplit(": ", 1)[1]))
+    assert math.isfinite(complex(a0.split(" = ")[1].replace("i", "j")).real)
+
+
+FLAG_VALUES = st.one_of(
+    st.floats(), st.sampled_from(EXTREME_FLOATS),
+    st.sampled_from(["1e-307", "2e-16", "1e300", "0", "-1", "x", "1,2"]),
+).map(lambda v: v if isinstance(v, str) else repr(v))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(flag=st.sampled_from(["--tail-tol", "--seed"]), command=st.sampled_from(["mc", "apply"]),
+       value=st.one_of(FLAG_VALUES, st.integers(-(2**130), 2**130).map(str)))
+def test_monte_carlo_flag_scan(scan_base, flag, command, value):
+    """`mc` and `apply` at any --tail-tol or --seed, floats from the extreme
+    to the non-finite, integers beyond the key range and malformed text,
+    either exit 0 with a finite mean and stderr, or exit 2 or 64 with a
+    message that names the flag or the value."""
+    where = ["--x", "0.7", "--y", "0.1"] if command == "mc" else ["--kernel", "hilbert", "--x=2.5"]
+    rc, out, err = _run([command, "--table", scan_base, *where, "--samples", "8", f"{flag}={value}"])
+    if rc != 0:
+        assert rc in (2, 64) and (flag in err or value in err), err
+        return
+    if command == "mc":
+        values = [json.loads(out)["mean"], json.loads(out)["stderr"]]
+    else:
+        values = list(map(float, list(csv.reader(io.StringIO(out)))[1]))
+    assert all(map(math.isfinite, values))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(value=FLAG_VALUES)
+def test_verify_rtol_scan(scan_base, value):
+    """`verify --rtol` at any value either exits 0 with a finite error, or
+    exits 2 or 64 naming --rtol or the value."""
+    rc, out, err = _run(["verify", "--table", scan_base, "--kernel", "hilbert", "--probes",
+                         "0.5,3", f"--rtol={value}"])
+    if rc != 0:
+        assert rc in (2, 64) and ("--rtol" in err or "rtol" in err and value in err), err
+        return
+    assert math.isfinite(json.loads(out)["max_rel_err"])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(value=FLAG_VALUES)
+def test_solve_tol_scan(tmp_path_factory, value):
+    """`solve --tol` at any value either exits 0 and writes a finite table,
+    or exits 2 or 64 naming --tol or the value."""
+    base = tmp_path_factory.getbasetemp() / "tol-scan"
+    rc, _, err = _run(["solve", "--kernel", "conjugate-poisson", "--step", "0.0625", "--window",
+                       "-2", "2", f"--tol={value}", "--out", str(base)])
+    if rc != 0:
+        assert rc in (2, 64) and ("--tol" in err or "tol" in err and value in err), err
+        return
+    assert math.isfinite(read_table(base).residual_sup)
+
+
+def test_verify_flags_probes_outside_the_window(cp_scan_base):
+    """A probe below e^u_min reads c through the left tail, so its error
+    measures the window: `verify` flags it in the report and names it on
+    stderr, and max_rel_err keeps its meaning (conjugate-poisson at 2^-8,
+    window -14 .. 14: 0.2217 at 1e-8 and 1e-7)."""
+    rc, out, err = _run(["verify", "--table", cp_scan_base, "--kernel", "conjugate-poisson",
+                         "--probes", "1e-8,1e-7,1.0"])
+    assert rc == 0
+    rows = json.loads(out)["probes"]
+    assert [row["outside_window"] for row in rows] == [True, True, False]
+    assert json.loads(out)["max_rel_err"] == max(row["rel_err"] for row in rows)
+    assert json.loads(out)["max_rel_err"] == pytest.approx(0.2217, abs=1e-4)
+    lines = err.splitlines()
+    assert len(lines) == 2 and all("measures the table's window" in line for line in lines)
+    assert "x = 1e-08" in lines[0] and "x = 1e-07" in lines[1]
+
+
+def test_numeric_failures_print_their_numbers(hilbert_base, monkeypatch):
+    """On exit 2 the CLI prints the numbers a failure carries: an
+    OperatorError's jump (x and f's two sides) and a SolverError's point u
+    where m failed and m's values there."""
+    from haarshift import OperatorError, SolverError, direct_pv, get_kernel, indicator_function
+
+    def jump(*args, **kwargs):
+        return direct_pv(get_kernel("hilbert"), indicator_function(), 1.0)
+
+    monkeypatch.setattr(cli, "apply_averaged", jump)
+    rc, _, err = _run(["apply", "--table", hilbert_base, "--kernel", "hilbert", "--x", "1"])
+    assert rc == 2
+    assert err.splitlines()[-1] == "haarshift: x = 1.0, left = 1.0, right = 0.0"
+    with pytest.raises(OperatorError) as info:
+        jump()
+    assert (info.value.x, info.value.left, info.value.right) == (1.0, 1.0, 0.0)
+
+    def unsolvable(name):
+        return haarshift.KernelSpec(name=name, k=None, k2=None,
+                                    m_eval=lambda u: np.where(u > 3.0, np.inf, 1.0))
+
+    monkeypatch.setattr(cli, "get_kernel", unsolvable)
+    rc, _, err = _run(["solve", "--kernel", "hilbert", "--step", "0.0625"])
+    assert rc == 2
+    *_, message, numbers = err.splitlines()
+    assert "source term m is not finite on the padded window, first at u = " in message
+    assert numbers.startswith("haarshift: u = 3.") and numbers.endswith("values = [inf]")
+    with pytest.raises(SolverError) as info:
+        haarshift.solve_c(unsolvable("blows-up"), step=0.0625)
+    assert 3.0 < info.value.u <= 3.0625 and info.value.values == [math.inf]
 
 
 @pytest.mark.parametrize("x", ["1e-310", "9e-13"])

@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 from conftest import const_table, tally_bits
 from oracles import (
     Interval,
+    antiderivative,
     apply_shift,
+    dilation_integral,
+    lattice_tallies,
+    operator_lattice_terms,
     fixed_grid,
     haar_pairing,
     integrate_pl,
     rescale_to_interval,
     sample_grid,
-    sample_level,
+    level_points,
+    replicate_sums,
 )
 
 from haarshift import (
@@ -28,7 +33,10 @@ from haarshift import (
     make_g,
     triangle_function,
 )
-from haarshift.dyadic import accumulate_probes, accumulate_samples, estimate
+from haarshift import operators
+from haarshift.dyadic import (
+    accumulate_probes, accumulate_samples, estimate, levels_for_distance,
+)
 from haarshift.operators import _operator_terms
 from haarshift.piecewise import (
     PiecewiseLinear,
@@ -60,11 +68,11 @@ def test_pairing_partial_overlap():
 
 def test_antiderivative_triangle_values():
     f = triangle_function()
-    assert f.antiderivative(-1.0) == 0.0
-    assert f.antiderivative(0.5) == pytest.approx(0.125, abs=1e-15)
-    assert f.antiderivative(1.5) == pytest.approx(0.875, abs=1e-15)
-    assert f.antiderivative(2.0) == pytest.approx(1.0, abs=1e-15)
-    assert f.antiderivative(7.0) == pytest.approx(1.0, abs=1e-15)
+    assert antiderivative(f, -1.0) == 0.0
+    assert antiderivative(f, 0.5) == pytest.approx(0.125, abs=1e-15)
+    assert antiderivative(f, 1.5) == pytest.approx(0.875, abs=1e-15)
+    assert antiderivative(f, 2.0) == pytest.approx(1.0, abs=1e-15)
+    assert antiderivative(f, 7.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_antiderivative_matches_direct_integrals():
@@ -74,17 +82,17 @@ def test_antiderivative_matches_direct_integrals():
     for _ in range(40):
         a, b = sorted(rng.uniform(-1, 3, size=2))
         want_tri = integrate_pl(tri.base, a, b)
-        got_tri = tri.antiderivative(b) - tri.antiderivative(a)
+        got_tri = antiderivative(tri, b) - antiderivative(tri, a)
         assert got_tri == pytest.approx(want_tri, abs=1e-14)
         want_box = max(0.0, min(b, 1.0) - max(a, 0.0))
-        got_box = box.antiderivative(b) - box.antiderivative(a)
+        got_box = antiderivative(box, b) - antiderivative(box, a)
         assert got_box == pytest.approx(want_box, abs=1e-14)
 
 
 def test_antiderivative_vectorized():
     f = triangle_function()
     t = np.array([-1.0, 0.5, 1.5, 3.0])
-    out = f.antiderivative(t)
+    out = antiderivative(f, t)
     assert out.shape == (4,)
     assert out == pytest.approx([0.0, 0.125, 0.875, 1.0], abs=1e-15)
 
@@ -148,11 +156,11 @@ def test_antiderivative_matches_exact_integrals(f, data):
     far = data.draw(st.lists(outside, min_size=1, max_size=4))
     probes = inside + [float(k) for k in f.knots] + far + [-(2.0**20), 2.0**20]
     tol = 1e-14 * (hi - lo) * max(abs(v) for v in f.base.values)
-    got = f.antiderivative(np.array(probes))
+    got = antiderivative(f, np.array(probes))
     assert got.shape == (len(probes),)
     for t, from_array in zip(probes, got):
         want = exact_antiderivative(f, t)
-        from_scalar = f.antiderivative(t)
+        from_scalar = antiderivative(f, t)
         assert isinstance(from_scalar, float)
         assert abs(Fraction(from_scalar) - want) <= tol
         assert abs(Fraction(float(from_array)) - want) <= tol
@@ -209,21 +217,19 @@ THREE_CELLS = TestFunction(
     ids=["indicator", "triangle", "three-cells"],
 )
 def test_engine_matches_scalar_operator(hilbert_table, f):
-    """At chunk size 1 the engine's replicate sums must match apply_shift
-    summed over the oracle's shifted lattices of each level; 40 floor draws
+    """At chunk size 1 the engine's replicate sums are the oracle's sums of
+    the term over the oracle's shifted rules of each level; 40 floor draws
     give 20 replicates of 2 points at the floor, then 20 of 1, down to 2
     of 1."""
     x = 0.37
     lv = range(-3, 9)
     m = 40
-    tallies = accumulate_samples(5, m, lv, _operator_terms(hilbert_table, f, x), chunk_size=1)
+    term = _operator_terms(hilbert_table, f, x, lv)
+    tallies = accumulate_samples(5, m, lv, term, chunk_size=1)
     assert (tallies[0].replicates, tallies[0].points) == (20, 2)
     for row, (n, tally) in enumerate(zip(lv, tallies)):
-        want = [
-            math.fsum(apply_shift(s, hilbert_table, f, x, range(n, n + 1)) for s in replicate)
-            for replicate in sample_level(5, n, row, m)
-        ]
-        assert tally.sums == pytest.approx(want, rel=1e-9, abs=1e-12)
+        sums, hits = replicate_sums(term, n, level_points(5, row, m), 1)
+        assert (tally.sums.tolist(), tally.hits) == (sums, hits)
 
 
 @pytest.mark.parametrize(
@@ -237,13 +243,73 @@ def test_engine_matches_scalar_operator(hilbert_table, f):
 def test_operator_accumulate_thread_invariant(
     hilbert_table, f, num_samples, chunk_size
 ):
-    term = _operator_terms(hilbert_table, f, 0.37)
+    term = _operator_terms(hilbert_table, f, 0.37, range(-3, 9))
     levels = range(-3, 9)
     a, b, c, d = (
         tally_bits(accumulate_samples(5, num_samples, levels, term, threads=t, chunk_size=chunk_size))
         for t in (1, 1, 2, 4)
     )
     assert a == b == c == d
+
+
+def _term_bound(table, f) -> float:
+    """The bound of `_operator_terms` per point, from its docstring: two
+    linear reads per knot, each within sum |J| sup |c| / (4 OMEGA_CELLS^2
+    ln 2) before H's factor of at most 7, and the sigma table's read within
+    28 sum |J| sup |c| / (SIGMA_CELLS^2 ln 2); a f without jumps (the
+    triangle, whose quadratic reads measure within 5e-9) is given the bound
+    of a unit jump."""
+    values = np.asarray(f.base.values, dtype=float)
+    jumps = max(float(np.sum(np.abs(np.diff([0.0, *values, 0.0])))), 1.0)
+    if isinstance(f.base, PiecewiseLinear):
+        jumps = max(abs(values[0]) + abs(values[-1]), 1.0)
+    sup = table.sup_norm() * jumps / math.log(2.0)
+    return sup * (3.5 / operators.OMEGA_CELLS**2 + 28.0 / operators.SIGMA_CELLS**2)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("table_name", ["hilbert", "conjugate-poisson"])
+@pytest.mark.parametrize(
+    "f", [indicator_function(), triangle_function()], ids=["indicator", "triangle"]
+)
+def test_operator_term_matches_quadrature_over_the_dilation(table_name, f, hilbert_table, cp_table):
+    """Per sigma, the exact-dilation term is scipy's quadrature over u of
+    the lattice term translated by -x (`operator_lattice_terms`), at the
+    floor, a middle and the top level of probes on both sides of f, near a
+    knot and far off: within `_term_bound` plus 1e-11 for quad's tolerance
+    (measured: 4e-7 on the indicator, where the bound is 7e-6 on
+    hilbert; 5e-9 on the triangle).  sigma = 1/4 puts x on a quarter's
+    edge of its cell, which the term reads as the lattice does; 2 is a
+    knot of the triangle, so it takes 2.5 there."""
+    table = hilbert_table if table_name == "hilbert" else cp_table
+    rng = np.random.default_rng(20261021)
+    bound = _term_bound(table, f) + 1e-11
+    for x in (-1.0, 0.25, 0.999, 2.0 if len(f.knots) == 2 else 2.5, 5.0, 1e7):
+        dist = min(abs(x - float(k)) for k in f.knots)
+        levels = levels_for_distance(dist, table.sup_norm(), 1e-4)
+        term = _operator_terms(table, f, x, levels)
+        lattice = operator_lattice_terms(table, f, x)
+        distances = [float(k) - x for k in f.knots]
+        for n in (levels[0], levels[len(levels) // 2], levels[-1]):
+            sigma = np.array([rng.random(), 0.25])
+            got = term(n, sigma)
+            want = [dilation_integral(table, lattice, n, s, distances) for s in sigma.tolist()]
+            assert np.max(np.abs(got - want)) <= bound, (x, n, got, want)
+
+
+@pytest.mark.parametrize(
+    "f", [indicator_function(), triangle_function()], ids=["indicator", "triangle"]
+)
+def test_operator_level_means_agree_with_the_lattice(hilbert_table, f):
+    """Level by level, the exact-dilation estimate and the (log2 r, sigma)
+    lattice of streams 3 to 9 (`lattice_tallies`) estimate the same mean:
+    within 4 combined stderrs, at 2^13 floor draws, on both sides of f."""
+    for x in (-1.0, 0.25, 5.0):
+        levels = levels_for_distance(min(abs(x - float(k)) for k in f.knots), 8.0 / 3.0, 1e-3)
+        exact = accumulate_samples(7, 1 << 13, levels, _operator_terms(hilbert_table, f, x, levels))
+        lattice = lattice_tallies(7, 1 << 13, levels, operator_lattice_terms(hilbert_table, f, x))
+        for a, (mean, stderr) in zip(exact, lattice):
+            assert abs(a.mean - mean) <= 4.0 * math.hypot(a.stderr, stderr), (x, a.mean, mean)
 
 
 # floors 0, -2, 0 and 2 for the indicator, 0, -2, -1 and 1 for the triangle
@@ -271,7 +337,7 @@ def test_accumulate_probes_match_one_at_a_time(hilbert_table, threads):
     replicates of 1000 floor draws in pieces."""
     f = triangle_function()
     probes = [
-        (range(n, 6), _operator_terms(hilbert_table, f, x))
+        (range(n, 6), _operator_terms(hilbert_table, f, x, range(n, 6)))
         for x, n in zip(PROBES, (0, -2, -1, 1))
     ]
     together = accumulate_probes(5, 1000, probes, threads=threads, chunk_size=7)
@@ -317,7 +383,7 @@ def test_apply_averaged_explicit_levels(hilbert_table):
     the tail bound covers the levels above the range's top."""
     lv = range(-2, 7)
     sup = hilbert_table.sup_norm()
-    term = _operator_terms(hilbert_table, indicator_function(), 2.0)
+    term = _operator_terms(hilbert_table, indicator_function(), 2.0, lv)
     est = estimate(2.0, lv, accumulate_samples(0, 50, lv, term), sup, 50, 0)
     assert est.levels == lv
     assert (est.to_dict()["n_min"], est.to_dict()["n_max"]) == (-2, 6)

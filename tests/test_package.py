@@ -59,3 +59,10 @@ def test_private_read_check_flags_what_it_should():
         "    table._cubic(1)\n    level.record._cells = 0\n"
     )
     assert private_reads(source) == ["8: table._cubic"]
+
+
+def test_readme_names_the_current_stream():
+    """README's list of draw streams names `dyadic.STREAM_VERSION`, so a
+    bump of the draw order cannot skip the docs."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert f"Stream {haarshift.STREAM_VERSION} " in readme

@@ -262,7 +262,9 @@ def test_compare_report_basics(hilbert_table):
     report = compare_report(spec, hilbert_table, [0.5, 1.0, 2.0])
     assert set(report) == {"kernel", "probes", "max_rel_err"}
     assert report["kernel"] == "hilbert"
-    assert [set(row) for row in report["probes"]] == [{"x", "K", "Khat", "rel_err"}] * 3
+    keys = {"x", "K", "Khat", "rel_err", "outside_window"}
+    assert [set(row) for row in report["probes"]] == [keys] * 3
+    assert not any(row["outside_window"] for row in report["probes"])
     assert report["max_rel_err"] <= 1e-6
     assert compare_report(spec, hilbert_table, [0.5, 1.0, 2.0]) == report
 
