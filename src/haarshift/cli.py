@@ -330,9 +330,9 @@ def main(argv=None) -> int:
     except (SolverError, OperatorError, ValueError, OSError) as exc:
         print(f"haarshift: {exc}", file=sys.stderr)
         # the numbers a SolverError or OperatorError carries
-        if vars(exc):
-            print("haarshift: " + ", ".join(f"{k} = {v!r}" for k, v in vars(exc).items()),
-                  file=sys.stderr)
+        numbers = [f"{k} = {v!r}" for k, v in vars(exc).items() if v is not None]
+        if isinstance(exc, (SolverError, OperatorError)) and numbers:
+            print("haarshift: " + ", ".join(numbers), file=sys.stderr)
         return NUMERIC_EXIT
 
 

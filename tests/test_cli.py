@@ -534,6 +534,18 @@ def test_numeric_failures_print_their_numbers(hilbert_base, monkeypatch):
     assert 3.0 < info.value.u <= 3.0625 and info.value.values == [math.inf]
 
 
+def test_malformed_sidecar_exits_2_without_echoing_the_file(hilbert_base):
+    """A sidecar that is not JSON exits 2 with one line: the parser's error
+    carries the file's text among its attributes, and only a SolverError's
+    or an OperatorError's numbers are printed."""
+    sidecar = hilbert_base + ".json"
+    with open(sidecar, "a") as fh:
+        fh.write("{ not json: sidecar-body-marker")
+    rc, _, err = _run(["mc", "--table", hilbert_base, "--x", "1", "--y", "0", "--samples", "10"])
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and "sidecar-body-marker" not in err
+
+
 @pytest.mark.parametrize("x", ["1e-310", "9e-13"])
 def test_mc_separation_below_two_to_the_minus_40_is_numeric_error(hilbert_base, x, capsys):
     """Nearer than 2^-40 the floor level heads for the subnormal range,

@@ -678,7 +678,7 @@ def test_terms_are_called_one_way():
     levels = range(-3, 4)
     table = TERM_TABLES["wavy"]
     for term in (
-        _operator_terms(table, triangle_function(), 0.7, levels),
+        _operator_terms(table, triangle_function(), [(0.7, levels)])[0][1],
         kernel_sum_terms(table, 0.7, 0.1, levels),
     ):
         want = accumulate_samples(5, 3000, levels, term)
@@ -714,7 +714,7 @@ def test_engine_reuses_its_workspaces(monkeypatch):
     returns an array of its own."""
     monkeypatch.setattr(dyadic, "_WORKSPACE", {})
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    term = _operator_terms(ONES, indicator_function(), 0.7, range(0, 4))
+    [(_, term)] = _operator_terms(ONES, indicator_function(), [(0.7, range(0, 4))])
 
     def arrays():
         return {name: id(array) for name, array in dyadic._WORKSPACE.items()}

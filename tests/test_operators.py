@@ -224,7 +224,7 @@ def test_engine_matches_scalar_operator(hilbert_table, f):
     x = 0.37
     lv = range(-3, 9)
     m = 40
-    term = _operator_terms(hilbert_table, f, x, lv)
+    [(_, term)] = _operator_terms(hilbert_table, f, [(x, lv)])
     tallies = accumulate_samples(5, m, lv, term, chunk_size=1)
     assert (tallies[0].replicates, tallies[0].points) == (20, 2)
     for row, (n, tally) in enumerate(zip(lv, tallies)):
@@ -243,8 +243,8 @@ def test_engine_matches_scalar_operator(hilbert_table, f):
 def test_operator_accumulate_thread_invariant(
     hilbert_table, f, num_samples, chunk_size
 ):
-    term = _operator_terms(hilbert_table, f, 0.37, range(-3, 9))
     levels = range(-3, 9)
+    [(_, term)] = _operator_terms(hilbert_table, f, [(0.37, levels)])
     a, b, c, d = (
         tally_bits(accumulate_samples(5, num_samples, levels, term, threads=t, chunk_size=chunk_size))
         for t in (1, 1, 2, 4)
@@ -252,19 +252,37 @@ def test_operator_accumulate_thread_invariant(
     assert a == b == c == d
 
 
-def _term_bound(table, f) -> float:
-    """The bound of `_operator_terms` per point, from its docstring: two
-    linear reads per knot, each within sum |J| sup |c| / (4 OMEGA_CELLS^2
-    ln 2) before H's factor of at most 7, and the sigma table's read within
-    28 sum |J| sup |c| / (SIGMA_CELLS^2 ln 2); a f without jumps (the
-    triangle, whose quadratic reads measure within 5e-9) is given the bound
-    of a unit jump."""
+def _term_bound(table, f, x: float, n: int) -> float:
+    """The bound of `operators._probe_term` per point at x and level n,
+    from its docstring: each knot within |D| < 2 adds its reads' bound,
+    the sigma table's where every such knot lies at |D| >= SIGMA_READ_D,
+    and its rounding; where all knots lie on one side of x, the far bound
+    replaces the reads' and the table's if it is smaller.  All times
+    H's factor of at most 7."""
+    omega, cells, eps = operators.OMEGA_CELLS, operators.SIGMA_CELLS, 2.0**-52
+    knots = [float(k) for k in f.knots]
     values = np.asarray(f.base.values, dtype=float)
-    jumps = max(float(np.sum(np.abs(np.diff([0.0, *values, 0.0])))), 1.0)
-    if isinstance(f.base, PiecewiseLinear):
-        jumps = max(abs(values[0]) + abs(values[-1]), 1.0)
-    sup = table.sup_norm() * jumps / math.log(2.0)
-    return sup * (3.5 / operators.OMEGA_CELLS**2 + 28.0 / operators.SIGMA_CELLS**2)
+    if isinstance(f.base, StepFunction):
+        jumps, ramps = np.diff([0.0, *values, 0.0]), 0.0 * np.asarray(knots)
+    else:
+        jumps = 0.0 * np.asarray(knots)
+        ramps = np.diff([0.0, *(np.diff(values) / np.diff(knots)), 0.0])
+    sup = table.sup_norm()
+    c = sup / math.log(2.0)
+    dist = [math.ldexp(k - x, -n) for k in knots]
+    near = [(abs(d), abs(j), abs(r)) for d, j, r in zip(dist, jumps, ramps) if abs(d) < 2.0]
+    reads = sum(j * d * c / (4 * omega**2) + r * d * d * 2.0**n * c / (36 * math.sqrt(3) * omega**3)
+                for d, j, r in near)
+    if all(d >= operators.SIGMA_READ_D for d, _, _ in near):
+        reads += sum(j * c / (d * cells**2) + r * 2.0**n * c / cells**2 for d, j, r in near)
+    rounding = sum(16 * eps * (18 * j * sup + 54 * r * 2.0**n * sup) for _, j, r in near)
+    if len({d > 0 for d in dist}) == 1:
+        width = math.ldexp(knots[-1] - knots[0], -n)
+        steps = np.sum(np.abs(jumps)) * width * ((1 + 8 * omega) / (16 * omega**2) + 2 / cells)
+        bends = np.sum(np.abs(ramps)) * width**2 * 2.0**n * (1.001 / omega + 4 / cells)
+        far = 6 * c * float(steps + bends)
+        reads = min(reads, far)
+    return 7.0 * (reads + rounding)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -276,25 +294,34 @@ def test_operator_term_matches_quadrature_over_the_dilation(table_name, f, hilbe
     """Per sigma, the exact-dilation term is scipy's quadrature over u of
     the lattice term translated by -x (`operator_lattice_terms`), at the
     floor, a middle and the top level of probes on both sides of f, near a
-    knot and far off: within `_term_bound` plus 1e-11 for quad's tolerance
-    (measured: 4e-7 on the indicator, where the bound is 7e-6 on
-    hilbert; 5e-9 on the triangle).  sigma = 1/4 puts x on a quarter's
-    edge of its cell, which the term reads as the lattice does; 2 is a
-    knot of the triangle, so it takes 2.5 there."""
+    knot and far off: within `_term_bound` plus 1e-11 of the level's scale
+    min(1, 2^-n) for quad's tolerance.  The bound shrinks with the level,
+    so that far off and at the top rows it lies below the term: there a
+    term that read 0 would fail, for the indicator at every such case.
+    The triangle's ramps are each of order 2^n there and cancel to a
+    term of order 2^-n, so its rounding bound is the larger at the top
+    rows.  sigma = 1/4 puts x on a quarter's edge of its cell, which the
+    term reads as the lattice does; 2 is a knot of the triangle, so it
+    takes 2.5 there."""
     table = hilbert_table if table_name == "hilbert" else cp_table
     rng = np.random.default_rng(20261021)
-    bound = _term_bound(table, f) + 1e-11
+    below = []
     for x in (-1.0, 0.25, 0.999, 2.0 if len(f.knots) == 2 else 2.5, 5.0, 1e7):
         dist = min(abs(x - float(k)) for k in f.knots)
         levels = levels_for_distance(dist, table.sup_norm(), 1e-4)
-        term = _operator_terms(table, f, x, levels)
+        [(_, term)] = _operator_terms(table, f, [(x, levels)])
         lattice = operator_lattice_terms(table, f, x)
         distances = [float(k) - x for k in f.knots]
         for n in (levels[0], levels[len(levels) // 2], levels[-1]):
+            bound = _term_bound(table, f, x, n) + 1e-11 * min(1.0, 2.0**-n)
             sigma = np.array([rng.random(), 0.25])
             got = term(n, sigma)
             want = [dilation_integral(table, lattice, n, s, distances) for s in sigma.tolist()]
-            assert np.max(np.abs(got - want)) <= bound, (x, n, got, want)
+            assert np.max(np.abs(got - want)) <= bound, (x, n, got, want, bound)
+            if n > levels[0] or x == 1e7:
+                below += [bound < abs(w) for w in want if w]
+    if len(f.knots) == 2:
+        assert all(below)
 
 
 @pytest.mark.parametrize(
@@ -306,7 +333,8 @@ def test_operator_level_means_agree_with_the_lattice(hilbert_table, f):
     within 4 combined stderrs, at 2^13 floor draws, on both sides of f."""
     for x in (-1.0, 0.25, 5.0):
         levels = levels_for_distance(min(abs(x - float(k)) for k in f.knots), 8.0 / 3.0, 1e-3)
-        exact = accumulate_samples(7, 1 << 13, levels, _operator_terms(hilbert_table, f, x, levels))
+        [(_, term)] = _operator_terms(hilbert_table, f, [(x, levels)])
+        exact = accumulate_samples(7, 1 << 13, levels, term)
         lattice = lattice_tallies(7, 1 << 13, levels, operator_lattice_terms(hilbert_table, f, x))
         for a, (mean, stderr) in zip(exact, lattice):
             assert abs(a.mean - mean) <= 4.0 * math.hypot(a.stderr, stderr), (x, a.mean, mean)
@@ -336,10 +364,9 @@ def test_accumulate_probes_match_one_at_a_time(hilbert_table, threads):
     """As above on the engine, with chunks of 7 points cutting the 50-point
     replicates of 1000 floor draws in pieces."""
     f = triangle_function()
-    probes = [
-        (range(n, 6), _operator_terms(hilbert_table, f, x, range(n, 6)))
-        for x, n in zip(PROBES, (0, -2, -1, 1))
-    ]
+    probes = _operator_terms(
+        hilbert_table, f, [(x, range(n, 6)) for x, n in zip(PROBES, (0, -2, -1, 1))]
+    )
     together = accumulate_probes(5, 1000, probes, threads=threads, chunk_size=7)
     alone = [
         accumulate_samples(5, 1000, lv, term, threads=threads, chunk_size=7) for lv, term in probes
@@ -383,7 +410,7 @@ def test_apply_averaged_explicit_levels(hilbert_table):
     the tail bound covers the levels above the range's top."""
     lv = range(-2, 7)
     sup = hilbert_table.sup_norm()
-    term = _operator_terms(hilbert_table, indicator_function(), 2.0, lv)
+    [(_, term)] = _operator_terms(hilbert_table, indicator_function(), [(2.0, lv)])
     est = estimate(2.0, lv, accumulate_samples(0, 50, lv, term), sup, 50, 0)
     assert est.levels == lv
     assert (est.to_dict()["n_min"], est.to_dict()["n_max"]) == (-2, 6)
