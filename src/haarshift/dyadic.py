@@ -33,8 +33,7 @@ sample standard deviation over sqrt(R_l), NaN when R_l = 1 (M = 1).
 level means, ln 2 times the root of the summed squared level stderrs, the
 bound on the discarded coarse levels, and a record of each level's share
 (`LevelRecord`).  Every level term is called as term(n, sigma, None) (see
-`accumulate_probes`): `kernel_sum_terms`, the shift applied to a unit mass
-at y, and the averaged shift operator's (`operators`).
+`accumulate_probes`); the terms themselves live with their callers.
 
 Draw order is part of the reproducibility contract, and `STREAM_VERSION`
 names it; the CLI records it as `versions.stream` in its JSON outputs.
@@ -45,12 +44,13 @@ the probe, so the probes of one call share each row's points, and
 the one-dimensional rule and the exact-dilation term, with sigma at the
 points where stream 8 had log2 r; stream 10 gives `apply` the same rule and
 its own exact-dilation term, so every draw of both is that of stream 9's
-`mc`.  README lists the earlier streams.
+`mc`.  Stream 11 gives `mc` `apply`'s term, on a unit mass at y, so its
+lattice is translated by -x where it was translated by -y.  README lists
+the earlier streams.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import os
@@ -64,8 +64,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .piecewise import make_g, make_h
-
 __all__ = [
     "Estimate",
     "LevelRecord",
@@ -78,17 +76,8 @@ __all__ = [
     "STREAM_VERSION",
 ]
 
-# quarter values of the two generating step functions, as lookup arrays
-H_VALUES = np.array(make_h().values)
-# g's quarter values and the first again, read at 4 - 4 sigma in (0, 4]
-_G_WRAPPED = np.array([*make_g().values, make_g().values[0]])
-# equal cells of [1/2, 1] on which `kernel_sum_terms` tabulates its antiderivative
-OMEGA_CELLS = 1 << 10
-_OMEGA = 0.5 + np.arange(OMEGA_CELLS + 1) / (2 * OMEGA_CELLS)
-_LOG_OMEGA = np.log(_OMEGA)
-
 # version of the draw order; bump it whenever the same seed draws differently
-STREAM_VERSION = 10
+STREAM_VERSION = 11
 
 # shifted replicates per level, whose spread gives the stderr R - 1 degrees of freedom:
 # at 2^18 draws the stderr's quartiles over seeds lay 10% apart with 20, 20% with 16
@@ -96,7 +85,7 @@ REPLICATES = 20
 
 _LN2 = math.log(2.0)
 
-# lattice points per term_fn call, large enough to amortise a call; a task's
+# sigma points per term_fn call, large enough to amortise a call; a task's
 # temporaries are chunk-sized arrays that its workspace keeps (see `scratch`)
 DEFAULT_CHUNK = 1 << 15
 
@@ -106,35 +95,35 @@ MIN_DISTANCE = 2.0**-40
 MAX_DISTANCE = 2.0**1022
 
 
-# the engine's named scratch arrays (see `scratch`), kept between passes
-# because glibc would unmap them freed and they would fault in again; a
-# worker process has its own copy-on-write copy
-_WORKSPACE: dict[str, np.ndarray] = {}
+# the engine's named scratch arrays by (name, dtype) (see `scratch`), kept
+# between passes because glibc would unmap them freed and they would fault
+# in again; a worker process has its own copy-on-write copy
+_WORKSPACE: dict[tuple[str, np.dtype], np.ndarray] = {}
 # one pass at a time uses the workspace, on the thread named by _owner
 _PASS = threading.Lock()
 _owner: int | None = None
 
 
 def scratch(name: str, shape: tuple, dtype=float) -> np.ndarray:
-    """Array `name` of the running engine pass, which the next request for
-    `name` reuses, or a new array outside a pass; contents undefined."""
+    """Array `name` of `dtype` in the running engine pass, which the next
+    request for `name` and `dtype` reuses, or a new array outside a pass;
+    contents undefined."""
     if _owner != threading.get_ident():
         return np.empty(shape, dtype)
-    size = math.prod(shape)
-    if len(_WORKSPACE.get(name, ())) < size:
+    size, key = math.prod(shape), (name, np.dtype(dtype))
+    if len(_WORKSPACE.get(key, ())) < size:
         # a default chunk at once: arrays outgrown in steps leave resident holes
-        _WORKSPACE[name] = np.empty(max(size, DEFAULT_CHUNK), dtype)
-    return _WORKSPACE[name][:size].reshape(shape)
+        _WORKSPACE[key] = np.empty(max(size, DEFAULT_CHUNK), dtype)
+    return _WORKSPACE[key][:size].reshape(shape)
 
 
 class LevelRecord(NamedTuple):
     """One level's share of an estimate, on its scale: the means add up to
     its mean and the squared stderrs to its squared stderr.  `hits` counts
     the draws, sigma points, whose level term, integrated over the
-    dilation, is nonzero: for `mc` those where some dilation puts x and y
-    in one cell, for `apply` those where some dilation puts x and a knot
-    of f in one cell (on a level `apply` reads from a table in sigma, the
-    sigma whose cell of the table is not zero at both ends)."""
+    dilation, is nonzero: those where some dilation puts x and a knot of f
+    (for `mc`, y) in one cell, or, on a level read from a table in sigma,
+    whose cell of the table is not zero at both ends."""
 
     n: int
     draws: int
@@ -265,8 +254,8 @@ def _level_draws(num_samples: int, row: int) -> int:
 
 class Tally(NamedTuple):
     """One level's replicate sums, sums[j] the level term added over the
-    `points` lattice points of shift j, and the number of points whose term
-    is nonzero."""
+    `points` sigma points of replicate j, and the number of points whose
+    term is nonzero."""
 
     points: int
     sums: np.ndarray
@@ -377,9 +366,10 @@ def accumulate_probes(
         row, first, count, start, stop = task
         points, n = plan[row][1], stop - start
         shift = shifts[row][first : first + count]
-        if len(_WORKSPACE.get("ramp", ())) < n:
-            _WORKSPACE["ramp"] = np.arange(max(n, DEFAULT_CHUNK), dtype=float)
-        offset = np.add(_WORKSPACE["ramp"][:n], start + 0.5, out=scratch("offset", (n,)))
+        key = ("ramp", np.dtype(float))
+        if len(_WORKSPACE.get(key, ())) < n:
+            _WORKSPACE[key] = np.arange(max(n, DEFAULT_CHUNK), dtype=float)
+        offset = np.add(_WORKSPACE[key][:n], start + 0.5, out=scratch("offset", (n,)))
         offset /= points
         # a row per replicate; sums lie in [0, 2), so taking off the floor is exact
         sigma = np.add(offset, shift[:, :1], out=scratch("sigma", (count, n)))
@@ -489,117 +479,3 @@ def estimate(
             for n, t in zip(levels, tallies)
         ],
     )
-
-
-def kernel_sum_terms(table, x: float, y: float, levels: range) -> Callable:
-    """Level-term function for the two-point kernel sum at the levels
-    ``levels``, its dilation integrated exactly, for `accumulate_samples`:
-    term(n, sigma, None) is the mean over u = log2 r in
-    [0, 1) of gamma(L) h_I(x) g_I(y), L = 2^(n + u), at the shift sigma of
-    the level-n lattice translated by -y, which leaves sigma uniform and
-    so the level's mean unchanged.
-
-    Then y = 0 lies at 1 - sigma in its cell [(sigma - 1) L, sigma L),
-    where g is G[q_y], q_y = floor(4 - 4 sigma), and x = d = x - y shares
-    the cell while w = d / L lies in [sigma - 1, sigma), in h's quarter q
-    on [sigma - 1 + q/4, sigma - 1 + (q + 1)/4).  (sigma = 0 is read as its
-    limit from above, a single point of the integral: the lattice term's
-    cell there is [0, L).)  In omega = 2^-u on [1/2, 1], w = d omega / 2^n,
-    so h's breakpoint p sits at omega_p = (p/4 - rho) S, S = 2^n / |d|,
-    rho = 1 - sigma for d > 0 and sigma for d < 0, in the order of h's
-    quarters either way (h is odd about its centre).  Across a piece
-    [a, b] of omega the mean over u of c(ln L) / L is T(b) - T(a), with
-    T(omega) = sign(d) omega Q(n ln 2 - ln omega) / (2^n ln 2) and Q the
-    table's `q_at`, so
-
-        term = G[q_y] sum_p H[p] (T(omega_(p+1)) - T(omega_p)),
-
-    omega_p clipped to [1/2, 1] and H zero outside its quarters.  With
-    y' = 4 rho + 2/S, the breakpoints inside are p = floor(y') + 1 at
-    omega = 1/2 + (1 - z) S/4, z = y' - floor(y'), and when S < 2 the next
-    one; the others read T(1/2) or T(1).  So per level the sum is
-    tabulated once, as a function of floor(y') and that omega, H and T
-    folded in, on OMEGA_CELLS equal cells of [1/2, 1] read linearly: no
-    point takes a log or an exp2.
-
-    Each read of T is within (1 / (2 OMEGA_CELLS))^2 sup |T''| / 8 of T,
-    T'' = -c' / omega, plus a quarter cell times a jump of T' = c where a
-    table's tail leaves its end sample, and H's jumps add up to 32; so the
-    term is within (2 sup |c'| / OMEGA_CELLS^2 + 4 jumps / OMEGA_CELLS) /
-    (2^n ln 2) of the exact mean, to rounding.  A point where x misses the
-    cell for every u gives exactly 0, so the engine's hits count the sigma
-    whose cells hold x and y together for some u.
-    """
-    if x == y:
-        raise ValueError(f"the kernel sum is undefined on the diagonal x = y = {x!r}")
-    if not levels or levels.step != 1:
-        raise ValueError(f"need a nonempty range of consecutive levels, got {levels!r}")
-    d = x - y
-    n = np.arange(levels.start, levels.stop)
-    # stretch S = 2^n / |d|, and y' = 4 rho + 2/S - floor(2/S) = slope sigma + offset
-    stretch = np.ldexp(1.0, n) / abs(d)
-    low = np.floor(2.0 / stretch)
-    offset = 2.0 / stretch - low + (4.0 if d > 0 else 0.0)
-    slope = -4.0 if d > 0 else 4.0
-    # T on the omega grid, a row per level
-    t = table.q_at((n * _LN2)[:, None] - _LOG_OMEGA)
-    t *= _OMEGA
-    t *= np.copysign(np.ldexp(1.0 / _LN2, -n), d)[:, None]
-    rises = np.zeros_like(t)
-    np.subtract(t[:, 1:], t[:, :-1], out=rises[:, :-1])
-    # per level and block f = floor(y') in 0 .. 4: H at p = f + floor(2/S) and the next two
-    p = low.astype(np.intp)[:, None] + np.arange(7)
-    h = np.where(p < 4, H_VALUES[np.minimum(p, 3)], 0.0)[:, :, None]
-
-    @functools.lru_cache(maxsize=1)
-    def tables(row: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per lookup, the values and rises of level row `row`'s read, block
-        by block: the first inside breakpoint's weight with the sum's fixed
-        part, then the next one's weight, which only reads T(1) when
-        S >= 2.  The engine runs a worker's tasks in row order, so one row
-        is kept at a time."""
-        h0, h1, h2 = h[row, :5], h[row, 1:6], h[row, 2:]
-        first, second = h0 - h1, h1 - h2
-        fixed = h2 * t[row, -1] - h0 * t[row, 0]
-        if stretch[row] >= 2.0:
-            return [((first * t[row] + (fixed + second * t[row, -1])).ravel(),
-                     (first * rises[row]).ravel())]
-        return [((first * t[row] + fixed).ravel(), (first * rises[row]).ravel()),
-                ((second * t[row]).ravel(), (second * rises[row]).ravel())]
-
-    def term(n: int, sigma: np.ndarray, _=None) -> np.ndarray:
-        row = n - levels.start
-        half = stretch[row] * OMEGA_CELLS / 2.0
-        shape = sigma.shape
-        index = scratch("index", shape, np.intp)
-        rise = scratch("rise", shape)
-        # g at y, 1 - sigma into its cell: the quarter floor(4 - 4 sigma) in 0 .. 4
-        quarters = np.multiply(sigma, -4.0, out=scratch("quarters", shape))
-        quarters += 4.0
-        np.copyto(index, quarters, casting="unsafe")
-        g = np.take(_G_WRAPPED, index, out=scratch("g", shape), mode="clip")
-        # y', then z = y' - floor(y')
-        np.multiply(sigma, slope, out=quarters)
-        quarters += offset[row]
-        block = np.floor(quarters, out=scratch("block", shape))
-        quarters -= block
-        block *= OMEGA_CELLS + 1
-        out = scratch("vals", shape)
-        for k, (values, steps) in enumerate(tables(row)):
-            # omega's grid coordinate (k + 1 - z) S K / 2, clipped to K
-            at = np.multiply(quarters, -half, out=scratch("at", shape))
-            at += (k + 1) * half
-            np.minimum(at, OMEGA_CELLS, out=at)
-            at += block
-            np.copyto(index, at, casting="unsafe")
-            at -= index
-            # the indices are in range: clip mode only skips the check
-            read = np.take(steps, index, out=rise if k else out, mode="clip")
-            read *= at
-            read += np.take(values, index, out=at, mode="clip")
-            if k:
-                out += read
-        out *= g
-        return out
-
-    return term

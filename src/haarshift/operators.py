@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dyadic
 from .kernels import KernelSpec, kernel_value
-from .piecewise import PiecewiseLinear, StepFunction, gauss_legendre, make_g
+from .piecewise import PiecewiseLinear, StepFunction, gauss_legendre, make_g, make_h
 from .solver import CoefficientTable
 
 __all__ = [
@@ -78,6 +78,19 @@ class TestFunction:
             return self.base.breakpoints
         return self.base.knots
 
+    @property
+    def pieces(self) -> list[tuple[float, float, str]]:
+        """f as a sum of pieces (k, J, "step") for J 1(t >= k) and (k, S,
+        "ramp") for S (t - k)_+ over its knots k, the zero ones left out."""
+        kn = [float(k) for k in self.knots]
+        values = np.asarray(self.base.values, dtype=float)
+        if isinstance(self.base, StepFunction):
+            return [(k, j, "step") for k, j in zip(kn, np.diff([0.0, *values, 0.0])) if j]
+        jumps = [values[0], *([0.0] * (len(kn) - 2)), -values[-1]]
+        ramps = np.diff([0.0, *(np.diff(values) / np.diff(kn)), 0.0])
+        return ([(k, j, "step") for k, j in zip(kn, jumps) if j]
+                + [(k, r, "ramp") for k, r in zip(kn, ramps) if r])
+
     def __call__(self, t):
         return self.base(t)
 
@@ -96,15 +109,18 @@ def triangle_function() -> TestFunction:
 OMEGA_CELLS = 1 << 11
 _OMEGA_FINE = 0.5 + np.arange(2 * OMEGA_CELLS + 1) / (4 * OMEGA_CELLS)
 # equal cells of phi = 1 - sigma in [0, 1) on which a level with no knot nearer than
-# |D| = SIGMA_READ_D is read, the sigma at their ends, and h per cell
+# |D| = SIGMA_READ_D is read, and the sigma at their ends
 SIGMA_CELLS = 1 << 14
 SIGMA_READ_D = 0.25
 _SIGMA_NODES = 1.0 - np.arange(SIGMA_CELLS + 1) / SIGMA_CELLS
-_H_CELLS = np.repeat(dyadic.H_VALUES, SIGMA_CELLS // 4)
+# h's quarter values, and h per cell of phi
+H_VALUES = np.array(make_h().values)
+_H_CELLS = np.repeat(H_VALUES, SIGMA_CELLS // 4)
 _LN2 = math.log(2.0)
-# G1(s) = integral_s^1 g = sum_p a_p (s - p/4)_+, p = 0 .. 4, a_p = g_(p-1) - g_p; per end
-# of the cell they are read from (left, then right: reversed), the a_p with zeros past
-# p = 4, and the sums over p <= f of a_p (p - f)^k, k = 0, 1, 2, per block f = 0 .. 4
+# G1(s) = integral_s^1 g = sum_p a_p (s - p/4)_+ and g(s) = -sum_p a_p 1(s >= p/4), p = 0 .. 4,
+# a_p = g_(p-1) - g_p; per end of the cell they are read from (left, then right: reversed),
+# the a_p with zeros past p = 4, and the sums over p <= f of a_p (p - f)^k, k = 0, 1, 2,
+# per block f = 0 .. 4
 _G1_STEPS = -np.diff([0.0, *make_g().values, 0.0])
 _G1_WEIGHTS = [np.append(a, [0.0, 0.0, 0.0]) for a in (_G1_STEPS, _G1_STEPS[::-1])]
 _LAG = np.subtract.outer(np.arange(5.0), np.arange(5.0))
@@ -112,13 +128,16 @@ _BLOCK_SUMS = [np.stack([((_LAG >= 0) * (-_LAG) ** k) @ a for k in range(3)])
                for a in (_G1_STEPS, _G1_STEPS[::-1])]
 
 
-def _level_moments(table: CoefficientTable, levels: set, ramps: bool) -> dict:
-    """Per level n of `levels`: the reads (`_cells`) of Y1(w), the mean
-    over u in [0, 1) of gamma(L) (omega - w)_+, and for `ramps` of YS(w),
-    of gamma(L) L (omega - w)_+^2, omega = 2^-u, L = 2^n / omega; then the
-    moments M_k, the means of gamma omega^k, k = 0, 1, -1.  From the
-    table's exact antiderivatives of c, c e^-v and c e^v at v = ln L, a
-    level at a time, so that no temporary outgrows a level."""
+def _level_moments(table: CoefficientTable, levels: set, kinds: set) -> dict:
+    """Per level n of `levels`: for the piece `kinds` present, the reads
+    (`_cells`) of Y0(w), the mean over u in [0, 1) of gamma(L) omega
+    1(omega >= w) (masses), of Y1(w), of gamma(L) (omega - w)_+ (steps
+    and ramps), and of YS(w), of gamma(L) L (omega - w)_+^2 (ramps),
+    omega = 2^-u, L = 2^n / omega, None for the others; then the moments
+    M_k, the means of gamma omega^k, k = 0, 1, -1.  From the table's exact
+    antiderivatives of c, c e^-v and c e^v at v = ln L, a level at a
+    time, so that no temporary outgrows a level."""
+    ramps = "ramp" in kinds
     w = _OMEGA_FINE if ramps else _OMEGA_FINE[::2]
     log_w = np.log(w)
     ns = sorted(levels)
@@ -131,13 +150,16 @@ def _level_moments(table: CoefficientTable, levels: set, ramps: bool) -> dict:
     moments = {}
     for i, n in enumerate(ns):
         v = v0[i] - log_w
-        part0 = (table.c_integral(v) - c0[i]) / _LN2
         part1 = (q0[i] - w * table.q_at(v)) / _LN2
-        ys, mm1 = None, 0.0
+        y0 = _cells(part1, ramps) if "mass" in kinds else None
+        y1, ys, mm1 = None, None, 0.0
+        if kinds - {"mass"}:
+            part0 = (table.c_integral(v) - c0[i]) / _LN2
+            y1 = _cells(part1 - w * part0, ramps)
         if ramps:
             m = (table.p_at(v) / w - p0[i]) / _LN2
             ys, mm1 = _cells(np.ldexp(part1 - 2.0 * w * part0 + w * w * m, n), True), m[0]
-        moments[n] = _cells(part1 - w * part0, ramps), ys, m0[i], m1[i], mm1
+        moments[n] = y0, y1, ys, m0[i], m1[i], mm1
     return moments
 
 
@@ -151,102 +173,107 @@ def _cells(y: np.ndarray, midpoints: bool) -> tuple:
     return ends, rises, np.append(2.0 * (ends[:-1] + ends[1:] - 2.0 * y[1::2]), 0.0)
 
 
-def _operator_terms(table: CoefficientTable, f: TestFunction,
-                    probes: Sequence[tuple[float, range]]) -> list[tuple[range, Callable]]:
-    """The level-term function of the averaged operator at each probe (x,
-    levels), as (levels, term) for `dyadic.accumulate_probes`; the probes
-    share `_level_moments` over the levels any of them reads.  f is written
-    as sum J 1(t >= k) + S (t - k)_+ over its knots k."""
-    kn = [float(k) for k in f.knots]
-    values = np.asarray(f.base.values, dtype=float)
-    if isinstance(f.base, StepFunction):
-        jumps, ramps = np.diff([0.0, *values, 0.0]), 0.0 * values
-    else:
-        jumps = np.array([values[0], *([0.0] * (len(kn) - 2)), -values[-1]])
-        ramps = np.diff([0.0, *(np.diff(values) / np.diff(kn)), 0.0])
-    steps = [(k, j, False) for k, j in zip(kn, jumps) if j]
-    steps += [(k, r, True) for k, r in zip(kn, ramps) if r]
-    moments = _level_moments(table, set().union(*(lv for _, lv in probes)), bool(ramps.any()))
-    return [(lv, _probe_term(steps, moments, x, lv)) for x, lv in probes]
+def level_terms(table: CoefficientTable, pieces: list[tuple[float, float, str]],
+                probes: Sequence[tuple[float, range]]) -> list[tuple[range, Callable]]:
+    """The level-term function of the averaged operator on f = the sum of
+    `pieces` at each probe (x, levels), as (levels, term) for
+    `dyadic.accumulate_probes`; the probes share `_level_moments` over the
+    levels any of them reads.  A piece (k, J, "step") is J 1(t >= k), (k,
+    S, "ramp") is S (t - k)_+ and (k, P, "mass") is P delta(t - k): on a
+    unit mass at y, the term is that of the two-point kernel sum K(x - y)."""
+    kinds = {kind for _, _, kind in pieces}
+    moments = _level_moments(table, set().union(*(lv for _, lv in probes)), kinds)
+    return [(lv, _probe_term(pieces, moments, x, lv)) for x, lv in probes]
 
 
-def _probe_term(steps: list[tuple], moments: dict, x: float, levels: range) -> Callable:
+def _probe_term(pieces: list[tuple], moments: dict, x: float, levels: range) -> Callable:
     """Level-term function of the averaged operator at x for `levels`:
     term(n, sigma, None) is the mean over u = log2 r in [0, 1) of
     gamma(L) h_I(x) <g_I, f>, L = 2^(n + u), I the cell that holds x in the
     level-n lattice of shift sigma translated by -x, which leaves sigma
-    uniform (as `dyadic.kernel_sum_terms` translates by -y).  `steps` are
-    f's (knot, J or S, is a ramp), `moments` `_level_moments` at `levels`.
+    uniform.  `pieces` are f's (knot, J, S or P, kind) (`level_terms`),
+    `moments` `_level_moments` at `levels`.
 
     x = 0 then sits at phi = 1 - sigma in its cell, in h's quarter
     floor(4 phi) (sigma = 0 read as its limit from above), for every u.
     A knot at d = k - x lies at s = phi + D omega in the cell, D = d /
     2^n, omega = 2^-u, and h_I(x) <g_I, f> = H[q] sum (J G1(s) + S L
-    G2(s)), G1(s) = integral_s^1 g = sum_p a_p (s - p/4)_+, G2(s) =
-    integral_s^1 (t - s) g(t) dt = -sum_p (a_p / 2) (s - p/4)_+^2, both
-    zero off [0, 1] (g has zero mean and first moment), so a knot with
-    |D| >= 2 never shares the cell.  From the cell's right end (D < 0)
-    rho = sigma replaces rho = phi, the a_p reverse and G2's sign flips;
-    with omega_p = (p/4 - rho) / |D| the knot's mean over u is
+    G2(s) + P g(s) / L), G1(s) = integral_s^1 g = sum_p a_p (s - p/4)_+,
+    G2(s) = integral_s^1 (t - s) g(t) dt = -sum_p (a_p / 2) (s - p/4)_+^2,
+    g(s) = -sum_p a_p 1(s >= p/4), all zero off [0, 1] (g has zero mean
+    and first moment), so a knot with |D| >= 2 never shares the cell.
+    From the cell's right end (D < 0) rho = sigma replaces rho = phi, the
+    a_p reverse, and G2's and g's signs flip (g is symmetric, so its
+    reversed a_p are -a_p); with omega_p = (p/4 - rho) / |D| the knot's
+    mean over u is
 
-        sum_p a_p (J |D| Y1(omega_p) -+ S D^2 / 2 YS(omega_p)),
+        sum_p a_p (J |D| Y1(omega_p) -+ S D^2 / 2 YS(omega_p) -+ P Y0(omega_p) / 2^n),
 
-    Y1 and YS (`_level_moments`) zero for omega_p >= 1 and polynomial in
-    omega_p below 1/2.  With y' = 4 rho + 2 |D| = f + z, omega_p = 1/2 +
-    (p - f - z) / (4 |D|): the p <= f add up to a polynomial in z, and at
-    most p = f + 1 and f + 2 lie inside, each one read of the level's
-    table, weighted by block f; from f = 4 on the knot has left the cell.
-    No point takes a log or an exp2.  A step's reads are linear; a ramp's
-    are quadratic, through the cell's midpoint, to keep the second
-    differences of f's ramps, all that is left where the cell is much
-    longer than f.
+    Y0, Y1 and YS (`_level_moments`) zero for omega_p >= 1 and polynomial
+    in omega_p below 1/2 (Y0 is M_1 there).  With y' = 4 rho + 2 |D| = f
+    + z, omega_p = 1/2 + (p - f - z) / (4 |D|): the p <= f add up to a
+    polynomial in z, and at most p = f + 1 and f + 2 lie inside, each one
+    read of the level's table, weighted by block f; from f = 4 on the
+    knot has left the cell.  No point takes a log or an exp2.  A step's
+    and a mass's reads are linear; a ramp's are quadratic, through the
+    cell's midpoint, to keep the second differences of f's ramps, all
+    that is left where the cell is much longer than f.
 
     A level whose knots within |D| < 2 all lie at |D| >= SIGMA_READ_D is
     read instead from its sum at SIGMA_CELLS + 1 equally spaced phi,
     linearly between them, times H, constant on each cell of phi (phi = 1
     is a cell of its own).  On the indicator at probes -1, 0.25, 2 and 5,
     65% of the points land on such levels, and the table cuts the time
-    of an apply call by about a fifth.
+    of an apply call by about a fifth; a mass is read so at rows 0 to 2.
 
     Bounds per point, before H's factor of at most 7, with C = sup |c| /
-    ln 2, W = OMEGA_CELLS, P = SIGMA_CELLS, and per knot within |D| < 2
-    (at most two reads, |a_p| <= 2): |Y1''| <= 2 C puts a step's reads
-    within |J D| C / (4 W^2); |YS'''| <= 8 C 2^n puts a ramp's within
-    |S| D^2 2^n C / (36 sqrt(3) W^3); the sigma table adds |J| C / (|D|
-    P^2) and |S| 2^n C / P^2.  Rounding adds 16 eps of a knot's terms,
-    each up to 18 |J| sup |c| and 54 |S| 2^n sup |c|: a ramp's terms are
-    of order 2^n and cancel to a sum of order 2^-n where the cell is much
-    longer than f, so at high levels that rounding is the larger.  Where
-    all knots lie on one side of x, f's J add up to 0, and its S and S k
-    too, so the knots' errors cancel to first (second) order in their
-    spread w = (last knot - first) / 2^n; a linear read's error e, zero
-    past the read's ends, has |e'| <= 8 W times its bound on |e|, and the
-    reads and the table are also within 6 C (sum |J| w ((1 + 8 W) / (16
-    W^2) + 2 / P) + sum |S| w^2 2^n (1.001 / W + 4 / P)): 0.12 / 2^n on
-    the indicator on hilbert.
+    ln 2, C1 = sup |c'| / ln 2, j the jumps of c where the table's tails
+    leave its end samples, W = OMEGA_CELLS, P = SIGMA_CELLS, and per knot
+    within |D| < 2 (at most two reads, |a_p| <= 2): |Y1''| <= 2 C puts a
+    step's reads within |J D| C / (4 W^2); |YS'''| <= 8 C 2^n puts a
+    ramp's within |S| D^2 2^n C / (36 sqrt(3) W^3); Y0' = -c / ln 2, so
+    |Y0''| <= 2 C1, and with the kinks of j a mass's reads are within |P|
+    2^-n (C1 / (4 W^2) + j / (2 W ln 2)).  The sigma table adds |J| C /
+    (|D| P^2), |S| 2^n C / P^2 and, since a mass's sum has kinks in sigma
+    where an omega_p crosses 1/2, 1 or a jump of c, |P| 2^-n (C1 / (D^2
+    P^2) + 3 (2 C + j / ln 2) / (2 |D| P)).  Rounding adds 16 eps of a
+    knot's terms, each up to 18 |J| sup |c|, 54 |S| 2^n sup |c| and 5 |P|
+    2^-n sup |c|: a ramp's terms are of order 2^n and cancel to a sum of
+    order 2^-n where the cell is much longer than f, so at high levels
+    that rounding is the larger.  Where all knots lie on one side of x
+    and f has no mass, f's J add up to 0, and its S and S k too, so the
+    knots' errors cancel to first (second) order in their spread w =
+    (last knot - first) / 2^n; a linear read's error e, zero past the
+    read's ends, has |e'| <= 8 W times its bound on |e|, and the reads
+    and the table are also within 6 C (sum |J| w ((1 + 8 W) / (16 W^2) +
+    2 / P) + sum |S| w^2 2^n (1.001 / W + 4 / P)): 0.12 / 2^n on the
+    indicator on hilbert.
     """
     @functools.lru_cache(maxsize=1)
     def level(row: int) -> tuple[list[tuple], tuple | None]:
-        """Per step or ramp that can share x's cell at level row `row`: the
-        slope and offset of y' - floor(2 |D|) in sigma, the step of omega_p
-        in cells per unit of z, the polynomial's coefficients of z^0, z^1,
-        z^2 and the reads' weights per block (indices past the end clip to
-        zeros) and the level's reads; then the sigma table, or None.  A
-        worker runs its tasks in row order, so one row is kept at a time."""
-        y1, ys, m0, m1, mm1 = moments[levels[row]]
+        """Per piece that can share x's cell at level row `row`: the slope and
+        offset of y' - floor(2 |D|) in sigma, the step of omega_p in cells
+        per unit of z, the polynomial's coefficients of z^0, z^1, z^2 and
+        the reads' weights per block (indices past the end clip to zeros)
+        and the level's reads; then the sigma table, or None.  A worker
+        runs its tasks in row order, so one row is kept at a time."""
+        y0, y1, ys, m0, m1, mm1 = moments[levels[row]]
         knots, dense = [], True
-        for k, scale, ramp in steps:
+        for k, scale, kind in pieces:
             d = math.ldexp(k - x, -levels[row])
             if not abs(d) < 2.0:
                 continue
             dense &= abs(d) >= SIGMA_READ_D
             right, low = d < 0, math.floor(2.0 * abs(d))
             # alpha + beta t + gamma t^2, t = p - f - z, for the omega_p <= 1/2
-            if ramp:
+            if kind == "ramp":
                 big = math.ldexp(scale * (0.5 if right else -0.5), levels[row])
                 abc = (big * d * d * (m1 - m0 + mm1 / 4),
                        big * abs(d) * (mm1 / 4 - m0 / 2), big * mm1 / 16)
                 weight, reads = big * d * d / 2.0 ** levels[row], ys
+            elif kind == "mass":
+                weight = math.ldexp(scale if right else -scale, -levels[row])
+                abc, reads = (weight * m1, 0.0, 0.0), y0
             else:
                 abc = (scale * abs(d) * (m1 - m0 / 2), -scale * m0 / 4, 0.0)
                 weight, reads = scale * abs(d), y1
@@ -325,7 +352,7 @@ def _probe_term(steps: list[tuple], moments: dict, x: float, levels: range) -> C
         quarter = np.multiply(sigma, -4.0, out=dyadic.scratch("z", shape))
         quarter += 4.0
         np.copyto(index, quarter, casting="unsafe")
-        out *= np.take(dyadic.H_VALUES, index, out=quarter, mode="clip")
+        out *= np.take(H_VALUES, index, out=quarter, mode="clip")
         return out
 
     return term
@@ -360,7 +387,7 @@ def apply_averaged(
                 "the level range is unbounded there, or its cells overflow"
             )
         probes.append((x, dyadic.levels_for_distance(dist, gamma_sup, tol_tail)))
-    tallies = dyadic.accumulate_probes(seed, num_samples, _operator_terms(table, f, probes),
+    tallies = dyadic.accumulate_probes(seed, num_samples, level_terms(table, f.pieces, probes),
                                        threads=threads)
     return [
         dyadic.estimate(x, lv, t, gamma_sup, num_samples, seed)

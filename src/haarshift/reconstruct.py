@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from . import dyadic
+from . import dyadic, operators
 from .kernels import KernelSpec
 from .piecewise import gauss_legendre, kernel_profile
 from .solver import CoefficientTable
@@ -130,7 +130,9 @@ def mc_estimate(
     seed: int = 0,
     threads: int = 1,
 ) -> dyadic.Estimate:
-    """Estimate K(x - y) by averaging truncated lattice sums over draws.
+    """Estimate K(x - y) by averaging truncated lattice sums over draws:
+    the averaged shift operator at x on a unit mass at y
+    (`operators.level_terms`).
 
     Levels start where cells become long enough to hold both points and
     stop at the cutoff for `tol_tail`; `dyadic.estimate` gives the mean,
@@ -142,7 +144,7 @@ def mc_estimate(
         raise ValueError(f"separation |x - y| = {abs(x - y)!r} is below {dyadic.MIN_DISTANCE!r}")
     gamma_sup = table.sup_norm()
     levels = dyadic.levels_for_distance(abs(x - y), gamma_sup, tol_tail)
-    term = dyadic.kernel_sum_terms(table, x, y, levels)
+    [(_, term)] = operators.level_terms(table, [(y, 1.0, "mass")], [(x, levels)])
     tallies = dyadic.accumulate_samples(seed, num_samples, levels, term, threads=threads)
     return dyadic.estimate(x, levels, tallies, gamma_sup, num_samples, seed)
 

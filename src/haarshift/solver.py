@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, partial
 from pathlib import Path
@@ -688,10 +689,17 @@ def read_table(base_path: str | Path) -> CoefficientTable:
                 f"table sidecar {json_path} field {f.name!r} must be of type {kind.__name__}, "
                 f"got {value!r}"
             ) from None
-    with open(csv_path) as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-    if header[:2] != ["u", "c"]:
-        raise ValueError(f"unexpected table header {header!r}")
-    # from the path, which loadtxt reads faster than an open handle
-    samples = np.loadtxt(csv_path, delimiter=",", usecols=1, ndmin=1, skiprows=1)
+    with open(csv_path, "rb") as fh:
+        header = fh.readline().decode(errors="replace").rstrip("\r\n").split(",")
+        if header[:2] != ["u", "c"]:
+            raise ValueError(f"unexpected table header {header!r}")
+        # every row ends with a newline, so a table cut short mid-number is not read as whole
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) != b"\n":
+            raise ValueError(f"table {csv_path} does not end with a newline: it was cut short")
+    try:
+        # from the path, which loadtxt reads faster than an open handle
+        samples = np.loadtxt(csv_path, delimiter=",", usecols=1, ndmin=1, skiprows=1)
+    except ValueError as exc:
+        raise ValueError(f"table {csv_path}: {exc}") from None
     return CoefficientTable(samples=samples, **values)

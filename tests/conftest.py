@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from haarshift import CoefficientTable, KernelSpec, get_kernel, solve_c
+from haarshift.operators import level_terms
 
 from oracles import sweep_solve
 
@@ -40,6 +41,23 @@ def linear_table(slope, intercept, u_min=-14.0, u_max=14.0, step=2.0**-6):
 def const_table(value):
     """Coefficient table with c = value everywhere, tails included."""
     return linear_table(0.0, value)
+
+
+def wavy_table():
+    """Non-constant samples on a non-dyadic step, tails apart from the end
+    samples."""
+    u_min, step, n = -3.1, 1.0 / 3.0, 16
+    grid = u_min + step * np.arange(n)
+    return CoefficientTable(
+        u_min=u_min,
+        u_max=u_min + step * (n - 1),
+        step=step,
+        samples=np.sin(2.0 * grid) + 0.3 * grid,
+        tail_left=0.7,
+        tail_right=-0.4,
+        residual_sup=0.0,
+        iterations=0,
+    )
 
 
 def tally_bits(tallies):
@@ -89,3 +107,10 @@ def cp_fine_table():
 @pytest.fixture(scope="session")
 def smoothed_fine_table():
     return solve_c(get_kernel("smoothed-truncated"), step=2.0**-9)
+
+
+def mass_term(table, x: float, y: float, levels: range):
+    """`mc`'s level term for K(x - y): the averaged operator at x on a unit
+    mass at y."""
+    [(_, term)] = level_terms(table, [(y, 1.0, "mass")], [(x, levels)])
+    return term

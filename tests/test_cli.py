@@ -9,12 +9,15 @@ import resource
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import mass_term
 
 import haarshift
 from haarshift import STREAM_VERSION, __version__, read_table, write_table
@@ -300,9 +303,7 @@ def test_mc_input_scan(scan_base, separation, sign, y, samples):
     assert math.isfinite(payload["mean"]) and math.isfinite(payload["tail_bound"])
     table = read_table(scan_base)
     levels = dyadic.levels_for_distance(abs(x - y), table.sup_norm(), 1e-4)
-    tallies = dyadic.accumulate_samples(
-        5, samples, levels, dyadic.kernel_sum_terms(table, x, y, levels)
-    )
+    tallies = dyadic.accumulate_samples(5, samples, levels, mass_term(table, x, y, levels))
     if samples == 1:
         assert payload["stderr"] is None
     elif any(np.ptp(t.sums) > 0.0 for t in tallies):
@@ -375,6 +376,95 @@ def test_verify_input_scan(scan_base, cp_scan_base, kernel, probes):
     payload = json.loads(out)
     values = [row[k] for row in payload["probes"] for k in ("x", "K", "Khat", "rel_err")]
     assert all(map(math.isfinite, [*values, payload["max_rel_err"]]))
+
+
+# the sidecar's fields, those a table must carry first
+REQUIRED_FIELDS = ["u_min", "u_max", "step", "tail_left", "tail_right", "residual_sup",
+                   "iterations"]
+TABLE_DEFECTS = st.one_of(
+    st.tuples(st.just("sample"), st.sampled_from(["nan", "NaN", "inf", "-inf", "-1e999"]),
+              st.floats(0.0, 1.0)),
+    # a share of the CSV kept, or a count of bytes cut from its end
+    st.tuples(st.just("cut"), st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                                        st.integers(1, 40))),
+    st.tuples(st.just("header"), st.sampled_from(["", "c,u", "u", "U,C", "u;c", "x,c"])),
+    st.tuples(st.just("missing"), st.sampled_from([*REQUIRED_FIELDS, "kernel_name",
+                                                   "max_change_ratio"])),
+    st.tuples(st.just("mistyped"), st.sampled_from([*REQUIRED_FIELDS, "kernel_name"]),
+              st.sampled_from([True, None, [1.0], {"v": 1}])),
+    st.tuples(st.just("u_max"), st.sampled_from([-2.0, -1.0, 1.0, 0.5, 1e-6])),
+    st.tuples(st.just("kernel"), st.sampled_from(["conjugate-poisson", "smoothed-truncated"])),
+)
+
+
+def _malformed(base: str, into: Path, defect: tuple) -> tuple[str, str, str | None]:
+    """A copy of the table at `base` in `into` with `defect`: its base, the
+    --kernel to run with, and the text the refusal must name, or None
+    where the table is whole."""
+    rows = Path(base + ".csv").read_bytes()
+    meta = json.loads(Path(base + ".json").read_text())
+    kind, what, *rest = defect
+    kernel, want = "hilbert", None
+    if kind == "sample":
+        lines = rows.split(b"\r\n")
+        lines[1 + int(rest[0] * (len(lines) - 3))] = b"0," + what.encode()
+        rows, want = b"\r\n".join(lines), "samples must be finite"
+    elif kind == "cut":
+        rows = rows[: len(rows) - what if isinstance(what, int) else int(what * len(rows))]
+        if len(rows) < 3:
+            want = "unexpected table header"
+        elif not rows.endswith(b"\n"):
+            want = "does not end with a newline: it was cut short"
+        else:
+            want = "is not the last grid point"
+    elif kind == "header":
+        rows, want = what.encode() + rows[rows.index(b"\r\n"):], "unexpected table header"
+    elif kind == "missing":
+        del meta[what]
+        want = f"has no field {what!r}" if what in REQUIRED_FIELDS else None
+    elif kind == "mistyped":
+        meta[what], want = rest[0], f"field {what!r} must be of type"
+    elif kind == "u_max":
+        meta["u_max"] += what * meta["step"]
+        want = "is not the last grid point"
+    else:
+        kernel = what
+        want = f"was solved for kernel 'hilbert', not for --kernel {what!r}"
+    (into / "t.csv").write_bytes(rows)
+    (into / "t.json").write_text(json.dumps(meta))
+    return str(into / "t"), kernel, want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["verify", "mc", "apply"]), defect=TABLE_DEFECTS)
+def test_malformed_table_scan(scan_base, command, defect):
+    """`verify`, `mc` and `apply` on a table with a NaN or infinite sample,
+    a CSV cut short anywhere, a wrong header, a sidecar field missing or of
+    the wrong type, a u_max that disagrees with the sample count, or a
+    kernel other than --kernel, exit 2 with a message that names the
+    defect; on a whole table (a default field left out, or a kernel
+    mismatch `mc`, which takes no kernel, cannot see) they exit 0 with
+    finite output."""
+    with tempfile.TemporaryDirectory() as into:
+        base, kernel, want = _malformed(scan_base, Path(into), defect)
+        if command == "mc":
+            want = None if defect[0] == "kernel" else want
+            argv = ["mc", "--table", base, "--x", "1", "--y", "0", "--samples", "64"]
+        elif command == "verify":
+            argv = ["verify", "--table", base, "--kernel", kernel, "--probes", "0.5,2"]
+        else:
+            argv = ["apply", "--table", base, "--kernel", kernel, "--x", "2", "--samples", "64"]
+        rc, out, err = _run(argv)
+    if want is not None:
+        assert rc == 2 and want in err, (rc, err)
+        return
+    assert rc == 0, err
+    if command == "apply":
+        (_, row) = csv.reader(io.StringIO(out))
+        assert all(map(math.isfinite, map(float, row)))
+    else:
+        payload = json.loads(out)
+        assert math.isfinite(payload["mean" if command == "mc" else "max_rel_err"])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

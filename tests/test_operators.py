@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import const_table, tally_bits
+from conftest import const_table, mass_term, tally_bits, wavy_table
 from oracles import (
     Interval,
     antiderivative,
     apply_shift,
     dilation_integral,
+    lattice_kernel_sum_terms,
     lattice_tallies,
     operator_lattice_terms,
     fixed_grid,
@@ -37,7 +38,7 @@ from haarshift import operators
 from haarshift.dyadic import (
     accumulate_probes, accumulate_samples, estimate, levels_for_distance,
 )
-from haarshift.operators import _operator_terms
+from haarshift.operators import level_terms
 from haarshift.piecewise import (
     PiecewiseLinear,
     StepFunction,
@@ -224,7 +225,7 @@ def test_engine_matches_scalar_operator(hilbert_table, f):
     x = 0.37
     lv = range(-3, 9)
     m = 40
-    [(_, term)] = _operator_terms(hilbert_table, f, [(x, lv)])
+    [(_, term)] = level_terms(hilbert_table, f.pieces, [(x, lv)])
     tallies = accumulate_samples(5, m, lv, term, chunk_size=1)
     assert (tallies[0].replicates, tallies[0].points) == (20, 2)
     for row, (n, tally) in enumerate(zip(lv, tallies)):
@@ -244,7 +245,7 @@ def test_operator_accumulate_thread_invariant(
     hilbert_table, f, num_samples, chunk_size
 ):
     levels = range(-3, 9)
-    [(_, term)] = _operator_terms(hilbert_table, f, [(0.37, levels)])
+    [(_, term)] = level_terms(hilbert_table, f.pieces, [(0.37, levels)])
     a, b, c, d = (
         tally_bits(accumulate_samples(5, num_samples, levels, term, threads=t, chunk_size=chunk_size))
         for t in (1, 1, 2, 4)
@@ -252,36 +253,40 @@ def test_operator_accumulate_thread_invariant(
     assert a == b == c == d
 
 
-def _term_bound(table, f, x: float, n: int) -> float:
-    """The bound of `operators._probe_term` per point at x and level n,
-    from its docstring: each knot within |D| < 2 adds its reads' bound,
-    the sigma table's where every such knot lies at |D| >= SIGMA_READ_D,
-    and its rounding; where all knots lie on one side of x, the far bound
-    replaces the reads' and the table's if it is smaller.  All times
-    H's factor of at most 7."""
-    omega, cells, eps = operators.OMEGA_CELLS, operators.SIGMA_CELLS, 2.0**-52
-    knots = [float(k) for k in f.knots]
-    values = np.asarray(f.base.values, dtype=float)
-    if isinstance(f.base, StepFunction):
-        jumps, ramps = np.diff([0.0, *values, 0.0]), 0.0 * np.asarray(knots)
-    else:
-        jumps = 0.0 * np.asarray(knots)
-        ramps = np.diff([0.0, *(np.diff(values) / np.diff(knots)), 0.0])
+def _term_bound(table, pieces, x: float, n: int) -> float:
+    """The bound of `operators._probe_term` per point at x and level n on
+    f's `pieces`, from its docstring: each knot within |D| < 2 adds its
+    reads' bound, the sigma table's where every such knot lies at |D| >=
+    SIGMA_READ_D, and its rounding; where all knots lie on one side of x
+    and f has no mass, the far bound replaces the reads' and the table's
+    if it is smaller.  All times H's factor of at most 7."""
+    omega, cells, eps, ln2 = operators.OMEGA_CELLS, operators.SIGMA_CELLS, 2.0**-52, math.log(2.0)
     sup = table.sup_norm()
-    c = sup / math.log(2.0)
-    dist = [math.ldexp(k - x, -n) for k in knots]
-    near = [(abs(d), abs(j), abs(r)) for d, j, r in zip(dist, jumps, ramps) if abs(d) < 2.0]
+    c = sup / ln2
+    s, a1, a2, a3 = table._cells
+    c1 = float(np.max(np.abs(a1) + 2.0 * np.abs(a2) + 3.0 * np.abs(a3))) / (table.step * ln2)
+    jumps = abs(table.tail_left - s[0]) + abs(table.tail_right - s[-1])
+    # per piece: |D| and |J|, |S|, |P| by kind
+    near = [(abs(math.ldexp(k - x, -n)), {kind: abs(scale)}) for k, scale, kind in pieces]
+    near = [(d, w.get("step", 0.0), w.get("ramp", 0.0), w.get("mass", 0.0) * 2.0**-n)
+            for d, w in near if d < 2.0]
     reads = sum(j * d * c / (4 * omega**2) + r * d * d * 2.0**n * c / (36 * math.sqrt(3) * omega**3)
-                for d, j, r in near)
-    if all(d >= operators.SIGMA_READ_D for d, _, _ in near):
-        reads += sum(j * c / (d * cells**2) + r * 2.0**n * c / cells**2 for d, j, r in near)
-    rounding = sum(16 * eps * (18 * j * sup + 54 * r * 2.0**n * sup) for _, j, r in near)
-    if len({d > 0 for d in dist}) == 1:
+                + p * (c1 / (4 * omega**2) + jumps / (2 * omega * ln2))
+                for d, j, r, p in near)
+    if all(d >= operators.SIGMA_READ_D for d, _, _, _ in near):
+        reads += sum(j * c / (d * cells**2) + r * 2.0**n * c / cells**2
+                     + p * (c1 / (d * d * cells**2) + 3 * (2 * c + jumps / ln2) / (2 * d * cells))
+                     for d, j, r, p in near)
+    rounding = sum(16 * eps * (18 * j * sup + 54 * r * 2.0**n * sup + 5 * p * sup)
+                   for _, j, r, p in near)
+    knots = sorted(k for k, _, _ in pieces)
+    if len({k > x for k in knots}) == 1 and all(kind != "mass" for _, _, kind in pieces):
         width = math.ldexp(knots[-1] - knots[0], -n)
-        steps = np.sum(np.abs(jumps)) * width * ((1 + 8 * omega) / (16 * omega**2) + 2 / cells)
-        bends = np.sum(np.abs(ramps)) * width**2 * 2.0**n * (1.001 / omega + 4 / cells)
-        far = 6 * c * float(steps + bends)
-        reads = min(reads, far)
+        steps = sum(abs(j) for _, j, kind in pieces if kind == "step")
+        ramps = sum(abs(r) for _, r, kind in pieces if kind == "ramp")
+        steps *= width * ((1 + 8 * omega) / (16 * omega**2) + 2 / cells)
+        bends = ramps * width**2 * 2.0**n * (1.001 / omega + 4 / cells)
+        reads = min(reads, 6 * c * (steps + bends))
     return 7.0 * (reads + rounding)
 
 
@@ -309,11 +314,11 @@ def test_operator_term_matches_quadrature_over_the_dilation(table_name, f, hilbe
     for x in (-1.0, 0.25, 0.999, 2.0 if len(f.knots) == 2 else 2.5, 5.0, 1e7):
         dist = min(abs(x - float(k)) for k in f.knots)
         levels = levels_for_distance(dist, table.sup_norm(), 1e-4)
-        [(_, term)] = _operator_terms(table, f, [(x, levels)])
+        [(_, term)] = level_terms(table, f.pieces, [(x, levels)])
         lattice = operator_lattice_terms(table, f, x)
         distances = [float(k) - x for k in f.knots]
         for n in (levels[0], levels[len(levels) // 2], levels[-1]):
-            bound = _term_bound(table, f, x, n) + 1e-11 * min(1.0, 2.0**-n)
+            bound = _term_bound(table, f.pieces, x, n) + 1e-11 * min(1.0, 2.0**-n)
             sigma = np.array([rng.random(), 0.25])
             got = term(n, sigma)
             want = [dilation_integral(table, lattice, n, s, distances) for s in sigma.tolist()]
@@ -322,6 +327,36 @@ def test_operator_term_matches_quadrature_over_the_dilation(table_name, f, hilbe
                 below += [bound < abs(w) for w in want if w]
     if len(f.knots) == 2:
         assert all(below)
+
+
+@pytest.mark.parametrize("table_name", ["hilbert", "wavy", "conjugate-poisson"])
+def test_mass_term_matches_quadrature_over_the_dilation(table_name, hilbert_table, cp_table):
+    """Per sigma, the term on a unit mass at y (`mc`'s) is scipy's
+    quadrature over u of the lattice kernel sum's term translated by -x
+    (x at 0, y at -d), for both signs of d = x - y, at the floor, a middle
+    and the top level: within `_term_bound` plus 1e-11 of the level's
+    scale 1 / (2^n |d|) for quad's tolerance.  The floor rows are read
+    from the sigma table, the others directly; from the second row up the
+    bound lies below every term that is not zero, so a term that read 0
+    would fail.  sigma = 1/4 puts x on a quarter's edge, and the points
+    beside sigma = 0 test its reading as the limit from above."""
+    table = {"hilbert": hilbert_table, "wavy": wavy_table(), "conjugate-poisson": cp_table}[table_name]
+    rng = np.random.default_rng(20261020)
+    below = []
+    for d in (0.6, -0.6, 7.3, -0.013):
+        levels = levels_for_distance(abs(d), table.sup_norm(), 1e-4)
+        # the pair (d + y, y) for a y that is not 0: the term translates x to 0
+        term = mass_term(table, d + 0.37, 0.37, levels)
+        lattice = lattice_kernel_sum_terms(table, 0.0, -d)
+        for n in (levels[0], levels[len(levels) // 2], levels[-1]):
+            sigma = np.concatenate([rng.random(3), [0.25, 0.9, 2.0**-40, 1.0 - 2.0**-40]])
+            got = term(n, sigma)
+            want = [dilation_integral(table, lattice, n, s, [-d]) for s in sigma.tolist()]
+            bound = _term_bound(table, [(0.37, 1.0, "mass")], d + 0.37, n) + 1e-11 / (2.0**n * abs(d))
+            assert np.max(np.abs(got - want)) <= bound, (d, n, got, want, bound)
+            if n > levels[0]:
+                below += [bound < abs(w) for w in want if w]
+    assert below and all(below)
 
 
 @pytest.mark.parametrize(
@@ -333,7 +368,7 @@ def test_operator_level_means_agree_with_the_lattice(hilbert_table, f):
     within 4 combined stderrs, at 2^13 floor draws, on both sides of f."""
     for x in (-1.0, 0.25, 5.0):
         levels = levels_for_distance(min(abs(x - float(k)) for k in f.knots), 8.0 / 3.0, 1e-3)
-        [(_, term)] = _operator_terms(hilbert_table, f, [(x, levels)])
+        [(_, term)] = level_terms(hilbert_table, f.pieces, [(x, levels)])
         exact = accumulate_samples(7, 1 << 13, levels, term)
         lattice = lattice_tallies(7, 1 << 13, levels, operator_lattice_terms(hilbert_table, f, x))
         for a, (mean, stderr) in zip(exact, lattice):
@@ -364,8 +399,8 @@ def test_accumulate_probes_match_one_at_a_time(hilbert_table, threads):
     """As above on the engine, with chunks of 7 points cutting the 50-point
     replicates of 1000 floor draws in pieces."""
     f = triangle_function()
-    probes = _operator_terms(
-        hilbert_table, f, [(x, range(n, 6)) for x, n in zip(PROBES, (0, -2, -1, 1))]
+    probes = level_terms(
+        hilbert_table, f.pieces, [(x, range(n, 6)) for x, n in zip(PROBES, (0, -2, -1, 1))]
     )
     together = accumulate_probes(5, 1000, probes, threads=threads, chunk_size=7)
     alone = [
@@ -410,7 +445,7 @@ def test_apply_averaged_explicit_levels(hilbert_table):
     the tail bound covers the levels above the range's top."""
     lv = range(-2, 7)
     sup = hilbert_table.sup_norm()
-    [(_, term)] = _operator_terms(hilbert_table, indicator_function(), [(2.0, lv)])
+    [(_, term)] = level_terms(hilbert_table, indicator_function().pieces, [(2.0, lv)])
     est = estimate(2.0, lv, accumulate_samples(0, 50, lv, term), sup, 50, 0)
     assert est.levels == lv
     assert (est.to_dict()["n_min"], est.to_dict()["n_max"]) == (-2, 6)

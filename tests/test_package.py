@@ -13,11 +13,17 @@ def test_exports_listed_once_and_resolve():
     assert all(hasattr(haarshift, name) for name in haarshift.__all__)
 
 
+def private(name: str) -> bool:
+    """Whether `name` has a leading underscore and is no dunder."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def private_reads(source: str) -> list[str]:
     """Each read of an underscore attribute through an object other than
-    self or cls, as 'line: expression', in one module's source; dunders,
-    the standard library's modules (os._exit) and namedtuple's API
-    (`NAMEDTUPLE_API`) are allowed."""
+    self or cls, and each underscore name imported from a module of the
+    package (from .solver import _cubic), as 'line: expression', in one
+    module's source; dunders, the standard library's modules (os._exit)
+    and namedtuple's API (`NAMEDTUPLE_API`) are allowed."""
     tree = ast.parse(source)
     stdlib = {"self", "cls"}
     for node in ast.walk(tree):
@@ -32,10 +38,15 @@ def private_reads(source: str) -> list[str]:
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
         and isinstance(node.ctx, ast.Load)
-        and node.attr.startswith("_")
-        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and private(node.attr)
         and node.attr not in NAMEDTUPLE_API
         and not (isinstance(node.value, ast.Name) and node.value.id in stdlib)
+    ] + [
+        f"{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and node.level > 0
+        and any(private(alias.name) for alias in node.names)
     ]
 
 
@@ -57,8 +68,12 @@ def test_private_read_check_flags_what_it_should():
         "def f(table, level, self):\n"
         "    os._exit(0)\n    level._asdict()\n    self._cells\n    np.__version__\n"
         "    table._cubic(1)\n    level.record._cells = 0\n"
+        "from .solver import CoefficientTable, _cubic\nfrom . import __version__\n"
+        "from os import _exit\n"
     )
-    assert private_reads(source) == ["8: table._cubic"]
+    assert private_reads(source) == [
+        "8: table._cubic", "10: from .solver import CoefficientTable, _cubic"
+    ]
 
 
 def test_readme_names_the_current_stream():
