@@ -15,7 +15,6 @@ from conftest import const_table, linear_table, mass_term, tally_bits, wavy_tabl
 from oracles import (
     GridSample,
     apply_shift,
-    dilation_integral,
     fixed_grid,
     interval_containing,
     lattice_kernel_sum_terms,
@@ -32,7 +31,6 @@ from oracles import (
 
 from haarshift import (
     STREAM_VERSION,
-    CoefficientTable,
     accumulate_samples,
     apply_averaged,
     estimate,
