@@ -836,7 +836,8 @@ def test_exact_term_is_exact_on_the_benchmark_table():
         for n, tally in zip(levels, tallies):
             big, scale = -2.0**n / d, abs(c) / (2.0**n * math.log(2.0))
             ends = np.clip((np.arange(5)[:, None] / 4.0 - 1.0 + sigma) * big, 0.5, 1.0)
-            exact = h[(4.0 - 4.0 * sigma).astype(int)] * (g[:, None] * np.abs(np.diff(ends, axis=0))).sum(0)
+            exact = (g[:, None] * np.abs(np.diff(ends, axis=0))).sum(0)
+            exact *= h[(4.0 - 4.0 * sigma).astype(int)]
             exact *= c / (2.0**n * math.log(2.0))
             error = term(n, sigma) - exact
             ulps = (32.0 / -math.expm1(-table.step) + 64.0 * abs(big)) * 2.0**-52 * scale

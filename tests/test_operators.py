@@ -340,7 +340,8 @@ def test_mass_term_matches_quadrature_over_the_dilation(table_name, hilbert_tabl
     bound lies below every term that is not zero, so a term that read 0
     would fail.  sigma = 1/4 puts x on a quarter's edge, and the points
     beside sigma = 0 test its reading as the limit from above."""
-    table = {"hilbert": hilbert_table, "wavy": wavy_table(), "conjugate-poisson": cp_table}[table_name]
+    tables = {"hilbert": hilbert_table, "wavy": wavy_table(), "conjugate-poisson": cp_table}
+    table = tables[table_name]
     rng = np.random.default_rng(20261020)
     below = []
     for d in (0.6, -0.6, 7.3, -0.013):
@@ -352,7 +353,8 @@ def test_mass_term_matches_quadrature_over_the_dilation(table_name, hilbert_tabl
             sigma = np.concatenate([rng.random(3), [0.25, 0.9, 2.0**-40, 1.0 - 2.0**-40]])
             got = term(n, sigma)
             want = [dilation_integral(table, lattice, n, s, [-d]) for s in sigma.tolist()]
-            bound = _term_bound(table, [(0.37, 1.0, "mass")], d + 0.37, n) + 1e-11 / (2.0**n * abs(d))
+            bound = _term_bound(table, [(0.37, 1.0, "mass")], d + 0.37, n)
+            bound += 1e-11 / (2.0**n * abs(d))
             assert np.max(np.abs(got - want)) <= bound, (d, n, got, want, bound)
             if n > levels[0]:
                 below += [bound < abs(w) for w in want if w]
