@@ -98,7 +98,7 @@ MAX_DISTANCE = 2.0**1022
 # the engine's named scratch arrays by (name, dtype) (see `scratch`), kept
 # between passes because glibc would unmap them freed and they would fault
 # in again; a worker process has its own copy-on-write copy
-_WORKSPACE: dict[tuple[str, type], np.ndarray] = {}
+_WORKSPACE: dict[tuple[str, np.dtype], np.ndarray] = {}
 # one pass at a time uses the workspace, on the thread named by _owner
 _PASS = threading.Lock()
 _owner: int | None = None
@@ -110,7 +110,7 @@ def scratch(name: str, shape: tuple, dtype=float) -> np.ndarray:
     contents undefined."""
     if _owner != threading.get_ident():
         return np.empty(shape, dtype)
-    size, key = math.prod(shape), (name, dtype)
+    size, key = math.prod(shape), (name, np.dtype(dtype))
     if len(_WORKSPACE.get(key, ())) < size:
         # a default chunk at once: arrays outgrown in steps leave resident holes
         _WORKSPACE[key] = np.empty(max(size, DEFAULT_CHUNK), dtype)

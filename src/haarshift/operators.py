@@ -219,12 +219,15 @@ def _probe_term(pieces: list[tuple], moments: dict, x: float, levels: range) -> 
     cell's midpoint, to keep the second differences of f's ramps, all
     that is left where the cell is much longer than f.
 
-    A level whose knots within |D| < 2 all lie at |D| >= SIGMA_READ_D is
-    read instead from its sum at SIGMA_CELLS + 1 equally spaced phi,
-    linearly between them, times H, constant on each cell of phi (phi = 1
-    is a cell of its own).  On the indicator at probes -1, 0.25, 2 and 5,
+    A level whose knots within |D| < 2 are steps or ramps and all lie at
+    |D| >= SIGMA_READ_D is read instead from its sum at SIGMA_CELLS + 1
+    equally spaced phi, linearly between them, times H, constant on each
+    cell of phi (phi = 1 is a cell of its own).  On the indicator at probes -1, 0.25, 2 and 5,
     65% of the points land on such levels, and the table cuts the time
-    of an apply call by about a fifth; a mass is read so at rows 0 to 2.
+    of an apply call by about a fifth.  A mass is always read directly:
+    its sum has kinks in sigma where an omega_p crosses 1/2, 1 or a jump
+    of c, which the table's linear read would smooth into a bias that
+    more draws do not shrink.
 
     Bounds per point, before H's factor of at most 7, with C = sup |c| /
     ln 2, C1 = sup |c'| / ln 2, j the jumps of c where the table's tails
@@ -234,11 +237,9 @@ def _probe_term(pieces: list[tuple], moments: dict, x: float, levels: range) -> 
     ramp's within |S| D^2 2^n C / (36 sqrt(3) W^3); Y0' = -c / ln 2, so
     |Y0''| <= 2 C1, and with the kinks of j a mass's reads are within |P|
     2^-n (C1 / (4 W^2) + j / (2 W ln 2)).  The sigma table adds |J| C /
-    (|D| P^2), |S| 2^n C / P^2 and, since a mass's sum has kinks in sigma
-    where an omega_p crosses 1/2, 1 or a jump of c, |P| 2^-n (C1 / (D^2
-    P^2) + 3 (2 C + j / ln 2) / (2 |D| P)).  Rounding adds 16 eps of a
-    knot's terms, each up to 18 |J| sup |c|, 54 |S| 2^n sup |c| and 5 |P|
-    2^-n sup |c|: a ramp's terms are of order 2^n and cancel to a sum of
+    (|D| P^2) and |S| 2^n C / P^2.  Rounding adds 16 eps of a knot's
+    terms, each up to 18 |J| sup |c|, 54 |S| 2^n sup |c| and 5 |P| 2^-n
+    sup |c|: a ramp's terms are of order 2^n and cancel to a sum of
     order 2^-n where the cell is much longer than f, so at high levels
     that rounding is the larger.  Where all knots lie on one side of x
     and f has no mass, f's J add up to 0, and its S and S k too, so the
@@ -263,7 +264,7 @@ def _probe_term(pieces: list[tuple], moments: dict, x: float, levels: range) -> 
             d = math.ldexp(k - x, -levels[row])
             if not abs(d) < 2.0:
                 continue
-            dense &= abs(d) >= SIGMA_READ_D
+            dense &= kind != "mass" and abs(d) >= SIGMA_READ_D
             right, low = d < 0, math.floor(2.0 * abs(d))
             # alpha + beta t + gamma t^2, t = p - f - z, for the omega_p <= 1/2
             if kind == "ramp":

@@ -696,7 +696,10 @@ def read_table(base_path: str | Path) -> CoefficientTable:
         # every row ends with a newline, so a table cut short mid-number is not read as whole
         fh.seek(-1, os.SEEK_END)
         if fh.read(1) != b"\n":
-            raise ValueError(f"table {csv_path} does not end with a newline: it was cut short")
+            raise ValueError(
+                f"table {csv_path} does not end with a newline "
+                "(a table cut short, or a last row without one)"
+            )
     try:
         # from the path, which loadtxt reads faster than an open handle
         samples = np.loadtxt(csv_path, delimiter=",", usecols=1, ndmin=1, skiprows=1)

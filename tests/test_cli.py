@@ -414,7 +414,7 @@ def _malformed(base: str, into: Path, defect: tuple) -> tuple[str, str, str | No
         if len(rows) < 3:
             want = "unexpected table header"
         elif not rows.endswith(b"\n"):
-            want = "does not end with a newline: it was cut short"
+            want = "does not end with a newline (a table cut short"
         else:
             want = "is not the last grid point"
     elif kind == "header":

@@ -256,8 +256,8 @@ def test_operator_accumulate_thread_invariant(
 def _term_bound(table, pieces, x: float, n: int) -> float:
     """The bound of `operators._probe_term` per point at x and level n on
     f's `pieces`, from its docstring: each knot within |D| < 2 adds its
-    reads' bound, the sigma table's where every such knot lies at |D| >=
-    SIGMA_READ_D, and its rounding; where all knots lie on one side of x
+    reads' bound, the sigma table's where every such knot is a step or a
+    ramp at |D| >= SIGMA_READ_D, and its rounding; where all knots lie on one side of x
     and f has no mass, the far bound replaces the reads' and the table's
     if it is smaller.  All times H's factor of at most 7."""
     omega, cells, eps, ln2 = operators.OMEGA_CELLS, operators.SIGMA_CELLS, 2.0**-52, math.log(2.0)
@@ -273,10 +273,8 @@ def _term_bound(table, pieces, x: float, n: int) -> float:
     reads = sum(j * d * c / (4 * omega**2) + r * d * d * 2.0**n * c / (36 * math.sqrt(3) * omega**3)
                 + p * (c1 / (4 * omega**2) + jumps / (2 * omega * ln2))
                 for d, j, r, p in near)
-    if all(d >= operators.SIGMA_READ_D for d, _, _, _ in near):
-        reads += sum(j * c / (d * cells**2) + r * 2.0**n * c / cells**2
-                     + p * (c1 / (d * d * cells**2) + 3 * (2 * c + jumps / ln2) / (2 * d * cells))
-                     for d, j, r, p in near)
+    if all(d >= operators.SIGMA_READ_D and not p for d, _, _, p in near):
+        reads += sum(j * c / (d * cells**2) + r * 2.0**n * c / cells**2 for d, j, r, p in near)
     rounding = sum(16 * eps * (18 * j * sup + 54 * r * 2.0**n * sup + 5 * p * sup)
                    for _, j, r, p in near)
     knots = sorted(k for k, _, _ in pieces)
@@ -335,10 +333,9 @@ def test_mass_term_matches_quadrature_over_the_dilation(table_name, hilbert_tabl
     quadrature over u of the lattice kernel sum's term translated by -x
     (x at 0, y at -d), for both signs of d = x - y, at the floor, a middle
     and the top level: within `_term_bound` plus 1e-11 of the level's
-    scale 1 / (2^n |d|) for quad's tolerance.  The floor rows are read
-    from the sigma table, the others directly; from the second row up the
-    bound lies below every term that is not zero, so a term that read 0
-    would fail.  sigma = 1/4 puts x on a quarter's edge, and the points
+    scale 1 / (2^n |d|) for quad's tolerance.  A mass is read directly at
+    every row; from the second row up the bound lies below every term
+    that is not zero, so a term that read 0 would fail.  sigma = 1/4 puts x on a quarter's edge, and the points
     beside sigma = 0 test its reading as the limit from above."""
     tables = {"hilbert": hilbert_table, "wavy": wavy_table(), "conjugate-poisson": cp_table}
     table = tables[table_name]
