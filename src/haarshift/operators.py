@@ -134,7 +134,9 @@ def _level_moments(table: CoefficientTable, levels: set, kinds: set) -> dict:
     1(omega >= w) (masses), of Y1(w), of gamma(L) (omega - w)_+ (steps
     and ramps), and of YS(w), of gamma(L) L (omega - w)_+^2 (ramps),
     omega = 2^-u, L = 2^n / omega, None for the others; then the moments
-    M_k, the means of gamma omega^k, k = 0, 1, -1.  From the table's exact
+    M_k, the means of gamma omega^k, k = 0, 1, -1, and the omega where
+    the read of Y0 bends by more than its curvature: 1/2, 1 and the ends
+    of the cells where Y0' = -c / ln 2 jumps.  From the table's exact
     antiderivatives of c, c e^-v and c e^v at v = ln L, a level at a
     time, so that no temporary outgrows a level."""
     ramps = "ramp" in kinds
@@ -159,7 +161,11 @@ def _level_moments(table: CoefficientTable, levels: set, kinds: set) -> dict:
         if ramps:
             m = (table.p_at(v) / w - p0[i]) / _LN2
             ys, mm1 = _cells(np.ldexp(part1 - 2.0 * w * part0 + w * w * m, n), True), m[0]
-        moments[n] = y0, y1, ys, m0[i], m1[i], mm1
+        # the read's ends, and the ends of the read's cells that hold a jump of c
+        jumps = np.exp(v0[i] - np.array([table.u_min, table.u_max]))
+        jumps = np.floor((jumps[(jumps > 0.5) & (jumps < 1.0)] - 0.5) * 2 * OMEGA_CELLS)
+        kinks = 0.5 + np.concatenate([[0, OMEGA_CELLS], jumps, jumps + 1]) / (2 * OMEGA_CELLS)
+        moments[n] = y0, y1, ys, m0[i], m1[i], mm1, kinks
     return moments
 
 
@@ -219,15 +225,16 @@ def _probe_term(pieces: list[tuple], moments: dict, x: float, levels: range) -> 
     cell's midpoint, to keep the second differences of f's ramps, all
     that is left where the cell is much longer than f.
 
-    A level whose knots within |D| < 2 are steps or ramps and all lie at
-    |D| >= SIGMA_READ_D is read instead from its sum at SIGMA_CELLS + 1
-    equally spaced phi, linearly between them, times H, constant on each
-    cell of phi (phi = 1 is a cell of its own).  On the indicator at probes -1, 0.25, 2 and 5,
+    A level whose knots within |D| < 2 all lie at |D| >= SIGMA_READ_D is
+    read instead from its sum at SIGMA_CELLS + 1 equally spaced phi,
+    linearly between them, times H, constant on each cell of phi (phi = 1
+    is a cell of its own).  On the indicator at probes -1, 0.25, 2 and 5,
     65% of the points land on such levels, and the table cuts the time
-    of an apply call by about a fifth.  A mass is always read directly:
-    its sum has kinks in sigma where an omega_p crosses 1/2, 1 or a jump
-    of c, which the table's linear read would smooth into a bias that
-    more draws do not shrink.
+    of an apply call by about a fifth; it reads rows 0 to 2 of `mc`.  A
+    mass's sum has kinks in sigma, where an omega_p crosses a kink of Y0
+    (`_level_moments`), which a linear read would smooth into a
+    bias that more draws do not shrink: the points in a cell that holds
+    one are read directly.
 
     Bounds per point, before H's factor of at most 7, with C = sup |c| /
     ln 2, C1 = sup |c'| / ln 2, j the jumps of c where the table's tails
@@ -237,7 +244,9 @@ def _probe_term(pieces: list[tuple], moments: dict, x: float, levels: range) -> 
     ramp's within |S| D^2 2^n C / (36 sqrt(3) W^3); Y0' = -c / ln 2, so
     |Y0''| <= 2 C1, and with the kinks of j a mass's reads are within |P|
     2^-n (C1 / (4 W^2) + j / (2 W ln 2)).  The sigma table adds |J| C /
-    (|D| P^2) and |S| 2^n C / P^2.  Rounding adds 16 eps of a knot's
+    (|D| P^2), |S| 2^n C / P^2 and, since a mass's sum is linear in sigma
+    between the omega read's nodes, at most two per cell and read, |P|
+    2^-n 2 C1 / (W |D| P).  Rounding adds 16 eps of a knot's
     terms, each up to 18 |J| sup |c|, 54 |S| 2^n sup |c| and 5 |P| 2^-n
     sup |c|: a ramp's terms are of order 2^n and cancel to a sum of
     order 2^-n where the cell is much longer than f, so at high levels
@@ -256,15 +265,17 @@ def _probe_term(pieces: list[tuple], moments: dict, x: float, levels: range) -> 
         offset of y' - floor(2 |D|) in sigma, the step of omega_p in cells
         per unit of z, the polynomial's coefficients of z^0, z^1, z^2 and
         the reads' weights per block (indices past the end clip to zeros)
-        and the level's reads; then the sigma table, or None.  A worker
-        runs its tasks in row order, so one row is kept at a time."""
-        y0, y1, ys, m0, m1, mm1 = moments[levels[row]]
-        knots, dense = [], True
+        and the level's reads; then the sigma table, or None: its values
+        and rises per cell, and for masses which cells hold a kink of the
+        sum.  A worker runs its tasks in row order, so one row is kept at
+        a time."""
+        y0, y1, ys, m0, m1, mm1, y0_kinks = moments[levels[row]]
+        knots, kinks, dense = [], [], True
         for k, scale, kind in pieces:
             d = math.ldexp(k - x, -levels[row])
             if not abs(d) < 2.0:
                 continue
-            dense &= kind != "mass" and abs(d) >= SIGMA_READ_D
+            dense &= abs(d) >= SIGMA_READ_D
             right, low = d < 0, math.floor(2.0 * abs(d))
             # alpha + beta t + gamma t^2, t = p - f - z, for the omega_p <= 1/2
             if kind == "ramp":
@@ -275,6 +286,9 @@ def _probe_term(pieces: list[tuple], moments: dict, x: float, levels: range) -> 
             elif kind == "mass":
                 weight = math.ldexp(scale if right else -scale, -levels[row])
                 abc, reads = (weight * m1, 0.0, 0.0), y0
+                # phi's cell coordinate where an omega_p crosses a kink of Y0
+                rho = np.subtract.outer(np.arange(5.0) / 4.0, abs(d) * y0_kinks).ravel()
+                kinks.append(SIGMA_CELLS * (1.0 - rho if right else rho))
             else:
                 abc = (scale * abs(d) * (m1 - m0 / 2), -scale * m0 / 4, 0.0)
                 weight, reads = scale * abs(d), y1
@@ -289,8 +303,12 @@ def _probe_term(pieces: list[tuple], moments: dict, x: float, levels: range) -> 
         if not dense:
             return knots, None
         sums = knot_sum(knots, _SIGMA_NODES)
+        kinked = None
+        if kinks:
+            kinked = np.zeros(SIGMA_CELLS + 1, bool)
+            kinked[np.clip(np.concatenate(kinks), 0, SIGMA_CELLS).astype(int)] = True
         return knots, (np.append(sums[:-1] * _H_CELLS, sums[-1] * _H_CELLS[-1]),
-                       np.append(np.diff(sums) * _H_CELLS, 0.0))
+                       np.append(np.diff(sums) * _H_CELLS, 0.0), kinked)
 
     def knot_sum(knots: list[tuple], sigma: np.ndarray) -> np.ndarray:
         """The sum over `knots` (`level`) at each sigma, before H."""
@@ -334,26 +352,36 @@ def _probe_term(pieces: list[tuple], moments: dict, x: float, levels: range) -> 
                 out += read
         return out
 
-    def term(n: int, sigma: np.ndarray, _=None) -> np.ndarray:
-        knots, cells = level(n - levels.start)
-        shape = sigma.shape
-        index = dyadic.scratch("index", shape, np.intp)
-        if cells is not None:
-            # phi's cell coordinate, in (0, SIGMA_CELLS]
-            pos = np.multiply(sigma, -SIGMA_CELLS, out=dyadic.scratch("z", shape))
-            pos += SIGMA_CELLS
-            np.copyto(index, pos, casting="unsafe")
-            pos -= index
-            out = np.take(cells[1], index, out=dyadic.scratch("vals", shape), mode="clip")
-            out *= pos
-            out += np.take(cells[0], index, out=pos, mode="clip")
-            return out
+    def direct(knots: list[tuple], sigma: np.ndarray) -> np.ndarray:
+        """The sum over `knots` at each sigma, times H."""
         out = knot_sum(knots, sigma)
         # h's quarter floor(4 - 4 sigma), the last for sigma = 0
-        quarter = np.multiply(sigma, -4.0, out=dyadic.scratch("z", shape))
+        quarter = np.multiply(sigma, -4.0, out=dyadic.scratch("z", sigma.shape))
         quarter += 4.0
+        index = dyadic.scratch("index", sigma.shape, np.intp)
         np.copyto(index, quarter, casting="unsafe")
         out *= np.take(H_VALUES, index, out=quarter, mode="clip")
+        return out
+
+    def term(n: int, sigma: np.ndarray, _=None) -> np.ndarray:
+        knots, cells = level(n - levels.start)
+        if cells is None:
+            return direct(knots, sigma)
+        shape = sigma.shape
+        index = dyadic.scratch("index", shape, np.intp)
+        # phi's cell coordinate, in (0, SIGMA_CELLS]
+        pos = np.multiply(sigma, -SIGMA_CELLS, out=dyadic.scratch("z", shape))
+        pos += SIGMA_CELLS
+        np.copyto(index, pos, casting="unsafe")
+        pos -= index
+        out = np.take(cells[1], index, out=dyadic.scratch("table", shape), mode="clip")
+        out *= pos
+        out += np.take(cells[0], index, out=pos, mode="clip")
+        if cells[2] is not None:
+            kinked = np.take(cells[2], index, out=dyadic.scratch("kinked", shape, bool), mode="clip")
+            kinked = np.flatnonzero(kinked)
+            if kinked.size:
+                out[kinked] = direct(knots, sigma[kinked])
         return out
 
     return term

@@ -770,11 +770,11 @@ def test_stream_contract_golden():
     # 9 and 10, in the frame of y, 0.5208530420341946 and -0.6247408652163645
     # with stderr 0.0005739691410454732
     assert est.record[0][:3] == (-1, 20_000, 20), message
-    assert est.record[0].mean == pytest.approx(0.5208136246324724, rel=1e-12), message
+    assert est.record[0].mean == pytest.approx(0.5208136246324725, rel=1e-12), message
     assert est.record[0].hits == 8000, message
     assert (len(est.record), len(op.record)) == (20, 21), message
     assert est.mean == pytest.approx(-0.6252631925377411, rel=1e-12), message
-    assert est.stderr == pytest.approx(0.0005696888929119905, rel=1e-12), message
+    assert est.stderr == pytest.approx(0.0005696888929119915, rel=1e-12), message
     # stream 9's lattice gave apply 0.6511932003510991 with stderr 0.001843412758305952
     assert op.mean == pytest.approx(0.6499536326805233, rel=1e-12), message
     assert op.stderr == pytest.approx(0.00046286046281208444, rel=1e-12), message
@@ -786,7 +786,7 @@ def test_stream_contract_golden():
     # stream 7's linear read gave -1.1295502848720345 here, stream 8's
     # lattice -1.1616199092453974, streams 9 and 10 -1.1589406090922278
     wavy = mc_estimate(TERM_TABLES["wavy"], 0.7, 0.1, num_samples=20_000, seed=2026)
-    assert wavy.mean == pytest.approx(-1.1593477988823673, rel=1e-12), message
+    assert wavy.mean == pytest.approx(-1.1593477939547328, rel=1e-12), message
 
 
 # ---------------------------------------------------------------------------
@@ -805,8 +805,9 @@ def test_exact_term_is_exact_on_the_benchmark_table():
     up to 32, and sigma's rounding moves each breakpoint's omega by S =
     2^n / |d| times as much; over 2^16 sigma per level that stays within
     1e-3 of the smallest level stderr of a 2^18-draw estimate at each of
-    the benchmark's separations.  A mass is read directly at every level,
-    so this holds at the floor rows too.
+    the benchmark's separations.  It holds at the floor rows, read from the
+    sigma table, too: the sum is linear in sigma between its kinks, and
+    the table's cells that hold one are read directly.
 
     The smallest stderr is taken over the levels whose replicate means
     differ by more than 1e-9 of that scale.  From row 13 up every other

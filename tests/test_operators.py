@@ -256,8 +256,8 @@ def test_operator_accumulate_thread_invariant(
 def _term_bound(table, pieces, x: float, n: int) -> float:
     """The bound of `operators._probe_term` per point at x and level n on
     f's `pieces`, from its docstring: each knot within |D| < 2 adds its
-    reads' bound, the sigma table's where every such knot is a step or a
-    ramp at |D| >= SIGMA_READ_D, and its rounding; where all knots lie on one side of x
+    reads' bound, the sigma table's where every such knot lies at |D| >=
+    SIGMA_READ_D, and its rounding; where all knots lie on one side of x
     and f has no mass, the far bound replaces the reads' and the table's
     if it is smaller.  All times H's factor of at most 7."""
     omega, cells, eps, ln2 = operators.OMEGA_CELLS, operators.SIGMA_CELLS, 2.0**-52, math.log(2.0)
@@ -273,8 +273,9 @@ def _term_bound(table, pieces, x: float, n: int) -> float:
     reads = sum(j * d * c / (4 * omega**2) + r * d * d * 2.0**n * c / (36 * math.sqrt(3) * omega**3)
                 + p * (c1 / (4 * omega**2) + jumps / (2 * omega * ln2))
                 for d, j, r, p in near)
-    if all(d >= operators.SIGMA_READ_D and not p for d, _, _, p in near):
-        reads += sum(j * c / (d * cells**2) + r * 2.0**n * c / cells**2 for d, j, r, p in near)
+    if all(d >= operators.SIGMA_READ_D for d, _, _, _ in near):
+        reads += sum(j * c / (d * cells**2) + r * 2.0**n * c / cells**2 + p * 2 * c1 / (omega * d * cells)
+                     for d, j, r, p in near)
     rounding = sum(16 * eps * (18 * j * sup + 54 * r * 2.0**n * sup + 5 * p * sup)
                    for _, j, r, p in near)
     knots = sorted(k for k, _, _ in pieces)
@@ -333,9 +334,10 @@ def test_mass_term_matches_quadrature_over_the_dilation(table_name, hilbert_tabl
     quadrature over u of the lattice kernel sum's term translated by -x
     (x at 0, y at -d), for both signs of d = x - y, at the floor, a middle
     and the top level: within `_term_bound` plus 1e-11 of the level's
-    scale 1 / (2^n |d|) for quad's tolerance.  A mass is read directly at
-    every row; from the second row up the bound lies below every term
-    that is not zero, so a term that read 0 would fail.  sigma = 1/4 puts x on a quarter's edge, and the points
+    scale 1 / (2^n |d|) for quad's tolerance.  The floor rows are read
+    from the sigma table, but for its cells that hold a kink of the sum,
+    the others directly; from the second row up the bound lies below
+    every term that is not zero, so a term that read 0 would fail.  sigma = 1/4 puts x on a quarter's edge, and the points
     beside sigma = 0 test its reading as the limit from above."""
     tables = {"hilbert": hilbert_table, "wavy": wavy_table(), "conjugate-poisson": cp_table}
     table = tables[table_name]
@@ -356,6 +358,37 @@ def test_mass_term_matches_quadrature_over_the_dilation(table_name, hilbert_tabl
             if n > levels[0]:
                 below += [bound < abs(w) for w in want if w]
     assert below and all(below)
+
+
+@pytest.mark.parametrize("table_name", ["hilbert", "wavy"])
+def test_mass_sigma_table_matches_its_direct_read(table_name, hilbert_table, monkeypatch):
+    """On the rows `mc` reads from the sigma table, the mass term at 2^16 +
+    1 equally spaced sigma, four per cell of the table, is its direct read
+    within the table's part of `_term_bound`, 7 2^-n 2 C1 / (W |D| P),
+    plus 1e-13 of 2^-n sup |c| for rounding: the direct read is linear in
+    sigma between the omega read's nodes, but at its kinks (an omega_p at
+    1/2, at 1 or at an end of the read's cells that hold a jump of c),
+    whose cells the term reads directly.  A kink read linearly would be
+    off by up to its slope jump over 4 P.  x - y = 7.3 and -0.013 put a
+    jump of the wavy table's c on a floor row."""
+    table = hilbert_table if table_name == "hilbert" else wavy_table()
+    s, a1, a2, a3 = table._cells
+    c1 = float(np.max(np.abs(a1) + 2.0 * np.abs(a2) + 3.0 * np.abs(a3))) / (table.step * math.log(2.0))
+    sigma = np.arange((1 << 16) + 1) / (1 << 16)
+    for d in (0.6, -0.6, 7.3, -0.013):
+        levels = levels_for_distance(abs(d), table.sup_norm(), 1e-4)
+        rows = [n for n in levels if abs(d) / 2.0**n >= operators.SIGMA_READ_D]
+        read = mass_term(table, d + 0.37, 0.37, levels)
+        got = {n: read(n, sigma).copy() for n in rows}
+        with monkeypatch.context() as patch:
+            patch.setattr(operators, "SIGMA_READ_D", 2.0)
+            read = mass_term(table, d + 0.37, 0.37, levels)
+            want = {n: read(n, sigma).copy() for n in rows}
+        assert len(rows) == 3
+        for n in rows:
+            bound = 14.0 * c1 / (operators.OMEGA_CELLS * abs(d) * operators.SIGMA_CELLS)
+            bound += 1e-13 * 2.0**-n * table.sup_norm()
+            assert np.max(np.abs(got[n] - want[n])) <= bound, (d, n)
 
 
 @pytest.mark.parametrize(
