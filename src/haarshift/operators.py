@@ -263,12 +263,12 @@ def _probe_term(pieces: list[tuple], moments: dict, x: float, levels: range) -> 
     def level(row: int) -> tuple[list[tuple], tuple | None]:
         """Per piece that can share x's cell at level row `row`: the slope and
         offset of y' - floor(2 |D|) in sigma, the step of omega_p in cells
-        per unit of z, the polynomial's coefficients of z^0, z^1, z^2 and
-        the reads' weights per block (indices past the end clip to zeros)
-        and the level's reads; then the sigma table, or None: its values
-        and rises per cell, and for masses which cells hold a kink of the
-        sum.  A worker runs its tasks in row order, so one row is kept at
-        a time."""
+        per unit of z, the polynomial's coefficients of z^0 up to its degree
+        (2 for a ramp, 1 for a step, 0 for a mass), the reads' weights per
+        block (indices past the end clip to zeros) and the level's reads;
+        then the sigma table, or None: its values and rises per cell, NaN
+        in a cell that holds a kink of a mass's sum, and whether any does.
+        A worker runs its tasks in row order, so one row is kept at a time."""
         y0, y1, ys, m0, m1, mm1, y0_kinks = moments[levels[row]]
         knots, kinks, dense = [], [], True
         for k, scale, kind in pieces:
@@ -294,7 +294,7 @@ def _probe_term(pieces: list[tuple], moments: dict, x: float, levels: range) -> 
                 weight, reads = scale * abs(d), y1
             e0, e1, e2 = _BLOCK_SUMS[right][:, low:]
             poly = (abc[0] * e0 + abc[1] * e1 + abc[2] * e2, -abc[1] * e0 - 2.0 * abc[2] * e1,
-                    abc[2] * e0)
+                    abc[2] * e0)[:{"ramp": 3, "step": 2, "mass": 1}[kind]]
             weights = [weight * _G1_WEIGHTS[right][low + 1 + r : 6 + r]
                        for r in range(1 if abs(d) <= 0.5 else 2)]
             frac = 2.0 * abs(d) - low
@@ -303,12 +303,10 @@ def _probe_term(pieces: list[tuple], moments: dict, x: float, levels: range) -> 
         if not dense:
             return knots, None
         sums = knot_sum(knots, _SIGMA_NODES)
-        kinked = None
-        if kinks:
-            kinked = np.zeros(SIGMA_CELLS + 1, bool)
-            kinked[np.clip(np.concatenate(kinks), 0, SIGMA_CELLS).astype(int)] = True
-        return knots, (np.append(sums[:-1] * _H_CELLS, sums[-1] * _H_CELLS[-1]),
-                       np.append(np.diff(sums) * _H_CELLS, 0.0), kinked)
+        rises = np.append(np.diff(sums) * _H_CELLS, 0.0)
+        # a cell that holds a kink of a mass's sum reads NaN
+        rises[np.clip(np.concatenate([[], *kinks]), 0, SIGMA_CELLS).astype(int)] = np.nan
+        return knots, (np.append(sums[:-1] * _H_CELLS, sums[-1] * _H_CELLS[-1]), rises, bool(kinks))
 
     def knot_sum(knots: list[tuple], sigma: np.ndarray) -> np.ndarray:
         """The sum over `knots` (`level`) at each sigma, before H."""
@@ -326,8 +324,8 @@ def _probe_term(pieces: list[tuple], moments: dict, x: float, levels: range) -> 
             z -= floor
             np.copyto(block, floor, casting="unsafe")
             # the polynomial, Horner in z
-            acc = np.take(poly[2 if bends is not None else 1], block, out=floor, mode="clip")
-            for c in poly[1::-1] if bends is not None else poly[:1]:
+            acc = np.take(poly[-1], block, out=floor, mode="clip")
+            for c in poly[-2::-1]:
                 acc *= z
                 acc += np.take(c, block, out=cell, mode="clip")
             out += acc
@@ -377,9 +375,8 @@ def _probe_term(pieces: list[tuple], moments: dict, x: float, levels: range) -> 
         out = np.take(cells[1], index, out=dyadic.scratch("table", shape), mode="clip")
         out *= pos
         out += np.take(cells[0], index, out=pos, mode="clip")
-        if cells[2] is not None:
-            kinked = np.take(cells[2], index, out=dyadic.scratch("kinked", shape, bool), mode="clip")
-            kinked = np.flatnonzero(kinked)
+        if cells[2]:
+            kinked = np.flatnonzero(np.isnan(out, out=dyadic.scratch("kinked", shape, bool)))
             if kinked.size:
                 out[kinked] = direct(knots, sigma[kinked])
         return out
