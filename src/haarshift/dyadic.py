@@ -123,7 +123,7 @@ class LevelRecord(NamedTuple):
     the draws, sigma points, whose level term, integrated over the
     dilation, is nonzero: those where some dilation puts x and a knot of f
     (for `mc`, y) in one cell, or, on a level read from a table in sigma,
-    whose cell of the table is not zero at both ends."""
+    whose read of the table is not zero."""
 
     n: int
     draws: int
